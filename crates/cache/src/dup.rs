@@ -14,14 +14,15 @@
 //! consolidated per-line record, which is behaviourally equivalent to the
 //! separate hardware structures and much easier to audit.
 
-use piranha_types::FastMap;
+use std::collections::hash_map::Entry;
 
-use piranha_types::{CacheKind, CpuId, LineAddr};
+use piranha_types::{CacheKind, CpuId, FastMap, LineAddr};
 
 use crate::mesi::Mesi;
 
-/// Maximum L1 caches per chip: 8 CPUs × (iL1 + dL1).
-pub const MAX_SLOTS: usize = 16;
+/// Maximum L1 caches per chip: 8 CPUs × (iL1 + dL1), the width of a
+/// [`Slots`] mask.
+pub const MAX_SLOTS: usize = u16::BITS as usize;
 
 /// Identifies one L1 cache on the chip: `cpu * 2 + kind`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -50,6 +51,11 @@ impl Slot {
     /// Index into per-slot arrays.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// This slot's bit in a [`Slots`] mask.
+    fn bit(self) -> u16 {
+        1 << self.0
     }
 }
 
@@ -100,10 +106,42 @@ pub enum Owner {
     L1(Slot),
 }
 
+/// A set of L1 slots as a bit mask (bit `i` is `Slot(i)`), iterated in
+/// ascending slot order. It is a copy, so iterating one taken from a
+/// [`DupEntry`] borrows nothing and the entry may change meanwhile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slots(u16);
+
+impl Slots {
+    /// The lowest slot in the set, if any.
+    pub fn first(self) -> Option<Slot> {
+        (self.0 != 0).then(|| Slot(self.0.trailing_zeros() as u8))
+    }
+}
+
+impl Iterator for Slots {
+    type Item = Slot;
+
+    fn next(&mut self) -> Option<Slot> {
+        let s = self.first()?;
+        self.0 &= self.0 - 1;
+        Some(s)
+    }
+}
+
 /// Consolidated per-line on-chip state at the owning L2 controller.
+///
+/// The duplicate L1 tags are three slot masks, one per MESI predicate,
+/// so "who holds it", "who may write it" and "how many copies" are
+/// single word operations.
 #[derive(Debug, Clone)]
 pub struct DupEntry {
-    l1: [Mesi; MAX_SLOTS],
+    /// Slots holding a copy in any readable state.
+    present: u16,
+    /// Slots holding it Exclusive or Modified.
+    writable: u16,
+    /// Slots holding it Modified.
+    modified: u16,
     /// Current owner.
     pub owner: Owner,
     /// External (inter-node) state.
@@ -125,7 +163,9 @@ pub struct DupEntry {
 impl DupEntry {
     fn new(ext: ExtState) -> Self {
         DupEntry {
-            l1: [Mesi::Invalid; MAX_SLOTS],
+            present: 0,
+            writable: 0,
+            modified: 0,
             owner: Owner::L2,
             ext,
             in_l2: false,
@@ -137,34 +177,51 @@ impl DupEntry {
 
     /// The recorded L1 state for `slot`.
     pub fn l1_state(&self, slot: Slot) -> Mesi {
-        self.l1[slot.index()]
+        let bit = slot.bit();
+        if self.modified & bit != 0 {
+            Mesi::Modified
+        } else if self.writable & bit != 0 {
+            Mesi::Exclusive
+        } else if self.present & bit != 0 {
+            Mesi::Shared
+        } else {
+            Mesi::Invalid
+        }
+    }
+
+    /// Record `state` as `slot`'s L1 state.
+    fn set_l1_state(&mut self, slot: Slot, state: Mesi) {
+        let bit = slot.bit();
+        let put = |mask: &mut u16, on: bool| {
+            if on {
+                *mask |= bit;
+            } else {
+                *mask &= !bit;
+            }
+        };
+        put(&mut self.present, state.readable());
+        put(&mut self.writable, state.writable());
+        put(&mut self.modified, state.dirty());
     }
 
     /// Slots currently holding any copy.
-    pub fn holders(&self) -> impl Iterator<Item = Slot> + '_ {
-        self.l1
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.readable())
-            .map(|(i, _)| Slot(i as u8))
+    pub fn holders(&self) -> Slots {
+        Slots(self.present)
     }
 
     /// The slot holding the line in E or M, if any.
     pub fn exclusive_holder(&self) -> Option<Slot> {
-        self.l1
-            .iter()
-            .position(|m| m.writable())
-            .map(|i| Slot(i as u8))
+        Slots(self.writable).first()
     }
 
     /// Number of L1 copies.
     pub fn holder_count(&self) -> usize {
-        self.l1.iter().filter(|m| m.readable()).count()
+        self.present.count_ones() as usize
     }
 
     /// Whether any copy (L1 or L2) exists on-chip.
     pub fn any_copy(&self) -> bool {
-        self.in_l2 || self.holder_count() > 0
+        self.in_l2 || self.present != 0
     }
 
     /// The version held by the current owner.
@@ -215,7 +272,7 @@ impl DupTags {
             e.owner = Owner::L1(slot);
             e
         });
-        e.l1[slot.index()] = state;
+        e.set_l1_state(slot, state);
         if state.writable() {
             e.owner = Owner::L1(slot);
         }
@@ -224,25 +281,25 @@ impl DupTags {
     /// Record that `slot` no longer holds `line`. Ownership falls back to
     /// the L2 copy if valid, else to any remaining sharer; the entry is
     /// removed when the last on-chip copy disappears. Returns the updated
-    /// entry if it still exists.
+    /// entry if it still exists. One map probe.
     pub fn clear_l1(&mut self, line: LineAddr, slot: Slot) -> Option<&DupEntry> {
-        let e = self.lines.get_mut(&line)?;
-        e.l1[slot.index()] = Mesi::Invalid;
+        let Entry::Occupied(mut o) = self.lines.entry(line) else {
+            return None;
+        };
+        let e = o.get_mut();
+        e.set_l1_state(slot, Mesi::Invalid);
         if e.owner == Owner::L1(slot) {
             if e.in_l2 {
                 e.owner = Owner::L2;
-            } else {
-                let next = e.holders().next();
-                if let Some(s) = next {
-                    e.owner = Owner::L1(s);
-                }
+            } else if let Some(s) = e.holders().first() {
+                e.owner = Owner::L1(s);
             }
         }
         if !e.any_copy() {
-            self.lines.remove(&line);
+            o.remove();
             return None;
         }
-        self.lines.get(&line)
+        Some(o.into_mut())
     }
 
     /// Record that the L2 now holds a valid copy and becomes owner.
@@ -264,7 +321,7 @@ impl DupTags {
         e.in_l2 = false;
         e.l2_dirty = false;
         if e.owner == Owner::L2 {
-            if let Some(s) = new_owner.or_else(|| e.holders().next()) {
+            if let Some(s) = new_owner.or_else(|| e.holders().first()) {
                 e.owner = Owner::L1(s);
             }
         }

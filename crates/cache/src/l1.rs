@@ -7,6 +7,7 @@
 
 use piranha_types::LineAddr;
 
+use crate::assoc::SetAssoc;
 use crate::config::L1Config;
 use crate::mesi::Mesi;
 
@@ -34,13 +35,11 @@ pub enum StoreOutcome {
     Miss,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    tag: u64,
+/// What an L1 keeps per resident line besides its tag.
+#[derive(Debug, Clone, Copy, Default)]
+struct Line {
     state: Mesi,
     version: u64,
-    /// Monotone counter for LRU ordering within the set.
-    stamp: u64,
 }
 
 /// A first-level cache (either iL1 or dL1).
@@ -62,58 +61,40 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct L1Cache {
     cfg: L1Config,
-    sets: Vec<Vec<Option<Entry>>>,
-    tick: u64,
+    /// Tags, MESI states and versions; LRU by touching on every hit.
+    lines: SetAssoc<Line>,
 }
 
 impl L1Cache {
     /// An empty cache with the given geometry.
     pub fn new(cfg: L1Config) -> Self {
-        let sets = cfg.sets();
         L1Cache {
             cfg,
-            sets: vec![vec![None; cfg.ways]; sets],
-            tick: 0,
+            lines: SetAssoc::new(cfg.sets(), cfg.ways, 0),
         }
     }
 
-    fn set_index(&self, line: LineAddr) -> usize {
-        (line.0 % self.sets.len() as u64) as usize
-    }
-
-    fn find(&self, line: LineAddr) -> Option<(usize, usize)> {
-        let si = self.set_index(line);
-        self.sets[si]
-            .iter()
-            .position(|e| e.is_some_and(|e| e.tag == line.0))
-            .map(|wi| (si, wi))
-    }
-
-    fn touch(&mut self, si: usize, wi: usize) {
-        self.tick += 1;
-        if let Some(e) = &mut self.sets[si][wi] {
-            e.stamp = self.tick;
-        }
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        self.lines.find(line.0)
     }
 
     /// The MESI state of `line` ([`Mesi::Invalid`] if absent).
     pub fn state(&self, line: LineAddr) -> Mesi {
         self.find(line)
-            .map_or(Mesi::Invalid, |(si, wi)| self.sets[si][wi].unwrap().state)
+            .map_or(Mesi::Invalid, |i| self.lines.get(i).data.state)
     }
 
     /// The data version of `line`, if present.
     pub fn version(&self, line: LineAddr) -> Option<u64> {
-        self.find(line)
-            .map(|(si, wi)| self.sets[si][wi].unwrap().version)
+        self.find(line).map(|i| self.lines.get(i).data.version)
     }
 
     /// Attempt a read (load or instruction fetch). Returns whether it hit;
     /// a hit refreshes LRU state.
     pub fn access_read(&mut self, line: LineAddr) -> bool {
         match self.find(line) {
-            Some((si, wi)) => {
-                self.touch(si, wi);
+            Some(i) => {
+                self.lines.touch(i);
                 true
             }
             None => false,
@@ -124,13 +105,14 @@ impl L1Cache {
     /// stamping `version` (an E copy silently becomes M, as MESI allows).
     pub fn store(&mut self, line: LineAddr, version: u64) -> StoreOutcome {
         match self.find(line) {
-            Some((si, wi)) => {
-                let state = self.sets[si][wi].unwrap().state;
-                if state.writable() {
-                    let e = self.sets[si][wi].as_mut().unwrap();
-                    e.state = Mesi::Modified;
-                    e.version = version;
-                    self.touch(si, wi);
+            Some(i) => {
+                let l = self.lines.data_mut(i);
+                if l.state.writable() {
+                    *l = Line {
+                        state: Mesi::Modified,
+                        version,
+                    };
+                    self.lines.touch(i);
                     StoreOutcome::Hit
                 } else {
                     StoreOutcome::NeedUpgrade
@@ -153,31 +135,13 @@ impl L1Cache {
             self.find(line).is_none(),
             "fill of already-present line {line}"
         );
-        let si = self.set_index(line);
-        self.tick += 1;
-        let entry = Entry {
-            tag: line.0,
-            state,
-            version,
-            stamp: self.tick,
-        };
-        // Prefer an invalid way.
-        if let Some(wi) = self.sets[si].iter().position(Option::is_none) {
-            self.sets[si][wi] = Some(entry);
-            return None;
-        }
-        // Evict the LRU way.
-        let (wi, _) = self.sets[si]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.unwrap().stamp)
-            .expect("set has ways");
-        let old = self.sets[si][wi].replace(entry).unwrap();
-        Some(Victim {
-            line: LineAddr(old.tag),
-            state: old.state,
-            version: old.version,
-        })
+        self.lines
+            .insert(line.0, Line { state, version }, |_| false)
+            .map(|(tag, old)| Victim {
+                line: LineAddr(tag),
+                state: old.state,
+                version: old.version,
+            })
     }
 
     /// Grant an upgrade: S → M for a pending store, stamping `version`.
@@ -188,46 +152,45 @@ impl L1Cache {
     /// where the copy was invalidated must be resolved by the L2 granting
     /// a full fill instead).
     pub fn upgrade(&mut self, line: LineAddr, version: u64) {
-        let (si, wi) = self.find(line).expect("upgrade of absent line");
-        let e = self.sets[si][wi].as_mut().unwrap();
-        assert_eq!(e.state, Mesi::Shared, "upgrade from non-Shared state");
-        e.state = Mesi::Modified;
-        e.version = version;
-        self.touch(si, wi);
+        let i = self.find(line).expect("upgrade of absent line");
+        let l = self.lines.data_mut(i);
+        assert_eq!(l.state, Mesi::Shared, "upgrade from non-Shared state");
+        *l = Line {
+            state: Mesi::Modified,
+            version,
+        };
+        self.lines.touch(i);
     }
 
     /// Invalidate `line` (coherence action), returning its state and
     /// version if it was present.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<(Mesi, u64)> {
-        let (si, wi) = self.find(line)?;
-        let e = self.sets[si][wi].take().unwrap();
-        Some((e.state, e.version))
+        let i = self.find(line)?;
+        let l = self.lines.remove(i);
+        Some((l.state, l.version))
     }
 
     /// Downgrade `line` to Shared (servicing a read forward), returning
     /// `(was_dirty, version)` if present.
     pub fn downgrade(&mut self, line: LineAddr) -> Option<(bool, u64)> {
-        let (si, wi) = self.find(line)?;
-        let e = self.sets[si][wi].as_mut().unwrap();
-        let dirty = e.state.dirty();
-        let v = e.version;
-        e.state = Mesi::Shared;
-        Some((dirty, v))
+        let i = self.find(line)?;
+        let l = self.lines.data_mut(i);
+        let dirty = l.state.dirty();
+        l.state = Mesi::Shared;
+        Some((dirty, l.version))
     }
 
-    /// Iterate over all resident lines as `(line, state, version)`; used
-    /// by invariant checks in tests.
+    /// Iterate over all resident lines as `(line, state, version)`, set
+    /// by set and way by way; used by invariant checks in tests.
     pub fn resident(&self) -> impl Iterator<Item = (LineAddr, Mesi, u64)> + '_ {
-        self.sets
+        self.lines
             .iter()
-            .flatten()
-            .flatten()
-            .map(|e| (LineAddr(e.tag), e.state, e.version))
+            .map(|w| (LineAddr(w.tag), w.data.state, w.data.version))
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().flatten().flatten().count()
+        self.lines.iter().count()
     }
 
     /// Whether the cache is empty.
@@ -252,11 +215,20 @@ pub struct L1Set {
     caches: Vec<L1Cache>,
 }
 
-use crate::dup::Slot;
+use crate::dup::{Slot, MAX_SLOTS};
 
 impl L1Set {
     /// Create `cpus * 2` caches with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cpus * 2` exceeds [`MAX_SLOTS`], the L1s a chip's
+    /// duplicate tags can track.
     pub fn new(cpus: usize, cfg: L1Config) -> Self {
+        assert!(
+            cpus * 2 <= MAX_SLOTS,
+            "{cpus} CPUs need more than the {MAX_SLOTS} L1 slots of a chip"
+        );
         L1Set {
             caches: (0..cpus * 2).map(|_| L1Cache::new(cfg)).collect(),
         }

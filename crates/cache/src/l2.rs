@@ -37,6 +37,7 @@ use std::collections::VecDeque;
 
 use piranha_types::{FillSource, LineAddr, RemoteSummary, ReqType};
 
+use crate::assoc::SetAssoc;
 use crate::config::L2BankConfig;
 use crate::dup::{DupTags, ExtState, Owner, Slot};
 use crate::l1::L1Set;
@@ -262,72 +263,6 @@ struct Pending {
     waiters: VecDeque<MissWaiter>,
 }
 
-/// Least-recently-loaded tag array for the bank's own storage. Stamps are
-/// set at allocation and *not* refreshed by hits, which is the paper's
-/// "round-robin (or least-recently-loaded) replacement policy".
-#[derive(Debug)]
-struct L2Array {
-    sets: Vec<Vec<Option<(u64, u64)>>>, // (tag, load_stamp)
-    tick: u64,
-}
-
-impl L2Array {
-    fn new(cfg: L2BankConfig) -> Self {
-        L2Array {
-            sets: vec![vec![None; cfg.ways]; cfg.sets()],
-            tick: 0,
-        }
-    }
-
-    fn set_index(&self, line: LineAddr) -> usize {
-        ((line.0 / 8) % self.sets.len() as u64) as usize
-    }
-
-    fn contains(&self, line: LineAddr) -> bool {
-        let si = self.set_index(line);
-        self.sets[si]
-            .iter()
-            .any(|e| e.is_some_and(|(t, _)| t == line.0))
-    }
-
-    /// Allocate `line`, returning the evicted line if the set was full.
-    /// Lines for which `avoid` returns true (pending transactions) are
-    /// skipped when choosing a victim if possible.
-    fn allocate(&mut self, line: LineAddr, avoid: impl Fn(LineAddr) -> bool) -> Option<LineAddr> {
-        debug_assert!(!self.contains(line), "L2 allocate of resident line");
-        let si = self.set_index(line);
-        self.tick += 1;
-        if let Some(wi) = self.sets[si].iter().position(Option::is_none) {
-            self.sets[si][wi] = Some((line.0, self.tick));
-            return None;
-        }
-        let pick = self.sets[si]
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| !avoid(LineAddr(e.unwrap().0)))
-            .min_by_key(|(_, e)| e.unwrap().1)
-            .or_else(|| {
-                self.sets[si]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.unwrap().1)
-            });
-        let (wi, _) = pick.expect("set has ways");
-        let old = self.sets[si][wi].replace((line.0, self.tick)).unwrap();
-        Some(LineAddr(old.0))
-    }
-
-    fn remove(&mut self, line: LineAddr) {
-        let si = self.set_index(line);
-        if let Some(w) = self.sets[si]
-            .iter_mut()
-            .find(|e| e.is_some_and(|(t, _)| t == line.0))
-        {
-            *w = None;
-        }
-    }
-}
-
 /// One bank of the shared L2, together with its duplicate-L1-tag
 /// directory and pending-transaction table.
 ///
@@ -355,7 +290,12 @@ impl L2Array {
 #[derive(Debug)]
 pub struct L2Bank {
     dup: DupTags,
-    array: L2Array,
+    /// The bank's own storage: least-recently-loaded, because stamps
+    /// are set at allocation and *not* refreshed by hits — the paper's
+    /// "round-robin (or least-recently-loaded) replacement policy".
+    /// Sets are indexed from the line bits above the low 3, which pick
+    /// one of the paper's 8 banks.
+    array: SetAssoc<()>,
     pending: FastMap<LineAddr, Pending>,
     bank_id: u64,
     bank_count: u64,
@@ -376,7 +316,7 @@ impl L2Bank {
         );
         L2Bank {
             dup: DupTags::new(),
-            array: L2Array::new(cfg),
+            array: SetAssoc::new(cfg.sets(), cfg.ways, 3),
             pending: FastMap::default(),
             bank_id,
             bank_count,
@@ -400,21 +340,23 @@ impl L2Bank {
 
     /// Whether the bank's own storage holds `line` (for tests).
     pub fn in_array(&self, line: LineAddr) -> bool {
-        self.array.contains(line)
+        self.array.find(line.0).is_some()
     }
 
     /// Every line resident in the bank's own storage, sorted — the
     /// array's occupancy irrespective of load stamps, for
     /// warming-fidelity checks.
     pub fn resident_lines(&self) -> Vec<LineAddr> {
-        let mut lines: Vec<LineAddr> = self
-            .array
-            .sets
-            .iter()
-            .flat_map(|s| s.iter().flatten().map(|&(t, _)| LineAddr(t)))
-            .collect();
+        let mut lines: Vec<LineAddr> = self.array.iter().map(|w| LineAddr(w.tag)).collect();
         lines.sort_unstable();
         lines
+    }
+
+    /// Drop `line` from the bank's own storage, if there.
+    fn array_remove(&mut self, line: LineAddr) {
+        if let Some(i) = self.array.find(line.0) {
+            self.array.remove(i);
+        }
     }
 
     /// Feed one event through the bank, applying coherence state changes
@@ -427,6 +369,17 @@ impl L2Bank {
     /// recoverable conditions).
     pub fn handle(&mut self, ev: BankEvent, l1s: &mut L1Set) -> Vec<BankAction> {
         let mut out = Vec::new();
+        self.handle_into(ev, l1s, &mut out);
+        out
+    }
+
+    /// [`handle`](L2Bank::handle) appending the actions to `out`, so a
+    /// caller that reuses one buffer allocates nothing per event.
+    ///
+    /// # Panics
+    ///
+    /// As [`handle`](L2Bank::handle).
+    pub fn handle_into(&mut self, ev: BankEvent, l1s: &mut L1Set, out: &mut Vec<BankAction>) {
         match ev {
             BankEvent::Miss {
                 slot,
@@ -444,7 +397,7 @@ impl L2Bank {
                         store_version,
                     });
                 } else {
-                    self.start_miss(slot, req, line, home_local, store_version, l1s, &mut out);
+                    self.start_miss(slot, req, line, home_local, store_version, l1s, out);
                 }
             }
             BankEvent::Victim {
@@ -457,14 +410,14 @@ impl L2Bank {
                     self.owns(line),
                     "victim for line {line} routed to wrong bank"
                 );
-                self.victim(slot, line, state, version, &mut out);
+                self.victim(slot, line, state, version, out);
             }
             BankEvent::MemData {
                 line,
                 version,
                 remote,
             } => {
-                self.mem_data(line, version, remote, l1s, &mut out);
+                self.mem_data(line, version, remote, l1s, out);
             }
             BankEvent::RemoteFill {
                 line,
@@ -472,7 +425,7 @@ impl L2Bank {
                 version,
                 source,
             } => {
-                self.remote_fill(line, grant, version, source, l1s, &mut out);
+                self.remote_fill(line, grant, version, source, l1s, out);
             }
             BankEvent::Export { line, excl } => {
                 assert!(
@@ -482,14 +435,13 @@ impl L2Bank {
                 if let Some(p) = self.pending.get_mut(&line) {
                     p.waiters.push_back(MissWaiter::Export { excl });
                 } else {
-                    self.start_export(line, excl, l1s, &mut out);
+                    self.start_export(line, excl, l1s, out);
                 }
             }
             BankEvent::InvalAll { line } => {
-                self.inval_all(line, l1s, &mut out);
+                self.inval_all(line, l1s, out);
             }
         }
-        out
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -558,7 +510,7 @@ impl L2Bank {
                     // later store upgrades silently; the L2 copy is
                     // dropped (no duplicates).
                     let dirty_carry = e.l2_dirty;
-                    self.array.remove(line);
+                    self.array_remove(line);
                     self.dup.clear_l2(line, None);
                     self.install(slot, line, Mesi::Exclusive, version, ext, l1s, out);
                     let en = self.dup.get_mut(line).unwrap();
@@ -676,7 +628,7 @@ impl L2Bank {
         let owner0 = e.owner;
         let in_l2 = e.in_l2;
         let requester_holds = e.l1_state(slot).readable();
-        let holders: Vec<Slot> = e.holders().collect();
+        let holders = e.holders();
         let mut source = FillSource::L2Hit;
         for h in holders {
             if h == slot {
@@ -693,7 +645,7 @@ impl L2Bank {
             out.push(BankAction::Inval { slot: h, line });
         }
         if in_l2 {
-            self.array.remove(line);
+            self.array_remove(line);
             self.dup.clear_l2(line, None);
         }
         if requester_holds {
@@ -787,10 +739,15 @@ impl L2Bank {
         }
         // Owner eviction: write the data into the L2 (even if clean —
         // the L2 is the victim cache).
-        assert!(!self.array.contains(line), "owner L1 implies no L2 copy");
+        assert!(!self.in_array(line), "owner L1 implies no L2 copy");
+        // Lines with pending transactions are passed over as victims
+        // when the set allows.
         let pending = &self.pending;
-        if let Some(victim_line) = self.array.allocate(line, |l| pending.contains_key(&l)) {
-            self.evict_l2_line(victim_line, out);
+        if let Some((victim, ())) = self
+            .array
+            .insert(line.0, (), |l| pending.contains_key(&LineAddr(l)))
+        {
+            self.evict_l2_line(LineAddr(victim), out);
         }
         self.dup.set_l2(line, dirty, version, ext);
         if let Some(en) = self.dup.get_mut(line) {
@@ -807,7 +764,7 @@ impl L2Bank {
             .expect("L2-resident line has a dup entry");
         assert!(e.in_l2, "array and dup tags disagree");
         let (dirty, version, ext) = (e.l2_dirty, e.l2_version, e.ext);
-        self.array.remove(line);
+        self.array_remove(line);
         let survives = self.dup.clear_l2(line, None);
         if dirty {
             if ext.home_local() {
@@ -994,7 +951,7 @@ impl L2Bank {
             // local holders (exclusivity is now node-wide ours).
             assert!(grant.writable(), "upgrade reply must grant exclusivity");
             let sv = store_version.expect("upgrade was a store");
-            let holders: Vec<Slot> = self.dup.get(line).unwrap().holders().collect();
+            let holders = self.dup.get(line).unwrap().holders();
             for h in holders {
                 if h == slot {
                     continue;
@@ -1004,7 +961,7 @@ impl L2Bank {
                 out.push(BankAction::Inval { slot: h, line });
             }
             if self.dup.get(line).unwrap().in_l2 {
-                self.array.remove(line);
+                self.array_remove(line);
                 self.dup.clear_l2(line, None);
             }
             l1s.get_mut(slot).upgrade(line, sv);
@@ -1066,14 +1023,13 @@ impl L2Bank {
     /// and inter-node invalidations).
     fn purge_on_chip(&mut self, line: LineAddr, l1s: &mut L1Set, out: &mut Vec<BankAction>) {
         let Some(e) = self.dup.get(line) else { return };
-        let holders: Vec<Slot> = e.holders().collect();
-        let in_l2 = e.in_l2;
+        let (holders, in_l2) = (e.holders(), e.in_l2);
         for h in holders {
             l1s.get_mut(h).invalidate(line);
             out.push(BankAction::Inval { slot: h, line });
         }
         if in_l2 {
-            self.array.remove(line);
+            self.array_remove(line);
         }
         self.dup.remove(line);
     }

@@ -25,6 +25,7 @@
 
 #![warn(missing_docs)]
 
+mod assoc;
 pub mod component;
 pub mod config;
 pub mod dup;
@@ -35,7 +36,7 @@ pub mod tlb;
 
 pub use component::{CacheComplex, CacheEvent};
 pub use config::{L1Config, L2BankConfig};
-pub use dup::{DupEntry, DupTags, ExtState, Owner, Slot};
+pub use dup::{DupEntry, DupTags, ExtState, Owner, Slot, Slots};
 pub use l1::{L1Cache, L1Set, StoreOutcome, Victim};
 pub use l2::{BankAction, BankEvent, L2Bank, MissWaiter};
 pub use mesi::Mesi;

@@ -4,7 +4,7 @@
 //! the four states in a typical MESI protocol" (§2.1).
 
 /// MESI coherence state of a cached line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Mesi {
     /// Modified: this cache holds the only, dirty copy.
     Modified,
@@ -15,6 +15,7 @@ pub enum Mesi {
     /// Shared: one of possibly several clean copies.
     Shared,
     /// Invalid: not present.
+    #[default]
     Invalid,
 }
 

@@ -10,6 +10,8 @@
 
 use piranha_types::Addr;
 
+use crate::assoc::SetAssoc;
+
 /// TLB geometry and fill cost.
 #[derive(Debug, Clone, Copy)]
 pub struct TlbConfig {
@@ -56,8 +58,8 @@ impl Default for TlbConfig {
 #[derive(Debug)]
 pub struct Tlb {
     cfg: TlbConfig,
-    sets: Vec<Vec<(u64, u64)>>, // (page, stamp)
-    tick: u64,
+    /// Mapped page numbers, LRU by touching on every hit.
+    pages: SetAssoc<()>,
     hits: u64,
     misses: u64,
 }
@@ -73,11 +75,9 @@ impl Tlb {
             cfg.ways > 0 && cfg.entries.is_multiple_of(cfg.ways),
             "TLB geometry must tile"
         );
-        let sets = cfg.entries / cfg.ways;
         Tlb {
             cfg,
-            sets: vec![Vec::new(); sets],
-            tick: 0,
+            pages: SetAssoc::new(cfg.entries / cfg.ways, cfg.ways, 0),
             hits: 0,
             misses: 0,
         }
@@ -87,36 +87,20 @@ impl Tlb {
     /// whether it hit.
     pub fn access(&mut self, addr: Addr) -> bool {
         let page = addr.0 / self.cfg.page_bytes;
-        let si = (page % self.sets.len() as u64) as usize;
-        self.tick += 1;
-        let set = &mut self.sets[si];
-        if let Some(e) = set.iter_mut().find(|(p, _)| *p == page) {
-            e.1 = self.tick;
+        if let Some(i) = self.pages.find(page) {
+            self.pages.touch(i);
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        if set.len() >= self.cfg.ways {
-            let (lru, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, s))| *s)
-                .map(|(i, e)| (i, *e))
-                .expect("set non-empty");
-            set.remove(lru);
-        }
-        set.push((page, self.tick));
+        self.pages.insert(page, (), |_| false);
         false
     }
 
     /// The currently-mapped page numbers, sorted — the TLB's occupancy
     /// irrespective of recency stamps, for warming-fidelity checks.
     pub fn resident_pages(&self) -> Vec<u64> {
-        let mut pages: Vec<u64> = self
-            .sets
-            .iter()
-            .flat_map(|s| s.iter().map(|(p, _)| *p))
-            .collect();
+        let mut pages: Vec<u64> = self.pages.iter().map(|w| w.tag).collect();
         pages.sort_unstable();
         pages
     }

@@ -4,23 +4,33 @@
 //! wheel of `NBUCKETS` buckets, each `1 << BUCKET_BITS` picoseconds
 //! wide, plus an overflow heap for events beyond the wheel's horizon.
 //! Dense simulations (the common case: every CPU, bank, and protocol
-//! engine keeps scheduling a few tens of nanoseconds ahead) insert and
-//! pop in amortized O(1) instead of the O(log n) of the former
-//! `BinaryHeap`, while the drain order — strictly `(time, seq)` — is
-//! bit-identical to the heap's.
+//! engine keeps scheduling a few cycles ahead) insert and pop in
+//! amortized O(1) instead of the O(log n) of the former `BinaryHeap`,
+//! while the drain order — strictly `(time, seq)` — is bit-identical to
+//! the heap's.
+//!
+//! A bucket is about one CPU cycle wide, so it rarely holds more than a
+//! handful of events and its sorted insert stays short. An occupancy
+//! bitmap over the buckets finds the next non-empty one in a few word
+//! operations however far ahead it lies, which keeps narrow buckets
+//! cheap across idle stretches.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use piranha_types::SimTime;
 
-/// log2 of the bucket width in picoseconds (65.536 ns per bucket).
-const BUCKET_BITS: u32 = 16;
-/// Number of wheel buckets (must be a power of two). The horizon is
-/// `NBUCKETS << BUCKET_BITS` ≈ 67 µs, far beyond any single component
-/// latency, so the overflow heap is essentially never touched in
-/// steady state.
+/// log2 of the bucket width in picoseconds: 2.048 ns per bucket, about
+/// one cycle of the paper's 500 MHz Piranha core.
+const BUCKET_BITS: u32 = 11;
+/// Number of wheel buckets (a power of two and a multiple of 64, the
+/// occupancy bitmap's word size). The horizon is
+/// `NBUCKETS << BUCKET_BITS` ≈ 2.1 µs: beyond a memory round trip or a
+/// multi-hop network delivery, so the overflow heap only sees the rare
+/// far-future event.
 const NBUCKETS: usize = 1024;
+/// Words in the occupancy bitmap.
+const WORDS: usize = NBUCKETS / 64;
 
 /// A deterministic future event list.
 ///
@@ -48,6 +58,9 @@ pub struct EventQueue<E> {
     /// in that window never share a slot, each bucket holds entries of
     /// exactly one day, sorted ascending by `(time, seq)`.
     buckets: Vec<VecDeque<Entry<E>>>,
+    /// Bit `s % 64` of word `s / 64` is set exactly when bucket `s` is
+    /// non-empty.
+    occupied: [u64; WORDS],
     /// Entries in the wheel (the rest are in `overflow`).
     wheel_len: usize,
     /// Events at or past the horizon, ordered by `(time, seq)`.
@@ -66,9 +79,15 @@ struct Entry<E> {
     event: E,
 }
 
+impl<E> Entry<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+}
+
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -79,7 +98,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
@@ -88,11 +107,17 @@ fn day(t: SimTime) -> u64 {
     t.0 >> BUCKET_BITS
 }
 
+/// The wheel slot of a day.
+fn slot(day: u64) -> usize {
+    (day as usize) & (NBUCKETS - 1)
+}
+
 impl<E> EventQueue<E> {
     /// An empty queue positioned at time zero.
     pub fn new() -> Self {
         EventQueue {
             buckets: (0..NBUCKETS).map(|_| VecDeque::new()).collect(),
+            occupied: [0; WORDS],
             wheel_len: 0,
             overflow: BinaryHeap::new(),
             seq: 0,
@@ -112,11 +137,42 @@ impl<E> EventQueue<E> {
     /// sorted by `(time, seq)`.
     fn wheel_insert(&mut self, entry: Entry<E>) {
         debug_assert!(day(entry.time) >= day(self.now) && day(entry.time) < self.horizon());
-        let bucket = &mut self.buckets[(day(entry.time) as usize) & (NBUCKETS - 1)];
-        let key = (entry.time, entry.seq);
-        let at = bucket.partition_point(|e| (e.time, e.seq) <= key);
-        bucket.insert(at, entry);
+        let s = slot(day(entry.time));
+        let bucket = &mut self.buckets[s];
+        // Sequence numbers only grow, so an insert usually lands last.
+        if bucket.back().is_none_or(|b| b.key() <= entry.key()) {
+            bucket.push_back(entry);
+        } else {
+            let key = entry.key();
+            let at = bucket.partition_point(|e| e.key() <= key);
+            bucket.insert(at, entry);
+        }
+        self.occupied[s / 64] |= 1 << (s % 64);
         self.wheel_len += 1;
+    }
+
+    /// The slot of the wheel's earliest bucket: the first occupied one
+    /// at or cyclically after now's slot. Every wheel day lies in
+    /// `[day(now), day(now) + NBUCKETS)`, so cyclic slot order from
+    /// now's slot is day order.
+    fn first_slot(&self) -> usize {
+        debug_assert!(self.wheel_len > 0, "first_slot on an empty wheel");
+        let start = slot(day(self.now));
+        let (w0, b0) = (start / 64, start % 64);
+        let ahead = self.occupied[w0] & (!0u64 << b0);
+        if ahead != 0 {
+            return w0 * 64 + ahead.trailing_zeros() as usize;
+        }
+        for i in 1..WORDS {
+            let w = (w0 + i) % WORDS;
+            if self.occupied[w] != 0 {
+                return w * 64 + self.occupied[w].trailing_zeros() as usize;
+            }
+        }
+        // All the way round: the bits below `start` in its own word.
+        let behind = self.occupied[w0] & !(!0u64 << b0);
+        debug_assert_ne!(behind, 0, "a non-empty wheel has an occupied bucket");
+        w0 * 64 + behind.trailing_zeros() as usize
     }
 
     /// Move every overflow event that now fits the wheel into it.
@@ -173,36 +229,55 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest event, advancing the queue's notion
     /// of "now" to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.wheel_len == 0 {
+        self.pop_if(|_| true)
+    }
+
+    /// Remove and return the earliest event if it fires strictly before
+    /// `horizon`; otherwise return `None`, removing nothing and leaving
+    /// [`now`](EventQueue::now) alone. The one-scan form of
+    /// `peek_time() < horizon` followed by `pop()`, for loops that drain
+    /// a window of simulated time.
+    pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+        self.pop_if(|t| t < horizon)
+    }
+
+    /// Pop the earliest event if `take` accepts its time.
+    #[inline]
+    fn pop_if(&mut self, take: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, E)> {
+        let e = if self.wheel_len == 0 {
             // The overflow min is the global min when the wheel is empty.
-            let Reverse(e) = self.overflow.pop()?;
-            self.now = e.time;
-            self.popped += 1;
-            self.migrate_overflow();
-            return Some((e.time, e.event));
-        }
-        // Events the horizon slid over since the last pop come first.
-        self.migrate_overflow();
-        // Every remaining event is ≥ now, so the scan starts at now's
-        // day; walking d forward never revisits a day (now is monotone),
-        // making the total scan cost over a run linear in elapsed days.
-        let mut d = day(self.now);
-        loop {
-            let bucket = &mut self.buckets[(d as usize) & (NBUCKETS - 1)];
-            if let Some(front) = bucket.front() {
-                debug_assert_eq!(day(front.time), d, "one bucket holds one day");
-                let e = bucket.pop_front().expect("front exists");
-                self.wheel_len -= 1;
-                self.now = e.time;
-                self.popped += 1;
-                return Some((e.time, e.event));
+            if !take(self.overflow.peek()?.0.time) {
+                return None;
             }
-            d += 1;
-            debug_assert!(
-                d < day(self.now) + NBUCKETS as u64 + 1,
-                "non-empty wheel must yield within the horizon"
+            let Reverse(e) = self.overflow.pop().expect("peeked entry present");
+            self.now = e.time;
+            self.migrate_overflow();
+            e
+        } else {
+            // Events the horizon slid over since the last pop come first;
+            // after that the wheel min is the global min.
+            self.migrate_overflow();
+            let s = self.first_slot();
+            let bucket = &mut self.buckets[s];
+            let front = bucket.front().expect("occupied bucket has a front");
+            debug_assert_eq!(
+                day(front.time),
+                day(self.now) + ((s + NBUCKETS - slot(day(self.now))) % NBUCKETS) as u64,
+                "one bucket holds one day, within the horizon"
             );
-        }
+            if !take(front.time) {
+                return None;
+            }
+            let e = bucket.pop_front().expect("front exists");
+            if bucket.is_empty() {
+                self.occupied[s / 64] &= !(1 << (s % 64));
+            }
+            self.wheel_len -= 1;
+            self.now = e.time;
+            e
+        };
+        self.popped += 1;
+        Some((e.time, e.event))
     }
 
     /// The timestamp of the earliest pending event, if any.
@@ -217,17 +292,14 @@ impl<E> EventQueue<E> {
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
         // Migration is lazy, so the overflow min can precede the wheel
         // min; take the smaller of the two keys.
-        let over = self.overflow.peek().map(|Reverse(e)| (e.time, e.seq));
+        let over = self.overflow.peek().map(|Reverse(e)| e.key());
         if self.wheel_len == 0 {
             return over;
         }
-        let mut d = day(self.now);
-        let wheel = loop {
-            if let Some(front) = self.buckets[(d as usize) & (NBUCKETS - 1)].front() {
-                break (front.time, front.seq);
-            }
-            d += 1;
-        };
+        let wheel = self.buckets[self.first_slot()]
+            .front()
+            .expect("occupied bucket has a front")
+            .key();
         Some(match over {
             Some(o) if o < wheel => o,
             _ => wheel,
@@ -449,6 +521,16 @@ mod tests {
         fn pop(&mut self) -> Option<(SimTime, u32)> {
             self.heap.pop().map(|Reverse((t, _, e))| (t, e))
         }
+        fn peek_key(&self) -> Option<(SimTime, u64)> {
+            self.heap.peek().map(|Reverse((t, s, _))| (*t, *s))
+        }
+        fn pop_before(&mut self, h: SimTime) -> Option<(SimTime, u32)> {
+            if self.peek_key()?.0 < h {
+                self.pop()
+            } else {
+                None
+            }
+        }
     }
 
     /// A tiny deterministic PRNG (splitmix64) for the randomized oracle
@@ -466,35 +548,60 @@ mod tests {
 
     #[test]
     fn randomized_drain_order_matches_heap_oracle() {
+        let width = 1u64 << BUCKET_BITS;
+        let horizon = (NBUCKETS as u64) << BUCKET_BITS;
         for seed in 0..8u64 {
             let mut rng = Rng(seed);
             let mut q = EventQueue::new();
             let mut oracle = HeapOracle::new();
             let mut now = 0u64;
+            // A delta from now, drawn to straddle both the bucket width
+            // and the wheel horizon, where the slot arithmetic and the
+            // overflow migration have their edge cases.
+            let delta = |rng: &mut Rng| match rng.next() % 10 {
+                0 => (rng.next() % 4) << (BUCKET_BITS + 12),     // far
+                1 => horizon - width + rng.next() % (2 * width), // at the horizon
+                2 => width - 2 + rng.next() % 4,                 // at a bucket edge
+                3 | 4 => 0,                                      // tie
+                _ => rng.next() % (width << 4),                  // near
+            };
             for i in 0..5_000u32 {
                 // Mixed workload: mostly near-future schedules with
-                // occasional far (past-horizon) ones and interleaved
-                // pops, mimicking a real simulation's pattern.
+                // occasional far (past-horizon) ones, interleaved with
+                // pops, bounded pops and peeks, mimicking a real
+                // simulation's pattern.
                 let roll = rng.next() % 100;
-                if roll < 60 || q.is_empty() {
-                    let delta = match rng.next() % 10 {
-                        0 => (rng.next() % 4) << (BUCKET_BITS + 12), // far
-                        1..=3 => 0,                                  // tie
-                        _ => rng.next() % (1 << (BUCKET_BITS + 2)),  // near
-                    };
-                    let t = SimTime(now + delta);
+                if roll < 55 || q.is_empty() {
+                    let t = SimTime(now + delta(&mut rng));
                     q.schedule(t, i);
                     oracle.schedule(t, i);
-                } else {
+                } else if roll < 75 {
                     let got = q.pop();
                     let want = oracle.pop();
                     assert_eq!(got, want, "divergence from heap oracle (seed {seed})");
                     if let Some((t, _)) = got {
                         now = t.0;
                     }
+                } else if roll < 90 {
+                    let h = SimTime(now + delta(&mut rng));
+                    let got = q.pop_before(h);
+                    let want = oracle.pop_before(h);
+                    assert_eq!(got, want, "bounded pop diverged (seed {seed})");
+                    if let Some((t, _)) = got {
+                        now = t.0;
+                    }
+                } else {
+                    assert_eq!(q.peek_key(), oracle.peek_key(), "peek_key (seed {seed})");
+                    assert_eq!(
+                        q.peek_time(),
+                        oracle.peek_key().map(|(t, _)| t),
+                        "peek_time (seed {seed})"
+                    );
                 }
+                assert_eq!(q.len(), oracle.heap.len());
             }
             loop {
+                assert_eq!(q.peek_key(), oracle.peek_key(), "tail peek (seed {seed})");
                 let got = q.pop();
                 let want = oracle.pop();
                 assert_eq!(got, want, "tail drain divergence (seed {seed})");
@@ -502,6 +609,27 @@ mod tests {
                     break;
                 }
             }
+            assert_eq!(q.scheduled(), q.popped());
         }
+    }
+
+    #[test]
+    fn pop_before_is_strict_and_leaves_later_events() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(10), 'a');
+        q.schedule(SimTime(20), 'b');
+        assert_eq!(q.pop_before(SimTime(10)), None, "the horizon is exclusive");
+        assert_eq!(q.pop_before(SimTime(11)), Some((SimTime(10), 'a')));
+        assert_eq!(q.pop_before(SimTime(11)), None);
+        assert_eq!(q.now(), SimTime(10), "a refused pop leaves now alone");
+        assert_eq!(q.len(), 1);
+        // An overflow-only queue answers bounded pops too.
+        let far = SimTime((NBUCKETS as u64 + 3) << BUCKET_BITS);
+        q.schedule(far, 'c');
+        assert_eq!(q.pop(), Some((SimTime(20), 'b')));
+        assert_eq!(q.pop_before(far), None);
+        assert_eq!(q.pop_before(SimTime(far.0 + 1)), Some((far, 'c')));
+        assert!(q.is_empty());
+        assert_eq!(q.pop_before(SimTime(u64::MAX)), None);
     }
 }

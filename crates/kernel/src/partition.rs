@@ -81,6 +81,13 @@ impl<E> Partition<E> {
         self.queue.pop()
     }
 
+    /// Remove and return the earliest `(time, event)` if it fires
+    /// strictly before `horizon` (see [`EventQueue::pop_before`]): one
+    /// wheel scan per event for a lane draining its window.
+    pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+        self.queue.pop_before(horizon)
+    }
+
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()

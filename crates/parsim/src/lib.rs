@@ -642,6 +642,12 @@ mod tests {
                 g.wait_min(3, &stall);
                 g.value.load(Ordering::SeqCst)
             });
+            // Publish only once the waiter has registered as a sleeper:
+            // a waiter scheduled after the last publish would take the
+            // fast path and never exercise the wakeup.
+            while g.sleepers.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
             for v in 1..=3 {
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 g.publish(v);

@@ -18,8 +18,6 @@
 //! which also enforces the conservative-lookahead invariant every
 //! cross-node delivery must respect.
 
-use std::collections::VecDeque;
-
 use piranha_cache::{BankAction, BankEvent, CacheEvent, Mesi, Slot};
 use piranha_cpu::{CpuAction, CpuCtx, CpuEvent};
 use piranha_faults::{FaultKind, FaultPlane};
@@ -109,8 +107,7 @@ impl NodeLane {
     /// guarantees no other lane can schedule into `[now, horizon)`, so
     /// the lane advances with no synchronization at all.
     pub(crate) fn advance(&mut self, sh: &LaneShared<'_>, horizon: SimTime) {
-        while self.events.peek_time().is_some_and(|t| t < horizon) {
-            let (t, ev) = self.events.pop().expect("peeked event");
+        while let Some((t, ev)) = self.events.pop_before(horizon) {
             self.dispatch(sh, t, ev);
         }
     }
@@ -120,6 +117,10 @@ impl NodeLane {
     }
 
     pub(crate) fn dispatch(&mut self, sh: &LaneShared<'_>, t: SimTime, ev: Ev) {
+        debug_assert!(
+            self.work.is_empty(),
+            "work left over from the last dispatch"
+        );
         match ev {
             Ev::Cpu(ev) => self.cpu_event(sh, t, ev),
             Ev::Bank(ce) => {
@@ -132,11 +133,8 @@ impl NodeLane {
                     sh.cfg.lat.bank.as_ps(),
                     0,
                 );
-                let mut port = std::mem::take(&mut self.bank_port);
-                self.node.caches.handle(t, ce, (), &mut port);
-                let items: Vec<Item> = port.drain().map(|(_, a)| Item::Bank(a)).collect();
-                self.bank_port = port;
-                self.apply(sh, t, items);
+                self.bank(t, ce);
+                self.run_work(sh, t);
             }
             Ev::MemRead(me) => {
                 self.probe.instant(
@@ -152,9 +150,8 @@ impl NodeLane {
                 // goes straight back to the requesting bank.
                 let mut mport = std::mem::take(&mut self.mem_port);
                 self.node.mem.handle(t, me, (), &mut mport);
-                let mut bport = std::mem::take(&mut self.bank_port);
                 for (_, d) in mport.drain() {
-                    self.node.caches.handle(
+                    self.bank(
                         t,
                         CacheEvent {
                             bank: d.bank,
@@ -164,14 +161,10 @@ impl NodeLane {
                                 remote: d.remote,
                             },
                         },
-                        (),
-                        &mut bport,
                     );
                 }
                 self.mem_port = mport;
-                let items: Vec<Item> = bport.drain().map(|(_, a)| Item::Bank(a)).collect();
-                self.bank_port = bport;
-                self.apply(sh, t, items);
+                self.run_work(sh, t);
             }
             Ev::NetMsg { from, msg } => {
                 let line = msg.line();
@@ -216,24 +209,14 @@ impl NodeLane {
                     occ.as_ps(),
                     line.0,
                 );
-                let mut port = std::mem::take(&mut self.eng_port);
-                {
-                    let nd = &mut self.node;
-                    nd.engines.acquire(is_home, t, occ);
-                    let Node { engines, mem, .. } = nd;
-                    let mut dirs = NodeDirs {
-                        banks: mem.banks_mut(),
-                    };
-                    let ev = if is_home {
-                        EngineEvent::Home(HomeIn::Msg { from, msg })
-                    } else {
-                        EngineEvent::Remote(RemoteIn::Msg { from, msg })
-                    };
-                    engines.handle(t, ev, &mut dirs, &mut port);
-                }
-                let items: Vec<Item> = port.drain().map(|(_, a)| Item::Eng(a)).collect();
-                self.eng_port = port;
-                self.apply(sh, t, items);
+                self.node.engines.acquire(is_home, t, occ);
+                let ev = if is_home {
+                    EngineEvent::Home(HomeIn::Msg { from, msg })
+                } else {
+                    EngineEvent::Remote(RemoteIn::Msg { from, msg })
+                };
+                self.engine(t, ev);
+                self.run_work(sh, t);
             }
         }
     }
@@ -394,51 +377,40 @@ impl NodeLane {
     }
 
     /// Run `ev` through the node's engine complex (threading the
-    /// directory view in) and queue the resulting actions.
-    fn engine(&mut self, t: SimTime, ev: EngineEvent, q: &mut VecDeque<Item>) {
-        let mut port = std::mem::take(&mut self.eng_port);
-        {
-            let Node { engines, mem, .. } = &mut self.node;
-            let mut dirs = NodeDirs {
-                banks: mem.banks_mut(),
-            };
-            engines.handle(t, ev, &mut dirs, &mut port);
-        }
-        q.extend(port.drain().map(|(_, a)| Item::Eng(a)));
-        self.eng_port = port;
+    /// directory view in) and queue the resulting actions on the lane's
+    /// work queue.
+    fn engine(&mut self, t: SimTime, ev: EngineEvent) {
+        let Node { engines, mem, .. } = &mut self.node;
+        let mut dirs = NodeDirs {
+            banks: mem.banks_mut(),
+        };
+        engines.handle(t, ev, &mut dirs, &mut self.eng_port);
+        self.work
+            .extend(self.eng_port.drain().map(|(_, a)| Item::Eng(a)));
     }
 
     /// Run `ev` through one of the node's L2 banks and queue the
-    /// resulting actions.
-    fn bank(&mut self, t: SimTime, ev: CacheEvent, q: &mut VecDeque<Item>) {
-        let mut port = std::mem::take(&mut self.bank_port);
-        self.node.caches.handle(t, ev, (), &mut port);
-        q.extend(port.drain().map(|(_, a)| Item::Bank(a)));
-        self.bank_port = port;
+    /// resulting actions on the lane's work queue.
+    fn bank(&mut self, t: SimTime, ev: CacheEvent) {
+        self.node.caches.handle(t, ev, (), &mut self.bank_port);
+        self.work
+            .extend(self.bank_port.drain().map(|(_, a)| Item::Bank(a)));
     }
 
-    /// Apply a work-list of bank/engine actions at time `t`.
-    /// The work queue's allocation is reused across dispatches.
-    pub(crate) fn apply(&mut self, sh: &LaneShared<'_>, t: SimTime, items: Vec<Item>) {
-        let mut q = std::mem::take(&mut self.work);
-        debug_assert!(q.is_empty());
-        q.extend(items);
-        while let Some(item) = q.pop_front() {
+    /// Apply the lane's queued bank/engine actions at time `t`, in
+    /// order, including the follow-on work each one queues behind the
+    /// rest. The queue is a lane field, so its allocation is reused
+    /// across dispatches.
+    fn run_work(&mut self, sh: &LaneShared<'_>, t: SimTime) {
+        while let Some(item) = self.work.pop_front() {
             match item {
-                Item::Bank(a) => self.apply_bank_action(sh, t, a, &mut q),
-                Item::Eng(a) => self.apply_engine_action(sh, t, a, &mut q),
+                Item::Bank(a) => self.apply_bank_action(sh, t, a),
+                Item::Eng(a) => self.apply_engine_action(t, a),
             }
         }
-        self.work = q;
     }
 
-    fn apply_bank_action(
-        &mut self,
-        sh: &LaneShared<'_>,
-        t: SimTime,
-        a: BankAction,
-        q: &mut VecDeque<Item>,
-    ) {
+    fn apply_bank_action(&mut self, sh: &LaneShared<'_>, t: SimTime, a: BankAction) {
         match a {
             BankAction::Grant {
                 slot,
@@ -498,7 +470,6 @@ impl NodeLane {
                             version,
                         },
                     },
-                    q,
                 );
             }
             BankAction::ReadMem { line } => {
@@ -525,7 +496,6 @@ impl NodeLane {
                 self.engine(
                     t,
                     EngineEvent::Remote(RemoteIn::LocalReq { line, req, home }),
-                    q,
                 );
             }
             BankAction::RemoteWb { line, version } => {
@@ -537,14 +507,13 @@ impl NodeLane {
                         version,
                         home,
                     }),
-                    q,
                 );
             }
             BankAction::HomeInvalRemote { line } => {
-                self.engine(t, EngineEvent::Home(HomeIn::LocalInvalRemotes { line }), q);
+                self.engine(t, EngineEvent::Home(HomeIn::LocalInvalRemotes { line }));
             }
             BankAction::HomeRecall { slot: _, line, req } => {
-                self.engine(t, EngineEvent::Home(HomeIn::LocalRecall { line, req }), q);
+                self.engine(t, EngineEvent::Home(HomeIn::LocalRecall { line, req }));
             }
             BankAction::ExportReply {
                 line,
@@ -567,18 +536,12 @@ impl NodeLane {
                         cached,
                     })
                 };
-                self.engine(t, ev, q);
+                self.engine(t, ev);
             }
         }
     }
 
-    fn apply_engine_action(
-        &mut self,
-        _sh: &LaneShared<'_>,
-        t: SimTime,
-        a: EngineAction,
-        q: &mut VecDeque<Item>,
-    ) {
+    fn apply_engine_action(&mut self, t: SimTime, a: EngineAction) {
         match a {
             EngineAction::Send { to, msg } => {
                 // Satellite hardening: a same-node "cross-node" message
@@ -622,7 +585,6 @@ impl NodeLane {
                         bank,
                         ev: BankEvent::Export { line, excl },
                     },
-                    q,
                 );
             }
             EngineAction::Fill {
@@ -644,7 +606,6 @@ impl NodeLane {
                             source,
                         },
                     },
-                    q,
                 );
             }
             EngineAction::Purge { line } => {
@@ -655,7 +616,6 @@ impl NodeLane {
                         bank,
                         ev: BankEvent::InvalAll { line },
                     },
-                    q,
                 );
             }
             EngineAction::MemWrite { line, version } => {

@@ -39,6 +39,7 @@
 //! [`Machine::set_parallel_workers`] or run with [`Machine::run_parallel`].
 
 use piranha_cache::Slot;
+use piranha_cpu::CoreStats;
 use piranha_faults::{AvailabilityReport, FaultPlane};
 use piranha_kernel::{Lookahead, Port};
 use piranha_net::{Arrive, Fabric};
@@ -161,11 +162,15 @@ impl Machine {
     }
 
     /// Per-CPU statistics snapshots (cloned), node-major order.
-    pub fn cpu_stats(&self) -> Vec<piranha_cpu::CoreStats> {
+    pub fn cpu_stats(&self) -> Vec<CoreStats> {
+        self.core_stats().cloned().collect()
+    }
+
+    /// Per-CPU statistics, node-major order.
+    fn core_stats(&self) -> impl Iterator<Item = &CoreStats> {
         self.lanes
             .iter()
-            .flat_map(|l| l.node.cpus.cores().map(|c| c.stats().clone()))
-            .collect()
+            .flat_map(|l| l.node.cpus.cores().map(|c| c.stats()))
     }
 
     /// Total instructions retired so far across all CPUs.
@@ -263,9 +268,10 @@ impl Machine {
     /// share, reset measurement, then run for `measure` more instructions
     /// per CPU (aggregate); returns the measured-window statistics.
     pub fn run(&mut self, warmup: u64, measure: u64) -> RunResult {
-        let ncpus = self.cfg.total_cpus() as u64;
-        self.run_until_total(self.total_instrs() + warmup * ncpus);
-        self.run_window(measure * ncpus)
+        let ncpus = self.cfg.total_cpus();
+        let rows = Vec::with_capacity(ncpus);
+        self.run_until_total(self.total_instrs() + warmup * ncpus as u64);
+        self.run_window(measure * ncpus as u64, rows)
     }
 
     /// [`Machine::run`] with `workers` lane threads (multi-chip only;
@@ -282,25 +288,36 @@ impl Machine {
     /// must match exactly while only the cycle count differs — the basis
     /// of the availability slowdown measurement.
     pub fn run_to_completion(&mut self) -> RunResult {
-        self.run_window(u64::MAX)
+        let rows = Vec::with_capacity(self.cfg.total_cpus());
+        self.run_window(u64::MAX, rows)
     }
 
     /// The shared measurement driver: snapshot, run for `budget` more
     /// aggregate instructions (saturating, so `u64::MAX` means "until
     /// every stream ends"), and package the measured window.
-    fn run_window(&mut self, budget: u64) -> RunResult {
-        let snap: Vec<piranha_cpu::CoreStats> = self.cpu_stats();
+    ///
+    /// `rows` (empty) becomes the result's per-CPU statistics: it takes
+    /// the window-start snapshot, which the window's deltas then
+    /// overwrite in place. Callers allocate it before the machine runs.
+    /// Allocated at the end instead, it would land in a hole among the
+    /// memory the run grew (event buckets, rehashed memory-bank tables)
+    /// and, outliving the machine, split that memory into two free
+    /// blocks when the machine is dropped; how large each block is would
+    /// then depend on the seed, and so would the peak footprint of a
+    /// process that builds and runs machine after machine.
+    fn run_window(&mut self, budget: u64, mut rows: Vec<CoreStats>) -> RunResult {
+        rows.extend(self.core_stats().cloned());
         let t0 = self.now();
         self.run_until_total(self.total_instrs().saturating_add(budget));
         let t1 = self.now();
-        let end = self.cpu_stats();
-        let cpus: Vec<piranha_cpu::CoreStats> =
-            end.iter().zip(&snap).map(|(e, s)| e.diff(s)).collect();
+        for (row, end) in rows.iter_mut().zip(self.core_stats()) {
+            *row = end.diff(row);
+        }
         let mut r = RunResult::new(
             self.cfg.name.clone(),
             t1.since(t0),
             self.cfg.cpu_clock,
-            cpus,
+            rows,
         );
         r.mem_page_hit_rate = self.mem_page_hit_rate();
         self.finish_result(&mut r);

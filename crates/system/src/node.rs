@@ -154,7 +154,8 @@ pub(crate) struct NodeLane {
     pub(crate) instrs_retired: u64,
     /// This node's CPUs that are enabled and not yet done.
     pub(crate) unfinished: usize,
-    /// Reusable work queue for `apply`.
+    /// The dispatch work queue of bank/engine actions (see
+    /// `NodeLane::run_work`), kept so its allocation is reused.
     pub(crate) work: VecDeque<Item>,
     /// Reusable output ports, one per action type.
     pub(crate) cpu_port: Port<CpuAction>,

@@ -655,8 +655,7 @@ impl Machine {
             let Some(base) = t_min else { break };
             let horizon = lookahead.horizon(base);
             for lane in lanes.iter_mut() {
-                while lane.events.peek_time().is_some_and(|t| t < horizon) {
-                    let (t, ev) = lane.events.pop().expect("peeked event");
+                while let Some((t, ev)) = lane.events.pop_before(horizon) {
                     match ev {
                         Ev::Cpu(CpuEvent::Step { cpu }) => deferred[lane.index].push((t, cpu)),
                         other => lane.dispatch(&sh, t, other),

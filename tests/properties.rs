@@ -4,11 +4,11 @@
 
 use proptest::prelude::*;
 
-use piranha::cache::{L1Cache, L1Config, Mesi, StoreOutcome};
+use piranha::cache::{L1Cache, L1Config, Mesi, StoreOutcome, Tlb, TlbConfig, Victim};
 use piranha::mem::{DirEntry, NodeSet};
 use piranha::net::{decode22, encode22};
 use piranha::protocol::msg::plan_cmi_routes;
-use piranha::types::{LineAddr, NodeId};
+use piranha::types::{Addr, LineAddr, NodeId};
 use piranha::workloads::{SynthConfig, Workload};
 use piranha::{Machine, SystemConfig};
 
@@ -74,72 +74,256 @@ proptest! {
         }
     }
 
-    /// L1 cache model versus a reference map: state/version agree after
-    /// arbitrary operation sequences, and the cache never exceeds its
-    /// capacity.
+    /// L1 cache model versus a reference LRU model: hits, the exact
+    /// victim of every fill, and state/version agree after arbitrary
+    /// operation sequences, on a 2-way power-of-two geometry, the 1-way
+    /// pessimistic L1 of the sensitivity study, and a 3-set geometry
+    /// indexed by remainder.
     #[test]
-    fn l1_matches_reference_model(ops in proptest::collection::vec((0u8..5, 0u64..32), 1..300)) {
-        let cfg = L1Config { size_bytes: 8 * 64, ways: 2 }; // 4 sets x 2 ways
-        let mut l1 = L1Cache::new(cfg);
-        let mut reference: std::collections::HashMap<u64, (Mesi, u64)> =
-            std::collections::HashMap::new();
-        let mut version = 0u64;
-        for (op, line_raw) in ops {
-            let line = LineAddr(line_raw);
-            match op {
-                0 => {
-                    // Read: hit iff the reference says present.
-                    prop_assert_eq!(l1.access_read(line), reference.contains_key(&line_raw));
-                }
-                1 => {
-                    // Fill (only if absent).
-                    if !reference.contains_key(&line_raw) {
-                        version += 1;
-                        if let Some(v) = l1.fill(line, Mesi::Exclusive, version) {
-                            let gone = reference.remove(&v.line.0);
-                            prop_assert!(gone.is_some(), "victim was resident");
-                        }
-                        reference.insert(line_raw, (Mesi::Exclusive, version));
-                    }
-                }
-                2 => {
-                    // Store.
-                    version += 1;
-                    let out = l1.store(line, version);
-                    match reference.get_mut(&line_raw) {
-                        Some((st, v)) if st.writable() => {
-                            prop_assert_eq!(out, StoreOutcome::Hit);
-                            *st = Mesi::Modified;
-                            *v = version;
-                        }
-                        Some(_) => prop_assert_eq!(out, StoreOutcome::NeedUpgrade),
-                        None => prop_assert_eq!(out, StoreOutcome::Miss),
-                    }
-                }
-                3 => {
-                    // Invalidate.
-                    let got = l1.invalidate(line);
-                    prop_assert_eq!(got.is_some(), reference.remove(&line_raw).is_some());
-                }
-                _ => {
-                    // Downgrade.
-                    let got = l1.downgrade(line);
-                    if let Some((st, v)) = reference.get_mut(&line_raw) {
-                        prop_assert_eq!(got, Some((st.dirty(), *v)));
-                        *st = Mesi::Shared;
-                    } else {
-                        prop_assert_eq!(got, None);
-                    }
-                }
-            }
-            // State agreement on every tracked line.
-            for (&lr, &(st, v)) in &reference {
-                prop_assert_eq!(l1.state(LineAddr(lr)), st);
-                prop_assert_eq!(l1.version(LineAddr(lr)), Some(v));
-            }
-            prop_assert!(l1.len() <= 8, "capacity bound");
-            prop_assert_eq!(l1.len(), reference.len());
+    fn l1_matches_reference_model(ops in proptest::collection::vec((0u8..6, 0u64..32), 1..300)) {
+        // (geometry, line stride): the stride folds the 32 generated
+        // lines onto 4 of the pessimistic L1's 512 sets so they conflict.
+        for (cfg, stride) in [
+            (L1Config { size_bytes: 8 * 64, ways: 2 }, 1),
+            (L1Config::pessimistic(), 128),
+            (L1Config { size_bytes: 6 * 64, ways: 2 }, 1),
+        ] {
+            check_l1_against_reference(cfg, stride, &ops);
         }
+    }
+
+    /// The TLB versus a reference LRU model: the hit/miss sequence and
+    /// the mapped pages agree, on power-of-two and 3-set geometries.
+    #[test]
+    fn tlb_matches_reference_model(pages in proptest::collection::vec((0u64..40, 0u64..8192), 1..400)) {
+        for (entries, ways) in [(16, 4), (12, 4), (4, 1)] {
+            let cfg = TlbConfig { entries, ways, page_bytes: 8192, miss_penalty: 20 };
+            let mut tlb = Tlb::new(cfg);
+            let mut reference = RefAssoc::new(entries / ways, ways, 0);
+            let mut misses = 0;
+            for &(page, offset) in &pages {
+                let hit = reference.contains(page);
+                if hit {
+                    reference.touch(page);
+                } else {
+                    misses += 1;
+                    reference.insert(page, |_| false);
+                }
+                prop_assert_eq!(tlb.access(Addr(page * 8192 + offset)), hit, "page {}", page);
+                prop_assert_eq!(tlb.resident_pages(), reference.resident());
+            }
+            prop_assert_eq!(tlb.misses(), misses);
+        }
+    }
+
+    /// The L2 bank's own storage versus a reference least-recently-loaded
+    /// model, seen through `L2Bank::resident_lines`. One CPU with a
+    /// one-line dL1 makes the array's traffic exact: every new line the
+    /// CPU takes evicts its previous one, the owner, into the L2 (the
+    /// victim-cache fill), and a line the CPU takes from the L2 leaves it.
+    #[test]
+    fn l2_array_matches_reference_model(
+        ops in proptest::collection::vec((0u64..96, proptest::bool::ANY), 1..300),
+    ) {
+        use piranha::cache::{BankEvent, L1Set, L2Bank, L2BankConfig, Slot};
+        use piranha::types::{CacheKind, CpuId, RemoteSummary, ReqType};
+
+        for (sets, ways) in [(4, 2), (3, 2), (1, 4)] {
+            let cfg = L2BankConfig { size_bytes: (sets * ways * 64) as u64, ways };
+            let mut bank = L2Bank::new(cfg, 0, 1);
+            let mut l1s = L1Set::new(1, L1Config { size_bytes: 64, ways: 1 });
+            let slot = Slot::new(CpuId(0), CacheKind::Data);
+            // Sets are indexed above the 3 line bits of the bank interleave.
+            let mut reference = RefAssoc::new(sets, ways, 3);
+            let mut held: Option<u64> = None;
+            let mut version = 0;
+            for &(line_raw, store) in &ops {
+                if held == Some(line_raw) {
+                    continue; // an L1 hit never reaches the bank
+                }
+                let line = LineAddr(line_raw);
+                version += 1;
+                let (req, store_version) = if store {
+                    (ReqType::ReadEx, Some(version))
+                } else {
+                    (ReqType::Read, None)
+                };
+                bank.handle(
+                    BankEvent::Miss { slot, req, line, home_local: true, store_version },
+                    &mut l1s,
+                );
+                if bank.is_pending(line) {
+                    bank.handle(
+                        BankEvent::MemData { line, version: 0, remote: RemoteSummary::None },
+                        &mut l1s,
+                    );
+                }
+                reference.remove(line_raw);
+                if let Some(old) = held.replace(line_raw) {
+                    reference.insert(old, |_| false);
+                }
+                prop_assert!(l1s.get(slot).state(line).readable());
+                let want: Vec<LineAddr> = reference.resident().into_iter().map(LineAddr).collect();
+                prop_assert_eq!(bank.resident_lines(), want, "{} sets x {} ways", sets, ways);
+            }
+        }
+    }
+}
+
+/// A naive set-associative reference model: each set keeps its tags in
+/// replacement order, least recent first. Touching moves a tag to the
+/// back (LRU); a model that never touches is least-recently-loaded.
+struct RefAssoc {
+    sets: Vec<Vec<u64>>,
+    ways: usize,
+    shift: u32,
+}
+
+impl RefAssoc {
+    fn new(sets: usize, ways: usize, shift: u32) -> Self {
+        RefAssoc {
+            sets: vec![Vec::new(); sets],
+            ways,
+            shift,
+        }
+    }
+
+    fn set(&mut self, tag: u64) -> &mut Vec<u64> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[((tag >> self.shift) % n) as usize]
+    }
+
+    fn contains(&self, tag: u64) -> bool {
+        self.sets.iter().any(|s| s.contains(&tag))
+    }
+
+    fn remove(&mut self, tag: u64) -> bool {
+        let set = self.set(tag);
+        let before = set.len();
+        set.retain(|&t| t != tag);
+        set.len() != before
+    }
+
+    fn touch(&mut self, tag: u64) {
+        assert!(self.remove(tag), "touch of an absent tag");
+        self.set(tag).push(tag);
+    }
+
+    /// Insert `tag`; a full set evicts its least recent tag that `avoid`
+    /// rejects (or its least recent tag, if `avoid` rejects them all).
+    fn insert(&mut self, tag: u64, avoid: impl Fn(u64) -> bool) -> Option<u64> {
+        let ways = self.ways;
+        let set = self.set(tag);
+        let victim = (set.len() == ways).then(|| {
+            let i = set.iter().position(|&t| !avoid(t)).unwrap_or(0);
+            set.remove(i)
+        });
+        set.push(tag);
+        victim
+    }
+
+    /// Every resident tag, sorted.
+    fn resident(&self) -> Vec<u64> {
+        let mut all: Vec<u64> = self.sets.concat();
+        all.sort_unstable();
+        all
+    }
+}
+
+/// Drive an L1 of geometry `cfg` and the reference model with one op
+/// sequence (line `raw * stride`), asserting agreement after each op.
+fn check_l1_against_reference(cfg: L1Config, stride: u64, ops: &[(u8, u64)]) {
+    let mut l1 = L1Cache::new(cfg);
+    let mut lru = RefAssoc::new(cfg.sets(), cfg.ways, 0);
+    let mut lines: std::collections::HashMap<u64, (Mesi, u64)> = std::collections::HashMap::new();
+    let mut version = 0u64;
+    for &(op, raw) in ops {
+        let l = raw * stride;
+        let line = LineAddr(l);
+        match op {
+            0 => {
+                // Read: hit iff the reference says present.
+                let hit = lines.contains_key(&l);
+                prop_assert_eq!(l1.access_read(line), hit);
+                if hit {
+                    lru.touch(l);
+                }
+            }
+            1 => {
+                // Fill (only if absent): the victim is exactly the
+                // reference's least recently used line of the set.
+                if !lines.contains_key(&l) {
+                    version += 1;
+                    let got = l1.fill(line, Mesi::Exclusive, version);
+                    let want = lru.insert(l, |_| false).map(|v| {
+                        let (state, version) = lines.remove(&v).expect("victim was resident");
+                        Victim {
+                            line: LineAddr(v),
+                            state,
+                            version,
+                        }
+                    });
+                    prop_assert_eq!(got, want, "victim of {} in {:?}", line, cfg);
+                    lines.insert(l, (Mesi::Exclusive, version));
+                }
+            }
+            2 => {
+                // Store.
+                version += 1;
+                let out = l1.store(line, version);
+                match lines.get_mut(&l) {
+                    Some((st, v)) if st.writable() => {
+                        prop_assert_eq!(out, StoreOutcome::Hit);
+                        *st = Mesi::Modified;
+                        *v = version;
+                        lru.touch(l);
+                    }
+                    Some(_) => prop_assert_eq!(out, StoreOutcome::NeedUpgrade),
+                    None => prop_assert_eq!(out, StoreOutcome::Miss),
+                }
+            }
+            3 => {
+                // Invalidate.
+                let got = l1.invalidate(line);
+                prop_assert_eq!(got, lines.remove(&l));
+                lru.remove(l);
+            }
+            4 => {
+                // Downgrade (no recency change).
+                let got = l1.downgrade(line);
+                if let Some((st, v)) = lines.get_mut(&l) {
+                    prop_assert_eq!(got, Some((st.dirty(), *v)));
+                    *st = Mesi::Shared;
+                } else {
+                    prop_assert_eq!(got, None);
+                }
+            }
+            _ => {
+                // Upgrade a Shared copy.
+                if let Some((st, v)) = lines.get_mut(&l) {
+                    if *st == Mesi::Shared {
+                        version += 1;
+                        l1.upgrade(line, version);
+                        *st = Mesi::Modified;
+                        *v = version;
+                        lru.touch(l);
+                    }
+                }
+            }
+        }
+        // State agreement on every tracked line.
+        for (&lr, &(st, v)) in &lines {
+            prop_assert_eq!(l1.state(LineAddr(lr)), st);
+            prop_assert_eq!(l1.version(LineAddr(lr)), Some(v));
+        }
+        prop_assert_eq!(l1.len(), lines.len());
+        // `resident` walks the cache set by set.
+        let sets = cfg.sets() as u64;
+        let order: Vec<u64> = l1.resident().map(|(l, _, _)| l.0 % sets).collect();
+        prop_assert!(
+            order.windows(2).all(|w| w[0] <= w[1]),
+            "resident() is set-major"
+        );
     }
 }
 
