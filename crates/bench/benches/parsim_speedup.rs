@@ -22,22 +22,28 @@
 
 use std::time::Instant;
 
-use piranha::experiments::{self, RunScale};
-use piranha::harness::run_config_parallel_machine;
-use piranha::{ParsimStats, SystemConfig};
+use piranha::experiments::{self, RunRequest, RunScale};
+use piranha::{Machine, ParsimStats, RunResult, SystemConfig};
+
+/// Build and run `req` with `workers` lane threads, returning the
+/// machine too for its lifetime counters.
+fn run(req: &RunRequest, workers: usize) -> (RunResult, Machine) {
+    let mut m = req.build();
+    m.set_parallel_workers(workers);
+    (req.drive(&mut m), m)
+}
 
 fn main() {
     let cfg = SystemConfig::piranha_pn(4).scaled_to_chips(4);
-    let w = experiments::oltp();
-    let scale = RunScale::quick();
+    let req = RunRequest::new(cfg, experiments::oltp(), RunScale::quick());
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "parsim_speedup: {} on OLTP at quick scale, {cores} core(s)",
-        cfg.name
+        req.cfg.name
     );
 
     let t0 = Instant::now();
-    let (serial, m) = run_config_parallel_machine(cfg.clone(), &w, scale, 1);
+    let (serial, m) = run(&req, 1);
     let serial_s = t0.elapsed().as_secs_f64();
     let stats: ParsimStats = m.parsim_stats();
     let sim_us = m.now().as_ns() as f64 / 1000.0;
@@ -66,7 +72,7 @@ fn main() {
     let mut rows = Vec::new();
     for workers in [2usize, 4] {
         let t0 = Instant::now();
-        let (r, m) = run_config_parallel_machine(cfg.clone(), &w, scale, workers);
+        let (r, m) = run(&req, workers);
         let secs = t0.elapsed().as_secs_f64();
         assert_eq!(
             r.fingerprint(),
@@ -126,7 +132,7 @@ fn main() {
          \"events_per_window\":{events_per_window:.2},\
          \"bit_identical\":true,\"speedup_asserted\":{asserted},\
          \"min_required_speedup\":{{\"2\":1.4,\"4\":2.0}},\"runs\":[{}]}}\n",
-        cfg.name,
+        req.cfg.name,
         stats.rounds,
         stats.windows,
         stats.merged_events,

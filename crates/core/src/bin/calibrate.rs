@@ -1,29 +1,26 @@
-//! Calibration helper: prints the key figure shapes at a chosen scale.
-use piranha::experiments::{self, RunScale};
-use piranha::observe::{self, StoreCli};
+//! Calibration helper: prints the key figure shapes.
+//!
+//! Reads `--quick` and `--store`; see [`piranha::observe::Flags`].
+use piranha::experiments;
+use piranha::observe::Flags;
 
 fn main() {
-    let store = StoreCli::from_env_args().apply();
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("full") => RunScale::full(),
-        _ => RunScale::quick(),
-    };
+    let flags = Flags::from_env();
+    let scale = flags.scale();
     let t0 = std::time::Instant::now();
-    println!(
-        "{}",
-        experiments::render_bars("Fig5 OLTP", &experiments::fig5(&experiments::oltp(), scale))
-    );
-    println!("[{:.1}s]", t0.elapsed().as_secs_f32());
-    println!(
-        "{}",
-        experiments::render_bars("Fig5 DSS", &experiments::fig5(&experiments::dss(), scale))
-    );
-    println!("[{:.1}s]", t0.elapsed().as_secs_f32());
+    for (name, w) in [
+        ("Fig5 OLTP", experiments::oltp()),
+        ("Fig5 DSS", experiments::dss()),
+    ] {
+        println!(
+            "{}",
+            experiments::render_bars(name, &experiments::fig5(&w, scale))
+        );
+        println!("[{:.1}s]", t0.elapsed().as_secs_f32());
+    }
     println!("Fig6a speedups: {:?}", experiments::fig6a(scale));
     println!("Fig6b breakdown: {:?}", experiments::fig6b(scale));
     println!("Mem page hit rate: {:.2}", experiments::mem_pages(scale));
     println!("[{:.1}s total]", t0.elapsed().as_secs_f32());
-    if let Some(store) = &store {
-        eprintln!("{}", observe::store_summary(store));
-    }
+    flags.finish();
 }

@@ -1,10 +1,15 @@
 //! Calibration diagnostics: per-configuration miss profiles on OLTP and
-//! instruction throughput on DSS (a development aid; the shipped figures
-//! come from the `fig*` binaries).
-use piranha::experiments::{dss, oltp, run_config, RunScale};
+//! instruction throughput on DSS at quick scale (a development aid; the
+//! shipped figures come from the `fig*` binaries).
+//!
+//! Reads no flags (and rejects unknown ones); see
+//! [`piranha::observe::Flags`].
+use piranha::experiments::{dss, oltp, RunRequest, RunScale};
+use piranha::observe::Flags;
 use piranha::SystemConfig;
 
 fn main() {
+    Flags::from_env();
     let scale = RunScale::quick();
     for cfg in [
         SystemConfig::piranha_p1(),
@@ -12,7 +17,7 @@ fn main() {
         SystemConfig::ooo(),
         SystemConfig::piranha_p8(),
     ] {
-        let r = run_config(cfg, &oltp(), scale);
+        let r = RunRequest::new(cfg, oltp(), scale).run();
         let m = r.merged();
         let period_ns = 1000.0 / r.clock.mhz() as f64;
         println!(
@@ -26,7 +31,7 @@ fn main() {
         );
     }
     for cfg in [SystemConfig::ino(), SystemConfig::ooo()] {
-        let r = run_config(cfg, &dss(), scale);
+        let r = RunRequest::new(cfg, dss(), scale).run();
         let m = r.merged();
         println!(
             "{:<5} DSS instrs={} ipc={:.2}",

@@ -1,22 +1,15 @@
 //! Regenerates Figure 6: (a) Piranha's OLTP speedup with 1..8 on-chip
 //! CPUs, and (b) the L1-miss breakdown (L2 hit / L2 fwd / L2 miss).
 //!
-//! Flags: `--quick` (CI scale), `--parallel=<n>` (lane workers for
-//! multi-chip machines — here only the probed exemplar),
-//! `--trace=<path>` (Chrome-trace JSON of a probed exemplar run),
-//! `--metrics=<path>` (flat metric dump), `--store=<dir>` (persistent
-//! result store; see `piranha::observe::StoreCli`).
-use piranha::experiments::{self, RunScale};
-use piranha::observe::{self, ParallelCli, ProbeCli, StoreCli};
+//! Reads `--quick`, `--parallel`, `--store` and the exemplar riders
+//! (`--trace`, `--metrics`, `--traffic*`, `--topology`, `--queue`); see
+//! [`piranha::observe::Flags`].
+use piranha::experiments;
+use piranha::observe::Flags;
 
 fn main() {
-    ParallelCli::from_env_args().apply();
-    let store = StoreCli::from_env_args().apply();
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        RunScale::quick()
-    } else {
-        RunScale::full()
-    };
+    let flags = Flags::from_env();
+    let scale = flags.scale();
     println!("Figure 6(a) — OLTP speedup vs number of cores (P1 = 1.0)");
     for (name, s) in experiments::fig6a(scale) {
         println!("  {name:<4} {s:>6.2}x");
@@ -29,17 +22,6 @@ fn main() {
     for (name, h, f, m) in experiments::fig6b(scale) {
         println!("  {name:<4} {h:>8.2} {f:>8.2} {m:>8.2}");
     }
-    let cli = ProbeCli::from_env_args();
-    if cli.active() {
-        match observe::export_probed_run(&cli, &experiments::oltp(), scale) {
-            Ok(summary) => print!("{summary}"),
-            Err(e) => {
-                eprintln!("probe export failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(store) = &store {
-        eprintln!("{}", observe::store_summary(store));
-    }
+    flags.run_riders(&experiments::oltp(), scale);
+    flags.finish();
 }

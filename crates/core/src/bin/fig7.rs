@@ -1,77 +1,27 @@
 //! Regenerates Figure 7: OLTP speedup of multi-chip (NUMA) systems —
 //! 4-CPU Piranha chips versus OOO chips, 1 to 4 chips.
 //!
-//! Flags: `--quick` (CI scale), `--parallel=<n>` (run each multi-chip
-//! machine with `n` lane workers — bit-identical to serial),
-//! `--fingerprints` (print one `label\tfingerprint` line per run and
-//! nothing else), `--trace=<path>` (Chrome-trace JSON of a probed
-//! exemplar run), `--metrics=<path>` (flat metric dump),
-//! `--traffic=<rate|curve>` (run the two-chip exemplar under open-loop
-//! arrivals and print its tail-latency summary; see
-//! `piranha::observe::TrafficCli` for the spec grammar),
-//! `--topology=`/`--queue=` (run the exemplar on an overridden fabric
-//! and print its fabric counters; see `piranha::observe::FabricCli`),
-//! `--store=<dir>` (persistent result store; see
-//! `piranha::observe::StoreCli`).
-use piranha::experiments::{self, RunScale};
-use piranha::observe::{self, FabricCli, ParallelCli, ProbeCli, StoreCli, TrafficCli};
+//! Reads `--quick`, `--fingerprints`, `--parallel`, `--store` and the
+//! exemplar riders (`--trace`, `--metrics`, `--traffic*`, `--topology`,
+//! `--queue`); see [`piranha::observe::Flags`].
+use piranha::experiments;
+use piranha::observe::Flags;
 
 fn main() {
-    ParallelCli::from_env_args().apply();
-    let store = StoreCli::from_env_args().apply();
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        RunScale::quick()
-    } else {
-        RunScale::full()
-    };
-    if std::env::args().any(|a| a == "--fingerprints") {
+    let flags = Flags::from_env();
+    let scale = flags.scale();
+    if flags.fingerprints {
         print!(
             "{}",
             experiments::render_fingerprints(&experiments::fig7_fingerprints(scale))
         );
-        report_store(&store);
-        return;
-    }
-    println!("Figure 7 — multi-chip OLTP speedup (vs each design's single chip)");
-    println!("  {:<6} {:>10} {:>10}", "Chips", "Piranha", "OOO");
-    for (chips, p, o) in experiments::fig7(scale) {
-        println!("  {chips:<6} {p:>10.2} {o:>10.2}");
-    }
-    let cli = ProbeCli::from_env_args();
-    if cli.active() {
-        match observe::export_probed_run(&cli, &experiments::oltp(), scale) {
-            Ok(summary) => print!("{summary}"),
-            Err(e) => {
-                eprintln!("probe export failed: {e}");
-                std::process::exit(1);
-            }
+    } else {
+        println!("Figure 7 — multi-chip OLTP speedup (vs each design's single chip)");
+        println!("  {:<6} {:>10} {:>10}", "Chips", "Piranha", "OOO");
+        for (chips, p, o) in experiments::fig7(scale) {
+            println!("  {chips:<6} {p:>10.2} {o:>10.2}");
         }
+        flags.run_riders(&experiments::oltp(), scale);
     }
-    let traffic = TrafficCli::from_env_args();
-    if traffic.active() {
-        match observe::run_traffic_exemplar(&traffic, 20) {
-            Ok(summary) => print!("{summary}"),
-            Err(e) => {
-                eprintln!("traffic exemplar failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let fabric = FabricCli::from_env_args();
-    if fabric.active() {
-        match observe::run_fabric_exemplar(&fabric, 20) {
-            Ok(summary) => print!("{summary}"),
-            Err(e) => {
-                eprintln!("fabric exemplar failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    report_store(&store);
-}
-
-fn report_store(store: &Option<std::sync::Arc<piranha::serve::DiskStore>>) {
-    if let Some(store) = store {
-        eprintln!("{}", observe::store_summary(store));
-    }
+    flags.finish();
 }

@@ -1,74 +1,33 @@
 //! Regenerates Figure 8: the performance potential of a full-custom
 //! Piranha (P8F) on OLTP and DSS (OOO = 100).
 //!
-//! Flags: `--quick` (CI scale), `--parallel=<n>` (run multi-chip
-//! machines with `n` lane workers — bit-identical to serial),
-//! `--fingerprints` (print one `label\tfingerprint` line per run and
-//! nothing else; includes the Figure 7 multi-chip rows so the CI
-//! parsim smoke exercises the quantum engine), `--trace=<path>`
-//! (Chrome-trace JSON of a probed exemplar run), `--metrics=<path>`
-//! (flat metric dump), `--topology=`/`--queue=` (run the two-chip
-//! exemplar on an overridden fabric and print its fabric counters; see
-//! `piranha::observe::FabricCli`), `--store=<dir>` (persistent result
-//! store; see `piranha::observe::StoreCli`).
-use piranha::experiments::{self, RunScale};
-use piranha::observe::{self, FabricCli, ParallelCli, ProbeCli, StoreCli};
+//! Reads `--quick`, `--fingerprints` (which includes the Figure 7
+//! multi-chip rows, so the CI parsim smoke drives the windowed engine),
+//! `--parallel`, `--store` and the exemplar riders (`--trace`,
+//! `--metrics`, `--traffic*`, `--topology`, `--queue`); see
+//! [`piranha::observe::Flags`].
+use piranha::experiments;
+use piranha::observe::Flags;
 
 fn main() {
-    ParallelCli::from_env_args().apply();
-    let store = StoreCli::from_env_args().apply();
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        RunScale::quick()
-    } else {
-        RunScale::full()
-    };
-    if std::env::args().any(|a| a == "--fingerprints") {
+    let flags = Flags::from_env();
+    let scale = flags.scale();
+    if flags.fingerprints {
         print!(
             "{}",
             experiments::render_fingerprints(&experiments::fig8_fingerprints(scale))
         );
-        report_store(&store);
-        return;
-    }
-    println!(
-        "{}",
-        experiments::render_bars(
-            "Figure 8 — OLTP (OOO = 100)",
-            &experiments::fig8(&experiments::oltp(), scale)
-        )
-    );
-    println!(
-        "{}",
-        experiments::render_bars(
-            "Figure 8 — DSS (OOO = 100)",
-            &experiments::fig8(&experiments::dss(), scale)
-        )
-    );
-    let cli = ProbeCli::from_env_args();
-    if cli.active() {
-        match observe::export_probed_run(&cli, &experiments::dss(), scale) {
-            Ok(summary) => print!("{summary}"),
-            Err(e) => {
-                eprintln!("probe export failed: {e}");
-                std::process::exit(1);
-            }
+    } else {
+        for (name, w) in [("OLTP", experiments::oltp()), ("DSS", experiments::dss())] {
+            println!(
+                "{}",
+                experiments::render_bars(
+                    &format!("Figure 8 — {name} (OOO = 100)"),
+                    &experiments::fig8(&w, scale)
+                )
+            );
         }
+        flags.run_riders(&experiments::dss(), scale);
     }
-    let fabric = FabricCli::from_env_args();
-    if fabric.active() {
-        match observe::run_fabric_exemplar(&fabric, 20) {
-            Ok(summary) => print!("{summary}"),
-            Err(e) => {
-                eprintln!("fabric exemplar failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    report_store(&store);
-}
-
-fn report_store(store: &Option<std::sync::Arc<piranha::serve::DiskStore>>) {
-    if let Some(store) = store {
-        eprintln!("{}", observe::store_summary(store));
-    }
+    flags.finish();
 }

@@ -3,39 +3,24 @@
 //! a headline faulted configuration **twice** to prove bit-identical
 //! determinism, and reports the availability ledger.
 //!
-//! Flags:
-//!
-//! - `--quick` — CI scale (fewer transactions per CPU);
-//! - `--faults=<seed|script>` — a `u64` seeds a random schedule; any
-//!   other value is parsed as a fault script (`"corrupt@50, flap@60"`);
-//! - `--fault-rate=<f64>` — injection rate of a seeded schedule
-//!   (default `1e-4`);
-//! - `--metrics=<path>` — write the headline availability report as
-//!   JSON (this is what the CI `fault-smoke` step validates);
-//! - `--parallel=<n>` — run multi-chip machines (the sweep's and the
-//!   headline's) with `n` lane workers; bit-identical to serial;
-//! - `--store=<dir>` — persistent result store; see
-//!   `piranha::observe::StoreCli`.
-use piranha::experiments::{self, RunScale};
-use piranha::harness::run_config;
-use piranha::observe::{self, FaultCli, ParallelCli, ProbeCli, StoreCli};
-use piranha::FaultConfig;
+//! Reads `--quick`, `--faults`/`--fault-rate` (the headline schedule;
+//! seed 42 at `1e-4` without them), `--metrics` (the headline
+//! availability report as JSON, which the CI `fault-smoke` step
+//! validates), `--parallel` and `--store`; see
+//! [`piranha::observe::Flags`].
+use piranha::experiments::{self, RunRequest, RunScale};
+use piranha::observe::{self, Flags};
+use piranha::{FaultConfig, SystemConfig};
 
 fn main() {
-    ParallelCli::from_env_args().apply();
-    let store = StoreCli::from_env_args().apply();
-    let quick = std::env::args().any(|a| a == "--quick");
-    let txns: u64 = if quick { 40 } else { 200 };
-    let fcli = FaultCli::from_env_args();
-    let faults = match fcli.fault_config() {
-        Ok(cfg) if cfg.enabled() => cfg,
-        // No flags: still exercise the recovery machinery by default.
-        Ok(_) => FaultConfig::seeded(42, 1e-4),
-        Err(e) => {
-            eprintln!("bad --faults value: {e}");
-            std::process::exit(2);
-        }
-    };
+    let flags = Flags::from_env();
+    let txns: u64 = if flags.quick { 40 } else { 200 };
+    // No schedule given: still exercise the recovery machinery.
+    let faults = flags
+        .faults
+        .clone()
+        .filter(FaultConfig::enabled)
+        .unwrap_or_else(|| FaultConfig::seeded(42, 1e-4));
 
     // The sweep: fault rate × configuration, through the memoized
     // parallel harness, each paired against its fault-free baseline.
@@ -55,15 +40,19 @@ fn main() {
     // The headline run: the CLI-selected schedule on the two-chip
     // exemplar, executed twice to prove bit-identical determinism, plus
     // the fault-free baseline of the same machine for slowdown.
-    let w = experiments::oltp_bounded(txns);
-    let scale = RunScale::completion();
-    let mut cfg = observe::exemplar_config();
-    cfg.faults = faults;
-    let r1 = run_config(cfg.clone(), &w, scale);
-    let r2 = run_config(cfg.clone(), &w, scale);
-    let mut base_cfg = cfg.clone();
-    base_cfg.faults = FaultConfig::default();
-    let base = run_config(base_cfg, &w, scale);
+    let run = |cfg: &SystemConfig| {
+        let w = experiments::oltp_bounded(txns);
+        RunRequest::new(cfg.clone(), w, RunScale::completion()).run()
+    };
+    let cfg = SystemConfig {
+        faults,
+        ..observe::exemplar_config()
+    };
+    let (r1, r2) = (run(&cfg), run(&cfg));
+    let base = run(&SystemConfig {
+        faults: FaultConfig::default(),
+        ..cfg.clone()
+    });
 
     assert_eq!(
         r1.fingerprint(),
@@ -97,16 +86,8 @@ fn main() {
         r1.fingerprint() == r2.fingerprint()
     );
 
-    let probe_cli = ProbeCli::from_env_args();
-    if let Some(path) = &probe_cli.metrics {
-        let body = observe::json::fault_headline(&cfg.name, txns, &r1, &r2, slowdown);
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("writing {} failed: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("  availability report -> {}", path.display());
-    }
-    if let Some(store) = &store {
-        eprintln!("{}", observe::store_summary(store));
-    }
+    flags.write_report("  availability report", || {
+        observe::json::fault_headline(&cfg.name, txns, &r1, &r2, slowdown)
+    });
+    flags.finish();
 }

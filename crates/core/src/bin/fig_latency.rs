@@ -4,52 +4,28 @@
 //! rate and reports p50/p95/p99 transaction latency, drop rate, and the
 //! saturation knee (the classic open-loop hockey-stick).
 //!
-//! Flags:
-//!
-//! - `--quick` — CI scale (fewer transactions per CPU);
-//! - `--check` — exit nonzero unless p99 is monotone non-decreasing
-//!   across the sweep (10% tolerance for sampling noise) and a knee was
-//!   detected (this is what the CI `latency-smoke` step runs);
-//! - `--metrics=<path>` — write the sweep as JSON;
-//! - `--parallel=<n>` — run the multi-chip machines with `n` lane
-//!   workers (bit-identical to serial; only wall-clock changes);
-//! - `--topology=<ring|mesh|torus|fattree>` / `--queue=<droptail|lossy|pfc>`
-//!   — sweep the same load fractions over an overridden fabric
-//!   (calibration reruns on the overridden machine, so the load
-//!   fractions stay anchored to *its* service rate);
-//! - `--store=<dir>` — persistent result store; see
-//!   `piranha::observe::StoreCli`.
+//! Reads `--quick`, `--check` (exit nonzero unless p99 is monotone
+//! non-decreasing across the sweep, within 10% sampling noise, and a
+//! knee was detected — the CI `latency-smoke` step), `--metrics` (the
+//! sweep as JSON), `--topology`/`--queue` (sweep an overridden fabric;
+//! calibration reruns on it, so the load fractions stay anchored to
+//! *its* service rate), `--parallel` and `--store`; see
+//! [`piranha::observe::Flags`].
 use piranha::experiments::{self, LatencyReport};
-use piranha::observe::{self, FabricCli, ParallelCli, ProbeCli, StoreCli};
+use piranha::observe::{self, Flags};
 
 fn main() {
-    ParallelCli::from_env_args().apply();
-    let store = StoreCli::from_env_args().apply();
-    let quick = std::env::args().any(|a| a == "--quick");
+    let flags = Flags::from_env();
     let mut cfg = experiments::fig_latency_config();
-    if let Err(e) = FabricCli::from_env_args().apply(&mut cfg) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    let rep = experiments::fig_latency_on(cfg, quick);
+    flags.apply_fabric(&mut cfg);
+    let rep = experiments::fig_latency_on(cfg, flags.quick);
     print!("{}", experiments::render_latency_report(&rep));
-
-    let cli = ProbeCli::from_env_args();
-    if let Some(path) = &cli.metrics {
-        if let Err(e) = std::fs::write(path, observe::json::latency_report(&rep)) {
-            eprintln!("writing {} failed: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("latency report -> {}", path.display());
-    }
-
-    if std::env::args().any(|a| a == "--check") {
+    flags.write_report("latency report", || observe::json::latency_report(&rep));
+    if flags.check {
         check(&rep);
         println!("latency-smoke checks passed");
     }
-    if let Some(store) = &store {
-        eprintln!("{}", observe::store_summary(store));
-    }
+    flags.finish();
 }
 
 /// The CI assertions: the hockey-stick must be monotone (within a 10%

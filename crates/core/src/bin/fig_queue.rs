@@ -7,38 +7,23 @@
 //! point it at a long-running `piranha_serve` instead to exercise
 //! cross-process reuse.
 //!
-//! Flags:
-//!
-//! - `--addr=<host:port>` — connect to an external `piranha_serve`
-//!   instead of spawning one in-process;
-//! - `--store=<dir>` — persistent result store for the in-process
-//!   server (ignored with `--addr=`; the external server owns its
-//!   store), with the usual `PIRANHA_STORE` fallback;
-//! - `--parallel=<n>` — lane workers per simulation (in-process server
-//!   only).
-use std::sync::Arc;
+//! Reads `--addr` (connect to an external `piranha_serve` instead of
+//! spawning one in-process), and for the in-process server `--store`
+//! (its persistent result store; an external server owns its own) and
+//! `--parallel`; see [`piranha::observe::Flags`].
 use std::time::Instant;
 
-use piranha::observe::{ParallelCli, StoreCli};
-use piranha::serve::{Client, DiskStore, JobStatus, RunSpec, Server, ServerConfig};
+use piranha::observe::Flags;
+use piranha::serve::{Client, JobStatus, RunSpec, Server, ServerConfig};
 
 fn main() {
-    ParallelCli::from_env_args().apply();
-    let addr = std::env::args().find_map(|a| a.strip_prefix("--addr=").map(str::to_string));
-
-    // Without --addr=, run the whole service in this process.
-    let (addr, local) = match addr {
+    let flags = Flags::from_env();
+    // Without --addr=, run the whole service in this process, on the
+    // store `Flags::from_env` installed.
+    let (addr, local) = match flags.addr {
         Some(a) => (a, None),
         None => {
-            let store = StoreCli::from_env_args()
-                .dir
-                .map(|dir| match DiskStore::open(&dir) {
-                    Ok(s) => Arc::new(s) as Arc<dyn piranha::harness::ResultStore>,
-                    Err(e) => {
-                        eprintln!("cannot open result store {}: {e}", dir.display());
-                        std::process::exit(1);
-                    }
-                });
+            let store = piranha::harness::default_store();
             let server = Server::bind("127.0.0.1:0", store, ServerConfig::default())
                 .expect("bind an ephemeral port");
             let addr = server.local_addr().expect("bound socket has an address");

@@ -4,35 +4,16 @@
 //! detailed windows, and reports CPI error, 95%-CI coverage, detailed
 //! share, and host wall-clock speedup.
 //!
-//! Flags:
-//!
-//! - `--quick` — CI scale (fewer transactions per CPU);
-//! - `--metrics=<path>` — write the sweep as JSON (this is what the CI
-//!   `sample-smoke` step validates);
-//! - `--parallel=<n>` — run detailed windows with `n` lane workers
-//!   (single-chip P8 always runs serially; the flag is accepted for
-//!   symmetry with the other figure binaries);
-//! - `--store=<dir>` — persistent result store; see
-//!   `piranha::observe::StoreCli`.
+//! Reads `--quick`, `--metrics` (the sweep as JSON, which the CI
+//! `sample-smoke` step validates), `--parallel` and `--store`; see
+//! [`piranha::observe::Flags`].
 use piranha::experiments;
-use piranha::observe::{self, ParallelCli, ProbeCli, StoreCli};
+use piranha::observe::{self, Flags};
 
 fn main() {
-    ParallelCli::from_env_args().apply();
-    let store = StoreCli::from_env_args().apply();
-    let quick = std::env::args().any(|a| a == "--quick");
-    let rep = experiments::fig_sample(quick);
+    let flags = Flags::from_env();
+    let rep = experiments::fig_sample(flags.quick);
     print!("{}", experiments::render_sample_report(&rep));
-
-    let cli = ProbeCli::from_env_args();
-    if let Some(path) = &cli.metrics {
-        if let Err(e) = std::fs::write(path, observe::json::sample_report(&rep)) {
-            eprintln!("writing {} failed: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("sampling report -> {}", path.display());
-    }
-    if let Some(store) = &store {
-        eprintln!("{}", observe::store_summary(store));
-    }
+    flags.write_report("sampling report", || observe::json::sample_report(&rep));
+    flags.finish();
 }

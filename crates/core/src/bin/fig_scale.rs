@@ -4,55 +4,26 @@
 //! combination of the pluggable interconnect, reporting throughput,
 //! deflection/drop/pause rates, and link occupancy.
 //!
-//! Flags:
-//!
-//! - `--quick` — CI scale (fewer transactions per CPU);
-//! - `--topology=<mesh|torus|fattree>` — narrow the sweep to one shape;
-//! - `--queue=<droptail|lossy|pfc>` — narrow the sweep to one
-//!   discipline;
-//! - `--check` — exit nonzero unless some swept point shows measurable
-//!   congestion (nonzero drops or pause stalls — this is what the CI
-//!   `scale-smoke` step runs; the per-row packet-ledger conservation is
-//!   asserted unconditionally inside the sweep);
-//! - `--metrics=<path>` — write the sweep as JSON;
-//! - `--parallel=<n>` — run every machine with `n` lane workers
-//!   (bit-identical to serial; only wall-clock changes);
-//! - `--store=<dir>` — persistent result store; see
-//!   `piranha::observe::StoreCli`.
+//! Reads `--quick`, `--topology`/`--queue` (narrow the sweep to one
+//! shape or discipline), `--check` (exit nonzero unless some swept point
+//! shows measurable congestion — nonzero drops or pause stalls; the CI
+//! `scale-smoke` step runs this, and every row's packet-ledger
+//! conservation is asserted inside the sweep regardless), `--metrics`
+//! (the sweep as JSON), `--parallel` and `--store`; see
+//! [`piranha::observe::Flags`].
 use piranha::experiments::{self, ScaleReport};
-use piranha::observe::{self, FabricCli, ParallelCli, ProbeCli, StoreCli};
+use piranha::observe::{self, Flags};
 
 fn main() {
-    ParallelCli::from_env_args().apply();
-    let store = StoreCli::from_env_args().apply();
-    let quick = std::env::args().any(|a| a == "--quick");
-    let fabric = FabricCli::from_env_args();
-    let (topology, queue) = match fabric.resolve() {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let rep = experiments::fig_scale(quick, topology, queue);
+    let flags = Flags::from_env();
+    let rep = experiments::fig_scale(flags.quick, flags.topology, flags.queue);
     print!("{}", experiments::render_scale_report(&rep));
-
-    let cli = ProbeCli::from_env_args();
-    if let Some(path) = &cli.metrics {
-        if let Err(e) = std::fs::write(path, observe::json::scale_report(&rep)) {
-            eprintln!("writing {} failed: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("scale report -> {}", path.display());
-    }
-
-    if std::env::args().any(|a| a == "--check") {
+    flags.write_report("scale report", || observe::json::scale_report(&rep));
+    if flags.check {
         check(&rep);
         println!("scale-smoke checks passed");
     }
-    if let Some(store) = &store {
-        eprintln!("{}", observe::store_summary(store));
-    }
+    flags.finish();
 }
 
 /// The CI assertion: finite port buffers must actually bite somewhere

@@ -1,21 +1,16 @@
 //! Regenerates the §2.4 claim: RDRAM open-page hit rate on OLTP with a
 //! ~1 µs page-open policy.
-use piranha::experiments::{self, RunScale};
-use piranha::observe::{self, StoreCli};
+//!
+//! Reads `--quick` and `--store`; see [`piranha::observe::Flags`].
+use piranha::experiments;
+use piranha::observe::Flags;
 
 fn main() {
-    let store = StoreCli::from_env_args().apply();
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        RunScale::quick()
-    } else {
-        RunScale::full()
-    };
-    let r = experiments::mem_pages(scale);
+    let flags = Flags::from_env();
+    let r = experiments::mem_pages(flags.scale());
     println!(
         "RDRAM open-page hit rate on OLTP (1µs hold): {:.0}%",
         r * 100.0
     );
-    if let Some(store) = &store {
-        eprintln!("{}", observe::store_summary(store));
-    }
+    flags.finish();
 }

@@ -1,23 +1,15 @@
 //! Regenerates the §4 sensitivity results: the pessimistic P8 variant
 //! and the TPC-C-like workload.
 //!
-//! Flags: `--quick` (CI scale), `--store=<dir>` (persistent result
-//! store; see `piranha::observe::StoreCli`).
-use piranha::experiments::{self, RunScale};
-use piranha::observe::{self, StoreCli};
+//! Reads `--quick` and `--store`; see [`piranha::observe::Flags`].
+use piranha::experiments;
+use piranha::observe::Flags;
 
 fn main() {
-    let store = StoreCli::from_env_args().apply();
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        RunScale::quick()
-    } else {
-        RunScale::full()
-    };
+    let flags = Flags::from_env();
     println!("§4 sensitivity (speedups)");
-    for (label, s) in experiments::sensitivity(scale) {
+    for (label, s) in experiments::sensitivity(flags.scale()) {
         println!("  {label:<32} {s:>6.2}x");
     }
-    if let Some(store) = &store {
-        eprintln!("{}", observe::store_summary(store));
-    }
+    flags.finish();
 }

@@ -1,16 +1,14 @@
 //! The paper's §6 conjecture: web-server workloads like the AltaVista
 //! search engine "exhibit behavior similar to decision support (DSS)
 //! workloads" — so Piranha's throughput advantage should carry over.
-use piranha::experiments::RunScale;
+//!
+//! Reads `--quick`; see [`piranha::observe::Flags`].
+use piranha::observe::Flags;
 use piranha::workloads::{DssConfig, WebConfig, Workload};
 use piranha::{Machine, SystemConfig};
 
 fn main() {
-    let scale = if std::env::args().any(|a| a == "--quick") {
-        RunScale::quick()
-    } else {
-        RunScale::full()
-    };
+    let scale = Flags::from_env().scale();
     let web = Workload::Web(WebConfig::paper_default());
     let dss = Workload::Dss(DssConfig::paper_default());
     println!("§6 — AltaVista-like web search vs DSS (normalized time, OOO = 100)");

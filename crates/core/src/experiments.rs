@@ -21,8 +21,8 @@
 //! [`all_figures_serial`] path.
 
 use piranha_system::{
-    FabricStats, FaultConfig, QueueDiscipline, RunResult, SystemConfig, TopologyKind,
-    TrafficConfig, TrafficLedger,
+    FabricStats, FaultConfig, QueueDiscipline, RunResult, SampleConfig, SampleEstimate,
+    SystemConfig, TopologyKind, TrafficConfig, TrafficLedger,
 };
 use piranha_workloads::{DssConfig, OltpConfig, Workload};
 
@@ -41,11 +41,6 @@ pub fn dss() -> Workload {
 /// The TPC-C-like OLTP variant used by the §4 sensitivity analysis.
 fn tpcc() -> Workload {
     Workload::Oltp(OltpConfig::tpcc_like())
-}
-
-/// Run one configuration against one workload (serially, no cache).
-pub fn run_config(cfg: SystemConfig, w: &Workload, scale: RunScale) -> RunResult {
-    piranha_harness::run_config(cfg, w, scale)
 }
 
 /// One bar of Figure 5/8: a configuration's normalized execution time
@@ -197,35 +192,36 @@ pub fn fig5(w: &Workload, scale: RunScale) -> Vec<Bar> {
 
 /// **Figure 5 under sampling** (the `--sample=<period>/<window>` flag):
 /// each configuration runs once under SMARTS-style sampling instead of
-/// full detail, so rows carry a CPI / stall-fraction estimate with 95%
-/// confidence intervals rather than exact normalized figure numbers
-/// (golden fingerprints only apply with the flag absent).
+/// full detail, through a memoizing, store-backed harness, so rows
+/// carry a CPI / stall-fraction estimate with 95% confidence intervals
+/// rather than exact normalized figure numbers (golden fingerprints only
+/// apply with the flag absent).
 pub fn fig5_sampled(
     w: &Workload,
     scale: RunScale,
-    sample: &piranha_system::SampleConfig,
-) -> Vec<(String, piranha_system::SampleEstimate)> {
-    [
-        SystemConfig::piranha_p1(),
-        SystemConfig::ooo(),
-        SystemConfig::ino(),
-        SystemConfig::piranha_p8(),
-    ]
-    .into_iter()
-    .map(|cfg| {
-        let name = cfg.name.clone();
-        let r = piranha_harness::run_config_sampled(cfg, w, scale, sample);
-        let est = r.sample.expect("sampled run carries an estimate");
-        (name, est)
-    })
-    .collect()
+    sample: &SampleConfig,
+) -> Vec<(String, SampleEstimate)> {
+    let mut plan = RunPlan::new();
+    for req in fig5_plan(w, scale).requests() {
+        plan.push(RunRequest {
+            sample: Some(sample.clone()),
+            ..req.clone()
+        });
+    }
+    let mut h = Harness::new();
+    h.execute(&plan);
+    plan.requests()
+        .iter()
+        .map(|req| {
+            let r = h.fetch(req);
+            let est = r.sample.clone().expect("sampled run carries an estimate");
+            (req.cfg.name.clone(), est)
+        })
+        .collect()
 }
 
 /// Render sampled-run rows ([`fig5_sampled`]) as a text table.
-pub fn render_sampled_bars(
-    title: &str,
-    rows: &[(String, piranha_system::SampleEstimate)],
-) -> String {
+pub fn render_sampled_bars(title: &str, rows: &[(String, SampleEstimate)]) -> String {
     let mut out = format!(
         "{title}\n{:<8} {:>8} {:>14} {:>14} {:>8}\n",
         "Config", "Windows", "CPI±CI95", "Stall±CI95", "Detail%"
@@ -567,7 +563,7 @@ pub struct SampleRow {
     /// Detailed-window length (instructions per CPU).
     pub window: u64,
     /// The sampled run's estimate.
-    pub estimate: piranha_system::SampleEstimate,
+    pub estimate: SampleEstimate,
     /// Relative CPI error versus the detailed reference.
     pub cpi_error: f64,
     /// Whether the reference CPI falls inside the estimate's 95% CI.
@@ -607,13 +603,14 @@ pub struct SampleReport {
 /// reference — functional warming executes the same instruction
 /// streams, so completed work must match exactly.
 pub fn fig_sample(quick: bool) -> SampleReport {
-    let cfg = SystemConfig::piranha_p8();
     let txns = if quick { 200 } else { 2_000 };
-    let w = oltp_bounded(txns);
-    let scale = RunScale::completion();
-
+    let detailed_req = RunRequest::new(
+        SystemConfig::piranha_p8(),
+        oltp_bounded(txns),
+        RunScale::completion(),
+    );
     let t0 = std::time::Instant::now();
-    let detailed = run_config(cfg.clone(), &w, scale);
+    let detailed = detailed_req.run();
     let host_secs_detailed = t0.elapsed().as_secs_f64();
     let ref_cpi = aggregate_cpi(&detailed);
     let ref_committed = detailed
@@ -623,9 +620,12 @@ pub fn fig_sample(quick: bool) -> SampleReport {
     let rows = sample_specs(quick)
         .iter()
         .map(|&(period, window)| {
-            let sample = piranha_system::SampleConfig::new(period, window);
+            let req = RunRequest {
+                sample: Some(SampleConfig::new(period, window)),
+                ..detailed_req.clone()
+            };
             let t = std::time::Instant::now();
-            let r = piranha_harness::run_config_sampled(cfg.clone(), &w, scale, &sample);
+            let r = req.run();
             let host_secs = t.elapsed().as_secs_f64();
             let est = r.sample.clone().expect("sampled run carries an estimate");
             assert_eq!(
@@ -646,7 +646,7 @@ pub fn fig_sample(quick: bool) -> SampleReport {
         .collect();
 
     SampleReport {
-        config: cfg.name,
+        config: detailed.name,
         txns_per_cpu: txns,
         ref_cpi,
         ref_committed,
@@ -786,7 +786,7 @@ pub fn fig_latency_on(cfg: SystemConfig, quick: bool) -> LatencyReport {
     // Closed-loop calibration: with no arrival gating the machine runs
     // at 100% utilization, so committed work over wall cycles is the
     // per-core service rate the load fractions are anchored to.
-    let base = run_config(cfg.clone(), &w, RunScale::completion());
+    let base = RunRequest::new(cfg.clone(), w.clone(), RunScale::completion()).run();
     let committed = base.committed_txns.expect("bounded workload reports work") as f64;
     let cycles = base.clock.cycles(base.window).max(1) as f64;
     let service_tpmc = committed / base.cpus.len() as f64 / cycles * 1e6;
@@ -795,13 +795,11 @@ pub fn fig_latency_on(cfg: SystemConfig, quick: bool) -> LatencyReport {
         .iter()
         .map(|&fraction| {
             let rate_tpmc = fraction * service_tpmc;
-            let traffic = TrafficConfig::poisson(rate_tpmc);
-            let r = piranha_harness::run_config_traffic(
-                cfg.clone(),
-                &w,
-                RunScale::completion(),
-                traffic,
-            );
+            let loaded = SystemConfig {
+                traffic: TrafficConfig::poisson(rate_tpmc),
+                ..cfg.clone()
+            };
+            let r = RunRequest::new(loaded, w.clone(), RunScale::completion()).run();
             let t = r.traffic.clone().expect("traffic was enabled");
             assert!(
                 t.ledger.conserved(),
@@ -815,7 +813,7 @@ pub fn fig_latency_on(cfg: SystemConfig, quick: bool) -> LatencyReport {
                 p50_ns: t.p50_ns(),
                 p95_ns: t.p95_ns(),
                 p99_ns: t.p99_ns(),
-                mean_ns: t.latency.mean_ns(),
+                mean_ns: t.latency.mean(),
                 drop_rate: t.ledger.drop_rate(),
                 ledger: t.ledger,
                 fingerprint: r.fingerprint(),
@@ -969,7 +967,6 @@ pub fn fig_scale(
 ) -> ScaleReport {
     let txns = if quick { 2 } else { 6 };
     let w = oltp_bounded(txns);
-    let workers = piranha_harness::node_workers();
     let mut rows = Vec::new();
     for nodes in SCALE_NODES {
         for topo in SCALE_TOPOLOGIES {
@@ -983,12 +980,9 @@ pub fn fig_scale(
                 let mut cfg = SystemConfig::piranha_pn(1).scaled_to_chips(nodes);
                 cfg.topology = topo;
                 cfg.net.queue = q;
-                let (r, m) = piranha_harness::run_config_parallel_machine(
-                    cfg,
-                    &w,
-                    RunScale::completion(),
-                    workers,
-                );
+                let req = RunRequest::new(cfg, w.clone(), RunScale::completion());
+                let mut m = req.build();
+                let r = req.drive(&mut m);
                 let fs = m.fabric_stats();
                 assert_eq!(
                     fs.delivered + fs.retransmits,

@@ -1,453 +1,317 @@
-//! Observability plumbing for the figure binaries: `--trace=<path>` /
-//! `--metrics=<path>` flag parsing and the probed exemplar run whose
-//! trace and metrics they export.
+//! The figure binaries' command line, and the exemplar runs and reports
+//! it drives.
 //!
-//! Every `fig*` binary accepts:
+//! Every binary parses its arguments with [`Flags::from_env`]: one
+//! parser for all sixteen flag spellings, of which each binary reads the
+//! ones its `//!` header names. An unknown flag or a malformed value
+//! exits with status 2 and a message naming the flag.
 //!
-//! - `--trace=<path>` — write a Chrome `trace_event` JSON file (open it
-//!   in <https://ui.perfetto.dev> or `chrome://tracing`) of one probed
-//!   exemplar simulation;
-//! - `--metrics=<path>` — write the flat metric snapshot of that run,
-//!   as CSV (default) or JSON if the path ends in `.json`.
-//!
-//! The exemplar is a **two-chip** P4 system so the trace carries spans
-//! from every subsystem — cpu, cache, mem, *protocol*, and *net* — the
-//! latter two only light up when coherence crosses the interconnect.
-//! The probed run is an extra simulation; figure results themselves are
-//! never produced with a probe attached (and would be bit-identical if
-//! they were — see `tests/probe_determinism.rs`).
+//! The probed exemplar behind `--trace=`/`--metrics=` is a **two-chip**
+//! P4 system so the trace carries spans from every subsystem — cpu,
+//! cache, mem, *protocol*, and *net* — the latter two only light up when
+//! coherence crosses the interconnect. Exemplar runs are extra
+//! simulations; figure results themselves are never produced with a
+//! probe attached (and would be bit-identical if they were — see
+//! `tests/probe_determinism.rs`).
 
 use std::path::PathBuf;
+use std::str::FromStr;
 
-use piranha_harness::{run_config_parallel_machine, run_config_probed, RunScale};
-use piranha_probe::{chrome, ProbeConfig, TraceLevel};
+use piranha_harness::{RunRequest, RunScale};
+use piranha_probe::{chrome, Probe, ProbeConfig, TraceLevel};
 use piranha_system::{
-    ArrivalKind, DiurnalCurve, FaultConfig, OverflowPolicy, QueueDiscipline, SystemConfig,
-    TopologyKind, TrafficConfig,
+    ArrivalKind, DiurnalCurve, FaultConfig, OverflowPolicy, QueueDiscipline, SampleConfig,
+    SystemConfig, TopologyKind, TrafficConfig,
 };
 use piranha_workloads::Workload;
 
-/// The observability flags of a figure binary.
+use crate::experiments::oltp_bounded;
+
+/// The command line of a figure binary, one field per flag, checked by
+/// [`Flags::parse`]. Absent flags leave every configuration at its
+/// default, where the golden fingerprints apply.
 #[derive(Debug, Clone, Default)]
-pub struct ProbeCli {
-    /// Destination for the Chrome-trace JSON, if requested.
+pub struct Flags {
+    /// `--quick`: CI scale instead of full scale.
+    pub quick: bool,
+    /// `--fingerprints`: print one `label\tfingerprint` line per run
+    /// and nothing else (the golden-file format).
+    pub fingerprints: bool,
+    /// `--check`: assert the binary's CI invariants, failing loudly.
+    pub check: bool,
+    /// `--addr=<host:port>`: a running `piranha_serve` to use instead of
+    /// an in-process server.
+    pub addr: Option<String>,
+    /// `--trace=<path>`: a Chrome `trace_event` JSON of the probed
+    /// exemplar (open it in <https://ui.perfetto.dev>).
     pub trace: Option<PathBuf>,
-    /// Destination for the flat metrics dump, if requested.
+    /// `--metrics=<path>`: the probed exemplar's metric snapshot (CSV,
+    /// or JSON for a `.json` path) — or a sweep binary's JSON report.
     pub metrics: Option<PathBuf>,
+    /// `--faults=<seed|script>` and `--fault-rate=<rate>`: a `u64` seeds
+    /// a random schedule at the rate (default `1e-4`), anything else is
+    /// a fault script (`"corrupt@50, flap@60"`); a rate alone seeds 42.
+    pub faults: Option<FaultConfig>,
+    /// `--parallel=<n>`: lane workers per multi-chip machine; results
+    /// are bit-identical at every `n`, only wall-clock changes.
+    pub parallel: Option<usize>,
+    /// `--store=<dir>`, else the `PIRANHA_STORE` environment variable:
+    /// memoize every harness run in an on-disk result store.
+    pub store: Option<PathBuf>,
+    /// `--sample=<period>/<window>`: SMARTS-style sampling, a detailed
+    /// window of `window` instructions every `period` per CPU.
+    pub sample: Option<SampleConfig>,
+    /// `--traffic=<spec>` with `--traffic-depth=<n>` and
+    /// `--traffic-defer`: open-loop arrivals. The spec is `<rate>`
+    /// (Poisson, transactions per million cycles per core),
+    /// `<rate>@<amplitude>/<period>` (diurnal swing over `period`
+    /// cycles) or `ln<sigma>:<rate>[@<amplitude>/<period>]`
+    /// (log-normal); the depth bounds each core's run queue (default
+    /// 16), and `--traffic-defer` parks overflow instead of dropping it.
+    pub traffic: Option<TrafficConfig>,
+    /// `--topology=<ring|mesh|torus|fattree>`: an explicit fabric shape.
+    pub topology: Option<TopologyKind>,
+    /// `--queue=<droptail|lossy|pfc>`: bounded switch ports with this
+    /// overflow behaviour.
+    pub queue: Option<QueueDiscipline>,
 }
 
-impl ProbeCli {
-    /// Parse `--trace=`/`--metrics=` out of the process arguments.
-    pub fn from_env_args() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Parse the flags from an explicit argument list; unrelated
-    /// arguments (`--quick`, …) are ignored.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut cli = ProbeCli::default();
-        for a in args {
-            if let Some(p) = a.strip_prefix("--trace=") {
-                cli.trace = Some(PathBuf::from(p));
-            } else if let Some(p) = a.strip_prefix("--metrics=") {
-                cli.metrics = Some(PathBuf::from(p));
-            }
-        }
-        cli
-    }
-
-    /// Whether any export was requested.
-    pub fn active(&self) -> bool {
-        self.trace.is_some() || self.metrics.is_some()
-    }
-}
-
-/// The fault-injection flags of a figure binary (paper §2.7):
-///
-/// - `--faults=<seed|script>` — a `u64` selects a seeded random
-///   schedule; anything else is parsed as a fault script
-///   (`"corrupt@50, flap@60, flip1@200"`, …);
-/// - `--fault-rate=<f64>` — per-consult injection rate of a seeded
-///   schedule (ignored for scripts; default `1e-4`).
-#[derive(Debug, Clone, Default)]
-pub struct FaultCli {
-    /// The raw `--faults=` value, if given.
-    pub faults: Option<String>,
-    /// The `--fault-rate=` value, if given.
-    pub rate: Option<f64>,
-}
-
-impl FaultCli {
-    /// Parse `--faults=`/`--fault-rate=` out of the process arguments.
-    pub fn from_env_args() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Parse the flags from an explicit argument list; unrelated
-    /// arguments are ignored.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut cli = FaultCli::default();
-        for a in args {
-            if let Some(v) = a.strip_prefix("--faults=") {
-                cli.faults = Some(v.to_string());
-            } else if let Some(v) = a.strip_prefix("--fault-rate=") {
-                cli.rate = v.parse().ok();
-            }
-        }
-        cli
-    }
-
-    /// Whether fault injection was requested at all.
-    pub fn active(&self) -> bool {
-        self.faults.is_some() || self.rate.is_some()
-    }
-
-    /// Resolve the flags into a [`FaultConfig`]. No flags → the
-    /// disabled default; a numeric `--faults=` (or `--fault-rate=`
-    /// alone, with seed 42) → a seeded schedule; any other `--faults=`
-    /// value → a scripted schedule.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error of a malformed fault script.
-    pub fn fault_config(&self) -> Result<FaultConfig, String> {
-        let rate = self.rate.unwrap_or(1e-4);
-        match &self.faults {
-            None if self.rate.is_some() => Ok(FaultConfig::seeded(42, rate)),
-            None => Ok(FaultConfig::default()),
-            Some(spec) => match spec.trim().parse::<u64>() {
-                Ok(seed) => Ok(FaultConfig::seeded(seed, rate)),
-                Err(_) => FaultConfig::scripted(spec),
-            },
-        }
-    }
-}
-
-/// The parallel-execution flag of a figure binary:
-///
-/// - `--parallel=<n>` — run every multi-chip machine with `n` lane
-///   worker threads (the conservative quantum-stepped engine from
-///   `piranha-parsim`). Results are bit-identical to serial at any
-///   `n`; only wall-clock changes. Single-chip machines always run the
-///   classic serial loop. The harness divides its sweep thread budget
-///   by `n` so `sweep threads × lane workers` stays within budget.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParallelCli {
-    /// The requested lane-worker count, if given.
-    pub workers: Option<usize>,
-}
-
-impl ParallelCli {
-    /// Parse `--parallel=` out of the process arguments.
-    pub fn from_env_args() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Parse the flag from an explicit argument list; unrelated
-    /// arguments are ignored, as is a malformed or zero count.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut cli = ParallelCli::default();
-        for a in args {
-            if let Some(v) = a.strip_prefix("--parallel=") {
-                cli.workers = v.trim().parse::<usize>().ok().filter(|&n| n >= 1);
-            }
-        }
-        cli
-    }
-
-    /// Apply the flag to the process-wide harness setting
-    /// ([`piranha_harness::set_node_workers`]); a no-op when the flag
-    /// was absent.
-    pub fn apply(&self) {
-        if let Some(w) = self.workers {
-            piranha_harness::set_node_workers(w);
-        }
-    }
-}
-
-/// The persistent-result-store flag of a figure binary:
-///
-/// - `--store=<dir>` — memoize every harness run in a content-addressed
-///   on-disk store ([`piranha_serve::DiskStore`]) keyed by the stable
-///   `cache_key`, so re-running a figure (or resuming a killed sweep)
-///   recomputes only the tuples the store does not hold yet. Results
-///   are bit-identical with and without the flag — the store is a
-///   cache, never an input; loads that fail verification fall back to
-///   recomputation.
-///
-/// `StoreCli::from_env_args` falls back to the `PIRANHA_STORE`
-/// environment variable when the flag is absent, so whole CI jobs can
-/// opt in without touching each invocation.
-#[derive(Debug, Clone, Default)]
-pub struct StoreCli {
-    /// The store directory, if requested.
-    pub dir: Option<PathBuf>,
-}
-
-impl StoreCli {
-    /// Parse `--store=` out of the process arguments, falling back to
-    /// the `PIRANHA_STORE` environment variable.
-    pub fn from_env_args() -> Self {
-        let mut cli = Self::parse(std::env::args().skip(1));
-        if cli.dir.is_none() {
-            cli.dir = std::env::var("PIRANHA_STORE")
-                .ok()
+impl Flags {
+    /// Parse the process arguments, then apply `--parallel` (the
+    /// harness's lane-worker count) and `--store` (the process-wide
+    /// default store every harness picks up). Exits with status 2 on a
+    /// bad flag, and 1 if the store directory cannot be opened.
+    pub fn from_env() -> Flags {
+        let mut flags = Flags::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
+        if flags.store.is_none() {
+            flags.store = std::env::var_os("PIRANHA_STORE")
                 .filter(|s| !s.is_empty())
                 .map(PathBuf::from);
         }
-        cli
-    }
-
-    /// Parse the flag from an explicit argument list (no environment
-    /// fallback); unrelated arguments are ignored.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut cli = StoreCli::default();
-        for a in args {
-            if let Some(v) = a.strip_prefix("--store=") {
-                cli.dir = Some(PathBuf::from(v));
-            }
+        if let Some(n) = flags.parallel {
+            piranha_harness::set_node_workers(n);
         }
-        cli
-    }
-
-    /// Whether a store was requested.
-    pub fn active(&self) -> bool {
-        self.dir.is_some()
-    }
-
-    /// Open the store and install it as the process-wide default every
-    /// subsequently built `Harness` picks up
-    /// ([`piranha_serve::install_store`]). Returns the store handle so
-    /// the binary can print [`store_summary`] when it is done; `None`
-    /// when the flag was absent.
-    ///
-    /// Exits the process (status 1) if the directory cannot be created
-    /// — a mistyped `--store=` silently computing everything from
-    /// scratch would defeat the point.
-    pub fn apply(&self) -> Option<std::sync::Arc<piranha_serve::DiskStore>> {
-        let dir = self.dir.as_ref()?;
-        match piranha_serve::install_store(dir) {
-            Ok(store) => Some(store),
-            Err(e) => {
+        if let Some(dir) = &flags.store {
+            if let Err(e) = piranha_serve::install_store(dir) {
                 eprintln!("cannot open result store {}: {e}", dir.display());
                 std::process::exit(1);
             }
         }
-    }
-}
-
-/// The `--store=` summary line a figure binary prints (to stderr, so
-/// diffable stdout contracts like `--fingerprints` stay intact) after
-/// its runs: what this process computed versus loaded, and how many
-/// entries the store now holds. The CI `serve-smoke` step greps the
-/// `computed 0` of a warm second run out of this.
-pub fn store_summary(store: &piranha_serve::DiskStore) -> String {
-    let (computed, store_hits) = piranha_harness::process_counters();
-    format!(
-        "result store {}: computed {computed}, loaded {store_hits}; {} entries on disk",
-        store.dir().display(),
-        store.len(),
-    )
-}
-
-/// The sampled-execution flag of a figure binary:
-///
-/// - `--sample=<period>/<window>` — run under SMARTS-style statistical
-///   sampling: functionally fast-forward (caches, TLBs, directories,
-///   and memory stay warm; no detailed timing) between detailed
-///   measurement windows of `window` instructions taken every `period`
-///   instructions per CPU. The result carries a
-///   [`piranha_system::SampleEstimate`] (CPI mean ± 95% CI) instead of
-///   exact figure numbers; golden fingerprints only apply with the
-///   flag absent.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SampleCli {
-    /// The parsed `(period, window)` pair, if the flag was given and
-    /// well-formed.
-    pub spec: Option<(u64, u64)>,
-}
-
-impl SampleCli {
-    /// Parse `--sample=` out of the process arguments.
-    pub fn from_env_args() -> Self {
-        Self::parse(std::env::args().skip(1))
+        flags
     }
 
-    /// Parse the flag from an explicit argument list; unrelated
-    /// arguments are ignored, as is a malformed spec (zero values,
-    /// window ≥ period, missing `/`).
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut cli = SampleCli::default();
-        for a in args {
-            if let Some(v) = a.strip_prefix("--sample=") {
-                cli.spec = v.trim().split_once('/').and_then(|(p, w)| {
-                    let period = p.trim().parse::<u64>().ok()?;
-                    let window = w.trim().parse::<u64>().ok()?;
-                    (window >= 1 && period > window).then_some((period, window))
-                });
-            }
-        }
-        cli
-    }
-
-    /// Whether sampled execution was requested.
-    pub fn active(&self) -> bool {
-        self.spec.is_some()
-    }
-
-    /// Resolve the flag into a [`piranha_system::SampleConfig`], if
-    /// given.
-    pub fn sample_config(&self) -> Option<piranha_system::SampleConfig> {
-        self.spec
-            .map(|(period, window)| piranha_system::SampleConfig::new(period, window))
-    }
-}
-
-/// The open-loop traffic flags of a figure binary (the `piranha-traffic`
-/// subsystem):
-///
-/// - `--traffic=<spec>` — attach an open-loop arrival process to an
-///   exemplar run. The spec is one of:
-///   - `<rate>` — steady Poisson arrivals at `rate` transactions per
-///     million CPU cycles per core (`--traffic=200`);
-///   - `<rate>@<amplitude>/<period>` — the same rate modulated by a
-///     sinusoidal diurnal curve, swinging ±`amplitude` (fraction) over
-///     `period` cycles (`--traffic=200@0.5/2000000`);
-///   - `ln<sigma>:<rate>[@<amplitude>/<period>]` — log-normal
-///     (burstier) inter-arrivals with shape `sigma` at the same mean
-///     rate (`--traffic=ln0.7:200`);
-/// - `--traffic-depth=<n>` — bounded run-queue depth per core
-///   (default 16);
-/// - `--traffic-defer` — park overflowing arrivals on an unbounded
-///   queue (counted `deferred`) instead of shedding them (`dropped`).
-#[derive(Debug, Clone, Default)]
-pub struct TrafficCli {
-    /// The raw `--traffic=` value, if given.
-    pub traffic: Option<String>,
-    /// The `--traffic-depth=` value, if given and well-formed.
-    pub depth: Option<usize>,
-    /// Whether `--traffic-defer` was given.
-    pub defer: bool,
-}
-
-impl TrafficCli {
-    /// Parse the traffic flags out of the process arguments.
-    pub fn from_env_args() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Parse the flags from an explicit argument list; unrelated
-    /// arguments are ignored.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut cli = TrafficCli::default();
-        for a in args {
-            if let Some(v) = a.strip_prefix("--traffic=") {
-                cli.traffic = Some(v.to_string());
-            } else if let Some(v) = a.strip_prefix("--traffic-depth=") {
-                cli.depth = v.trim().parse().ok().filter(|&n| n >= 1);
-            } else if a == "--traffic-defer" {
-                cli.defer = true;
-            }
-        }
-        cli
-    }
-
-    /// Whether open-loop traffic was requested.
-    pub fn active(&self) -> bool {
-        self.traffic.is_some()
-    }
-
-    /// Resolve the flags into a [`TrafficConfig`]. No `--traffic=` flag
-    /// → the disabled default (closed-loop execution, golden
-    /// fingerprints intact).
+    /// Parse an argument list (without the program name).
     ///
     /// # Errors
     ///
-    /// Returns a description of a malformed spec.
-    pub fn traffic_config(&self) -> Result<TrafficConfig, String> {
-        let Some(spec) = &self.traffic else {
-            return Ok(TrafficConfig::default());
-        };
-        let spec = spec.trim();
-        let (process, rest) = if let Some(r) = spec.strip_prefix("ln") {
-            let (sigma, rest) = r
-                .split_once(':')
-                .ok_or_else(|| format!("--traffic=ln… needs ln<sigma>:<rate>, got {spec:?}"))?;
-            let sigma: f64 = sigma
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad log-normal sigma in --traffic={spec:?}"))?;
-            (ArrivalKind::LogNormal { sigma }, rest)
-        } else {
-            (ArrivalKind::Poisson, spec)
-        };
-        let (rate_str, curve) = match rest.split_once('@') {
-            None => (rest, None),
-            Some((r, c)) => {
-                let (amp, period) = c.split_once('/').ok_or_else(|| {
-                    format!("--traffic curve needs <rate>@<amplitude>/<period>, got {spec:?}")
-                })?;
-                let amplitude: f64 = amp
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad curve amplitude in --traffic={spec:?}"))?;
-                let period_cycles: u64 = period
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad curve period in --traffic={spec:?}"))?;
-                if period_cycles == 0 {
-                    return Err(format!("curve period must be ≥ 1 in --traffic={spec:?}"));
+    /// Returns a message naming the argument for an unknown flag or a
+    /// malformed value.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Flags, String> {
+        let mut f = Flags::default();
+        let (mut faults, mut rate, mut traffic, mut depth, mut defer) =
+            (None, None, None, None, false);
+        for arg in args {
+            let bad = |expected: &str| format!("{arg}: expected {expected}");
+            match arg.split_once('=') {
+                None => match arg.as_str() {
+                    "--quick" => f.quick = true,
+                    "--fingerprints" => f.fingerprints = true,
+                    "--check" => f.check = true,
+                    "--traffic-defer" => defer = true,
+                    _ => return Err(format!("unknown flag {arg:?}")),
+                },
+                Some((_, "")) => return Err(bad("a value")),
+                Some(("--addr", v)) => f.addr = Some(v.to_string()),
+                Some(("--trace", v)) => f.trace = Some(v.into()),
+                Some(("--metrics", v)) => f.metrics = Some(v.into()),
+                Some(("--store", v)) => f.store = Some(v.into()),
+                Some(("--faults", v)) => faults = Some(v.to_string()),
+                Some(("--fault-rate", v)) => {
+                    let r = number(v).filter(|r| (0.0..=1.0).contains(r));
+                    rate = Some(r.ok_or_else(|| bad("a rate in [0, 1]"))?);
                 }
-                (
-                    r,
-                    Some(DiurnalCurve {
-                        amplitude,
-                        period_cycles,
-                    }),
-                )
+                Some(("--parallel", v)) => {
+                    let n = number(v).filter(|&n| n >= 1);
+                    f.parallel = Some(n.ok_or_else(|| bad("a worker count >= 1"))?);
+                }
+                Some(("--sample", v)) => {
+                    let s = v.split_once('/').and_then(|(p, w)| {
+                        let (period, window) = (number(p)?, number(w)?);
+                        (window >= 1 && period > window).then(|| SampleConfig::new(period, window))
+                    });
+                    f.sample =
+                        Some(s.ok_or_else(|| bad("<period>/<window>, period > window >= 1"))?);
+                }
+                Some(("--traffic", v)) => traffic = Some(parse_traffic(v)?),
+                Some(("--traffic-depth", v)) => {
+                    let n = number(v).filter(|&n| n >= 1);
+                    depth = Some(n.ok_or_else(|| bad("a queue depth >= 1"))?);
+                }
+                Some(("--topology", v)) => {
+                    let t = TopologyKind::parse(v);
+                    f.topology = Some(t.ok_or_else(|| bad("ring|mesh|torus|fattree"))?);
+                }
+                Some(("--queue", v)) => {
+                    let q = QueueDiscipline::parse(v);
+                    f.queue = Some(q.ok_or_else(|| bad("droptail|lossy|pfc"))?);
+                }
+                Some(_) => return Err(format!("unknown flag {arg:?}")),
             }
+        }
+        f.traffic = traffic.map(|mut t: TrafficConfig| {
+            t.queue_depth = depth.unwrap_or(t.queue_depth);
+            if defer {
+                t.overflow = OverflowPolicy::Defer;
+            }
+            t
+        });
+        f.faults = match (faults, rate) {
+            (None, None) => None,
+            (None, Some(rate)) => Some(FaultConfig::seeded(42, rate)),
+            (Some(spec), rate) => Some(match spec.trim().parse::<u64>() {
+                Ok(seed) => FaultConfig::seeded(seed, rate.unwrap_or(1e-4)),
+                Err(_) => {
+                    FaultConfig::scripted(&spec).map_err(|e| format!("--faults={spec}: {e}"))?
+                }
+            }),
         };
-        let rate_tpmc: f64 = rate_str
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad rate in --traffic={spec:?}"))?;
-        if rate_tpmc.is_nan() || rate_tpmc <= 0.0 {
-            return Err(format!("--traffic rate must be > 0, got {spec:?}"));
+        Ok(f)
+    }
+
+    /// The run scale `--quick` selects.
+    pub fn scale(&self) -> RunScale {
+        if self.quick {
+            RunScale::quick()
+        } else {
+            RunScale::full()
         }
-        let mut cfg = TrafficConfig {
-            rate_tpmc,
-            process,
-            curve,
-            ..TrafficConfig::default()
-        };
-        if let Some(d) = self.depth {
-            cfg.queue_depth = d;
+    }
+
+    /// Apply `--topology=`/`--queue=` to a configuration.
+    pub fn apply_fabric(&self, cfg: &mut SystemConfig) {
+        if let Some(t) = self.topology {
+            cfg.topology = t;
         }
-        if self.defer {
-            cfg.overflow = OverflowPolicy::Defer;
+        if let Some(q) = self.queue {
+            cfg.net.queue = q;
         }
-        Ok(cfg)
+    }
+
+    /// The exemplar riders of the fig5–fig8 binaries, each run only when
+    /// its flags are given and printed to stdout: the probed exemplar on
+    /// workload `w` at `scale` (`--trace=`/`--metrics=`), the open-loop
+    /// traffic exemplar (`--traffic=`), and the fabric exemplar
+    /// (`--topology=`/`--queue=`). Exits with status 1 if an export
+    /// cannot be written.
+    pub fn run_riders(&self, w: &Workload, scale: RunScale) {
+        if self.trace.is_some() || self.metrics.is_some() {
+            match export_probed_run(self, w, scale) {
+                Ok(summary) => print!("{summary}"),
+                Err(e) => {
+                    eprintln!("probe export failed: {e}");
+                    std::process::exit(1);
+                }
+            }
+        }
+        if let Some(traffic) = &self.traffic {
+            print!("{}", traffic_exemplar(traffic, 20));
+        }
+        if self.topology.is_some() || self.queue.is_some() {
+            print!("{}", fabric_exemplar(self, 20));
+        }
+    }
+
+    /// Write a sweep binary's JSON report to `--metrics=<path>`, if
+    /// given, and say where it went. Exits with status 1 if the write
+    /// fails.
+    pub fn write_report(&self, what: &str, body: impl FnOnce() -> String) {
+        if let Some(path) = &self.metrics {
+            if let Err(e) = std::fs::write(path, body()) {
+                eprintln!("writing {} failed: {e}", path.display());
+                std::process::exit(1);
+            }
+            println!("{what} -> {}", path.display());
+        }
+    }
+
+    /// With a store, print its summary line to stderr (so diffable
+    /// stdout contracts like `--fingerprints` stay intact): what this
+    /// process computed versus loaded, and how many entries the store
+    /// now holds. The CI `serve-smoke` step greps the `computed 0` of a
+    /// warm second run out of it.
+    pub fn finish(&self) {
+        let Some(dir) = &self.store else { return };
+        let (computed, loaded) = piranha_harness::process_counters();
+        let entries = piranha_serve::DiskStore::open(dir).map_or(0, |s| s.len());
+        eprintln!(
+            "result store {}: computed {computed}, loaded {loaded}; {entries} entries on disk",
+            dir.display()
+        );
     }
 }
 
-/// Run the traffic-loaded exemplar (the two-chip [`exemplar_config`]
-/// under a bounded OLTP workload, run to completion) and render its
-/// tail-latency summary for the binary to print.
-///
-/// # Errors
-///
-/// Returns the parse error of a malformed `--traffic=` spec.
-pub fn run_traffic_exemplar(cli: &TrafficCli, txns_per_cpu: u64) -> Result<String, String> {
-    let traffic = cli.traffic_config()?;
-    let cfg = exemplar_config();
+/// A flag value parsed as a number, surrounding whitespace ignored.
+fn number<T: FromStr>(v: &str) -> Option<T> {
+    v.trim().parse().ok()
+}
+
+/// Parse a `--traffic=` spec (grammar at [`Flags::traffic`]).
+fn parse_traffic(spec: &str) -> Result<TrafficConfig, String> {
+    let spec = spec.trim();
+    let (process, rest) = if let Some(r) = spec.strip_prefix("ln") {
+        let (sigma, rest) = r
+            .split_once(':')
+            .ok_or_else(|| format!("--traffic=ln… needs ln<sigma>:<rate>, got {spec:?}"))?;
+        let sigma: f64 =
+            number(sigma).ok_or_else(|| format!("bad log-normal sigma in --traffic={spec:?}"))?;
+        (ArrivalKind::LogNormal { sigma }, rest)
+    } else {
+        (ArrivalKind::Poisson, spec)
+    };
+    let (rate, curve) = match rest.split_once('@') {
+        None => (rest, None),
+        Some((r, c)) => {
+            let (amp, period) = c.split_once('/').ok_or_else(|| {
+                format!("--traffic curve needs <rate>@<amplitude>/<period>, got {spec:?}")
+            })?;
+            let amplitude: f64 =
+                number(amp).ok_or_else(|| format!("bad curve amplitude in --traffic={spec:?}"))?;
+            let period_cycles: u64 = number(period).filter(|&p| p >= 1).ok_or_else(|| {
+                format!("curve period must be a count >= 1 in --traffic={spec:?}")
+            })?;
+            let curve = DiurnalCurve {
+                amplitude,
+                period_cycles,
+            };
+            (r, Some(curve))
+        }
+    };
+    let rate_tpmc: f64 = number(rate)
+        .filter(|&r: &f64| r > 0.0)
+        .ok_or_else(|| format!("--traffic rate must be a number > 0, got {spec:?}"))?;
+    Ok(TrafficConfig {
+        rate_tpmc,
+        process,
+        curve,
+        ..TrafficConfig::default()
+    })
+}
+
+/// The open-loop traffic exemplar: the two-chip [`exemplar_config`]
+/// under `traffic`, bounded OLTP run to completion, rendered as its
+/// tail-latency summary.
+fn traffic_exemplar(traffic: &TrafficConfig, txns_per_cpu: u64) -> String {
+    let cfg = SystemConfig {
+        traffic: traffic.clone(),
+        ..exemplar_config()
+    };
     let name = cfg.name.clone();
-    let w = Workload::Oltp(piranha_workloads::OltpConfig {
-        txn_limit: txns_per_cpu,
-        ..piranha_workloads::OltpConfig::paper_default()
-    });
-    let r = piranha_harness::run_config_traffic(cfg, &w, RunScale::completion(), traffic.clone());
+    let r = RunRequest::new(cfg, oltp_bounded(txns_per_cpu), RunScale::completion()).run();
     let t = r.traffic.as_ref().expect("traffic was enabled");
-    Ok(format!(
+    format!(
         "Open-loop exemplar: {name} @ {} tpmc ({:?})\n\
          txn latency p50 {} ns, p95 {} ns, p99 {} ns\n\
          offered {}, accepted {}, completed {}, dropped {} ({:.2}% drop), deferred {}\n",
@@ -462,116 +326,22 @@ pub fn run_traffic_exemplar(cli: &TrafficCli, txns_per_cpu: u64) -> Result<Strin
         t.ledger.dropped,
         t.ledger.drop_rate() * 100.0,
         t.ledger.deferred,
-    ))
+    )
 }
 
-/// The fabric-override flags of a figure binary (the pluggable
-/// interconnect of `piranha-net`):
-///
-/// - `--topology=<ring|mesh|torus|fattree>` — replace the automatic
-///   paper layout with an explicit fabric shape;
-/// - `--queue=<droptail|lossy|pfc>` — bound every output port at the
-///   congested capacity
-///   ([`piranha_net::CONGESTED_CAPACITY_NS`]) and select its overflow
-///   behaviour (the default fabric is lossless unbounded drop-tail).
-///
-/// Golden fingerprints only apply with both flags absent. In
-/// `fig_scale` the flags *narrow the sweep* to the named shape and
-/// discipline instead of overriding a single configuration.
-#[derive(Debug, Clone, Default)]
-pub struct FabricCli {
-    /// The raw `--topology=` value, if given.
-    pub topology: Option<String>,
-    /// The raw `--queue=` value, if given.
-    pub queue: Option<String>,
-}
-
-impl FabricCli {
-    /// Parse `--topology=`/`--queue=` out of the process arguments.
-    pub fn from_env_args() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Parse the flags from an explicit argument list; unrelated
-    /// arguments are ignored.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        let mut cli = FabricCli::default();
-        for a in args {
-            if let Some(v) = a.strip_prefix("--topology=") {
-                cli.topology = Some(v.to_string());
-            } else if let Some(v) = a.strip_prefix("--queue=") {
-                cli.queue = Some(v.to_string());
-            }
-        }
-        cli
-    }
-
-    /// Whether any fabric override was requested.
-    pub fn active(&self) -> bool {
-        self.topology.is_some() || self.queue.is_some()
-    }
-
-    /// Resolve the raw flag values.
-    ///
-    /// # Errors
-    ///
-    /// Reports an unrecognized topology or queue spelling instead of
-    /// silently falling back to the defaults.
-    pub fn resolve(&self) -> Result<(Option<TopologyKind>, Option<QueueDiscipline>), String> {
-        let topo = match &self.topology {
-            None => None,
-            Some(s) => Some(TopologyKind::parse(s).ok_or_else(|| {
-                format!("unknown topology {s:?} (expected ring|mesh|torus|fattree)")
-            })?),
-        };
-        let queue = match &self.queue {
-            None => None,
-            Some(s) => Some(QueueDiscipline::parse(s).ok_or_else(|| {
-                format!("unknown queue discipline {s:?} (expected droptail|lossy|pfc)")
-            })?),
-        };
-        Ok((topo, queue))
-    }
-
-    /// Apply the overrides to a system configuration (a no-op for
-    /// absent flags).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FabricCli::resolve`] errors.
-    pub fn apply(&self, cfg: &mut SystemConfig) -> Result<(), String> {
-        let (topo, queue) = self.resolve()?;
-        if let Some(t) = topo {
-            cfg.topology = t;
-        }
-        if let Some(q) = queue {
-            cfg.net.queue = q;
-        }
-        Ok(())
-    }
-}
-
-/// Run the two-chip exemplar under the fabric overrides of `cli` on a
-/// bounded OLTP workload and summarize its fabric counters — the
-/// `--topology=`/`--queue=` rider of `fig7`/`fig8`.
-///
-/// # Errors
-///
-/// Propagates [`FabricCli::resolve`] errors.
-pub fn run_fabric_exemplar(cli: &FabricCli, txns_per_cpu: u64) -> Result<String, String> {
+/// The fabric exemplar: the two-chip [`exemplar_config`] on the fabric
+/// `flags` override, bounded OLTP run to completion, rendered as its
+/// fabric counters.
+fn fabric_exemplar(flags: &Flags, txns_per_cpu: u64) -> String {
     let mut cfg = exemplar_config();
-    cli.apply(&mut cfg)?;
-    let name = cfg.name.clone();
-    let (topo, queue) = (cfg.topology, cfg.net.queue);
-    let w = Workload::Oltp(piranha_workloads::OltpConfig {
-        txn_limit: txns_per_cpu,
-        ..piranha_workloads::OltpConfig::paper_default()
-    });
-    let workers = piranha_harness::node_workers();
-    let (r, m) = run_config_parallel_machine(cfg, &w, RunScale::completion(), workers);
+    flags.apply_fabric(&mut cfg);
+    let (name, topo, queue) = (cfg.name.clone(), cfg.topology, cfg.net.queue);
+    let req = RunRequest::new(cfg, oltp_bounded(txns_per_cpu), RunScale::completion());
+    let mut m = req.build();
+    let r = req.drive(&mut m);
     let fs = m.fabric_stats();
     let elapsed = m.now().since(piranha_types::SimTime::ZERO);
-    Ok(format!(
+    format!(
         "Fabric exemplar: {name} on {} ({} queue)\n\
          committed {} txns; fabric delivered {} pkts (mean {:.2} hops), \
          {} deflections, {} drops, {} pauses, {} retransmits\n\
@@ -587,35 +357,38 @@ pub fn run_fabric_exemplar(cli: &FabricCli, txns_per_cpu: u64) -> Result<String,
         fs.retransmits,
         fs.links,
         fs.occupancy(elapsed) * 100.0,
-    ))
+    )
 }
 
-/// The configuration the probed exemplar run simulates: a two-chip
-/// machine of 4-CPU Piranha chips, so protocol-engine and interconnect
-/// activity shows up in the trace alongside cpu/cache/mem spans.
+/// The configuration the exemplar runs simulate: a two-chip machine of
+/// 4-CPU Piranha chips, so protocol-engine and interconnect activity
+/// shows up in the trace alongside cpu/cache/mem spans.
 pub fn exemplar_config() -> SystemConfig {
     SystemConfig::piranha_pn(4).scaled_to_chips(2)
 }
 
-/// Run the probed exemplar and write whatever `cli` asked for. Returns
-/// a human-readable summary (export destinations, span counts, and the
+/// Run the probed exemplar on workload `w` at `scale` and write the
+/// `--trace=`/`--metrics=` exports `flags` ask for. Returns a
+/// human-readable summary (export destinations, span counts, and the
 /// per-core stall-attribution table) for the binary to print.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from writing the export files.
-pub fn export_probed_run(cli: &ProbeCli, w: &Workload, scale: RunScale) -> std::io::Result<String> {
-    let level = if cli.trace.is_some() {
+pub fn export_probed_run(flags: &Flags, w: &Workload, scale: RunScale) -> std::io::Result<String> {
+    let level = if flags.trace.is_some() {
         TraceLevel::Spans
     } else {
         TraceLevel::Off
     };
-    let cfg = exemplar_config();
-    let name = cfg.name.clone();
-    let (r, probe) = run_config_probed(cfg, w, scale, ProbeConfig::with_level(level));
+    let req = RunRequest::new(exemplar_config(), w.clone(), scale);
+    let mut m = req.build();
+    let probe = Probe::new(ProbeConfig::with_level(level));
+    m.set_probe(probe.clone());
+    let r = req.drive(&mut m);
 
-    let mut out = format!("Probed exemplar run: {name}\n");
-    if let Some(path) = &cli.trace {
+    let mut out = format!("Probed exemplar run: {}\n", r.name);
+    if let Some(path) = &flags.trace {
         let snap = probe.trace_snapshot().expect("probe is attached");
         std::fs::write(path, chrome::chrome_trace_json(&snap))?;
         out.push_str(&format!(
@@ -625,7 +398,7 @@ pub fn export_probed_run(cli: &ProbeCli, w: &Workload, scale: RunScale) -> std::
             path.display()
         ));
     }
-    if let Some(path) = &cli.metrics {
+    if let Some(path) = &flags.metrics {
         let body = if json::is_json(path) {
             r.metrics.to_json()
         } else {
@@ -811,17 +584,66 @@ mod tests {
 
     use super::*;
 
-    fn args(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
+    fn parse(args: &[&str]) -> Result<Flags, String> {
+        Flags::parse(args.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn parses_flags_and_ignores_the_rest() {
-        let cli = ProbeCli::parse(args(&["--quick", "--trace=t.json", "--metrics=m.csv"]));
-        assert_eq!(cli.trace.as_deref(), Some(Path::new("t.json")));
-        assert_eq!(cli.metrics.as_deref(), Some(Path::new("m.csv")));
-        assert!(cli.active());
-        assert!(!ProbeCli::parse(args(&["--quick"])).active());
+        let f = parse(&["--quick", "--trace=t.json", "--metrics=m.csv"]).unwrap();
+        assert_eq!(f.trace.as_deref(), Some(Path::new("t.json")));
+        assert_eq!(f.metrics.as_deref(), Some(Path::new("m.csv")));
+        assert!(f.quick && !f.check && f.traffic.is_none());
+        assert!(parse(&["--quick"]).unwrap().trace.is_none());
+    }
+
+    #[test]
+    fn every_flag_spelling_parses_and_errors_name_the_flag() {
+        let f = parse(&[
+            "--quick",
+            "--fingerprints",
+            "--check",
+            "--addr=127.0.0.1:7878",
+            "--trace=t.json",
+            "--metrics=m.csv",
+            "--faults=7",
+            "--fault-rate=1e-3",
+            "--parallel=2",
+            "--store=results",
+            "--sample=10000/1000",
+            "--traffic=200",
+            "--traffic-depth=4",
+            "--traffic-defer",
+            "--topology=torus",
+            "--queue=pfc",
+        ])
+        .unwrap();
+        assert!(f.quick && f.fingerprints && f.check);
+        assert_eq!(f.addr.as_deref(), Some("127.0.0.1:7878"));
+        assert!(f.trace.is_some() && f.metrics.is_some());
+        assert_eq!(f.store.as_deref(), Some(Path::new("results")));
+        assert_eq!(f.faults.as_ref().map(|c| (c.seed, c.rate)), Some((7, 1e-3)));
+        assert_eq!(f.parallel, Some(2));
+        assert!(f.sample.is_some());
+        let t = f.traffic.as_ref().unwrap();
+        assert_eq!((t.queue_depth, t.overflow), (4, OverflowPolicy::Defer));
+        assert_eq!(f.topology, Some(TopologyKind::Torus));
+        assert_eq!(f.queue.map(QueueDiscipline::label), Some("pfc"));
+        for (arg, flag) in [
+            ("--quik", "--quik"),
+            ("full", "full"),
+            ("--parallel=0", "--parallel"),
+            ("--sample=500/1000", "--sample"),
+            ("--fault-rate=1e-3x", "--fault-rate"),
+            ("--traffic=0", "--traffic"),
+            ("--traffic-depth=0", "--traffic-depth"),
+            ("--topology=hypercube", "--topology"),
+            ("--queue=wormhole", "--queue"),
+            ("--store=", "--store"),
+        ] {
+            let err = parse(&["--quick", arg]).unwrap_err();
+            assert!(err.contains(flag), "{arg}: {err:?} does not name {flag}");
+        }
     }
 
     #[test]
@@ -834,10 +656,9 @@ mod tests {
 
     #[test]
     fn store_flag_parses_and_ignores_the_rest() {
-        assert!(!StoreCli::parse(args(&["--quick"])).active());
-        let cli = StoreCli::parse(args(&["--quick", "--store=/tmp/results"]));
-        assert_eq!(cli.dir.as_deref(), Some(Path::new("/tmp/results")));
-        assert!(cli.active());
+        assert!(parse(&["--quick"]).unwrap().store.is_none());
+        let f = parse(&["--quick", "--store=/tmp/results"]).unwrap();
+        assert_eq!(f.store.as_deref(), Some(Path::new("/tmp/results")));
     }
 
     #[test]
@@ -881,53 +702,49 @@ mod tests {
 
     #[test]
     fn parallel_flag_parses_and_rejects_nonsense() {
-        assert_eq!(ParallelCli::parse(args(&["--quick"])).workers, None);
+        assert_eq!(parse(&["--quick"]).unwrap().parallel, None);
         assert_eq!(
-            ParallelCli::parse(args(&["--parallel=4", "--quick"])).workers,
+            parse(&["--parallel=4", "--quick"]).unwrap().parallel,
             Some(4)
         );
-        assert_eq!(ParallelCli::parse(args(&["--parallel=0"])).workers, None);
-        assert_eq!(
-            ParallelCli::parse(args(&["--parallel=bogus"])).workers,
-            None
-        );
+        assert!(parse(&["--parallel=0"]).is_err());
+        assert!(parse(&["--parallel=bogus"]).is_err());
     }
 
     #[test]
     fn sample_flag_parses_and_rejects_nonsense() {
-        assert_eq!(SampleCli::parse(args(&["--quick"])).spec, None);
-        let ok = SampleCli::parse(args(&["--sample=10000/1000", "--quick"]));
-        assert_eq!(ok.spec, Some((10_000, 1_000)));
-        assert!(ok.active());
-        let cfg = ok.sample_config().unwrap();
-        assert_eq!((cfg.period, cfg.window), (10_000, 1_000));
-        // Malformed specs are ignored, not half-parsed.
-        assert_eq!(SampleCli::parse(args(&["--sample=1000"])).spec, None);
-        assert_eq!(SampleCli::parse(args(&["--sample=0/0"])).spec, None);
-        assert_eq!(
-            SampleCli::parse(args(&["--sample=500/1000"])).spec,
-            None,
-            "window must be smaller than the period"
-        );
-        assert_eq!(SampleCli::parse(args(&["--sample=a/b"])).spec, None);
+        assert!(parse(&["--quick"]).unwrap().sample.is_none());
+        let s = parse(&["--sample=10000/1000", "--quick"]).unwrap().sample;
+        assert_eq!(s.map(|s| (s.period, s.window)), Some((10_000, 1_000)));
+        // Malformed specs are rejected, not half-parsed or ignored.
+        for bad in [
+            "--sample=1000",
+            "--sample=0/0",
+            "--sample=500/1000",
+            "--sample=a/b",
+        ] {
+            assert!(parse(&[bad]).is_err(), "{bad} should be rejected");
+        }
     }
 
     #[test]
     fn traffic_flags_resolve_to_configs() {
         // No flags: traffic stays disabled and fingerprints intact.
-        let off = TrafficCli::parse(args(&["--quick"]));
-        assert!(!off.active());
-        assert!(!off.traffic_config().unwrap().enabled());
+        assert!(parse(&["--quick", "--traffic-depth=4"])
+            .unwrap()
+            .traffic
+            .is_none());
         // A bare rate is steady Poisson.
-        let p = TrafficCli::parse(args(&["--traffic=200"]));
-        let cfg = p.traffic_config().unwrap();
+        let cfg = parse(&["--traffic=200"]).unwrap().traffic.unwrap();
         assert!(cfg.enabled());
         assert!((cfg.rate_tpmc - 200.0).abs() < 1e-12);
         assert_eq!(cfg.process, ArrivalKind::Poisson);
         assert!(cfg.curve.is_none());
         // rate@amplitude/period adds a diurnal curve.
-        let c = TrafficCli::parse(args(&["--traffic=150@0.5/2000000"]));
-        let cfg = c.traffic_config().unwrap();
+        let cfg = parse(&["--traffic=150@0.5/2000000"])
+            .unwrap()
+            .traffic
+            .unwrap();
         assert_eq!(
             cfg.curve,
             Some(DiurnalCurve {
@@ -936,17 +753,14 @@ mod tests {
             })
         );
         // ln<sigma>:<rate> selects log-normal inter-arrivals.
-        let ln = TrafficCli::parse(args(&["--traffic=ln0.7:300"]));
-        let cfg = ln.traffic_config().unwrap();
+        let cfg = parse(&["--traffic=ln0.7:300"]).unwrap().traffic.unwrap();
         assert_eq!(cfg.process, ArrivalKind::LogNormal { sigma: 0.7 });
         assert!((cfg.rate_tpmc - 300.0).abs() < 1e-12);
-        // Depth and overflow-policy riders apply.
-        let full = TrafficCli::parse(args(&[
-            "--traffic=100",
-            "--traffic-depth=4",
-            "--traffic-defer",
-        ]));
-        let cfg = full.traffic_config().unwrap();
+        // Depth and overflow-policy riders apply in any order.
+        let cfg = parse(&["--traffic-defer", "--traffic-depth=4", "--traffic=100"])
+            .unwrap()
+            .traffic
+            .unwrap();
         assert_eq!(cfg.queue_depth, 4);
         assert_eq!(cfg.overflow, OverflowPolicy::Defer);
         // Malformed specs are reported, not swallowed.
@@ -960,61 +774,50 @@ mod tests {
             "--traffic=100@x/10",
             "--traffic=100@0.5/0",
         ] {
-            assert!(
-                TrafficCli::parse(args(&[bad])).traffic_config().is_err(),
-                "{bad} should be rejected"
-            );
+            assert!(parse(&[bad]).is_err(), "{bad} should be rejected");
         }
     }
 
     #[test]
     fn fabric_flags_resolve_to_overrides() {
         // No flags: the config keeps its (golden) defaults.
-        let off = FabricCli::parse(args(&["--quick"]));
-        assert!(!off.active());
         let mut cfg = exemplar_config();
-        off.apply(&mut cfg).unwrap();
+        parse(&["--quick"]).unwrap().apply_fabric(&mut cfg);
         assert_eq!(cfg.topology, TopologyKind::Auto);
         assert_eq!(cfg.net.queue, QueueDiscipline::unbounded());
         // Both riders apply; the queue comes back bounded.
-        let cli = FabricCli::parse(args(&["--topology=torus", "--queue=pfc", "--quick"]));
-        assert!(cli.active());
-        cli.apply(&mut cfg).unwrap();
+        let f = parse(&["--topology=torus", "--queue=pfc", "--quick"]).unwrap();
+        f.apply_fabric(&mut cfg);
         assert_eq!(cfg.topology, TopologyKind::Torus);
         assert_eq!(cfg.net.queue.label(), "pfc");
         assert!(cfg.net.queue.capacity() < QueueDiscipline::unbounded().capacity());
-        // Malformed values are reported, not swallowed.
-        assert!(FabricCli::parse(args(&["--topology=hypercube"]))
-            .resolve()
-            .is_err());
-        assert!(FabricCli::parse(args(&["--queue=wormhole"]))
-            .resolve()
-            .is_err());
     }
 
     #[test]
     fn fault_flags_resolve_to_configs() {
         // No flags: injection stays disabled.
-        let off = FaultCli::parse(args(&["--quick"]));
-        assert!(!off.active());
-        assert!(!off.fault_config().unwrap().enabled());
+        assert!(parse(&["--quick"]).unwrap().faults.is_none());
         // Numeric --faults= seeds a random schedule at the given rate.
-        let seeded = FaultCli::parse(args(&["--faults=42", "--fault-rate=1e-3"]));
-        let cfg = seeded.fault_config().unwrap();
+        let cfg = parse(&["--faults=42", "--fault-rate=1e-3"])
+            .unwrap()
+            .faults
+            .unwrap();
         assert_eq!(cfg.seed, 42);
         assert!((cfg.rate - 1e-3).abs() < 1e-12);
         assert!(cfg.enabled());
         // --fault-rate= alone uses the default seed.
-        let rate_only = FaultCli::parse(args(&["--fault-rate=5e-4"]));
-        assert_eq!(rate_only.fault_config().unwrap().seed, 42);
+        let cfg = parse(&["--fault-rate=5e-4"]).unwrap().faults.unwrap();
+        assert_eq!(cfg.seed, 42);
         // Non-numeric --faults= parses as a script.
-        let scripted = FaultCli::parse(args(&["--faults=corrupt@50, flip2@300"]));
-        let cfg = scripted.fault_config().unwrap();
+        let cfg = parse(&["--faults=corrupt@50, flip2@300"])
+            .unwrap()
+            .faults
+            .unwrap();
         assert_eq!(cfg.script.len(), 2);
         assert!(cfg.enabled());
         // Malformed scripts are reported, not swallowed.
-        assert!(FaultCli::parse(args(&["--faults=bogus@@"]))
-            .fault_config()
-            .is_err());
+        assert!(parse(&["--faults=bogus@@"])
+            .unwrap_err()
+            .contains("--faults"));
     }
 }

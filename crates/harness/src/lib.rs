@@ -6,8 +6,8 @@
 //! embarrassingly parallel — each `Machine` is a self-contained
 //! deterministic event simulation — so this crate:
 //!
-//! 1. collects the `(SystemConfig, Workload, RunScale)` tuples a figure
-//!    (or all figures) needs into a [`RunPlan`],
+//! 1. collects the [`RunRequest`]s a figure (or all figures) needs into
+//!    a [`RunPlan`],
 //! 2. deduplicates them by a stable cache key,
 //! 3. executes the unique runs across `std::thread::scope` workers
 //!    (bounded by `available_parallelism`, overridable with the
@@ -41,7 +41,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
-use piranha_system::{Machine, Probe, ProbeConfig, RunResult, SystemConfig};
+use piranha_system::{Machine, RunResult, SampleConfig, SystemConfig};
 use piranha_workloads::Workload;
 
 /// A persistent backing store for memoized results, keyed by
@@ -51,7 +51,7 @@ use piranha_workloads::Workload;
 /// the dependency graph.
 ///
 /// Contract: `load(key)` returns a result **bit-identical** to what
-/// `run_config` would produce for the tuple behind `key`, or `None`
+/// [`RunRequest::run`] produces for the request behind `key`, or `None`
 /// (missing, corrupt, or written by an incompatible build — the store
 /// must reject rather than serve those). `save` must tolerate concurrent
 /// writers of the same key: the simulator is deterministic, so
@@ -91,6 +91,17 @@ pub enum Provenance {
     Store,
     /// Simulated by this call.
     Computed,
+}
+
+impl Provenance {
+    /// The lowercase tag the serve wire protocol reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            Provenance::Memory => "memory",
+            Provenance::Store => "store",
+            Provenance::Computed => "computed",
+        }
+    }
 }
 
 /// In-flight-aware memo table shared between harnesses (and the serve
@@ -205,6 +216,34 @@ impl SharedCache {
         }
     }
 
+    /// Resolve `req` to its result: the one claim → store → run → save
+    /// path every [`Harness`] and the serve worker pool share. A ready
+    /// entry is returned as is; otherwise the caller claims the key
+    /// (blocking while another claimant computes it), then loads the
+    /// result from `store` or runs the simulation and saves it there.
+    pub fn resolve(
+        &self,
+        store: Option<&dyn ResultStore>,
+        req: &RunRequest,
+    ) -> (Arc<RunResult>, Provenance) {
+        let key = req.key();
+        match self.claim(&key) {
+            Claim::Ready(r) => (r, Provenance::Memory),
+            Claim::Owed(guard) => {
+                if let Some(r) = store.and_then(|s| s.load(&key)) {
+                    PROCESS_STORE_HITS.fetch_add(1, Ordering::Relaxed);
+                    return (guard.fulfill(r), Provenance::Store);
+                }
+                let r = req.run();
+                if let Some(s) = store {
+                    s.save(&key, &r);
+                }
+                PROCESS_COMPUTED.fetch_add(1, Ordering::Relaxed);
+                (guard.fulfill(r), Provenance::Computed)
+            }
+        }
+    }
+
     /// Number of *ready* entries.
     pub fn len(&self) -> usize {
         self.inner
@@ -275,7 +314,7 @@ impl RunScale {
     }
 
     /// Huge runs, a tier beyond [`RunScale::full`] — affordable only
-    /// under sampled execution ([`run_config_sampled`]), where the
+    /// under sampled execution ([`RunRequest::sample`]), where the
     /// detailed model covers a small fraction of the instructions.
     pub fn huge() -> Self {
         RunScale {
@@ -286,67 +325,12 @@ impl RunScale {
     }
 }
 
-/// Drive a built machine for `scale`: either a warmup+measure window or
-/// a run to stream completion. Shared by [`run_config`] and
-/// [`run_config_probed`] so the two paths cannot drift apart. Applies
-/// the process-wide [`node_workers`] setting, which changes wall-clock
-/// only — multi-chip results are bit-identical at every worker count.
-fn drive(m: &mut Machine, scale: RunScale) -> RunResult {
-    m.set_parallel_workers(node_workers());
-    if scale.to_completion {
-        m.run_to_completion()
-    } else {
-        m.run(scale.warmup, scale.measure)
-    }
-}
-
-/// Run one configuration against one workload on the calling thread
-/// (multi-chip machines additionally use [`node_workers`] lane threads
-/// inside the run). This is the primitive everything else schedules.
-pub fn run_config(cfg: SystemConfig, w: &Workload, scale: RunScale) -> RunResult {
-    let mut m = Machine::new(cfg, w);
-    drive(&mut m, scale)
-}
-
-/// Like [`run_config`] with an explicit per-machine lane-worker count,
-/// bypassing the process-wide [`node_workers`] setting. Bit-identical
-/// to `run_config` of the same tuple at any `workers` value.
-pub fn run_config_parallel(
-    cfg: SystemConfig,
-    w: &Workload,
-    scale: RunScale,
-    workers: usize,
-) -> RunResult {
-    run_config_parallel_machine(cfg, w, scale, workers).0
-}
-
-/// [`run_config_parallel`] returning the machine too, for callers that
-/// need lifetime state the measured-window [`RunResult`] cannot carry —
-/// the final simulated time, the parallel-engine counters
-/// (`Machine::parsim_stats`), the lookahead matrix. Used by the
-/// `parsim_speedup` bench to report rounds per simulated microsecond.
-pub fn run_config_parallel_machine(
-    cfg: SystemConfig,
-    w: &Workload,
-    scale: RunScale,
-    workers: usize,
-) -> (RunResult, Machine) {
-    let mut m = Machine::new(cfg, w);
-    m.set_parallel_workers(workers);
-    let r = if scale.to_completion {
-        m.run_to_completion()
-    } else {
-        m.run(scale.warmup, scale.measure)
-    };
-    (r, m)
-}
-
 /// The process-wide lane-worker count applied to every machine the
 /// harness drives (1 = serial within each simulation, the default).
 static NODE_WORKERS: AtomicUsize = AtomicUsize::new(1);
 
 /// Set the per-machine lane-worker count (`--parallel=<n>` in the
-/// figure binaries). Clamped to ≥ 1. The harness divides its sweep
+/// figure binaries) that [`RunRequest::build`] applies. Clamped to ≥ 1. The harness divides its sweep
 /// thread budget by the widest [`effective_lane_width`] in a batch so
 /// `sweep threads × lane workers` stays within the configured
 /// parallelism (see [`Harness::execute`]).
@@ -359,16 +343,16 @@ pub fn node_workers() -> usize {
     NODE_WORKERS.load(Ordering::Relaxed).max(1)
 }
 
-/// Process-wide provenance tally, summed over every `Harness` in the
-/// process. The figure binaries build many short-lived harnesses
+/// Process-wide provenance tally, summed over every
+/// [`SharedCache::resolve`] in the process. The figure binaries build many short-lived harnesses
 /// internally; these counters let `--store=` report one summary line
 /// (and let CI assert a warm store recomputes nothing) without
 /// threading each harness's per-instance counters out.
 static PROCESS_COMPUTED: AtomicUsize = AtomicUsize::new(0);
 static PROCESS_STORE_HITS: AtomicUsize = AtomicUsize::new(0);
 
-/// `(computed, store_hits)` summed across every harness resolution in
-/// this process: simulations actually executed versus results served
+/// `(computed, store_hits)` summed across every resolution in this
+/// process (harnesses and the serve worker pool): simulations actually executed versus results served
 /// from the persistent [`ResultStore`]. In-memory cache hits are not
 /// counted (they cost nothing and would dwarf the interesting numbers).
 pub fn process_counters() -> (usize, usize) {
@@ -376,72 +360,6 @@ pub fn process_counters() -> (usize, usize) {
         PROCESS_COMPUTED.load(Ordering::Relaxed),
         PROCESS_STORE_HITS.load(Ordering::Relaxed),
     )
-}
-
-/// Like [`run_config`], but with an observability probe attached per
-/// `probe_cfg`. Returns the result *and* the probe, whose trace buffer
-/// and metric registry the caller can export (Chrome JSON, CSV).
-///
-/// The probe never feeds back into the simulation, so the `RunResult`
-/// fingerprint is bit-identical to an unprobed [`run_config`] of the
-/// same tuple — the determinism guard test asserts this.
-pub fn run_config_probed(
-    cfg: SystemConfig,
-    w: &Workload,
-    scale: RunScale,
-    probe_cfg: ProbeConfig,
-) -> (RunResult, Probe) {
-    let mut m = Machine::new(cfg, w);
-    let probe = Probe::new(probe_cfg);
-    m.set_probe(probe.clone());
-    let r = drive(&mut m, scale);
-    (r, probe)
-}
-
-/// Like [`run_config`], but under SMARTS-style sampled execution: the
-/// machine functionally fast-forwards between detailed measurement
-/// windows per `sample`, and the returned result carries a
-/// [`piranha_system::SampleEstimate`] in `RunResult::sample`.
-///
-/// The scale maps as in [`run_config`]: `to_completion` runs every
-/// stream to its end (sampling handles `scale.warmup` implicitly via
-/// `sample.warmup`, so only the budget is taken from the scale);
-/// otherwise the run is bounded at `warmup + measure` instructions per
-/// CPU.
-pub fn run_config_sampled(
-    cfg: SystemConfig,
-    w: &Workload,
-    scale: RunScale,
-    sample: &piranha_system::SampleConfig,
-) -> RunResult {
-    let mut m = Machine::new(cfg, w);
-    m.set_parallel_workers(node_workers());
-    let budget = if scale.to_completion {
-        None
-    } else {
-        Some(scale.warmup + scale.measure)
-    };
-    m.run_sampled(sample, budget)
-}
-
-/// Like [`run_config`], but with an open-loop traffic plane attached:
-/// `traffic` replaces `cfg.traffic` before the run, so transactions are
-/// admitted by the arrival process instead of back-to-back, and the
-/// returned result carries a [`piranha_system::TrafficSummary`] in
-/// `RunResult::traffic` (offered/accepted/dropped ledger plus the
-/// transaction-latency histogram).
-///
-/// Because `TrafficConfig` is part of [`SystemConfig`], the memoizing
-/// harness distinguishes runs at different offered loads automatically —
-/// [`cache_key`] covers every traffic field.
-pub fn run_config_traffic(
-    mut cfg: SystemConfig,
-    w: &Workload,
-    scale: RunScale,
-    traffic: piranha_system::TrafficConfig,
-) -> RunResult {
-    cfg.traffic = traffic;
-    run_config(cfg, w, scale)
 }
 
 /// The lane-worker threads one request will *actually* spawn, as opposed
@@ -460,7 +378,31 @@ pub fn effective_lane_width(cfg: &SystemConfig, node_workers: usize) -> usize {
     }
 }
 
-/// One simulation a figure needs.
+/// One simulation: the one description of a run. Figures plan them,
+/// and the harness and the serve worker pool memoize them by
+/// [`RunRequest::key`]. A caller that needs more than the result —
+/// explicit lane workers, an attached probe, the machine itself after
+/// the run — sets it on the machine between [`RunRequest::build`] and
+/// [`RunRequest::drive`]; open-loop traffic and fault injection are
+/// [`SystemConfig`] fields.
+///
+/// # Examples
+///
+/// ```no_run
+/// use piranha_harness::{RunRequest, RunScale};
+/// use piranha_system::SystemConfig;
+/// use piranha_workloads::{OltpConfig, Workload};
+///
+/// let req = RunRequest::new(
+///     SystemConfig::piranha_pn(4).scaled_to_chips(2),
+///     Workload::Oltp(OltpConfig::paper_default()),
+///     RunScale::quick(),
+/// );
+/// let mut m = req.build();
+/// m.set_parallel_workers(2); // bit-identical to serial
+/// let r = req.drive(&mut m);
+/// println!("{:#018x} after {:?}", r.fingerprint(), m.now());
+/// ```
 #[derive(Debug, Clone)]
 pub struct RunRequest {
     /// The machine configuration to simulate.
@@ -469,21 +411,65 @@ pub struct RunRequest {
     pub workload: Workload,
     /// Instruction budget.
     pub scale: RunScale,
+    /// Run under SMARTS-style sampling instead of full detail: the
+    /// machine functionally fast-forwards between detailed measurement
+    /// windows and the result carries a
+    /// [`piranha_system::SampleEstimate`] in `RunResult::sample`.
+    /// Sampling warms up per the schedule's own `warmup`, so of the
+    /// scale only the budget counts: `to_completion` runs every stream
+    /// to its end, otherwise the run stops after `warmup + measure`
+    /// instructions per CPU.
+    pub sample: Option<SampleConfig>,
 }
 
 impl RunRequest {
-    /// Assemble a request.
+    /// A full-detail request.
     pub fn new(cfg: SystemConfig, workload: Workload, scale: RunScale) -> Self {
         RunRequest {
             cfg,
             workload,
             scale,
+            sample: None,
         }
     }
 
-    /// The stable cache key identifying this simulation.
+    /// The stable cache key identifying this simulation: exactly
+    /// [`cache_key`] for a full-detail request, with the sampling
+    /// schedule appended for a sampled one.
     pub fn key(&self) -> String {
-        cache_key(&self.cfg, &self.workload, self.scale)
+        let key = cache_key(&self.cfg, &self.workload, self.scale);
+        match &self.sample {
+            None => key,
+            Some(s) => format!("{key}|{s:?}"),
+        }
+    }
+
+    /// Build the machine, running multi-chip configurations with the
+    /// process-wide [`node_workers`] lane threads (wall-clock only:
+    /// results are bit-identical at every count).
+    pub fn build(&self) -> Machine {
+        let mut m = Machine::new(self.cfg.clone(), &self.workload);
+        m.set_parallel_workers(node_workers());
+        m
+    }
+
+    /// Drive a built machine through this request's run: a warmup +
+    /// measure window, a run to stream completion, or a sampled run.
+    pub fn drive(&self, m: &mut Machine) -> RunResult {
+        let s = self.scale;
+        match &self.sample {
+            Some(sample) => {
+                m.run_sampled(sample, (!s.to_completion).then_some(s.warmup + s.measure))
+            }
+            None if s.to_completion => m.run_to_completion(),
+            None => m.run(s.warmup, s.measure),
+        }
+    }
+
+    /// [`RunRequest::build`] then [`RunRequest::drive`] on the calling
+    /// thread: the primitive every scheduler runs.
+    pub fn run(&self) -> RunResult {
+        self.drive(&mut self.build())
     }
 }
 
@@ -677,28 +663,6 @@ impl Harness {
         self.store_hits
     }
 
-    /// Resolve one request through the cache/store/compute stack:
-    /// ready cache entry → persistent store → simulate. Blocks if the
-    /// key is in flight elsewhere (idempotent duplicate submission).
-    fn resolve(&self, req: &RunRequest) -> (Arc<RunResult>, Provenance) {
-        let key = req.key();
-        match self.cache.claim(&key) {
-            Claim::Ready(r) => (r, Provenance::Memory),
-            Claim::Owed(guard) => {
-                if let Some(r) = self.store.as_ref().and_then(|s| s.load(&key)) {
-                    PROCESS_STORE_HITS.fetch_add(1, Ordering::Relaxed);
-                    return (guard.fulfill(r), Provenance::Store);
-                }
-                let r = run_config(req.cfg.clone(), &req.workload, req.scale);
-                if let Some(s) = &self.store {
-                    s.save(&key, &r);
-                }
-                PROCESS_COMPUTED.fetch_add(1, Ordering::Relaxed);
-                (guard.fulfill(r), Provenance::Computed)
-            }
-        }
-    }
-
     /// Execute every request of `plan` that is not already cached,
     /// fanning the unique runs out over up to `threads` scoped workers.
     ///
@@ -742,7 +706,7 @@ impl Harness {
         };
         if workers <= 1 {
             for req in todo {
-                let (_, p) = self.resolve(req);
+                let (_, p) = self.cache.resolve(self.store.as_deref(), req);
                 count(p);
             }
         } else {
@@ -752,7 +716,7 @@ impl Harness {
                     s.spawn(|| loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(req) = todo.get(i) else { break };
-                        let (_, p) = self.resolve(req);
+                        let (_, p) = self.cache.resolve(self.store.as_deref(), req);
                         count(p);
                     });
                 }
@@ -762,13 +726,12 @@ impl Harness {
         self.store_hits += store_hits.into_inner();
     }
 
-    /// The memoized result for one tuple; simulates inline (serially) if
-    /// it is not cached yet — or loads it from the store, or waits for a
-    /// concurrent claimant, through the same claim protocol
+    /// The memoized result of one request; simulates inline (serially)
+    /// if it is not cached yet — or loads it from the store, or waits
+    /// for a concurrent claimant, through the same claim protocol
     /// [`Harness::execute`] uses.
-    pub fn get(&mut self, cfg: &SystemConfig, w: &Workload, scale: RunScale) -> Arc<RunResult> {
-        let req = RunRequest::new(cfg.clone(), w.clone(), scale);
-        let (r, p) = self.resolve(&req);
+    pub fn fetch(&mut self, req: &RunRequest) -> Arc<RunResult> {
+        let (r, p) = self.cache.resolve(self.store.as_deref(), req);
         match p {
             Provenance::Memory => self.hits += 1,
             Provenance::Store => self.store_hits += 1,
@@ -777,9 +740,10 @@ impl Harness {
         r
     }
 
-    /// Whether a tuple is already cached (ready, not merely in flight).
-    pub fn contains(&self, cfg: &SystemConfig, w: &Workload, scale: RunScale) -> bool {
-        self.cache.lookup(&cache_key(cfg, w, scale)).is_some()
+    /// [`Harness::fetch`] of a full-detail `(config, workload, scale)`
+    /// request.
+    pub fn get(&mut self, cfg: &SystemConfig, w: &Workload, scale: RunScale) -> Arc<RunResult> {
+        self.fetch(&RunRequest::new(cfg.clone(), w.clone(), scale))
     }
 }
 
@@ -874,19 +838,9 @@ mod tests {
         assert_eq!(h.cache_hits(), 0);
     }
 
-    #[test]
-    fn lane_workers_do_not_change_multichip_results() {
-        let cfg = tiny_cfg("MC", 2).scaled_to_chips(2);
-        let serial = run_config_parallel(cfg.clone(), &synth(), RunScale::tiny(), 1);
-        let threaded = run_config_parallel(cfg, &synth(), RunScale::tiny(), 2);
-        assert_eq!(serial.fingerprint(), threaded.fingerprint());
-        assert_eq!(serial.window, threaded.window);
-        assert_eq!(serial.total_instrs(), threaded.total_instrs());
-    }
-
-    #[test]
-    fn sampled_run_carries_estimate_and_respects_budget() {
-        let sample = piranha_system::SampleConfig {
+    /// A sampling schedule small enough for tiny synthetic runs.
+    fn tiny_sample() -> SampleConfig {
+        SampleConfig {
             warmup: 1_000,
             period: 5_000,
             detail_warmup: 100,
@@ -894,13 +848,39 @@ mod tests {
             min_windows: 3,
             max_windows: 8,
             target_rel_ci: None,
+        }
+    }
+
+    #[test]
+    fn lane_workers_do_not_change_multichip_results() {
+        let req = RunRequest::new(
+            tiny_cfg("MC", 2).scaled_to_chips(2),
+            synth(),
+            RunScale::tiny(),
+        );
+        let run = |workers| {
+            let mut m = req.build();
+            m.set_parallel_workers(workers);
+            req.drive(&mut m)
         };
+        let (serial, threaded) = (run(1), run(2));
+        assert_eq!(serial.fingerprint(), threaded.fingerprint());
+        assert_eq!(serial.window, threaded.window);
+        assert_eq!(serial.total_instrs(), threaded.total_instrs());
+    }
+
+    #[test]
+    fn sampled_run_carries_estimate_and_respects_budget() {
         let scale = RunScale {
             warmup: 5_000,
             measure: 20_000,
             to_completion: false,
         };
-        let r = run_config_sampled(tiny_cfg("S", 2), &synth(), scale, &sample);
+        let req = RunRequest {
+            sample: Some(tiny_sample()),
+            ..RunRequest::new(tiny_cfg("S", 2), synth(), scale)
+        };
+        let r = req.run();
         let est = r.sample.as_ref().expect("sampled run carries estimate");
         assert!(est.windows >= 3);
         assert!(est.cpi_mean > 0.0);
@@ -917,15 +897,14 @@ mod tests {
             ..piranha_workloads::OltpConfig::paper_default()
         };
         let w = Workload::Oltp(oltp);
-        let traffic = piranha_system::TrafficConfig::poisson(200.0);
-        let r = run_config_traffic(cfg.clone(), &w, RunScale::completion(), traffic.clone());
+        let mut loaded = cfg.clone();
+        loaded.traffic = piranha_system::TrafficConfig::poisson(200.0);
+        let r = RunRequest::new(loaded.clone(), w.clone(), RunScale::completion()).run();
         let t = r.traffic.as_ref().expect("traffic summary present");
         assert!(t.ledger.conserved(), "ledger: {:?}", t.ledger);
         assert_eq!(t.ledger.completed, 20, "both cores drained their limit");
         // The traffic config is part of the cache key, so loaded and
         // unloaded runs of the same (cfg, workload, scale) never collide.
-        let mut loaded = cfg.clone();
-        loaded.traffic = traffic;
         assert_ne!(
             cache_key(&cfg, &w, RunScale::completion()),
             cache_key(&loaded, &w, RunScale::completion())
@@ -984,29 +963,37 @@ mod tests {
         let mut plan = RunPlan::new();
         plan.add(tiny_cfg("A", 1), synth(), RunScale::tiny());
         plan.add(tiny_cfg("B", 1), synth(), RunScale::tiny());
+        // A sampled request keys apart from its full-detail twin.
+        let sampled = RunRequest {
+            sample: Some(tiny_sample()),
+            ..plan.requests()[0].clone()
+        };
+        assert_ne!(sampled.key(), plan.requests()[0].key());
+        assert!(plan.push(sampled.clone()));
 
         let mut first = Harness::serial();
         first.set_store(Some(store.clone() as Arc<dyn ResultStore>));
         first.execute(&plan);
-        assert_eq!(first.unique_runs(), 2);
+        assert_eq!(first.unique_runs(), 3);
         assert_eq!(first.store_hits(), 0);
-        assert_eq!(store.saves.load(Ordering::Relaxed), 2);
+        assert_eq!(store.saves.load(Ordering::Relaxed), 3);
 
         // A fresh harness (fresh in-memory cache, same store) resumes
-        // from disk: zero simulations, two store hits.
+        // from disk: zero simulations, three store hits.
         let mut second = Harness::serial();
         second.set_store(Some(store.clone() as Arc<dyn ResultStore>));
         second.execute(&plan);
         assert_eq!(second.unique_runs(), 0, "resumed entirely from store");
-        assert_eq!(second.store_hits(), 2);
-        assert_eq!(store.saves.load(Ordering::Relaxed), 2, "nothing re-saved");
+        assert_eq!(second.store_hits(), 3);
+        assert_eq!(store.saves.load(Ordering::Relaxed), 3, "nothing re-saved");
+        assert!(second.fetch(&sampled).sample.is_some(), "estimate loaded");
 
         // And the results agree bit-for-bit with a storeless run.
         let mut bare = Harness::serial();
         bare.execute(&plan);
         for req in plan.requests() {
-            let a = second.get(&req.cfg, &req.workload, req.scale);
-            let b = bare.get(&req.cfg, &req.workload, req.scale);
+            let a = second.fetch(req);
+            let b = bare.fetch(req);
             assert_eq!(a.fingerprint(), b.fingerprint());
         }
     }

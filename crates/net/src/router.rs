@@ -472,7 +472,7 @@ impl<P> Network<P> {
     pub fn send(&mut self, now: SimTime, pkt: Packet<P>) -> (SimTime, Packet<P>) {
         let (t, pkt) = self.walk(now, pkt);
         self.delivered.inc();
-        self.hops.record(Duration::from_ns(pkt.age as u64));
+        self.hops.record(pkt.age as u64);
         self.assert_credits_conserved();
         (t, pkt)
     }
@@ -536,7 +536,7 @@ impl<P> Network<P> {
 
     /// Mean hop count of delivered packets.
     pub fn mean_hops(&self) -> f64 {
-        self.hops.mean_ns()
+        self.hops.mean()
     }
 
     /// A snapshot of every occupancy/loss counter, including per-link
@@ -559,7 +559,7 @@ impl<P> Network<P> {
             drops: self.drops.get(),
             pauses: self.pauses.get(),
             pause_time: self.pause_time,
-            mean_hops: self.hops.mean_ns(),
+            mean_hops: self.hops.mean(),
             links,
             link_busy: busy,
             max_link_busy: max_busy,

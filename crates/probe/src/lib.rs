@@ -43,8 +43,7 @@ pub mod stall;
 pub mod trace;
 
 pub use registry::{
-    CounterHandle, GaugeHandle, HistogramCore, HistogramHandle, MetricRegistry, MetricValue,
-    MetricsSnapshot,
+    CounterHandle, GaugeHandle, HistogramHandle, MetricRegistry, MetricValue, MetricsSnapshot,
 };
 pub use stall::{StallRow, StallTable};
 pub use trace::{TraceBuffer, TraceEvent, TraceLevel, TraceSnapshot};

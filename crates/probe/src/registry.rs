@@ -20,6 +20,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use piranha_kernel::Histogram;
+
 /// A registered counter: a monotonically increasing `u64`.
 ///
 /// The disabled (no-op) handle costs one branch per update, so handles
@@ -89,135 +91,9 @@ impl GaugeHandle {
     }
 }
 
-/// Power-of-two-bucketed histogram state shared by handles and snapshots.
-#[derive(Debug, Clone)]
-pub struct HistogramCore {
-    buckets: [u64; 64],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for HistogramCore {
-    fn default() -> Self {
-        HistogramCore {
-            buckets: [0; 64],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
-impl HistogramCore {
-    fn record(&mut self, v: u64) {
-        let b = if v == 0 {
-            0
-        } else {
-            (64 - v.leading_zeros()) as usize
-        };
-        self.buckets[b.min(63)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean sample (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Fold `other`'s samples into this histogram: bucket-wise sum, so
-    /// the merge of two histograms reports exactly what one histogram
-    /// fed both sample streams would have. Per-window and per-lane
-    /// distributions aggregate into run totals this way.
-    pub fn merge(&mut self, other: &HistogramCore) {
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Approximate percentile (0..=100), linearly interpolated within
-    /// the containing power-of-two bucket (samples assumed uniform over
-    /// the bucket's range) and clamped to the observed maximum; 0 for an
-    /// empty histogram.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let p = p.clamp(0.0, 100.0);
-        let target = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            if b == 0 {
-                continue;
-            }
-            if seen + b >= target {
-                let (lo, hi) = bucket_bounds(i);
-                let frac = (target - seen) as f64 / b as f64;
-                let v = lo as f64 + frac * (hi - lo) as f64;
-                return (v as u64).min(self.max);
-            }
-            seen += b;
-        }
-        self.max
-    }
-
-    /// Dump the non-empty buckets as a JSON object:
-    /// `{"count":..,"sum":..,"max":..,"buckets":[{"lo":..,"hi":..,"count":..},..]}`.
-    /// Bucket bounds are the nominal power-of-two ranges (half-open).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"count\":{},\"sum\":{},\"max\":{},\"buckets\":[",
-            self.count, self.sum, self.max
-        );
-        let mut first = true;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            if b == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let (lo, hi) = bucket_bounds(i);
-            out.push_str(&format!("{{\"lo\":{lo},\"hi\":{hi},\"count\":{b}}}"));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// The nominal half-open range `[lo, hi)` of bucket `i`: bucket 0 holds
-/// zero-valued samples, bucket `i >= 1` holds `[2^(i-1), 2^i)`.
-fn bucket_bounds(i: usize) -> (u64, u64) {
-    if i == 0 {
-        (0, 1)
-    } else {
-        (1u64 << (i - 1), 1u64 << i)
-    }
-}
-
 /// A registered histogram of `u64` samples (latencies, sizes).
 #[derive(Debug, Clone, Default)]
-pub struct HistogramHandle(Option<Arc<Mutex<HistogramCore>>>);
+pub struct HistogramHandle(Option<Arc<Mutex<Histogram>>>);
 
 impl HistogramHandle {
     /// A handle that ignores updates.
@@ -234,10 +110,10 @@ impl HistogramHandle {
     }
 
     /// A snapshot of the accumulated distribution.
-    pub fn core(&self) -> HistogramCore {
+    pub fn core(&self) -> Histogram {
         self.0
             .as_ref()
-            .map_or_else(HistogramCore::default, |h| h.lock().unwrap().clone())
+            .map_or_else(Histogram::default, |h| h.lock().unwrap().clone())
     }
 }
 
@@ -281,7 +157,7 @@ impl std::fmt::Display for MetricValue {
 enum Slot {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicU64>),
-    Histogram(Arc<Mutex<HistogramCore>>),
+    Histogram(Arc<Mutex<Histogram>>),
 }
 
 /// The registry: a name → metric map with typed registration.
@@ -337,7 +213,7 @@ impl MetricRegistry {
         let mut slots = self.slots.lock().unwrap();
         let slot = slots
             .entry(name.to_string())
-            .or_insert_with(|| Slot::Histogram(Arc::new(Mutex::new(HistogramCore::default()))));
+            .or_insert_with(|| Slot::Histogram(Arc::new(Mutex::new(Histogram::default()))));
         match slot {
             Slot::Histogram(h) => HistogramHandle(Some(Arc::clone(h))),
             _ => panic!("metric {name} already registered with a different type"),
@@ -565,57 +441,6 @@ mod tests {
         for p in [50.0, 95.0, 99.0] {
             assert_eq!(merged.percentile(p), reference.percentile(p));
         }
-    }
-
-    #[test]
-    fn histogram_percentile_interpolates_within_bucket() {
-        let mut core = HistogramCore::default();
-        // 1000 uniform samples; the median resolves near 500, not at
-        // the 1024 bucket edge.
-        for v in 1..=1000u64 {
-            core.record(v);
-        }
-        let p50 = core.percentile(50.0);
-        assert!((450..=550).contains(&p50), "interpolated p50 was {p50}");
-        let p99 = core.percentile(99.0);
-        assert!((950..=1000).contains(&p99), "interpolated p99 was {p99}");
-        assert_eq!(core.percentile(100.0), 1000, "p100 clamps to max");
-    }
-
-    #[test]
-    fn histogram_to_json_dumps_populated_buckets() {
-        let empty = HistogramCore::default();
-        assert_eq!(
-            empty.to_json(),
-            "{\"count\":0,\"sum\":0,\"max\":0,\"buckets\":[]}"
-        );
-        let mut core = HistogramCore::default();
-        core.record(3); // bucket [2, 4)
-        core.record(100); // bucket [64, 128)
-        core.record(100);
-        assert_eq!(
-            core.to_json(),
-            "{\"count\":3,\"sum\":203,\"max\":100,\"buckets\":[\
-             {\"lo\":2,\"hi\":4,\"count\":1},\
-             {\"lo\":64,\"hi\":128,\"count\":2}]}"
-        );
-    }
-
-    #[test]
-    fn histogram_merge_with_empty_is_identity() {
-        let reg = MetricRegistry::new();
-        let h = reg.register_histogram("h");
-        for v in [3u64, 5, 8] {
-            h.record(v);
-        }
-        let mut merged = h.core();
-        merged.merge(&HistogramCore::default());
-        assert_eq!(merged.count(), 3);
-        assert_eq!(merged.max(), 8);
-        let mut empty = HistogramCore::default();
-        empty.merge(&h.core());
-        assert_eq!(empty.count(), 3);
-        assert!((empty.mean() - h.core().mean()).abs() < 1e-12);
     }
 
     #[test]

@@ -359,8 +359,8 @@ fn traffic_to_json(t: &TrafficSummary) -> Json {
             ),
         ),
         ("lat_count".into(), Json::U64(t.latency.count())),
-        ("lat_sum_ns".into(), Json::U64(t.latency.sum_ns())),
-        ("lat_max_ns".into(), Json::U64(t.latency.max_ns())),
+        ("lat_sum_ns".into(), Json::U64(t.latency.sum())),
+        ("lat_max_ns".into(), Json::U64(t.latency.max())),
     ])
 }
 
@@ -472,8 +472,8 @@ mod tests {
             warmed_instrs: 95_000,
         });
         let mut latency = Histogram::new();
-        latency.record(Duration::from_ns(100));
-        latency.record(Duration::from_ns(20_000));
+        latency.record(100);
+        latency.record(20_000);
         r.traffic = Some(TrafficSummary {
             ledger: TrafficLedger {
                 generated: 10,
@@ -512,7 +512,7 @@ mod tests {
         let (bt, rt) = (back.traffic.unwrap(), r.traffic.unwrap());
         assert_eq!(bt.ledger, rt.ledger);
         assert_eq!(bt.latency.bucket_counts(), rt.latency.bucket_counts());
-        assert_eq!(bt.latency.p99_ns(), rt.latency.p99_ns());
+        assert_eq!(bt.latency.p99(), rt.latency.p99());
     }
 
     #[test]

@@ -28,6 +28,12 @@
 
 use std::fmt;
 
+/// The nesting limit of [`Json::parse`]: far deeper than any document
+/// the workspace writes (the store envelope nests five levels), and
+/// shallow enough that the recursive parser stays well inside a 2 MiB
+/// thread stack whatever the input.
+pub const MAX_DEPTH: usize = 64;
+
 /// A JSON value. Numbers keep their parsed width: an unsigned integer
 /// is [`Json::U64`], a negative integer [`Json::I64`], everything else
 /// [`Json::F64`].
@@ -147,11 +153,13 @@ impl Json {
     /// # Errors
     ///
     /// Returns a one-line description with the byte offset of the first
-    /// problem.
+    /// problem, including arrays and objects nested deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -235,6 +243,8 @@ pub fn escape(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -276,8 +286,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
             Some(b'f') => self.eat_literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -499,6 +523,21 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn nesting_bomb_is_an_error_not_a_stack_overflow() {
+        let bomb = "[".repeat(1 << 20);
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&bomb).map(drop))
+            .expect("spawn a 2 MiB thread")
+            .join()
+            .expect("the parser must not overflow its stack");
+        assert!(parsed.unwrap_err().contains("nesting"));
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

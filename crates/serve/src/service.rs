@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use piranha_harness::{node_workers, run_config, Claim, ResultStore, RunRequest, SharedCache};
+use piranha_harness::{node_workers, Provenance, ResultStore, RunRequest, SharedCache};
 
 use crate::envelope::SCHEMA_VERSION;
 use crate::json::Json;
@@ -166,30 +166,6 @@ struct ServerState {
 }
 
 impl ServerState {
-    /// Resolve one request exactly as the harness does: ready cache
-    /// entry → persistent store → simulate, with in-flight dedup.
-    fn resolve(&self, req: &RunRequest) -> (Arc<piranha_system::RunResult>, &'static str) {
-        let key = req.key();
-        match self.cache.claim(&key) {
-            Claim::Ready(r) => {
-                self.mem_hits.fetch_add(1, Ordering::Relaxed);
-                (r, "memory")
-            }
-            Claim::Owed(guard) => {
-                if let Some(r) = self.store.as_ref().and_then(|s| s.load(&key)) {
-                    self.store_hits.fetch_add(1, Ordering::Relaxed);
-                    return (guard.fulfill(r), "store");
-                }
-                let r = run_config(req.cfg.clone(), &req.workload, req.scale);
-                if let Some(s) = &self.store {
-                    s.save(&key, &r);
-                }
-                self.executed.fetch_add(1, Ordering::Relaxed);
-                (guard.fulfill(r), "computed")
-            }
-        }
-    }
-
     /// Transition an entry and append its progress event under ONE
     /// lock acquisition: a watcher must never observe the job finished
     /// (`done == entries`) while the final event line is still
@@ -239,7 +215,14 @@ impl ServerState {
                 ]),
             );
             let start = Instant::now();
-            let (r, provenance) = self.resolve(&item.req);
+            let (r, provenance) = self.cache.resolve(self.store.as_deref(), &item.req);
+            match provenance {
+                Provenance::Memory => &self.mem_hits,
+                Provenance::Store => &self.store_hits,
+                Provenance::Computed => &self.executed,
+            }
+            .fetch_add(1, Ordering::Relaxed);
+            let provenance = provenance.label();
             let wall_ms = start.elapsed().as_millis() as u64;
             let (fingerprint, ipns) = (r.fingerprint(), r.throughput_ipns());
             self.set_entry_state(

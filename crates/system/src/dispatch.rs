@@ -692,6 +692,32 @@ pub(crate) struct NetPath<'a> {
 }
 
 impl NetPath<'_> {
+    /// The barrier step: merge every lane's buffered cross-node
+    /// departures into `merged` (a reused buffer) in deterministic
+    /// `(time, source, seq)` order, route them through the fabric, and
+    /// schedule each arrival on its destination lane. Returns how many
+    /// departures were routed.
+    pub(crate) fn route_departures(
+        &mut self,
+        lanes: &mut [NodeLane],
+        merged: &mut Vec<piranha_parsim::Merged<Depart<ProtoMsg>>>,
+    ) -> usize {
+        merged.clear();
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            lane.outbox.drain_into(i, merged);
+        }
+        piranha_parsim::sort_merged(merged);
+        let routed = merged.len();
+        for m in merged.drain(..) {
+            let dest = m.payload.to.index();
+            let (arrive, from, msg) = self.route(&mut lanes[m.source].faults, m.time, m.payload);
+            lanes[dest]
+                .events
+                .schedule(arrive, Ev::NetMsg { from, msg });
+        }
+        routed
+    }
+
     /// Route one buffered departure through the fabric, applying the
     /// *source* lane's link-fault hooks; returns the final delivery
     /// time, the source, and the (possibly retransmitted) payload.

@@ -36,7 +36,7 @@
 //! lane — never the order of events within a lane or the merge order at
 //! barriers — results are bit-identical for every worker count,
 //! including 1. Pick the worker count with
-//! [`Machine::set_parallel_workers`] or run with [`Machine::run_parallel`].
+//! [`Machine::set_parallel_workers`].
 
 use piranha_cache::Slot;
 use piranha_cpu::CoreStats;
@@ -272,14 +272,6 @@ impl Machine {
         let rows = Vec::with_capacity(ncpus);
         self.run_until_total(self.total_instrs() + warmup * ncpus as u64);
         self.run_window(measure * ncpus as u64, rows)
-    }
-
-    /// [`Machine::run`] with `workers` lane threads (multi-chip only;
-    /// a single-chip machine runs serially regardless). Bit-identical
-    /// to `run` at any worker count.
-    pub fn run_parallel(&mut self, warmup: u64, measure: u64, workers: usize) -> RunResult {
-        self.set_parallel_workers(workers);
-        self.run(warmup, measure)
     }
 
     /// Run until every CPU's stream ends. Only meaningful for bounded
@@ -572,41 +564,25 @@ impl Machine {
                 h.record(ns);
             }
         };
-        let mut merged: Vec<piranha_parsim::Merged<piranha_net::Depart<ProtoMsg>>> = Vec::new();
+        let mut merged = Vec::new();
+        let mut path = NetPath {
+            cfg,
+            net,
+            port: net_port,
+            probe,
+            lookahead,
+        };
         let mut popped_total = 0u64;
         let stats = piranha_parsim::run_windows(
             workers,
             lanes,
             |lane, horizon| lane.advance(&sh, horizon),
             |lanes, stats| {
-                // Merge the previous window's cross-node traffic in
-                // deterministic (time, source, seq) order and route it
-                // through the shared fabric, charging the *source*
-                // lane's link-fault hooks.
-                merged.clear();
-                for (i, lane) in lanes.iter_mut().enumerate() {
-                    lane.outbox.drain_into(i, &mut merged);
-                }
-                if merged.is_empty() {
-                    stats.empty_windows += 1;
-                } else {
-                    piranha_parsim::sort_merged(&mut merged);
-                    stats.merged_events += merged.len() as u64;
-                    let mut path = NetPath {
-                        cfg,
-                        net,
-                        port: net_port,
-                        probe,
-                        lookahead,
-                    };
-                    for m in merged.drain(..) {
-                        let dest = m.payload.to.index();
-                        let (arrive, from, msg) =
-                            path.route(&mut lanes[m.source].faults, m.time, m.payload);
-                        lanes[dest]
-                            .events
-                            .schedule(arrive, Ev::NetMsg { from, msg });
-                    }
+                // Route the previous window's cross-node traffic,
+                // charging the *source* lane's link-fault hooks.
+                match path.route_departures(lanes, &mut merged) {
+                    0 => stats.empty_windows += 1,
+                    n => stats.merged_events += n as u64,
                 }
                 // Stop checks, then the next window's base time.
                 let mut retired = 0u64;

@@ -318,7 +318,7 @@ mod tests {
         let mut r = sample();
         let mut latency = piranha_kernel::Histogram::new();
         for ns in [100u64, 200, 400, 10_000] {
-            latency.record(piranha_types::Duration::from_ns(ns));
+            latency.record(ns);
         }
         r.traffic = Some(piranha_traffic::TrafficSummary {
             ledger: piranha_traffic::TrafficLedger {

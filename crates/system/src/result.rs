@@ -316,7 +316,7 @@ mod tests {
         let a = mk("x", 1000, 2_000);
         let mut b = mk("x", 1000, 2_000);
         let mut latency = piranha_kernel::Histogram::new();
-        latency.record(Duration::from_ns(1234));
+        latency.record(1234);
         b.traffic = Some(TrafficSummary {
             ledger: piranha_traffic::TrafficLedger {
                 generated: 10,

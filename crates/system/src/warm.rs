@@ -612,37 +612,21 @@ impl Machine {
         } = self;
         let sh = LaneShared::new(cfg, lanes.len());
         let mut deferred: Vec<Vec<(SimTime, usize)>> = lanes.iter().map(|_| Vec::new()).collect();
-        let mut merged: Vec<
-            piranha_parsim::Merged<piranha_net::Depart<piranha_protocol::ProtoMsg>>,
-        > = Vec::new();
+        let mut merged = Vec::new();
+        let mut path = NetPath {
+            cfg,
+            net,
+            port: net_port,
+            probe,
+            lookahead,
+        };
         // Advance in conservative lookahead windows, exactly like the
         // parallel engine's barrier loop: a full per-lane drain would
         // let one lane's clock run past an arrival another lane's
         // traffic is about to schedule on it. Event-horizon windows
         // keep this O(events), not O(span / quantum).
         loop {
-            merged.clear();
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                lane.outbox.drain_into(i, &mut merged);
-            }
-            if !merged.is_empty() {
-                piranha_parsim::sort_merged(&mut merged);
-                let mut path = NetPath {
-                    cfg,
-                    net,
-                    port: net_port,
-                    probe,
-                    lookahead,
-                };
-                for m in merged.drain(..) {
-                    let dest = m.payload.to.index();
-                    let (arrive, from, msg) =
-                        path.route(&mut lanes[m.source].faults, m.time, m.payload);
-                    lanes[dest]
-                        .events
-                        .schedule(arrive, Ev::NetMsg { from, msg });
-                }
-            }
+            path.route_departures(lanes, &mut merged);
             let mut t_min: Option<SimTime> = None;
             for lane in lanes.iter() {
                 if let Some(t) = lane.events.peek_time() {

@@ -81,17 +81,17 @@ pub struct TrafficSummary {
 impl TrafficSummary {
     /// Median transaction latency, ns.
     pub fn p50_ns(&self) -> u64 {
-        self.latency.p50_ns()
+        self.latency.p50()
     }
 
     /// 95th-percentile transaction latency, ns.
     pub fn p95_ns(&self) -> u64 {
-        self.latency.p95_ns()
+        self.latency.p95()
     }
 
     /// 99th-percentile transaction latency, ns.
     pub fn p99_ns(&self) -> u64 {
-        self.latency.p99_ns()
+        self.latency.p99()
     }
 
     /// Fraction of offered transactions shed.
@@ -274,7 +274,7 @@ impl TrafficPlane {
         let birth = lane.in_service.take()?;
         let lat_cycles = commit_cycle.saturating_sub(birth);
         let lat = clock.cycles_dur(lat_cycles);
-        lane.latency.record(lat);
+        lane.latency.record(lat.as_ns());
         lane.ledger.completed += 1;
         Some(lat.as_ns())
     }

@@ -13,9 +13,10 @@
 //!   `tests/golden_fingerprint.rs`).
 
 use piranha::experiments;
-use piranha::harness::{run_config, run_config_parallel_machine, RunScale};
+use piranha::harness::{RunRequest, RunScale};
 use piranha::types::Duration;
-use piranha::{QueueDiscipline, SystemConfig, TopologyKind};
+use piranha::workloads::Workload;
+use piranha::{Machine, QueueDiscipline, RunResult, SystemConfig, TopologyKind};
 
 /// A 16-node machine of single-CPU chips on an explicit fabric.
 fn fabric_cfg(topology: TopologyKind, queue: QueueDiscipline) -> SystemConfig {
@@ -23,6 +24,15 @@ fn fabric_cfg(topology: TopologyKind, queue: QueueDiscipline) -> SystemConfig {
     cfg.topology = topology;
     cfg.net.queue = queue;
     cfg
+}
+
+/// Run `w` to completion on `cfg` with `workers` lane threads; the
+/// machine comes back for its fabric counters.
+fn run(cfg: SystemConfig, w: &Workload, workers: usize) -> (RunResult, Machine) {
+    let req = RunRequest::new(cfg, w.clone(), RunScale::completion());
+    let mut m = req.build();
+    m.set_parallel_workers(workers);
+    (req.drive(&mut m), m)
 }
 
 fn congested() -> Duration {
@@ -40,11 +50,7 @@ fn bounded_disciplines_conserve_work() {
         TopologyKind::Torus,
         TopologyKind::FatTree,
     ] {
-        let base = run_config(
-            fabric_cfg(topology, QueueDiscipline::unbounded()),
-            &w,
-            RunScale::completion(),
-        );
+        let (base, _) = run(fabric_cfg(topology, QueueDiscipline::unbounded()), &w, 1);
         let base_committed = base.committed_txns.expect("bounded workload reports work");
         assert!(base_committed > 0, "baseline must commit work");
         for queue in [
@@ -58,12 +64,7 @@ fn bounded_disciplines_conserve_work() {
                 capacity: congested(),
             },
         ] {
-            let (r, m) = run_config_parallel_machine(
-                fabric_cfg(topology, queue),
-                &w,
-                RunScale::completion(),
-                1,
-            );
+            let (r, m) = run(fabric_cfg(topology, queue), &w, 1);
             let fs = m.fabric_stats();
             let label = format!("{}/{}", topology.label(), queue.label());
             assert_eq!(
@@ -113,14 +114,7 @@ fn fabric_runs_are_worker_invariant() {
     ] {
         let runs: Vec<_> = [1usize, 2, 4]
             .iter()
-            .map(|&n| {
-                run_config_parallel_machine(
-                    fabric_cfg(topology, queue),
-                    &w,
-                    RunScale::completion(),
-                    n,
-                )
-            })
+            .map(|&n| run(fabric_cfg(topology, queue), &w, n))
             .collect();
         let (r0, m0) = &runs[0];
         let fs0 = m0.fabric_stats();
@@ -162,11 +156,11 @@ fn default_fabric_is_bit_identical_to_presets() {
         SystemConfig::piranha_p8(),
         SystemConfig::piranha_pn(2).scaled_to_chips(2),
     ] {
-        let base = run_config(cfg.clone(), &w, RunScale::completion());
+        let (base, _) = run(cfg.clone(), &w, 1);
         let mut explicit = cfg.clone();
         explicit.topology = TopologyKind::Auto;
         explicit.net.queue = QueueDiscipline::unbounded();
-        let e = run_config(explicit, &w, RunScale::completion());
+        let (e, _) = run(explicit, &w, 1);
         assert_eq!(
             base.fingerprint(),
             e.fingerprint(),

@@ -10,7 +10,7 @@
 //!   and without recoverable faults.
 
 use piranha::experiments;
-use piranha::harness::{run_config, RunScale};
+use piranha::harness::{RunRequest, RunScale};
 use piranha::workloads::{SynthConfig, Workload};
 use piranha::{FaultConfig, Machine, SystemConfig};
 
@@ -43,8 +43,8 @@ fn faulted_cfg(seed: u64, rate: f64) -> SystemConfig {
 fn same_seed_and_schedule_are_bit_identical() {
     let w = sharing_workload();
     let scale = RunScale::tiny();
-    let a = run_config(faulted_cfg(42, 2e-3), &w, scale);
-    let b = run_config(faulted_cfg(42, 2e-3), &w, scale);
+    let a = RunRequest::new(faulted_cfg(42, 2e-3), w.clone(), scale).run();
+    let b = RunRequest::new(faulted_cfg(42, 2e-3), w.clone(), scale).run();
     assert!(a.availability.injected > 0, "the rate actually injected");
     assert!(a.availability.is_consistent());
     assert_eq!(a.fingerprint(), b.fingerprint(), "replay diverged");
@@ -58,8 +58,8 @@ fn same_seed_and_schedule_are_bit_identical() {
 fn zero_rate_schedule_matches_the_fault_free_baseline() {
     let w = sharing_workload();
     let scale = RunScale::tiny();
-    let base = run_config(two_chip_cfg(), &w, scale);
-    let zero = run_config(faulted_cfg(7, 0.0), &w, scale);
+    let base = RunRequest::new(two_chip_cfg(), w.clone(), scale).run();
+    let zero = RunRequest::new(faulted_cfg(7, 0.0), w.clone(), scale).run();
     assert_eq!(
         base.fingerprint(),
         zero.fingerprint(),
@@ -74,8 +74,8 @@ fn zero_rate_schedule_matches_the_fault_free_baseline() {
 fn different_fault_seeds_diverge() {
     let w = sharing_workload();
     let scale = RunScale::tiny();
-    let a = run_config(faulted_cfg(1, 2e-3), &w, scale);
-    let b = run_config(faulted_cfg(2, 2e-3), &w, scale);
+    let a = RunRequest::new(faulted_cfg(1, 2e-3), w.clone(), scale).run();
+    let b = RunRequest::new(faulted_cfg(2, 2e-3), w.clone(), scale).run();
     assert_ne!(
         a.fingerprint(),
         b.fingerprint(),
@@ -112,8 +112,8 @@ fn scripted_schedule_fires_every_event_once() {
 fn completion_runs_commit_identical_work_under_faults() {
     let w = experiments::oltp_bounded(8);
     let scale = RunScale::completion();
-    let base = run_config(two_chip_cfg(), &w, scale);
-    let faulted = run_config(faulted_cfg(42, 2e-3), &w, scale);
+    let base = RunRequest::new(two_chip_cfg(), w.clone(), scale).run();
+    let faulted = RunRequest::new(faulted_cfg(42, 2e-3), w.clone(), scale).run();
     assert!(faulted.availability.injected > 0);
     assert!(faulted.availability.is_consistent());
     assert_eq!(

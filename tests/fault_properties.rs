@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use piranha::experiments;
-use piranha::harness::{run_config, RunScale};
+use piranha::harness::{RunRequest, RunScale};
 use piranha::workloads::{DssConfig, Workload};
 use piranha::{FaultConfig, SystemConfig};
 
@@ -34,10 +34,10 @@ proptest! {
     ) {
         let w = experiments::oltp_bounded(6);
         let scale = RunScale::completion();
-        let base = run_config(two_chip_cfg(), &w, scale);
+        let base = RunRequest::new(two_chip_cfg(), w.clone(), scale).run();
         let mut cfg = two_chip_cfg();
         cfg.faults = FaultConfig::seeded(seed, rate);
-        let faulted = run_config(cfg, &w, scale);
+        let faulted = RunRequest::new(cfg, w.clone(), scale).run();
         prop_assert!(faulted.availability.is_consistent());
         prop_assert_eq!(
             faulted.committed_txns, base.committed_txns,
@@ -54,10 +54,10 @@ proptest! {
     ) {
         let w = dss_bounded(512);
         let scale = RunScale::completion();
-        let base = run_config(two_chip_cfg(), &w, scale);
+        let base = RunRequest::new(two_chip_cfg(), w.clone(), scale).run();
         let mut cfg = two_chip_cfg();
         cfg.faults = FaultConfig::seeded(seed, rate);
-        let faulted = run_config(cfg, &w, scale);
+        let faulted = RunRequest::new(cfg, w.clone(), scale).run();
         prop_assert!(faulted.availability.is_consistent());
         prop_assert_eq!(
             faulted.committed_txns, base.committed_txns,

@@ -125,12 +125,9 @@ fn golden_multichip_rows_match_under_parallel_workers() {
             .get(label.as_str())
             .unwrap_or_else(|| panic!("golden file has no row for {label}"));
         for workers in [2usize, 4] {
-            let r = piranha::harness::run_config_parallel(
-                req.cfg.clone(),
-                &req.workload,
-                req.scale,
-                workers,
-            );
+            let mut m = req.build();
+            m.set_parallel_workers(workers);
+            let r = req.drive(&mut m);
             assert_eq!(
                 &format!("{:016x}", r.fingerprint()),
                 want,
@@ -149,7 +146,7 @@ fn golden_multichip_rows_match_under_parallel_workers() {
 mod parallel_props {
     use super::*;
     use piranha::experiments::{dss, oltp};
-    use piranha::harness::run_config_parallel;
+    use piranha::harness::RunRequest;
     use piranha::SystemConfig;
     use proptest::prelude::*;
 
@@ -172,9 +169,13 @@ mod parallel_props {
             let mut cfg = SystemConfig::piranha_pn(cpus).scaled_to_chips(chips);
             cfg.seed = seed;
             let w = if use_dss { dss() } else { oltp() };
-            let scale = RunScale::tiny();
-            let serial = run_config_parallel(cfg.clone(), &w, scale, 1);
-            let parallel = run_config_parallel(cfg.clone(), &w, scale, workers);
+            let req = RunRequest::new(cfg.clone(), w, RunScale::tiny());
+            let run = |workers| {
+                let mut m = req.build();
+                m.set_parallel_workers(workers);
+                req.drive(&mut m)
+            };
+            let (serial, parallel) = (run(1), run(workers));
             prop_assert_eq!(
                 serial.fingerprint(),
                 parallel.fingerprint(),

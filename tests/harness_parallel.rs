@@ -3,7 +3,7 @@
 //! the serial and parallel paths, and (on multi-core hosts) the
 //! wall-clock win.
 
-use piranha::experiments::{self, Harness, RunPlan, RunScale};
+use piranha::experiments::{self, Harness, RunPlan, RunRequest, RunScale};
 use piranha::workloads::{OltpConfig, Workload};
 use piranha::SystemConfig;
 
@@ -32,8 +32,8 @@ fn repeated_runs_are_deterministic() {
     let w = Workload::Oltp(OltpConfig::paper_default());
     let cfg = SystemConfig::piranha_pn(2);
     // Twice directly, on the calling thread.
-    let a = experiments::run_config(cfg.clone(), &w, small());
-    let b = experiments::run_config(cfg.clone(), &w, small());
+    let a = RunRequest::new(cfg.clone(), w.clone(), small()).run();
+    let b = RunRequest::new(cfg.clone(), w.clone(), small()).run();
     assert_results_identical(&a, &b);
     // Once more through the parallel harness (worker thread + cache).
     let mut plan = RunPlan::new();

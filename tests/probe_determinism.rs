@@ -6,11 +6,11 @@
 //! carries spans from at least four subsystems, and the stall table's
 //! per-core fractions always sum to 1.
 
-use piranha::harness::{run_config, run_config_probed, RunScale};
+use piranha::harness::{RunRequest, RunScale};
 use piranha::observe;
-use piranha::probe::{chrome, ProbeConfig, TraceLevel};
+use piranha::probe::{chrome, Probe, ProbeConfig, TraceLevel};
 use piranha::workloads::{SynthConfig, Workload};
-use piranha::SystemConfig;
+use piranha::{RunResult, SampleConfig, SystemConfig};
 
 fn sharing_workload() -> Workload {
     Workload::Synth(SynthConfig {
@@ -29,38 +29,58 @@ fn two_chip_cfg() -> SystemConfig {
     cfg
 }
 
+fn tiny_request() -> RunRequest {
+    RunRequest::new(two_chip_cfg(), sharing_workload(), RunScale::tiny())
+}
+
+/// Run `req` with a probe at `level` attached; the probe comes back for
+/// its exports.
+fn probed(req: &RunRequest, level: TraceLevel) -> (RunResult, Probe) {
+    let mut m = req.build();
+    let probe = Probe::new(ProbeConfig::with_level(level));
+    m.set_probe(probe.clone());
+    (req.drive(&mut m), probe)
+}
+
 /// Probe off, probe at metrics-only level, and probe at full span
-/// tracing all produce the same simulated results, bit for bit.
+/// tracing all produce the same simulated results, bit for bit — in
+/// full detail and under sampling, where the `SampleEstimate` must match
+/// too.
 #[test]
 fn probe_never_perturbs_the_simulation() {
-    let w = sharing_workload();
-    let scale = RunScale::tiny();
-    let bare = run_config(two_chip_cfg(), &w, scale);
-    let (metrics_only, _) = run_config_probed(
-        two_chip_cfg(),
-        &w,
-        scale,
-        ProbeConfig::with_level(TraceLevel::Off),
-    );
-    let (traced, _) = run_config_probed(
-        two_chip_cfg(),
-        &w,
-        scale,
-        ProbeConfig::with_level(TraceLevel::Verbose),
-    );
-    assert_eq!(
-        bare.fingerprint(),
-        metrics_only.fingerprint(),
-        "metrics collection changed simulated state"
-    );
-    assert_eq!(
-        bare.fingerprint(),
-        traced.fingerprint(),
-        "span tracing changed simulated state"
-    );
-    // The fingerprint covers the full per-CPU stats; spot-check anyway.
-    assert_eq!(bare.total_instrs(), traced.total_instrs());
-    assert_eq!(bare.window, traced.window);
+    let sampled = RunRequest {
+        sample: Some(SampleConfig {
+            warmup: 1_000,
+            period: 5_000,
+            detail_warmup: 100,
+            window: 500,
+            min_windows: 3,
+            max_windows: 8,
+            target_rel_ci: None,
+        }),
+        ..tiny_request()
+    };
+    for req in [tiny_request(), sampled] {
+        let bare = req.run();
+        let (metrics_only, _) = probed(&req, TraceLevel::Off);
+        let (traced, _) = probed(&req, TraceLevel::Verbose);
+        assert_eq!(
+            bare.fingerprint(),
+            metrics_only.fingerprint(),
+            "metrics collection changed simulated state"
+        );
+        assert_eq!(
+            bare.fingerprint(),
+            traced.fingerprint(),
+            "span tracing changed simulated state"
+        );
+        // The fingerprint covers the full per-CPU stats; spot-check anyway.
+        assert_eq!(bare.total_instrs(), traced.total_instrs());
+        assert_eq!(bare.window, traced.window);
+        let digest = |r: &RunResult| r.sample.as_ref().map(|e| e.digest());
+        assert_eq!(digest(&bare), digest(&traced), "sample estimate changed");
+        assert_eq!(digest(&bare).is_some(), req.sample.is_some());
+    }
 }
 
 /// A traced two-chip run records spans from the cpu, cache, protocol,
@@ -69,12 +89,7 @@ fn probe_never_perturbs_the_simulation() {
 #[test]
 #[cfg_attr(not(feature = "trace"), ignore = "needs the trace feature")]
 fn two_chip_trace_covers_four_subsystems() {
-    let (_, probe) = run_config_probed(
-        two_chip_cfg(),
-        &sharing_workload(),
-        RunScale::tiny(),
-        ProbeConfig::with_level(TraceLevel::Spans),
-    );
+    let (_, probe) = probed(&tiny_request(), TraceLevel::Spans);
     let snap = probe.trace_snapshot().expect("probe attached");
     assert!(!snap.is_empty(), "spans were recorded");
     let cats = snap.categories();
@@ -93,12 +108,7 @@ fn two_chip_trace_covers_four_subsystems() {
 /// cycles: fractions sum to 1 within 1e-6, on a run with real stalls.
 #[test]
 fn stall_table_fractions_sum_to_one() {
-    let (r, _) = run_config_probed(
-        two_chip_cfg(),
-        &sharing_workload(),
-        RunScale::tiny(),
-        ProbeConfig::with_level(TraceLevel::Off),
-    );
+    let (r, _) = probed(&tiny_request(), TraceLevel::Off);
     let t = r.stall_table();
     assert_eq!(t.rows.len(), r.cpus.len() + 1, "per-core rows plus 'all'");
     assert!(t.sums_to_one(1e-6), "fractions partition the window");
@@ -113,12 +123,7 @@ fn stall_table_fractions_sum_to_one() {
 /// expected hierarchy and survives both export formats.
 #[test]
 fn metrics_snapshot_exports() {
-    let (r, _) = run_config_probed(
-        two_chip_cfg(),
-        &sharing_workload(),
-        RunScale::tiny(),
-        ProbeConfig::with_level(TraceLevel::Off),
-    );
+    let (r, _) = probed(&tiny_request(), TraceLevel::Off);
     assert!(
         !r.metrics.is_empty(),
         "sample_metrics populated the snapshot"
@@ -150,11 +155,13 @@ fn export_probed_run_writes_files() {
     std::fs::create_dir_all(&dir).unwrap();
     let trace = dir.join("trace.json");
     let metrics = dir.join("metrics.csv");
-    let cli = observe::ProbeCli {
+    let flags = observe::Flags {
         trace: Some(trace.clone()),
         metrics: Some(metrics.clone()),
+        ..Default::default()
     };
-    let summary = observe::export_probed_run(&cli, &sharing_workload(), RunScale::tiny()).unwrap();
+    let summary =
+        observe::export_probed_run(&flags, &sharing_workload(), RunScale::tiny()).unwrap();
     assert!(summary.contains("stall attribution"));
     let t = std::fs::read_to_string(&trace).unwrap();
     assert!(t.contains("\"traceEvents\"") && t.contains("\"ph\":\"X\""));

@@ -3,10 +3,12 @@
 //! (computed → memory → store across server generations), deduplicate
 //! duplicate specs, and drain cleanly on shutdown.
 
+use std::io::{BufRead, BufReader, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
 use piranha::harness::ResultStore;
+use piranha::serve::json::Json;
 use piranha::serve::{Client, DiskStore, RunSpec, Server, ServerConfig};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -158,5 +160,32 @@ fn malformed_submissions_are_rejected_not_fatal() {
         .expect("wait");
     assert!(done.is_done());
     client.shutdown().expect("shutdown");
+    handle.join().expect("server thread drains");
+}
+
+#[test]
+fn a_nesting_bomb_is_rejected_and_the_server_keeps_serving() {
+    let (addr, handle) = spawn_server(None);
+    let mut conn = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut replies = BufReader::new(conn.try_clone().expect("clone socket"));
+    let mut ask = |line: &str| {
+        conn.write_all(line.as_bytes()).expect("send");
+        conn.write_all(b"\n").expect("send");
+        let mut reply = String::new();
+        replies.read_line(&mut reply).expect("reply");
+        Json::parse(&reply).expect("replies are JSON")
+    };
+
+    let bomb = ask(&"[".repeat(1 << 20));
+    assert_eq!(bomb.get("ok").and_then(Json::as_bool), Some(false));
+    let err = bomb.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(err.contains("nesting"), "error names the cause: {err}");
+
+    let pong = ask(r#"{"cmd":"ping"}"#);
+    assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+    Client::connect(&addr)
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
     handle.join().expect("server thread drains");
 }

@@ -34,7 +34,7 @@ fn faulted_run_survives_the_disk_round_trip_bit_identically() {
     let w = oltp_bounded(5);
     let scale = RunScale::completion();
 
-    let fresh = piranha::harness::run_config(cfg.clone(), &w, scale);
+    let fresh = RunRequest::new(cfg.clone(), w.clone(), scale).run();
     let key = cache_key(&cfg, &w, scale);
     store.save(&key, &fresh);
     let loaded = store.load(&key).expect("entry just saved");

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 
 use piranha::experiments;
-use piranha::harness::{run_config, run_config_parallel, run_config_traffic, RunScale};
+use piranha::harness::{RunRequest, RunScale};
 use piranha::{OverflowPolicy, SystemConfig, TrafficConfig};
 
 fn two_chip_cfg() -> SystemConfig {
@@ -37,9 +37,14 @@ fn loaded_cfg(traffic: TrafficConfig) -> SystemConfig {
 fn traffic_runs_are_worker_invariant() {
     let w = experiments::oltp_bounded(8);
     let cfg = loaded_cfg(TrafficConfig::poisson(400.0));
+    let req = RunRequest::new(cfg, w, RunScale::completion());
     let runs: Vec<_> = [1, 2, 4]
         .iter()
-        .map(|&n| run_config_parallel(cfg.clone(), &w, RunScale::completion(), n))
+        .map(|&n| {
+            let mut m = req.build();
+            m.set_parallel_workers(n);
+            req.drive(&mut m)
+        })
         .collect();
     let t0 = runs[0].traffic.as_ref().expect("traffic summary present");
     assert!(t0.ledger.completed > 0, "the load actually ran");
@@ -69,8 +74,8 @@ fn different_traffic_seeds_diverge() {
     a_cfg.seed = 1;
     let mut b_cfg = TrafficConfig::poisson(400.0);
     b_cfg.seed = 2;
-    let a = run_config(loaded_cfg(a_cfg), &w, RunScale::completion());
-    let b = run_config(loaded_cfg(b_cfg), &w, RunScale::completion());
+    let a = RunRequest::new(loaded_cfg(a_cfg), w.clone(), RunScale::completion()).run();
+    let b = RunRequest::new(loaded_cfg(b_cfg), w, RunScale::completion()).run();
     assert_ne!(
         a.fingerprint(),
         b.fingerprint(),
@@ -85,7 +90,7 @@ fn different_traffic_seeds_diverge() {
 fn zero_rate_traffic_leaves_closed_loop_runs_unchanged() {
     let w = experiments::oltp_bounded(6);
     for cfg in [SystemConfig::piranha_pn(2), two_chip_cfg()] {
-        let base = run_config(cfg.clone(), &w, RunScale::completion());
+        let base = RunRequest::new(cfg.clone(), w.clone(), RunScale::completion()).run();
         let mut zero = cfg.clone();
         zero.traffic = TrafficConfig {
             rate_tpmc: 0.0,
@@ -94,7 +99,7 @@ fn zero_rate_traffic_leaves_closed_loop_runs_unchanged() {
             overflow: OverflowPolicy::Defer,
             ..TrafficConfig::default()
         };
-        let z = run_config(zero, &w, RunScale::completion());
+        let z = RunRequest::new(zero, w.clone(), RunScale::completion()).run();
         assert_eq!(
             base.fingerprint(),
             z.fingerprint(),
@@ -126,7 +131,7 @@ proptest! {
             overflow: if defer { OverflowPolicy::Defer } else { OverflowPolicy::Drop },
             ..TrafficConfig::default()
         };
-        let r = run_config_traffic(two_chip_cfg(), &w, RunScale::completion(), traffic);
+        let r = RunRequest::new(loaded_cfg(traffic), w, RunScale::completion()).run();
         let t = r.traffic.as_ref().expect("traffic summary present");
         prop_assert!(t.ledger.conserved(), "seed {} rate {}: {:?}", seed, rate, t.ledger);
         prop_assert_eq!(
