@@ -80,6 +80,13 @@ impl CacheComplex {
     pub fn lookups(&self) -> u64 {
         self.bank_srv.iter().map(|s| s.jobs()).sum()
     }
+
+    /// Run `event` through its bank, appending the actions to `out`:
+    /// the port-free form of [`Component::handle`] for callers that
+    /// apply the actions themselves and reuse one buffer.
+    pub fn handle_into(&mut self, event: CacheEvent, out: &mut Vec<BankAction>) {
+        self.banks[event.bank].handle_into(event.ev, &mut self.l1s, out);
+    }
 }
 
 impl Component for CacheComplex {

@@ -741,12 +741,16 @@ impl L2Bank {
         // the L2 is the victim cache).
         assert!(!self.in_array(line), "owner L1 implies no L2 copy");
         // Lines with pending transactions are passed over as victims
-        // when the set allows.
+        // when the set allows; with none pending there is nothing to
+        // probe per way.
         let pending = &self.pending;
-        if let Some((victim, ())) = self
-            .array
-            .insert(line.0, (), |l| pending.contains_key(&LineAddr(l)))
-        {
+        let evicted = if pending.is_empty() {
+            self.array.insert(line.0, (), |_| false)
+        } else {
+            self.array
+                .insert(line.0, (), |l| pending.contains_key(&LineAddr(l)))
+        };
+        if let Some((victim, ())) = evicted {
             self.evict_l2_line(LineAddr(victim), out);
         }
         self.dup.set_l2(line, dirty, version, ext);

@@ -60,6 +60,11 @@ pub struct Tlb {
     cfg: TlbConfig,
     /// Mapped page numbers, LRU by touching on every hit.
     pages: SetAssoc<()>,
+    /// The page of the last access (`u64::MAX` before the first). It
+    /// is resident and holds the newest stamp in the array, so a repeat
+    /// access hits without a lookup and touching it would change no
+    /// replacement order.
+    last: u64,
     hits: u64,
     misses: u64,
 }
@@ -78,6 +83,7 @@ impl Tlb {
         Tlb {
             cfg,
             pages: SetAssoc::new(cfg.entries / cfg.ways, cfg.ways, 0),
+            last: u64::MAX,
             hits: 0,
             misses: 0,
         }
@@ -87,6 +93,11 @@ impl Tlb {
     /// whether it hit.
     pub fn access(&mut self, addr: Addr) -> bool {
         let page = addr.0 / self.cfg.page_bytes;
+        if page == self.last {
+            self.hits += 1;
+            return true;
+        }
+        self.last = page;
         if let Some(i) = self.pages.find(page) {
             self.pages.touch(i);
             self.hits += 1;
@@ -196,6 +207,27 @@ mod tests {
         t.access(Addr(16384)); // evicts page 1 (LRU)
         assert!(t.access(Addr(0)));
         assert!(!t.access(Addr(8192)));
+    }
+
+    #[test]
+    fn repeat_page_keeps_lru_order_and_counts_hits() {
+        // One set of 2 ways: page 1 is repeated (answered without a
+        // lookup), so page 0 stays the LRU way and is evicted.
+        let mut t = Tlb::new(TlbConfig {
+            entries: 2,
+            ways: 2,
+            page_bytes: 8192,
+            miss_penalty: 20,
+        });
+        t.access(Addr(0));
+        t.access(Addr(8192));
+        assert!(t.access(Addr(8192 + 64)));
+        assert!(t.access(Addr(8192 + 128)));
+        t.access(Addr(16384)); // evicts page 0
+        assert!(t.access(Addr(8192)));
+        assert!(!t.access(Addr(0)));
+        assert_eq!(t.misses(), 4);
+        assert!((t.hit_rate() - 3.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]

@@ -16,16 +16,8 @@ use crate::{CoreCtx, CoreModel, CoreStatus, InstrStream, MemReq};
 /// An event delivered to one CPU of the cluster.
 #[derive(Debug, Clone)]
 pub enum CpuEvent {
-    /// Let the CPU execute up to its quantum.
+    /// Let the CPU execute up to its quantum ([`CpuCluster::step`]).
     Step {
-        /// Node-local CPU index.
-        cpu: usize,
-    },
-    /// Like `Step`, but through the core's functional-warming path
-    /// ([`CoreModel::warm_advance`]): architectural state evolves,
-    /// timing is fixed at one cycle per instruction. Only the sampled
-    /// execution driver sends this.
-    WarmStep {
         /// Node-local CPU index.
         cpu: usize,
     },
@@ -179,6 +171,43 @@ impl CpuCluster {
     pub fn instrs(&self) -> u64 {
         self.cores.iter().map(|c| c.stats().instrs).sum()
     }
+
+    /// Let `cpu` execute up to the cluster quantum, appending the
+    /// memory requests it issues to `reqs` with the core cycle each
+    /// left the core. With `warm` the core runs its functional-warming
+    /// path ([`CoreModel::warm_advance`]: architectural state evolves,
+    /// timing is fixed at one cycle per instruction); the sampled
+    /// execution driver calls this directly. Returns the core's status,
+    /// or `None` without running it if the CPU is done or `ctx` has it
+    /// disabled.
+    pub fn step(
+        &mut self,
+        cpu: usize,
+        warm: bool,
+        ctx: CpuCtx<'_>,
+        reqs: &mut Vec<(u64, MemReq)>,
+    ) -> Option<CoreStatus> {
+        if self.done[cpu] || !ctx.enabled {
+            return None;
+        }
+        let (l1i, l1d) = ctx.l1s.pair_mut(CpuId(cpu as u8));
+        let mut core_ctx = CoreCtx {
+            l1i,
+            l1d,
+            versions: ctx.versions,
+            version_stride: ctx.version_stride,
+        };
+        let (core, stream) = (&mut self.cores[cpu], self.streams[cpu].as_mut());
+        let status = if warm {
+            core.warm_advance(stream, &mut core_ctx, self.quantum, reqs)
+        } else {
+            core.advance(stream, &mut core_ctx, self.quantum, reqs)
+        };
+        if status == CoreStatus::Done {
+            self.done[cpu] = true;
+        }
+        Some(status)
+    }
 }
 
 impl Component for CpuCluster {
@@ -193,53 +222,25 @@ impl Component for CpuCluster {
         ctx: CpuCtx<'_>,
         out: &mut Port<CpuAction>,
     ) {
-        let warm = matches!(event, CpuEvent::WarmStep { .. });
         match event {
-            CpuEvent::Step { cpu } | CpuEvent::WarmStep { cpu } => {
-                if self.done[cpu] || !ctx.enabled {
-                    return;
-                }
+            CpuEvent::Step { cpu } => {
                 let mut reqs = std::mem::take(&mut self.req_buf);
                 debug_assert!(reqs.is_empty());
-                let (l1i, l1d) = ctx.l1s.pair_mut(CpuId(cpu as u8));
-                let mut core_ctx = CoreCtx {
-                    l1i,
-                    l1d,
-                    versions: ctx.versions,
-                    version_stride: ctx.version_stride,
-                };
-                let status = if warm {
-                    self.cores[cpu].warm_advance(
-                        self.streams[cpu].as_mut(),
-                        &mut core_ctx,
-                        self.quantum,
-                        &mut reqs,
-                    )
-                } else {
-                    self.cores[cpu].advance(
-                        self.streams[cpu].as_mut(),
-                        &mut core_ctx,
-                        self.quantum,
-                        &mut reqs,
-                    )
-                };
+                let status = self.step(cpu, false, ctx, &mut reqs);
                 for (at_cycle, req) in reqs.drain(..) {
                     out.emit(now, CpuAction::Issue { cpu, at_cycle, req });
                 }
                 self.req_buf = reqs;
                 match status {
-                    CoreStatus::Runnable => out.emit(
+                    Some(CoreStatus::Runnable) => out.emit(
                         now,
                         CpuAction::Wake {
                             cpu,
                             at_cycle: self.cores[cpu].now_cycle(),
                         },
                     ),
-                    CoreStatus::Blocked => {}
-                    CoreStatus::Done => {
-                        self.done[cpu] = true;
-                        out.emit(now, CpuAction::Finished { cpu });
-                    }
+                    Some(CoreStatus::Done) => out.emit(now, CpuAction::Finished { cpu }),
+                    Some(CoreStatus::Blocked) | None => {}
                 }
             }
             CpuEvent::Fill { cpu, id, source } => {

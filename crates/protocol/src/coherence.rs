@@ -292,10 +292,22 @@ impl HomeEngine {
 
     /// Feed one input through the engine.
     pub fn handle(&mut self, input: HomeIn, dir: &mut dyn DirStore) -> Vec<EngineAction> {
-        self.msgs_handled.inc();
         let mut out = Vec::new();
+        self.handle_into(input, dir, &mut out);
+        out
+    }
+
+    /// [`handle`](HomeEngine::handle) appending the actions to `out`, so
+    /// a caller that reuses one buffer allocates nothing per input.
+    pub fn handle_into(
+        &mut self,
+        input: HomeIn,
+        dir: &mut dyn DirStore,
+        out: &mut Vec<EngineAction>,
+    ) {
+        self.msgs_handled.inc();
         match input {
-            HomeIn::Msg { from, msg } => self.handle_msg(from, msg, dir, &mut out),
+            HomeIn::Msg { from, msg } => self.handle_msg(from, msg, dir, out),
             HomeIn::LocalInvalRemotes { line } => {
                 self.instr_executed.add(occupancy_cycles("inval"));
                 let targets: Vec<NodeId> = dir
@@ -322,7 +334,7 @@ impl HomeEngine {
             }
             HomeIn::LocalRecall { line, req } => {
                 // Dispatched exactly like a request from ourselves.
-                self.dispatch(self.node, req, line, dir, &mut out);
+                self.dispatch(self.node, req, line, dir, out);
             }
             HomeIn::ExportReply {
                 line,
@@ -390,19 +402,10 @@ impl HomeEngine {
                         dir.set_dir(line, DirEntry::Uncached);
                     }
                 }
-                self.respond(
-                    from,
-                    line,
-                    grant,
-                    Some(version),
-                    acks_expected,
-                    false,
-                    &mut out,
-                );
-                self.drain(line, dir, &mut out);
+                self.respond(from, line, grant, Some(version), acks_expected, false, out);
+                self.drain(line, dir, out);
             }
         }
-        out
     }
 
     /// Reply to `from`, collapsing self-replies into local fills.
@@ -721,8 +724,7 @@ impl HomeEngine {
         if !self.overflow.is_empty() && !self.active.is_full() {
             let deferred: Vec<HomeIn> = self.overflow.drain(..).collect();
             for d in deferred {
-                let acts = self.handle(d, dir);
-                out.extend(acts);
+                self.handle_into(d, dir, out);
             }
         }
         while self.active.get(line).is_none() {
@@ -799,8 +801,15 @@ impl RemoteEngine {
 
     /// Feed one input through the engine.
     pub fn handle(&mut self, input: RemoteIn) -> Vec<EngineAction> {
-        self.msgs_handled.inc();
         let mut out = Vec::new();
+        self.handle_into(input, &mut out);
+        out
+    }
+
+    /// [`handle`](RemoteEngine::handle) appending the actions to `out`,
+    /// so a caller that reuses one buffer allocates nothing per input.
+    pub fn handle_into(&mut self, input: RemoteIn, out: &mut Vec<EngineAction>) {
+        self.msgs_handled.inc();
         match input {
             RemoteIn::LocalReq { line, req, home } => {
                 self.instr_executed.add(occupancy_cycles("req"));
@@ -814,7 +823,7 @@ impl RemoteEngine {
                 };
                 if self.txns.alloc(line, txn).is_err() {
                     self.overflow.push_back((line, req, home));
-                    return out;
+                    return;
                 }
                 out.push(EngineAction::Send {
                     to: home,
@@ -833,7 +842,7 @@ impl RemoteEngine {
                     msg: ProtoMsg::WriteBack { line, version },
                 });
             }
-            RemoteIn::Msg { from, msg } => self.handle_msg(from, msg, &mut out),
+            RemoteIn::Msg { from, msg } => self.handle_msg(from, msg, out),
             RemoteIn::ExportReply {
                 line,
                 version,
@@ -845,10 +854,9 @@ impl RemoteEngine {
                     .fwd_pending
                     .remove(&line)
                     .expect("ExportReply without a pending forwarded request");
-                self.reply_to_fwd(line, kind, requester, home, version, dirty, &mut out);
+                self.reply_to_fwd(line, kind, requester, home, version, dirty, out);
             }
         }
-        out
     }
 
     /// Answer a forwarded request with data version `version`.
@@ -1013,12 +1021,14 @@ impl RemoteEngine {
         if done {
             self.txns.free(line);
             if let Some((l, r, h)) = self.overflow.pop_front() {
-                let acts = self.handle(RemoteIn::LocalReq {
-                    line: l,
-                    req: r,
-                    home: h,
-                });
-                out.extend(acts);
+                self.handle_into(
+                    RemoteIn::LocalReq {
+                        line: l,
+                        req: r,
+                        home: h,
+                    },
+                    out,
+                );
             }
         }
     }

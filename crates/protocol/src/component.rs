@@ -85,6 +85,21 @@ impl EngineComplex {
     pub fn replays(&self) -> u64 {
         self.recovery.replays()
     }
+
+    /// Run `event` through its engine, appending the actions to `out`:
+    /// the allocation-free form of [`Component::handle`] for callers
+    /// that apply the actions themselves and reuse one buffer.
+    pub fn handle_into(
+        &mut self,
+        event: EngineEvent,
+        dirs: &mut dyn DirStore,
+        out: &mut Vec<EngineAction>,
+    ) {
+        match event {
+            EngineEvent::Home(input) => self.home.handle_into(input, dirs, out),
+            EngineEvent::Remote(input) => self.remote.handle_into(input, out),
+        }
+    }
 }
 
 impl Component for EngineComplex {
@@ -99,10 +114,8 @@ impl Component for EngineComplex {
         dirs: &mut dyn DirStore,
         out: &mut Port<EngineAction>,
     ) {
-        let acts = match event {
-            EngineEvent::Home(input) => self.home.handle(input, dirs),
-            EngineEvent::Remote(input) => self.remote.handle(input),
-        };
+        let mut acts = Vec::new();
+        self.handle_into(event, dirs, &mut acts);
         for act in acts {
             out.emit(now, act);
         }

@@ -604,7 +604,7 @@ mod tests {
             }
             fn detailed_window(&mut self, lead: u64, measure: u64) -> WindowSample {
                 let mut s = self.inner.detailed_window(lead, measure);
-                if self.inner.windows % 2 == 0 {
+                if self.inner.windows.is_multiple_of(2) {
                     s.cycles *= 2;
                 }
                 s

@@ -36,7 +36,7 @@ pub mod store;
 
 pub use client::{Client, JobRow, JobStatus, JobTicket};
 pub use envelope::{build_stamp, Envelope, SCHEMA_VERSION};
-pub use service::{Server, ServerConfig};
+pub use service::{Server, ServerConfig, MAX_LINE_BYTES};
 pub use spec::RunSpec;
 pub use store::DiskStore;
 

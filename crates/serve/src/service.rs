@@ -18,7 +18,9 @@
 //! | `{"cmd":"shutdown"}` | `{"ok":true,"stopping":true}` |
 //!
 //! Every error is `{"ok":false,"error":"..."}` — a malformed line never
-//! kills the connection, let alone the server.
+//! kills the connection, let alone the server. A line longer than
+//! [`MAX_LINE_BYTES`] is the one exception: the server answers with an
+//! error and closes that connection instead of buffering without bound.
 //!
 //! ## Execution
 //!
@@ -35,17 +37,22 @@
 //! [`Harness::execute`]: piranha_harness::Harness::execute
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use piranha_harness::{node_workers, Provenance, ResultStore, RunRequest, SharedCache};
 
 use crate::envelope::SCHEMA_VERSION;
 use crate::json::Json;
 use crate::spec::RunSpec;
+
+/// The longest request line the server reads, in bytes (newline not
+/// counted). Past it the connection gets an error and is closed, so a
+/// client that never sends a newline cannot grow server memory.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -354,13 +361,38 @@ fn handle_conn(stream: TcpStream, state: &ServerState) -> std::io::Result<()> {
     // turns each round trip into a ~40 ms stall.
     stream.set_nodelay(true)?;
     let mut out = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an overlong line from one that
+        // is exactly `MAX_LINE_BYTES` long.
+        let n = (&mut reader)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut buf)?;
+        if n == 0 {
+            break;
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if n > MAX_LINE_BYTES {
+            respond(
+                &mut out,
+                error(format!("request line exceeds {MAX_LINE_BYTES} bytes")),
+            )?;
+            out.shutdown(Shutdown::Write)?;
+            linger(&mut reader);
+            return Ok(());
+        }
+        let line = std::str::from_utf8(&buf)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         if line.trim().is_empty() {
             continue;
         }
-        let req = match Json::parse(&line) {
+        let req = match Json::parse(line) {
             Ok(v) => v,
             Err(e) => {
                 respond(&mut out, error(format!("bad request: {e}")))?;
@@ -426,6 +458,29 @@ fn handle_conn(stream: TcpStream, state: &ServerState) -> std::io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// How long a connection closed on an overlong line keeps discarding
+/// input before the socket is dropped.
+const LINGER: Duration = Duration::from_secs(1);
+
+/// Read and discard what the client is still sending, until it stops or
+/// [`LINGER`] runs out. Closing a socket with unread input resets the
+/// connection, and the reset can destroy the error reply before the
+/// client reads it.
+fn linger(reader: &mut BufReader<TcpStream>) {
+    let deadline = Instant::now() + LINGER;
+    let mut sink = [0u8; 8 << 10];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || reader.get_ref().set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match reader.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+    }
 }
 
 fn submit(state: &ServerState, req: &Json) -> Json {

@@ -215,7 +215,7 @@ impl NodeLane {
                 } else {
                     EngineEvent::Remote(RemoteIn::Msg { from, msg })
                 };
-                self.engine(t, ev);
+                self.engine(ev);
                 self.run_work(sh, t);
             }
         }
@@ -228,9 +228,6 @@ impl NodeLane {
     fn cpu_event(&mut self, sh: &LaneShared<'_>, t: SimTime, ev: CpuEvent) {
         let (cpu, is_step) = match ev {
             CpuEvent::Step { cpu } => (cpu, true),
-            // Warm steps are synchronous-only: the sampled-execution
-            // driver resolves them outside the calendar.
-            CpuEvent::WarmStep { .. } => unreachable!("WarmStep on the detailed calendar"),
             CpuEvent::Fill { cpu, id, .. } => {
                 self.probe.instant(
                     TraceLevel::Verbose,
@@ -379,14 +376,13 @@ impl NodeLane {
     /// Run `ev` through the node's engine complex (threading the
     /// directory view in) and queue the resulting actions on the lane's
     /// work queue.
-    fn engine(&mut self, t: SimTime, ev: EngineEvent) {
+    fn engine(&mut self, ev: EngineEvent) {
         let Node { engines, mem, .. } = &mut self.node;
         let mut dirs = NodeDirs {
             banks: mem.banks_mut(),
         };
-        engines.handle(t, ev, &mut dirs, &mut self.eng_port);
-        self.work
-            .extend(self.eng_port.drain().map(|(_, a)| Item::Eng(a)));
+        engines.handle_into(ev, &mut dirs, &mut self.eng_buf);
+        self.work.extend(self.eng_buf.drain(..).map(Item::Eng));
     }
 
     /// Run `ev` through one of the node's L2 banks and queue the
@@ -493,27 +489,21 @@ impl NodeLane {
             }
             BankAction::RemoteReq { slot: _, line, req } => {
                 let home = NodeId(sh.home_of(line) as u16);
-                self.engine(
-                    t,
-                    EngineEvent::Remote(RemoteIn::LocalReq { line, req, home }),
-                );
+                self.engine(EngineEvent::Remote(RemoteIn::LocalReq { line, req, home }));
             }
             BankAction::RemoteWb { line, version } => {
                 let home = NodeId(sh.home_of(line) as u16);
-                self.engine(
-                    t,
-                    EngineEvent::Remote(RemoteIn::LocalWb {
-                        line,
-                        version,
-                        home,
-                    }),
-                );
+                self.engine(EngineEvent::Remote(RemoteIn::LocalWb {
+                    line,
+                    version,
+                    home,
+                }));
             }
             BankAction::HomeInvalRemote { line } => {
-                self.engine(t, EngineEvent::Home(HomeIn::LocalInvalRemotes { line }));
+                self.engine(EngineEvent::Home(HomeIn::LocalInvalRemotes { line }));
             }
             BankAction::HomeRecall { slot: _, line, req } => {
-                self.engine(t, EngineEvent::Home(HomeIn::LocalRecall { line, req }));
+                self.engine(EngineEvent::Home(HomeIn::LocalRecall { line, req }));
             }
             BankAction::ExportReply {
                 line,
@@ -536,7 +526,7 @@ impl NodeLane {
                         cached,
                     })
                 };
-                self.engine(t, ev);
+                self.engine(ev);
             }
         }
     }

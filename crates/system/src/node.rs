@@ -161,7 +161,8 @@ pub(crate) struct NodeLane {
     pub(crate) cpu_port: Port<CpuAction>,
     pub(crate) bank_port: Port<BankAction>,
     pub(crate) mem_port: Port<MemData>,
-    pub(crate) eng_port: Port<EngineAction>,
+    /// Reusable buffer of protocol-engine actions.
+    pub(crate) eng_buf: Vec<EngineAction>,
 }
 
 impl NodeLane {
@@ -191,7 +192,7 @@ impl NodeLane {
             cpu_port: Port::new(),
             bank_port: Port::new(),
             mem_port: Port::new(),
-            eng_port: Port::new(),
+            eng_buf: Vec::new(),
         }
     }
 }

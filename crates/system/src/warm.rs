@@ -7,12 +7,14 @@
 //! RDRAM page table — keeps evolving exactly as the detailed model
 //! would evolve it. The repo's component split makes this cheap to get
 //! right: all coherence state transitions already happen synchronously
-//! inside `Component::handle` calls, and the event calendar carries
+//! inside the subsystem handlers, and the event calendar carries
 //! *timing only*. Functional warming therefore drives the very same
-//! handlers, but resolves each CPU miss synchronously through a small
-//! work queue instead of scheduling latency-separated events — skipping
-//! the calendar, the ICS transfer charges, the occupancy servers, and
-//! the probe spans, which is where the speedup comes from.
+//! handlers by direct calls — `CpuCluster::step`, the bank and engine
+//! `handle_into`, `CoreModel::fill` — and resolves each CPU miss before
+//! the core steps on, through a small FIFO work queue instead of
+//! latency-separated events. It skips the calendar, the ports and wake
+//! events, the ICS transfer charges, the occupancy servers, and the
+//! probe spans, which is where the speedup comes from.
 //!
 //! The regime switch is exact in both directions:
 //!
@@ -28,13 +30,14 @@
 //!   warming interval appears as a fixed-IPC stretch of simulated time.
 
 use std::collections::VecDeque;
+use std::time::Instant;
 
 use piranha_cache::{BankAction, BankEvent, CacheEvent, Mesi, Slot};
-use piranha_cpu::{CoreStats, CpuAction, CpuCtx, CpuEvent, MemReq};
-use piranha_kernel::Component;
+use piranha_cpu::{CoreStats, CoreStatus, CpuCtx, CpuEvent, MemReq};
+use piranha_probe::HistogramHandle;
 use piranha_protocol::{EngineAction, EngineEvent, HomeIn, RemoteIn};
 use piranha_sample::{SampleConfig, SampleDriver, SampleTarget, WindowSample};
-use piranha_types::{CpuId, NodeId, SimTime};
+use piranha_types::{CpuId, FillSource, LineAddr, NodeId, SimTime};
 
 use crate::dispatch::{Ev, LaneShared, NetPath};
 use crate::machine::Machine;
@@ -65,330 +68,49 @@ enum WarmWork {
     Eng(usize, SimTime, EngineEvent),
 }
 
-/// Reusable buffers for the warm loop. A warm step runs once per few
-/// retired instructions and each miss produces a handful of actions;
-/// allocating fresh `Vec`s at that rate dominates the loop, so the
-/// buffers live across the whole warming phase instead.
+/// The one CPU request a warm drain resolves: its lane, L1 slot, line
+/// and core-local id. Warming issues a miss only once the previous one
+/// has been granted, so this slot replaces the detailed engine's
+/// `NodeLane::outstanding` table.
+struct InFlight {
+    lane: usize,
+    slot: Slot,
+    line: LineAddr,
+    id: u64,
+}
+
+/// The warm resolver's state, kept across a whole warming phase so the
+/// per-step and per-miss work allocates nothing: the FIFO of pending
+/// work, the request in flight, and one reused buffer per producer.
 #[derive(Default)]
-struct WarmScratch {
+struct Warm {
+    q: VecDeque<WarmWork>,
+    inflight: Option<InFlight>,
     issues: Vec<(u64, MemReq)>,
     bank: Vec<BankAction>,
     eng: Vec<EngineAction>,
 }
 
-/// Deliver a warm-mode fill to the CPU that issued the request, at the
-/// core's *current* cycle — zero stall, which is what makes warming
-/// timing-free while the L1 fill/victim machinery runs for real.
-fn warm_fill(
-    lane: &mut NodeLane,
-    t: SimTime,
-    slot: Slot,
-    line: piranha_types::LineAddr,
-    source: piranha_types::FillSource,
-) {
-    let id = lane
-        .outstanding
-        .remove(&(slot, line))
-        .unwrap_or_else(|| panic!("warm grant without outstanding request: {slot} {line}"));
-    let cpu = slot.cpu().index();
-    let mut port = std::mem::take(&mut lane.cpu_port);
-    {
-        let NodeLane {
-            node,
-            versions,
-            version_stride,
-            ..
-        } = lane;
-        let Node {
-            cpus, caches, sc, ..
-        } = node;
-        let fill_cycle = cpus.core(cpu).now_cycle();
-        let ctx = CpuCtx {
-            l1s: caches.l1s_mut(),
-            versions,
-            version_stride: *version_stride,
-            enabled: sc.cpu_enabled(CpuId(cpu as u8)),
-            fill_cycle,
-        };
-        cpus.handle(t, CpuEvent::Fill { cpu, id, source }, ctx, &mut port);
-    }
-    // The Wake is implicit: the warm loop re-steps every CPU itself.
-    port.drain().for_each(drop);
-    lane.cpu_port = port;
-}
-
-/// Resolve queued warm work until the queue is empty. Mirrors the
-/// action routing of `dispatch.rs` arm for arm, minus everything that
-/// only exists for timing (ICS transfers, occupancy servers, calendar
-/// scheduling, probe spans, fault hooks).
-fn drain_warm_queue(
-    lanes: &mut [NodeLane],
-    sh: &LaneShared<'_>,
-    q: &mut VecDeque<WarmWork>,
-    scratch: &mut WarmScratch,
-) {
-    while let Some(w) = q.pop_front() {
-        match w {
-            WarmWork::Bank(li, t, ce) => {
-                let lane = &mut lanes[li];
-                let mut port = std::mem::take(&mut lane.bank_port);
-                lane.node.caches.handle(t, ce, (), &mut port);
-                scratch.bank.clear();
-                scratch.bank.extend(port.drain().map(|(_, a)| a));
-                lane.bank_port = port;
-                for a in scratch.bank.drain(..) {
-                    warm_bank_action(lanes, sh, q, li, t, a);
-                }
-            }
-            WarmWork::Eng(li, t, ev) => {
-                let lane = &mut lanes[li];
-                let mut port = std::mem::take(&mut lane.eng_port);
-                {
-                    let Node { engines, mem, .. } = &mut lane.node;
-                    let mut dirs = NodeDirs {
-                        banks: mem.banks_mut(),
-                    };
-                    engines.handle(t, ev, &mut dirs, &mut port);
-                }
-                scratch.eng.clear();
-                scratch.eng.extend(port.drain().map(|(_, a)| a));
-                lane.eng_port = port;
-                for a in scratch.eng.drain(..) {
-                    warm_engine_action(lanes, sh, q, li, t, a);
-                }
-            }
-        }
-    }
-}
-
-fn warm_bank_action(
-    lanes: &mut [NodeLane],
-    sh: &LaneShared<'_>,
-    q: &mut VecDeque<WarmWork>,
-    li: usize,
-    t: SimTime,
-    a: BankAction,
-) {
-    let lane = &mut lanes[li];
-    match a {
-        BankAction::Grant {
-            slot, line, source, ..
-        } => warm_fill(lane, t, slot, line, source),
-        // Pure ICS header traffic in detailed mode; the L1 state change
-        // already happened inside the bank handler.
-        BankAction::Inval { .. } | BankAction::Downgrade { .. } => {}
-        BankAction::VictimDisplaced {
-            slot,
-            line,
-            state,
-            version,
-        } => {
-            let bank = lane.bank_of(line);
-            q.push_back(WarmWork::Bank(
-                li,
-                t,
-                CacheEvent {
-                    bank,
-                    ev: BankEvent::Victim {
-                        slot,
-                        line,
-                        state,
-                        version,
-                    },
-                },
-            ));
-        }
-        BankAction::ReadMem { line } => {
-            // Touch the RDRAM page state (so page-locality stays warm),
-            // then return the data synchronously. The detailed path
-            // reads version/directory at data-return time; with zero
-            // latency "now" and "return time" coincide.
-            let bank = lane.bank_of(line);
-            lane.node.mem.access(bank, t, line);
-            let version = lane.node.mem.version(bank, line);
-            let remote = lane.node.mem.directory(bank, line).summary();
-            q.push_back(WarmWork::Bank(
-                li,
-                t,
-                CacheEvent {
-                    bank,
-                    ev: BankEvent::MemData {
-                        line,
-                        version,
-                        remote,
-                    },
-                },
-            ));
-        }
-        BankAction::WriteMem { line, version } => {
-            let bank = lane.bank_of(line);
-            let nd = &mut lane.node;
-            nd.mem.write(bank, t, line, version);
-            nd.ras.on_home_write(line, version);
-        }
-        BankAction::RemoteReq { slot: _, line, req } => {
-            let home = NodeId(sh.home_of(line) as u16);
-            q.push_back(WarmWork::Eng(
-                li,
-                t,
-                EngineEvent::Remote(RemoteIn::LocalReq { line, req, home }),
-            ));
-        }
-        BankAction::RemoteWb { line, version } => {
-            let home = NodeId(sh.home_of(line) as u16);
-            q.push_back(WarmWork::Eng(
-                li,
-                t,
-                EngineEvent::Remote(RemoteIn::LocalWb {
-                    line,
-                    version,
-                    home,
-                }),
-            ));
-        }
-        BankAction::HomeInvalRemote { line } => {
-            q.push_back(WarmWork::Eng(
-                li,
-                t,
-                EngineEvent::Home(HomeIn::LocalInvalRemotes { line }),
-            ));
-        }
-        BankAction::HomeRecall { slot: _, line, req } => {
-            q.push_back(WarmWork::Eng(
-                li,
-                t,
-                EngineEvent::Home(HomeIn::LocalRecall { line, req }),
-            ));
-        }
-        BankAction::ExportReply {
-            line,
-            version,
-            dirty,
-            cached,
-        } => {
-            let ev = if sh.home_of(line) == li {
-                EngineEvent::Home(HomeIn::ExportReply {
-                    line,
-                    version,
-                    dirty,
-                    cached,
-                })
-            } else {
-                EngineEvent::Remote(RemoteIn::ExportReply {
-                    line,
-                    version,
-                    dirty,
-                    cached,
-                })
-            };
-            q.push_back(WarmWork::Eng(li, t, ev));
-        }
-    }
-}
-
-fn warm_engine_action(
-    lanes: &mut [NodeLane],
-    sh: &LaneShared<'_>,
-    q: &mut VecDeque<WarmWork>,
-    li: usize,
-    t: SimTime,
-    a: EngineAction,
-) {
-    match a {
-        EngineAction::Send { to, msg } => {
-            // Cross-node protocol message, delivered with zero latency:
-            // in warm mode the network exists only to carry state.
-            assert_ne!(
-                to.index(),
-                li,
-                "protocol engine on node {li} sent itself a network message"
-            );
-            let dest = to.index();
-            let is_home = sh.home_of(msg.line()) == dest;
-            let from = NodeId(li as u16);
-            let ev = if is_home {
-                EngineEvent::Home(HomeIn::Msg { from, msg })
-            } else {
-                EngineEvent::Remote(RemoteIn::Msg { from, msg })
-            };
-            q.push_back(WarmWork::Eng(dest, t, ev));
-        }
-        EngineAction::Export { line, excl } => {
-            let bank = lanes[li].bank_of(line);
-            q.push_back(WarmWork::Bank(
-                li,
-                t,
-                CacheEvent {
-                    bank,
-                    ev: BankEvent::Export { line, excl },
-                },
-            ));
-        }
-        EngineAction::Fill {
-            line,
-            excl,
-            version,
-            source,
-        } => {
-            let bank = lanes[li].bank_of(line);
-            let grant = if excl { Mesi::Exclusive } else { Mesi::Shared };
-            q.push_back(WarmWork::Bank(
-                li,
-                t,
-                CacheEvent {
-                    bank,
-                    ev: BankEvent::RemoteFill {
-                        line,
-                        grant,
-                        version,
-                        source,
-                    },
-                },
-            ));
-        }
-        EngineAction::Purge { line } => {
-            let bank = lanes[li].bank_of(line);
-            q.push_back(WarmWork::Bank(
-                li,
-                t,
-                CacheEvent {
-                    bank,
-                    ev: BankEvent::InvalAll { line },
-                },
-            ));
-        }
-        EngineAction::MemWrite { line, version } => {
-            let lane = &mut lanes[li];
-            let bank = lane.bank_of(line);
-            let nd = &mut lane.node;
-            nd.mem.write(bank, t, line, version);
-            nd.ras.on_home_write(line, version);
-        }
-    }
-}
-
-/// One warm step of one CPU: advance it up to the cluster quantum, then
-/// resolve everything it issued synchronously through the real cache /
-/// directory / protocol state machinery. Returns the instructions
-/// retired and whether the step made any progress (retired, issued, or
-/// finished its stream).
-fn warm_step(
-    lanes: &mut [NodeLane],
-    sh: &LaneShared<'_>,
-    q: &mut VecDeque<WarmWork>,
-    scratch: &mut WarmScratch,
-    li: usize,
-    cpu: usize,
-) -> (u64, bool) {
-    let lane = &mut lanes[li];
-    // Keep simulated time consistent for the RDRAM page-state updates:
-    // the step happens at the core's own cycle clock (never before the
-    // lane's last detailed event).
-    let t = sh
-        .cycle_to_time(lane.node.cpus.core(cpu).now_cycle())
-        .max(lane.events.now());
-    let mut port = std::mem::take(&mut lane.cpu_port);
-    let retired = {
+impl Warm {
+    /// One warm step of one CPU: advance it up to the cluster quantum,
+    /// then resolve each request it issued, in issue order, through the
+    /// real cache / directory / protocol state machinery. Returns the
+    /// instructions retired and whether the step made any progress
+    /// (retired, issued, or finished its stream).
+    fn step(
+        &mut self,
+        lanes: &mut [NodeLane],
+        sh: &LaneShared<'_>,
+        li: usize,
+        cpu: usize,
+    ) -> (u64, bool) {
+        let lane = &mut lanes[li];
+        // Keep simulated time consistent for the RDRAM page-state
+        // updates: the step happens at the core's own cycle clock (never
+        // before the lane's last detailed event).
+        let t = sh
+            .cycle_to_time(lane.node.cpus.core(cpu).now_cycle())
+            .max(lane.events.now());
         let NodeLane {
             node,
             versions,
@@ -406,62 +128,314 @@ fn warm_step(
             enabled: sc.cpu_enabled(CpuId(cpu as u8)),
             fill_cycle: 0,
         };
-        cpus.handle(t, CpuEvent::WarmStep { cpu }, ctx, &mut port);
-        cpus.core(cpu).stats().instrs - before
-    };
-    lane.instrs_retired += retired;
-    scratch.issues.clear();
-    let mut finished = false;
-    for (_, act) in port.drain() {
-        match act {
-            CpuAction::Issue { at_cycle, req, .. } => scratch.issues.push((at_cycle, req)),
-            // The warm loop re-steps CPUs itself; wakes are implicit.
-            CpuAction::Wake { .. } => {}
-            CpuAction::Finished { .. } => finished = true,
+        let finished = cpus.step(cpu, true, ctx, &mut self.issues) == Some(CoreStatus::Done);
+        let retired = cpus.core(cpu).stats().instrs - before;
+        lane.instrs_retired += retired;
+        if finished {
+            lane.unfinished -= 1;
+        }
+        // A zero-retirement step that discovers stream completion (the
+        // stream ended inside the previous detailed window, with the
+        // final `Finished` deferred to this step) still counts as
+        // progress: it moved `unfinished` toward the loop's exit.
+        let progressed = retired > 0 || !self.issues.is_empty() || finished;
+        for i in 0..self.issues.len() {
+            let (at_cycle, req) = self.issues[i];
+            let slot = Slot::new(CpuId(cpu as u8), req.kind);
+            self.inflight = Some(InFlight {
+                lane: li,
+                slot,
+                line: req.line,
+                id: req.id,
+            });
+            let lane = &lanes[li];
+            self.q.push_back(WarmWork::Bank(
+                li,
+                sh.cycle_to_time(at_cycle).max(t),
+                CacheEvent {
+                    bank: lane.bank_of(req.line),
+                    ev: BankEvent::Miss {
+                        slot,
+                        req: req.req,
+                        line: req.line,
+                        home_local: sh.home_of(req.line) == li,
+                        store_version: req.store_version,
+                    },
+                },
+            ));
+            self.drain(lanes, sh);
+            assert!(
+                self.inflight.is_none(),
+                "warm miss for {slot} {} on node {li} left unresolved",
+                req.line
+            );
+        }
+        self.issues.clear();
+        (retired, progressed)
+    }
+
+    /// Resolve queued warm work until the queue is empty. Mirrors the
+    /// action routing of `dispatch.rs` arm for arm, minus everything
+    /// that only exists for timing (ICS transfers, occupancy servers,
+    /// calendar scheduling, probe spans, fault hooks).
+    fn drain(&mut self, lanes: &mut [NodeLane], sh: &LaneShared<'_>) {
+        while let Some(w) = self.q.pop_front() {
+            match w {
+                WarmWork::Bank(li, t, ce) => {
+                    lanes[li].node.caches.handle_into(ce, &mut self.bank);
+                    let mut acts = std::mem::take(&mut self.bank);
+                    for a in acts.drain(..) {
+                        self.bank_action(lanes, sh, li, t, a);
+                    }
+                    self.bank = acts;
+                }
+                WarmWork::Eng(li, t, ev) => {
+                    let Node { engines, mem, .. } = &mut lanes[li].node;
+                    let mut dirs = NodeDirs {
+                        banks: mem.banks_mut(),
+                    };
+                    engines.handle_into(ev, &mut dirs, &mut self.eng);
+                    let mut acts = std::mem::take(&mut self.eng);
+                    for a in acts.drain(..) {
+                        self.engine_action(lanes, sh, li, t, a);
+                    }
+                    self.eng = acts;
+                }
+            }
         }
     }
-    lane.cpu_port = port;
-    if finished {
-        lane.unfinished -= 1;
-    }
-    // A zero-retirement step that discovers stream completion (the
-    // stream ended inside the previous detailed window, with the final
-    // `Finished` deferred to this step) still counts as progress: it
-    // moved `unfinished` toward the loop's exit condition.
-    let progressed = retired > 0 || !scratch.issues.is_empty() || finished;
-    // Detach the issue list so `scratch` stays free for the queue
-    // drain below; hand the buffer back afterwards to keep capacity.
-    let mut issues = std::mem::take(&mut scratch.issues);
-    for (at_cycle, req) in issues.drain(..) {
-        let ti = sh.cycle_to_time(at_cycle).max(t);
-        let lane = &mut lanes[li];
-        let slot = Slot::new(CpuId(cpu as u8), req.kind);
-        let prev = lane.outstanding.insert((slot, req.line), req.id);
+
+    /// Deliver a grant to the request in flight, at the core's
+    /// *current* cycle — zero stall, which is what makes warming
+    /// timing-free while the L1 fill/victim machinery runs for real.
+    /// The warm loop re-steps every CPU itself, so no wake is needed.
+    fn fill(&mut self, lane: &mut NodeLane, slot: Slot, line: LineAddr, source: FillSource) {
+        let li = lane.index;
+        let f = self.inflight.take().unwrap_or_else(|| {
+            panic!("warm grant without a request in flight: {slot} {line} on node {li}")
+        });
         assert!(
-            prev.is_none(),
-            "duplicate outstanding warm request for {slot} {}",
-            req.line
+            (f.lane, f.slot, f.line) == (li, slot, line),
+            "warm grant for {slot} {line} on node {li} does not match the request \
+             in flight ({} {} on node {})",
+            f.slot,
+            f.line,
+            f.lane
         );
-        let bank = lane.bank_of(req.line);
-        let home_local = sh.home_of(req.line) == li;
-        q.push_back(WarmWork::Bank(
-            li,
-            ti,
-            CacheEvent {
-                bank,
-                ev: BankEvent::Miss {
-                    slot,
-                    req: req.req,
-                    line: req.line,
-                    home_local,
-                    store_version: req.store_version,
-                },
-            },
-        ));
-        drain_warm_queue(lanes, sh, q, scratch);
+        let core = lane.node.cpus.core_mut(slot.cpu().index());
+        let at = core.now_cycle();
+        core.fill(f.id, at, source);
     }
-    scratch.issues = issues;
-    (retired, progressed)
+
+    fn bank_action(
+        &mut self,
+        lanes: &mut [NodeLane],
+        sh: &LaneShared<'_>,
+        li: usize,
+        t: SimTime,
+        a: BankAction,
+    ) {
+        let lane = &mut lanes[li];
+        let q = &mut self.q;
+        match a {
+            BankAction::Grant {
+                slot, line, source, ..
+            } => self.fill(lane, slot, line, source),
+            // Pure ICS header traffic in detailed mode; the L1 state
+            // change already happened inside the bank handler.
+            BankAction::Inval { .. } | BankAction::Downgrade { .. } => {}
+            BankAction::VictimDisplaced {
+                slot,
+                line,
+                state,
+                version,
+            } => {
+                let bank = lane.bank_of(line);
+                q.push_back(WarmWork::Bank(
+                    li,
+                    t,
+                    CacheEvent {
+                        bank,
+                        ev: BankEvent::Victim {
+                            slot,
+                            line,
+                            state,
+                            version,
+                        },
+                    },
+                ));
+            }
+            BankAction::ReadMem { line } => {
+                // Touch the RDRAM page state (so page-locality stays
+                // warm), then return the data synchronously. The
+                // detailed path reads version/directory at data-return
+                // time; with zero latency "now" and "return time"
+                // coincide.
+                let bank = lane.bank_of(line);
+                lane.node.mem.access(bank, t, line);
+                let version = lane.node.mem.version(bank, line);
+                let remote = lane.node.mem.directory(bank, line).summary();
+                q.push_back(WarmWork::Bank(
+                    li,
+                    t,
+                    CacheEvent {
+                        bank,
+                        ev: BankEvent::MemData {
+                            line,
+                            version,
+                            remote,
+                        },
+                    },
+                ));
+            }
+            BankAction::WriteMem { line, version } => {
+                let bank = lane.bank_of(line);
+                let nd = &mut lane.node;
+                nd.mem.write(bank, t, line, version);
+                nd.ras.on_home_write(line, version);
+            }
+            BankAction::RemoteReq { slot: _, line, req } => {
+                let home = NodeId(sh.home_of(line) as u16);
+                q.push_back(WarmWork::Eng(
+                    li,
+                    t,
+                    EngineEvent::Remote(RemoteIn::LocalReq { line, req, home }),
+                ));
+            }
+            BankAction::RemoteWb { line, version } => {
+                let home = NodeId(sh.home_of(line) as u16);
+                q.push_back(WarmWork::Eng(
+                    li,
+                    t,
+                    EngineEvent::Remote(RemoteIn::LocalWb {
+                        line,
+                        version,
+                        home,
+                    }),
+                ));
+            }
+            BankAction::HomeInvalRemote { line } => {
+                q.push_back(WarmWork::Eng(
+                    li,
+                    t,
+                    EngineEvent::Home(HomeIn::LocalInvalRemotes { line }),
+                ));
+            }
+            BankAction::HomeRecall { slot: _, line, req } => {
+                q.push_back(WarmWork::Eng(
+                    li,
+                    t,
+                    EngineEvent::Home(HomeIn::LocalRecall { line, req }),
+                ));
+            }
+            BankAction::ExportReply {
+                line,
+                version,
+                dirty,
+                cached,
+            } => {
+                let ev = if sh.home_of(line) == li {
+                    EngineEvent::Home(HomeIn::ExportReply {
+                        line,
+                        version,
+                        dirty,
+                        cached,
+                    })
+                } else {
+                    EngineEvent::Remote(RemoteIn::ExportReply {
+                        line,
+                        version,
+                        dirty,
+                        cached,
+                    })
+                };
+                q.push_back(WarmWork::Eng(li, t, ev));
+            }
+        }
+    }
+
+    fn engine_action(
+        &mut self,
+        lanes: &mut [NodeLane],
+        sh: &LaneShared<'_>,
+        li: usize,
+        t: SimTime,
+        a: EngineAction,
+    ) {
+        let q = &mut self.q;
+        match a {
+            EngineAction::Send { to, msg } => {
+                // Cross-node protocol message, delivered with zero
+                // latency: in warm mode the network exists only to
+                // carry state.
+                assert_ne!(
+                    to.index(),
+                    li,
+                    "protocol engine on node {li} sent itself a network message"
+                );
+                let dest = to.index();
+                let is_home = sh.home_of(msg.line()) == dest;
+                let from = NodeId(li as u16);
+                let ev = if is_home {
+                    EngineEvent::Home(HomeIn::Msg { from, msg })
+                } else {
+                    EngineEvent::Remote(RemoteIn::Msg { from, msg })
+                };
+                q.push_back(WarmWork::Eng(dest, t, ev));
+            }
+            EngineAction::Export { line, excl } => {
+                let bank = lanes[li].bank_of(line);
+                q.push_back(WarmWork::Bank(
+                    li,
+                    t,
+                    CacheEvent {
+                        bank,
+                        ev: BankEvent::Export { line, excl },
+                    },
+                ));
+            }
+            EngineAction::Fill {
+                line,
+                excl,
+                version,
+                source,
+            } => {
+                let bank = lanes[li].bank_of(line);
+                let grant = if excl { Mesi::Exclusive } else { Mesi::Shared };
+                q.push_back(WarmWork::Bank(
+                    li,
+                    t,
+                    CacheEvent {
+                        bank,
+                        ev: BankEvent::RemoteFill {
+                            line,
+                            grant,
+                            version,
+                            source,
+                        },
+                    },
+                ));
+            }
+            EngineAction::Purge { line } => {
+                let bank = lanes[li].bank_of(line);
+                q.push_back(WarmWork::Bank(
+                    li,
+                    t,
+                    CacheEvent {
+                        bank,
+                        ev: BankEvent::InvalAll { line },
+                    },
+                ));
+            }
+            EngineAction::MemWrite { line, version } => {
+                let lane = &mut lanes[li];
+                let bank = lane.bank_of(line);
+                let nd = &mut lane.node;
+                nd.mem.write(bank, t, line, version);
+                nd.ras.on_home_write(line, version);
+            }
+        }
+    }
 }
 
 impl Machine {
@@ -558,8 +532,11 @@ impl Machine {
             cfg, lanes, clock, ..
         } = self;
         let sh = LaneShared::new(cfg, lanes.len());
-        let mut q: VecDeque<WarmWork> = VecDeque::new();
-        let mut scratch = WarmScratch::default();
+        assert!(
+            lanes.iter().all(|l| l.outstanding.is_empty()),
+            "functional warming started with detailed requests in flight"
+        );
+        let mut warm = Warm::default();
         let mut total: u64 = lanes.iter().map(|l| l.instrs_retired).sum();
         'outer: while total < target {
             if lanes.iter().map(|l| l.unfinished).sum::<usize>() == 0 {
@@ -574,7 +551,7 @@ impl Machine {
                             continue;
                         }
                     }
-                    let (retired, p) = warm_step(lanes, &sh, &mut q, &mut scratch, li, cpu);
+                    let (retired, p) = warm.step(lanes, &sh, li, cpu);
                     total += retired;
                     progressed |= p;
                     if total >= target {
@@ -690,6 +667,11 @@ impl Machine {
         let ncpus = self.cfg.total_cpus() as u64;
         let limit = budget.map(|b| self.total_instrs().saturating_add(b.saturating_mul(ncpus)));
         let n_cores = self.cpu_stats().len();
+        let host_hist = |name: &str| self.probe.is_enabled().then(|| self.probe.histogram(name));
+        let (warm_host_ns, detailed_host_ns) = (
+            host_hist("sample.warm_host_ns"),
+            host_hist("sample.detailed_host_ns"),
+        );
         let mut target = SampledTarget {
             m: self,
             ncpus,
@@ -698,6 +680,8 @@ impl Machine {
             wall_cycles: 0,
             detailed_cycles: 0,
             warming_cycles: 0,
+            warm_host_ns,
+            detailed_host_ns,
         };
         let est = SampleDriver::new(sample).run(&mut target);
         let SampledTarget {
@@ -739,6 +723,22 @@ struct SampledTarget<'a> {
     wall_cycles: u64,
     detailed_cycles: u64,
     warming_cycles: u64,
+    /// Host time of each warming phase and each detailed window, when
+    /// a probe is attached (`None` otherwise: no clock is read).
+    warm_host_ns: Option<HistogramHandle>,
+    detailed_host_ns: Option<HistogramHandle>,
+}
+
+/// Read the host clock only when there is a histogram to record into.
+fn host_clock(hist: &Option<HistogramHandle>) -> Option<Instant> {
+    hist.as_ref().map(|_| Instant::now())
+}
+
+/// Record the host nanoseconds since `t0` into `hist`, if both exist.
+fn record_host_ns(hist: &Option<HistogramHandle>, t0: Option<Instant>) {
+    if let (Some(h), Some(t0)) = (hist, t0) {
+        h.record(t0.elapsed().as_nanos() as u64);
+    }
 }
 
 impl SampledTarget<'_> {
@@ -762,12 +762,15 @@ impl SampleTarget for SampledTarget<'_> {
             return 0;
         }
         let c0 = self.m.total_core_cycles();
+        let t0 = host_clock(&self.warm_host_ns);
         self.m.warm_until_total(target);
+        record_host_ns(&self.warm_host_ns, t0);
         self.warming_cycles += self.m.total_core_cycles() - c0;
         self.m.total_instrs() - start
     }
 
     fn detailed_window(&mut self, lead: u64, measure: u64) -> WindowSample {
+        let t0 = host_clock(&self.detailed_host_ns);
         let c0 = self.m.total_core_cycles();
         // Unmeasured lead-in: re-establish queue/MLP timing state that
         // functional warming does not model.
@@ -798,6 +801,7 @@ impl SampleTarget for SampledTarget<'_> {
         }
         self.wall_cycles += wall;
         self.detailed_cycles += self.m.total_core_cycles() - c0;
+        record_host_ns(&self.detailed_host_ns, t0);
         s
     }
 

@@ -17,6 +17,7 @@ use piranha_kernel::Prng;
 use piranha_types::Addr;
 
 use crate::layout::Layout;
+use crate::OpBuf;
 
 /// Tuning knobs of the DSS scan engine.
 #[derive(Debug, Clone)]
@@ -75,7 +76,7 @@ pub struct DssStream {
     chunk_lines: u64,
     chunk_base_line: u64,
     slave: usize,
-    queue: std::collections::VecDeque<StreamOp>,
+    queue: OpBuf,
     pc_off: u64,
     since_branch: u64,
     lines_scanned: u64,
@@ -108,7 +109,7 @@ impl DssStream {
             chunk_lines,
             chunk_base_line,
             slave: 0,
-            queue: std::collections::VecDeque::new(),
+            queue: OpBuf::default(),
             pc_off: 0,
             since_branch: 0,
             lines_scanned: 0,

@@ -43,7 +43,7 @@ pub use oltp::{OltpConfig, OltpStream};
 pub use synth::{SynthConfig, SynthStream};
 pub use web::{WebConfig, WebStream};
 
-use piranha_cpu::InstrStream;
+use piranha_cpu::{InstrStream, StreamOp};
 
 /// The workloads of the paper's evaluation, plus the synthetic stream.
 #[derive(Debug, Clone)]
@@ -91,5 +91,75 @@ impl Workload {
             Workload::Synth(_) => "SYNTH",
             Workload::Web(_) => "WEB",
         }
+    }
+}
+
+/// The ops of one generated unit of work (a transaction, a scanned
+/// line, a query), read front to back. The generators refill it only
+/// once it has been read out, so a `Vec` with a read cursor does the
+/// work of a ring buffer with none of its index wrapping.
+#[derive(Debug, Default)]
+pub(crate) struct OpBuf {
+    ops: Vec<StreamOp>,
+    next: usize,
+}
+
+impl OpBuf {
+    /// Whether every op pushed so far has been read.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.next == self.ops.len()
+    }
+
+    /// Append `op`. Once every op pushed has been read, the buffer
+    /// starts over from the front, so it never grows past one unit.
+    pub(crate) fn push_back(&mut self, op: StreamOp) {
+        if self.is_empty() {
+            self.ops.clear();
+            self.next = 0;
+        }
+        self.ops.push(op);
+    }
+
+    /// The oldest unread op.
+    pub(crate) fn pop_front(&mut self) -> Option<StreamOp> {
+        let op = self.ops.get(self.next).copied();
+        self.next += usize::from(op.is_some());
+        op
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use piranha_cpu::OpKind;
+    use piranha_types::Addr;
+
+    fn op(pc: u64) -> StreamOp {
+        StreamOp {
+            pc: Addr(pc),
+            kind: OpKind::Alu {
+                mul: false,
+                dep1: 0,
+                dep2: 0,
+            },
+        }
+    }
+
+    #[test]
+    fn op_buf_is_a_fifo_across_refills() {
+        let mut b = OpBuf::default();
+        assert!(b.is_empty());
+        assert_eq!(b.pop_front(), None);
+        b.push_back(op(1));
+        b.push_back(op(2));
+        assert_eq!(b.pop_front(), Some(op(1)));
+        b.push_back(op(3));
+        assert_eq!(b.pop_front(), Some(op(2)));
+        assert_eq!(b.pop_front(), Some(op(3)));
+        assert!(b.is_empty());
+        assert_eq!(b.pop_front(), None);
+        b.push_back(op(4));
+        assert_eq!(b.ops.len(), 1, "read-out space is reused");
+        assert_eq!(b.pop_front(), Some(op(4)));
     }
 }

@@ -27,6 +27,7 @@ use piranha_kernel::Prng;
 use piranha_types::Addr;
 
 use crate::layout::{Layout, Region};
+use crate::OpBuf;
 
 /// Tuning knobs of the OLTP engine.
 #[derive(Debug, Clone)]
@@ -153,7 +154,7 @@ pub struct OltpStream {
     rng: Prng,
     procs: Vec<Process>,
     current: usize,
-    queue: std::collections::VecDeque<StreamOp>,
+    queue: OpBuf,
     /// Current instruction-fetch position.
     pc: Addr,
     /// Instructions left in the current basic-block run.
@@ -196,7 +197,7 @@ impl OltpStream {
             rng,
             procs,
             current: 0,
-            queue: std::collections::VecDeque::new(),
+            queue: OpBuf::default(),
             pc,
             run_left: 16,
             since_branch: 0,

@@ -19,6 +19,7 @@ use piranha_kernel::Prng;
 use piranha_types::Addr;
 
 use crate::layout::Layout;
+use crate::OpBuf;
 
 /// Tuning knobs of the web-search engine.
 #[derive(Debug, Clone)]
@@ -67,7 +68,7 @@ pub struct WebStream {
     code_base: Addr,
     index_base: Addr,
     meta_base: Addr,
-    queue: std::collections::VecDeque<StreamOp>,
+    queue: OpBuf,
     pc_off: u64,
     since_branch: u64,
     chain_gap: u32,
@@ -93,7 +94,7 @@ impl WebStream {
             code_base: code.base,
             index_base: index.base,
             meta_base: meta.base,
-            queue: std::collections::VecDeque::new(),
+            queue: OpBuf::default(),
             pc_off: 0,
             since_branch: 0,
             chain_gap: 1,

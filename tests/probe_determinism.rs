@@ -45,7 +45,7 @@ fn probed(req: &RunRequest, level: TraceLevel) -> (RunResult, Probe) {
 /// Probe off, probe at metrics-only level, and probe at full span
 /// tracing all produce the same simulated results, bit for bit — in
 /// full detail and under sampling, where the `SampleEstimate` must match
-/// too.
+/// too and the probe records the warm/detailed host-time split.
 #[test]
 fn probe_never_perturbs_the_simulation() {
     let sampled = RunRequest {
@@ -80,6 +80,23 @@ fn probe_never_perturbs_the_simulation() {
         let digest = |r: &RunResult| r.sample.as_ref().map(|e| e.digest());
         assert_eq!(digest(&bare), digest(&traced), "sample estimate changed");
         assert_eq!(digest(&bare).is_some(), req.sample.is_some());
+        // Under sampling the probe also splits host time between the
+        // regimes: one detailed sample per measured window, and at
+        // least the initial warming phase.
+        let count = |name: &str| {
+            metrics_only
+                .metrics
+                .get(&format!("sample.{name}_host_ns.count"))
+                .and_then(|v| v.as_count())
+        };
+        match &metrics_only.sample {
+            Some(est) => {
+                assert!(est.windows > 0, "the sampled run measured windows");
+                assert_eq!(count("detailed"), Some(est.windows));
+                assert!(count("warm").is_some_and(|n| n > 0));
+            }
+            None => assert_eq!((count("detailed"), count("warm")), (None, None)),
+        }
     }
 }
 

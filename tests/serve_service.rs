@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use piranha::harness::ResultStore;
 use piranha::serve::json::Json;
-use piranha::serve::{Client, DiskStore, RunSpec, Server, ServerConfig};
+use piranha::serve::{Client, DiskStore, RunSpec, Server, ServerConfig, MAX_LINE_BYTES};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("piranha-serve-test-{tag}-{}", std::process::id()));
@@ -187,5 +187,47 @@ fn a_nesting_bomb_is_rejected_and_the_server_keeps_serving() {
         .expect("connect")
         .shutdown()
         .expect("shutdown");
+    handle.join().expect("server thread drains");
+}
+
+/// A client that never sends a newline gets an error once its line
+/// passes `MAX_LINE_BYTES`, and its connection is closed; the server
+/// keeps its memory bounded and answers the next client.
+#[test]
+fn an_overlong_request_line_is_rejected_and_the_server_keeps_serving() {
+    let (addr, handle) = spawn_server(None);
+    let conn = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut replies = BufReader::new(conn.try_clone().expect("clone socket"));
+    // Write from a second thread while this one waits for the reply:
+    // the server answers as soon as the cap is passed.
+    let mut tx = conn.try_clone().expect("clone socket");
+    let writer = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 1 << 20];
+        for _ in 0..5 {
+            if tx.write_all(&chunk).is_err() {
+                return;
+            }
+        }
+        let _ = tx.shutdown(std::net::Shutdown::Write);
+    });
+    let mut reply = String::new();
+    replies.read_line(&mut reply).expect("reply");
+    let v = Json::parse(&reply).expect("replies are JSON");
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        v.get("error").and_then(Json::as_str),
+        Some(format!("request line exceeds {MAX_LINE_BYTES} bytes").as_str())
+    );
+    let mut rest = String::new();
+    assert_eq!(
+        replies.read_line(&mut rest).unwrap_or(0),
+        0,
+        "the connection is closed after the error"
+    );
+    writer.join().expect("writer thread");
+
+    let mut client = Client::connect(&addr).expect("connect again");
+    assert!(client.ping().expect("ping") >= 1, "server still answers");
+    client.shutdown().expect("shutdown");
     handle.join().expect("server thread drains");
 }
