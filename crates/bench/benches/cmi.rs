@@ -1,7 +1,12 @@
 //! §2.5.3 ablation: cruise-missile invalidates (4 routes) versus
 //! conventional point-to-point invalidation (one message per sharer) on
-//! a 4-chip sharing storm.
-use criterion::{criterion_group, criterion_main, Criterion};
+//! an 8-chip sharing storm. Prints each case's throughput, message count
+//! and host wall time.
+//!
+//! Run with `cargo bench -p piranha-bench --bench cmi`.
+
+use std::time::Instant;
+
 use piranha::workloads::{SynthConfig, Workload};
 use piranha::{Machine, SystemConfig};
 
@@ -18,7 +23,10 @@ fn storm() -> Workload {
     })
 }
 
-fn run(routes: usize) -> (f64, u64) {
+/// One run with `routes` CMI routes: throughput in instructions/ns,
+/// network messages delivered, and host seconds taken.
+fn run(routes: usize) -> (f64, u64, f64) {
+    let t0 = Instant::now();
     // Eight chips: up to seven sharers per line, so the 4-route CMI
     // budget actually binds (with ≤5 nodes it degenerates to
     // point-to-point anyway).
@@ -26,12 +34,13 @@ fn run(routes: usize) -> (f64, u64) {
     cfg.cmi_routes = routes;
     let mut m = Machine::new(cfg, &storm());
     let r = m.run(8_000, 20_000);
-    (r.throughput_ipns(), m.network().delivered())
+    let msgs = m.network().delivered();
+    (r.throughput_ipns(), msgs, t0.elapsed().as_secs_f64())
 }
 
-fn bench(c: &mut Criterion) {
-    let (t4, m4) = run(4);
-    let (tp, mp) = run(1024); // degenerates to point-to-point invals
+fn main() {
+    let (t4, m4, s4) = run(4);
+    let (tp, mp, sp) = run(1024); // degenerates to point-to-point invals
     println!(
         "cmi: 4 routes -> {t4:.3} instrs/ns ({m4} msgs) | point-to-point -> {tp:.3} instrs/ns ({mp} msgs)"
     );
@@ -42,20 +51,6 @@ message bound itself (<=4 injected invals, <=128 buffered headers per \
 node) is structural and unit-tested in piranha-protocol::msg",
         t4 / tp
     );
-    let mut g = c.benchmark_group("cmi");
-    g.bench_function("routes4", |b| b.iter(|| std::hint::black_box(run(4))));
-    g.bench_function("point_to_point", |b| {
-        b.iter(|| std::hint::black_box(run(1024)))
-    });
-    g.finish();
+    println!("cmi/routes4: {s4:.3} s wall");
+    println!("cmi/point_to_point: {sp:.3} s wall");
 }
-
-fn cfg() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(4))
-        .warm_up_time(std::time::Duration::from_millis(500))
-}
-
-criterion_group! { name = benches; config = cfg(); targets = bench }
-criterion_main!(benches);

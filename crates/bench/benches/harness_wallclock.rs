@@ -3,31 +3,28 @@
 //! memoizing harness (`all_figures`). The memoized path runs each
 //! unique `(config, workload, scale)` tuple once and fans the unique
 //! runs out over worker threads, so the gap widens with core count.
-use criterion::{criterion_group, criterion_main, Criterion};
+//! Prints one host wall time per path.
+//!
+//! Run with `cargo bench -p piranha-bench --bench harness_wallclock`.
+
+use std::time::Instant;
+
 use piranha::experiments::{self, RunScale};
 
-fn bench(c: &mut Criterion) {
-    // Small enough for Criterion iteration, big enough that simulation
-    // dominates the harness bookkeeping.
+fn main() {
+    // Big enough that simulation dominates the harness bookkeeping.
     let scale = RunScale {
         warmup: 10_000,
         measure: 20_000,
         ..RunScale::tiny()
     };
+    let t0 = Instant::now();
     let serial = experiments::all_figures_serial(scale);
+    let serial_s = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
     let parallel = experiments::all_figures(scale);
-    assert_eq!(serial, parallel, "paths must agree before timing them");
-
-    let mut g = c.benchmark_group("all_figures");
-    g.sample_size(10);
-    g.bench_function("serial", |b| {
-        b.iter(|| std::hint::black_box(experiments::all_figures_serial(scale)))
-    });
-    g.bench_function("parallel_memoized", |b| {
-        b.iter(|| std::hint::black_box(experiments::all_figures(scale)))
-    });
-    g.finish();
+    let parallel_s = t0.elapsed().as_secs_f64();
+    assert_eq!(serial, parallel, "the two paths must agree");
+    println!("all_figures/serial: {serial_s:.2} s wall");
+    println!("all_figures/parallel_memoized: {parallel_s:.2} s wall");
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,49 +1,45 @@
-//! §2.4: RDRAM open-page behaviour — the raw channel model and the
-//! OLTP-driven page hit rate.
-use criterion::{criterion_group, criterion_main, Criterion};
+//! §2.4: RDRAM open-page behaviour — the OLTP-driven page hit rate, and
+//! the raw channel model under a strided and a random access stream.
+//! Prints each rate and each stream's host wall time.
+//!
+//! Run with `cargo bench -p piranha-bench --bench mem_pages`.
+
+use std::time::Instant;
+
+use piranha::kernel::Prng;
 use piranha::mem::{Rdram, RdramConfig};
 use piranha::types::{LineAddr, SimTime};
 use piranha::workloads::{OltpConfig, Workload};
 use piranha::{Machine, SystemConfig};
 
-fn bench(c: &mut Criterion) {
+/// Drive one 8-bank channel through 512 accesses at the lines `next`
+/// yields; print its page hit rate and the host time taken.
+fn stream(name: &str, mut next: impl FnMut(u64) -> LineAddr) {
+    let t0 = Instant::now();
+    let mut r = Rdram::new(RdramConfig::with_banks(8));
+    let mut t = SimTime::ZERO;
+    for i in 0..512u64 {
+        t = r.access(t, next(i)).full;
+    }
+    let hit_rate = r.page_hit_rate();
+    let us = t0.elapsed().as_secs_f64() * 1e6;
+    println!(
+        "mem/{name}: page hit rate {:.0}% over 512 accesses, {us:.1} µs wall",
+        hit_rate * 100.0
+    );
+}
+
+fn main() {
     let mut m = Machine::new(
         SystemConfig::piranha_p8(),
         &Workload::Oltp(OltpConfig::paper_default()),
     );
-    m.run(piranha_bench::BENCH_WARMUP, piranha_bench::BENCH_MEASURE);
+    m.run(20_000, 40_000);
     println!(
         "mem_pages: OLTP open-page hit rate {:.0}% (paper claims >50% at full block traffic)",
         m.mem_page_hit_rate() * 100.0
     );
-    c.bench_function("mem/rdram_sequential_access", |b| {
-        b.iter(|| {
-            let mut r = Rdram::new(RdramConfig::with_banks(8));
-            let mut t = SimTime::ZERO;
-            for i in 0..512u64 {
-                t = r.access(t, LineAddr(i * 8)).full;
-            }
-            std::hint::black_box(r.page_hit_rate())
-        })
-    });
-    c.bench_function("mem/rdram_random_access", |b| {
-        b.iter(|| {
-            let mut r = Rdram::new(RdramConfig::with_banks(8));
-            let mut rng = piranha::kernel::Prng::seed_from_u64(1);
-            let mut t = SimTime::ZERO;
-            for _ in 0..512 {
-                t = r.access(t, LineAddr(rng.below(1 << 20))).full;
-            }
-            std::hint::black_box(r.page_hit_rate())
-        })
-    });
+    stream("rdram_sequential_access", |i| LineAddr(i * 8));
+    let mut rng = Prng::seed_from_u64(1);
+    stream("rdram_random_access", |_| LineAddr(rng.below(1 << 20)));
 }
-
-fn cfg() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(3))
-}
-
-criterion_group! { name = benches; config = cfg(); targets = bench }
-criterion_main!(benches);

@@ -16,9 +16,8 @@
 //! smaller machines the speedups are reported but not asserted, since
 //! oversubscribed lane threads cannot beat the serial loop.
 //!
-//! Not a Criterion target on purpose: one quick-scale multi-chip run is
-//! seconds, not microseconds, so a single timed run per worker count is
-//! the right measurement (Criterion's sampling would multiply minutes).
+//! One quick-scale multi-chip run takes seconds, so a single timed run
+//! per worker count is the measurement.
 
 use std::time::Instant;
 

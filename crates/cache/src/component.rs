@@ -1,13 +1,14 @@
 //! The cache-complex component adapter.
 //!
 //! One node's L1 set, interleaved L2 banks, and the bank occupancy
-//! servers, behind the kernel's [`Component`] interface. The complex is
-//! pure coherence-state logic: a [`CacheEvent`] names a bank and the
-//! [`BankEvent`] to run through it, and every resulting [`BankAction`]
-//! comes back out the port at the event's own time — latency (bank
-//! occupancy, ICS transfers, memory reads) is charged by the wiring.
+//! servers, behind one handler, [`CacheComplex::handle_into`]. The
+//! complex is pure coherence-state logic: a [`CacheEvent`] names a bank
+//! and the [`BankEvent`] to run through it, and every resulting
+//! [`BankAction`] is appended to the caller's buffer, to be applied at
+//! the event's own time — latency (bank occupancy, ICS transfers,
+//! memory reads) is charged by the wiring.
 
-use piranha_kernel::{Component, Port, Server};
+use piranha_kernel::Server;
 use piranha_types::{Duration, SimTime};
 
 use crate::{BankAction, BankEvent, DupTags, L1Set, L2Bank};
@@ -28,8 +29,6 @@ pub struct CacheComplex {
     l1s: L1Set,
     banks: Vec<L2Bank>,
     bank_srv: Vec<Server>,
-    /// Reused buffer the banks append their actions to.
-    actions: Vec<BankAction>,
 }
 
 impl CacheComplex {
@@ -40,7 +39,6 @@ impl CacheComplex {
             l1s,
             banks,
             bank_srv,
-            actions: Vec::new(),
         }
     }
 
@@ -81,23 +79,10 @@ impl CacheComplex {
         self.bank_srv.iter().map(|s| s.jobs()).sum()
     }
 
-    /// Run `event` through its bank, appending the actions to `out`:
-    /// the port-free form of [`Component::handle`] for callers that
-    /// apply the actions themselves and reuse one buffer.
+    /// Run `event` through its bank, appending the actions to `out` in
+    /// the order the bank produces them. A caller that reuses one
+    /// buffer allocates nothing per event.
     pub fn handle_into(&mut self, event: CacheEvent, out: &mut Vec<BankAction>) {
         self.banks[event.bank].handle_into(event.ev, &mut self.l1s, out);
-    }
-}
-
-impl Component for CacheComplex {
-    type Event = CacheEvent;
-    type Action = BankAction;
-    type Ctx<'a> = ();
-
-    fn handle(&mut self, now: SimTime, event: CacheEvent, _ctx: (), out: &mut Port<BankAction>) {
-        self.banks[event.bank].handle_into(event.ev, &mut self.l1s, &mut self.actions);
-        for act in self.actions.drain(..) {
-            out.emit(now, act);
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Regenerators for every table and figure in the paper's evaluation
 //! (§4). Each function runs the relevant configurations and returns the
-//! same rows/series the paper reports; the `fig*`/`table*` binaries and
-//! the Criterion benches print them.
+//! same rows/series the paper reports; the `fig*`/`table*` binaries
+//! print them.
 //!
 //! Absolute numbers will not match the paper (our substrate is a
 //! from-scratch simulator with synthetic workloads), but the *shape* —

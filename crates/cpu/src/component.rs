@@ -1,15 +1,14 @@
 //! The CPU-cluster component adapter.
 //!
-//! Wraps one node's cores and instruction streams behind the kernel's
-//! [`Component`] interface: the wiring delivers [`CpuEvent`]s (step,
-//! fill) and receives [`CpuAction`]s (memory requests, reschedules,
-//! completion) through the output port, in exactly the order the cores
+//! Wraps one node's cores and instruction streams behind one handler,
+//! [`CpuCluster::handle`]: the wiring delivers [`CpuEvent`]s (step,
+//! fill) and gets back [`CpuAction`]s (memory requests, reschedules,
+//! completion) appended to its buffer, in exactly the order the cores
 //! produce them. Clock-domain conversion, ICS transfer charging, and L2
 //! routing stay outside — the cluster speaks only core cycles.
 
 use piranha_cache::L1Set;
-use piranha_kernel::{Component, Port};
-use piranha_types::{CpuId, FillSource, SimTime};
+use piranha_types::{CpuId, FillSource};
 
 use crate::{CoreCtx, CoreModel, CoreStatus, InstrStream, MemReq};
 
@@ -208,45 +207,127 @@ impl CpuCluster {
         }
         Some(status)
     }
-}
 
-impl Component for CpuCluster {
-    type Event = CpuEvent;
-    type Action = CpuAction;
-    type Ctx<'a> = CpuCtx<'a>;
-
-    fn handle(
-        &mut self,
-        now: SimTime,
-        event: CpuEvent,
-        ctx: CpuCtx<'_>,
-        out: &mut Port<CpuAction>,
-    ) {
+    /// Handle one event, appending the resulting actions to `out`: on
+    /// [`CpuEvent::Step`] every request the step issued, in issue
+    /// order, then the `Wake` (still runnable) or `Finished` (stream
+    /// ended); on [`CpuEvent::Fill`] one immediate `Wake`.
+    pub fn handle(&mut self, event: CpuEvent, ctx: CpuCtx<'_>, out: &mut Vec<CpuAction>) {
         match event {
             CpuEvent::Step { cpu } => {
                 let mut reqs = std::mem::take(&mut self.req_buf);
                 debug_assert!(reqs.is_empty());
                 let status = self.step(cpu, false, ctx, &mut reqs);
-                for (at_cycle, req) in reqs.drain(..) {
-                    out.emit(now, CpuAction::Issue { cpu, at_cycle, req });
-                }
+                out.extend(reqs.drain(..).map(|(at_cycle, req)| CpuAction::Issue {
+                    cpu,
+                    at_cycle,
+                    req,
+                }));
                 self.req_buf = reqs;
                 match status {
-                    Some(CoreStatus::Runnable) => out.emit(
-                        now,
-                        CpuAction::Wake {
-                            cpu,
-                            at_cycle: self.cores[cpu].now_cycle(),
-                        },
-                    ),
-                    Some(CoreStatus::Done) => out.emit(now, CpuAction::Finished { cpu }),
+                    Some(CoreStatus::Runnable) => out.push(CpuAction::Wake {
+                        cpu,
+                        at_cycle: self.cores[cpu].now_cycle(),
+                    }),
+                    Some(CoreStatus::Done) => out.push(CpuAction::Finished { cpu }),
                     Some(CoreStatus::Blocked) | None => {}
                 }
             }
             CpuEvent::Fill { cpu, id, source } => {
                 self.cores[cpu].fill(id, ctx.fill_cycle, source);
-                out.emit(now, CpuAction::Wake { cpu, at_cycle: 0 });
+                out.push(CpuAction::Wake { cpu, at_cycle: 0 });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use piranha_cache::{L1Config, Mesi};
+    use piranha_types::Addr;
+
+    use super::*;
+    use crate::{InOrderConfig, InOrderCore, OpKind, StreamOp};
+
+    /// A one-CPU cluster over `ops`, with a 10-instruction quantum and
+    /// the instruction line at PC 0 already in its L1.
+    fn cluster(ops: Vec<OpKind>) -> (CpuCluster, L1Set) {
+        let mut ops = ops.into_iter().map(|kind| StreamOp { pc: Addr(0), kind });
+        let stream: Box<dyn InstrStream> = Box::new(move || ops.next());
+        let core: Box<dyn CoreModel> = Box::new(InOrderCore::new(InOrderConfig::paper_default()));
+        let mut l1s = L1Set::new(1, L1Config::paper_default());
+        l1s.pair_mut(CpuId(0))
+            .0
+            .fill(Addr(0).line(), Mesi::Shared, 0);
+        (CpuCluster::new(vec![core], vec![stream], 10), l1s)
+    }
+
+    fn handle(cpus: &mut CpuCluster, l1s: &mut L1Set, ev: CpuEvent) -> Vec<CpuAction> {
+        let mut versions = 0;
+        let ctx = CpuCtx {
+            l1s,
+            versions: &mut versions,
+            version_stride: 1,
+            enabled: true,
+            fill_cycle: 0,
+        };
+        let mut out = Vec::new();
+        cpus.handle(ev, ctx, &mut out);
+        out
+    }
+
+    const ALU: OpKind = OpKind::Alu {
+        mul: false,
+        dep1: 0,
+        dep2: 0,
+    };
+
+    #[test]
+    fn a_step_appends_its_issues_in_order_then_the_wake() {
+        // Two store misses the store buffer lets past the core, then
+        // more ALU work than one quantum retires.
+        let mut ops = vec![
+            OpKind::Store { addr: Addr(0x80) },
+            OpKind::Store { addr: Addr(0xc0) },
+        ];
+        ops.extend([ALU; 20]);
+        let (mut cpus, mut l1s) = cluster(ops);
+        let out = handle(&mut cpus, &mut l1s, CpuEvent::Step { cpu: 0 });
+        let issued: Vec<_> = out
+            .iter()
+            .filter_map(|a| match a {
+                CpuAction::Issue { cpu: 0, req, .. } => Some(req.line),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(issued, [Addr(0x80).line(), Addr(0xc0).line()]);
+        assert_eq!(out.len(), 3, "{out:?}");
+        let now = cpus.core(0).now_cycle();
+        assert!(
+            matches!(out[2], CpuAction::Wake { cpu: 0, at_cycle } if at_cycle == now),
+            "{out:?}"
+        );
+
+        // A fill appends exactly one immediate wake.
+        let CpuAction::Issue { req, .. } = out[0] else {
+            unreachable!()
+        };
+        let fill = CpuEvent::Fill {
+            cpu: 0,
+            id: req.id,
+            source: FillSource::LocalMem,
+        };
+        let out = handle(&mut cpus, &mut l1s, fill);
+        assert_eq!(format!("{out:?}"), "[Wake { cpu: 0, at_cycle: 0 }]");
+    }
+
+    #[test]
+    fn a_step_that_ends_the_stream_appends_finished() {
+        let (mut cpus, mut l1s) = cluster(vec![ALU; 3]);
+        let out = handle(&mut cpus, &mut l1s, CpuEvent::Step { cpu: 0 });
+        assert_eq!(format!("{out:?}"), "[Finished { cpu: 0 }]");
+        assert!(cpus.is_done(0));
+        let out = handle(&mut cpus, &mut l1s, CpuEvent::Step { cpu: 0 });
+        assert!(out.is_empty(), "a done CPU appends nothing: {out:?}");
     }
 }

@@ -286,7 +286,7 @@ impl RunScale {
         }
     }
 
-    /// Small runs for CI / Criterion iterations.
+    /// Small runs for CI and the `--quick` figure runs.
     pub fn quick() -> Self {
         RunScale {
             warmup: 200_000,

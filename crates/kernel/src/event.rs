@@ -190,33 +190,21 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedule `event` to fire at absolute time `time`.
+    /// Schedule `event` to fire at absolute time `time`, stamping the
+    /// next sequence number so equal-time events drain in schedule order.
     ///
     /// # Panics
     ///
     /// Panics if `time` is earlier than the time of the last event popped —
     /// the simulation may never schedule into the past.
     pub fn schedule(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.schedule_seq(time, seq, event);
-    }
-
-    /// Schedule `event` at `time` with an externally allocated sequence
-    /// number. This is the [`Scheduler`](crate::Scheduler) entry point:
-    /// sub-queues of a per-node scheduler share one global seq counter
-    /// so the merged drain order is identical to a single queue's.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`EventQueue::schedule`] on a past `time`. Callers
-    /// must keep `seq` unique; equal-time entries drain in `seq` order.
-    pub(crate) fn schedule_seq(&mut self, time: SimTime, seq: u64, event: E) {
         assert!(
             time >= self.now,
             "event scheduled at {time} is in the past (now = {})",
             self.now
         );
+        let seq = self.seq;
+        self.seq += 1;
         self.scheduled += 1;
         let entry = Entry { time, seq, event };
         if day(time) >= self.horizon() {
@@ -286,9 +274,9 @@ impl<E> EventQueue<E> {
     }
 
     /// The `(time, seq)` key of the earliest pending event, if any —
-    /// the key [`pop`](EventQueue::pop) would deliver next. The merge
-    /// loop of [`Scheduler`](crate::Scheduler) compares these keys
-    /// across sub-queues.
+    /// the key [`pop`](EventQueue::pop) would deliver next. Sequence
+    /// numbers are local to one queue, so keys from different lanes'
+    /// queues are not comparable on their own.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
         // Migration is lazy, so the overflow min can precede the wheel
         // min; take the smaller of the two keys.
@@ -323,8 +311,7 @@ impl<E> EventQueue<E> {
 
     /// Total events scheduled over the queue's lifetime. At quiescence
     /// `scheduled() == popped() + len() as u64` — the accounting
-    /// invariant the kernel tests assert, for standalone queues and for
-    /// every sub-queue of a [`Scheduler`](crate::Scheduler) alike.
+    /// invariant the kernel tests assert.
     pub fn scheduled(&self) -> u64 {
         self.scheduled
     }

@@ -2,16 +2,11 @@
 //!
 //! Provides the machinery every timing model in the workspace builds on:
 //!
-//! * [`EventQueue`] — a deterministic, stable-ordered future event list;
-//! * [`Scheduler`] — per-node sub-queues over [`EventQueue`] with a
-//!   deterministic global merge, the seam between the system wiring and
-//!   the component adapters;
-//! * [`Partition`] / [`Lookahead`] — partition-local event lists and
-//!   the conservative per-pair lookahead bounds for parallel-in-space
-//!   execution (one lane per worker thread, merged at window barriers);
-//! * [`Component`] / [`Port`] — the typed module abstraction every
-//!   subsystem crate adapts itself to (see the ping/pong example on
-//!   [`Component`]);
+//! * [`EventQueue`] — a deterministic, stable-ordered future event list
+//!   (one per node lane; sequence numbers are lane-local);
+//! * [`Lookahead`] — the conservative per-pair lookahead bounds for
+//!   parallel-in-space execution (one lane per worker thread, merged at
+//!   window barriers);
 //! * [`Server`] / [`MultiServer`] / [`Pipe`] — queueing-theoretic resource
 //!   models used for contention on L2 banks, RDRAM channels, ICS datapaths,
 //!   protocol-engine occupancy, and router links;
@@ -35,18 +30,14 @@
 
 #![warn(missing_docs)]
 
-pub mod component;
 pub mod event;
 pub mod partition;
 pub mod rng;
-pub mod sched;
 pub mod server;
 pub mod stats;
 
-pub use component::{Component, Port};
 pub use event::EventQueue;
-pub use partition::{Lookahead, Partition};
+pub use partition::Lookahead;
 pub use rng::Prng;
-pub use sched::Scheduler;
 pub use server::{MultiServer, Pipe, Server};
 pub use stats::{Counter, Histogram, Ratio};

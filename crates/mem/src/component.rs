@@ -1,17 +1,16 @@
 //! The memory-array component adapter.
 //!
-//! One node's RDRAM banks behind the kernel's [`Component`] interface.
-//! A [`MemEvent`] models the data-return instant of a read the memory
-//! controller started earlier; the array reads the line's version and
-//! directory *at that instant* — so intervening writes are observed —
-//! and emits them as a [`MemData`] action for the wiring to hand back to
-//! the requesting L2 bank. Writes, directory updates, and ECC scrubbing
-//! are synchronous and go through the direct methods.
+//! One node's RDRAM banks. A [`MemEvent`] models the data-return
+//! instant of a read the memory controller started earlier;
+//! [`MemArray::read_return`] reads the line's version and directory *at
+//! that instant* — so intervening writes are observed — and returns
+//! them as a [`MemData`] for the wiring to hand back to the requesting
+//! L2 bank. Writes, directory updates, and ECC scrubbing are
+//! synchronous and go through the other direct methods.
 
-use piranha_kernel::{Component, Port};
 use piranha_types::{LineAddr, RemoteSummary, SimTime};
 
-use crate::{ecc::Scrub, DirEntry, MemAccess, MemBank};
+use crate::{ecc::Scrub, MemAccess, MemBank};
 
 /// A read's data-return event: bank `bank` returns `line` now.
 #[derive(Debug, Clone, Copy)]
@@ -73,11 +72,6 @@ impl MemArray {
         self.banks[bank].set_version(line, version)
     }
 
-    /// The directory entry of `line` on bank `bank`.
-    pub fn directory(&self, bank: usize, line: LineAddr) -> DirEntry {
-        self.banks[bank].directory(line)
-    }
-
     /// Inject `bits` flips into `line` and run the ECC scrubber.
     pub fn inject_and_scrub(&mut self, bank: usize, line: LineAddr, bits: &[u32]) -> Scrub {
         self.banks[bank].inject_and_scrub(line, bits)
@@ -92,27 +86,45 @@ impl MemArray {
     pub fn banks_mut(&mut self) -> &mut [MemBank] {
         &mut self.banks
     }
+
+    /// Complete the read `event` at its data-return instant: the line's
+    /// version and the directory's remote-sharing summary as they are
+    /// now, not as they were when the read was issued.
+    pub fn read_return(&self, event: MemEvent) -> MemData {
+        let MemEvent { bank, line } = event;
+        MemData {
+            bank,
+            line,
+            version: self.banks[bank].version(line),
+            remote: self.banks[bank].directory(line).summary(),
+        }
+    }
 }
 
-impl Component for MemArray {
-    type Event = MemEvent;
-    type Action = MemData;
-    type Ctx<'a> = ();
+#[cfg(test)]
+mod tests {
+    use piranha_types::NodeId;
 
-    fn handle(&mut self, now: SimTime, event: MemEvent, _ctx: (), out: &mut Port<MemData>) {
-        let MemEvent { bank, line } = event;
-        // Read version and directory at data-return time, not at the
-        // time the read was issued.
-        let version = self.banks[bank].version(line);
-        let remote = self.banks[bank].directory(line).summary();
-        out.emit(
-            now,
-            MemData {
-                bank,
-                line,
-                version,
-                remote,
-            },
+    use super::*;
+    use crate::{DirEntry, MemBankConfig};
+
+    #[test]
+    fn read_return_reports_the_state_at_the_return_instant() {
+        let banks = (0..2).map(|_| MemBank::new(MemBankConfig::default()));
+        let mut mem = MemArray::new(banks.collect());
+        let line = LineAddr(7);
+        mem.write(1, SimTime::ZERO, line, 3);
+        // The read starts; a write and a remote grant land before its
+        // data returns.
+        mem.access(1, SimTime::from_ns(10), line);
+        mem.write(1, SimTime::from_ns(20), line, 9);
+        mem.banks_mut()[1].set_directory(line, DirEntry::Exclusive(NodeId(2)));
+        let d = mem.read_return(MemEvent { bank: 1, line });
+        assert_eq!((d.bank, d.line), (1, line));
+        assert_eq!(
+            d.version, 9,
+            "the version written after the read was issued"
         );
+        assert_eq!(d.remote, RemoteSummary::Exclusive);
     }
 }

@@ -1,15 +1,13 @@
 //! The interconnect-fabric component adapter.
 //!
-//! The machine-wide intra-chip/inter-chip network behind the kernel's
-//! [`Component`] interface. A [`Depart`] event injects a payload at its
-//! source node; the fabric routes it (charging hop and contention
-//! latency inside [`Network`]) and emits an [`Arrive`] action stamped
-//! with the delivery time, clamped to be no earlier than the send. The
-//! wiring applies link-fault hooks (CRC retransmits, router stalls) on
-//! the emitted action, at the port boundary — the fabric itself is
-//! fault-free, matching the paper's reliable-delivery datapath split.
+//! The machine-wide intra-chip/inter-chip network. [`Fabric::send`]
+//! injects a [`Depart`] at its source node, routes it (charging hop and
+//! contention latency inside [`Network`]) and returns the [`Arrive`]
+//! with its delivery time, clamped to be no earlier than the send. The
+//! wiring applies link-fault hooks (CRC retransmits, router stalls) to
+//! the returned arrival — the fabric itself is fault-free, matching the
+//! paper's reliable-delivery datapath split.
 
-use piranha_kernel::{Component, Port};
 use piranha_types::{Lane, NodeId, SimTime};
 
 use crate::{Network, Packet, PacketKind, Topology};
@@ -29,7 +27,8 @@ pub struct Depart<P> {
     pub payload: P,
 }
 
-/// A packet arrival at its destination, emitted at the delivery time.
+/// A packet arrival at its destination, returned with its delivery
+/// time.
 #[derive(Debug, Clone)]
 pub struct Arrive<P> {
     /// The node the packet came from.
@@ -52,6 +51,27 @@ impl<P> Fabric<P> {
     /// A fabric over `net`.
     pub fn new(net: Network<P>) -> Self {
         Fabric { net }
+    }
+
+    /// Route `d` from its source at `now`; returns the delivery time,
+    /// never earlier than `now`, and the arrival carrying the payload.
+    pub fn send(&mut self, now: SimTime, d: Depart<P>) -> (SimTime, Arrive<P>) {
+        let Depart {
+            from,
+            to,
+            lane,
+            kind,
+            payload,
+        } = d;
+        let (first, pkt) = self
+            .net
+            .send(now, Packet::new(from, to, lane, kind, payload));
+        let arrive = Arrive {
+            from,
+            to,
+            payload: pkt.payload,
+        };
+        (first.max(now), arrive)
     }
 
     /// Re-inject a packet after a link-level retransmit; returns the
@@ -131,29 +151,35 @@ impl<P> Fabric<P> {
     }
 }
 
-impl<P> Component for Fabric<P> {
-    type Event = Depart<P>;
-    type Action = Arrive<P>;
-    type Ctx<'a> = ();
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NetworkConfig;
 
-    fn handle(&mut self, now: SimTime, event: Depart<P>, _ctx: (), out: &mut Port<Arrive<P>>) {
-        let Depart {
-            from,
-            to,
-            lane,
-            kind,
-            payload,
-        } = event;
-        let (first, pkt) = self
-            .net
-            .send(now, Packet::new(from, to, lane, kind, payload));
-        out.emit(
-            first.max(now),
-            Arrive {
-                from,
-                to,
-                payload: pkt.payload,
-            },
-        );
+    #[test]
+    fn send_keeps_endpoints_and_payload_and_honours_the_lookahead() {
+        let net = Network::new(Topology::ring(4), NetworkConfig::paper_default());
+        let mut fabric = Fabric::new(net);
+        let floor = fabric.min_delivery_latency();
+        let now = SimTime::from_ns(100);
+        for (to, kind) in [(1u16, PacketKind::Short), (2, PacketKind::Long)] {
+            let depart = Depart {
+                from: NodeId(0),
+                to: NodeId(to),
+                lane: Lane::Low,
+                kind,
+                payload: to * 10,
+            };
+            let (at, arr) = fabric.send(now, depart);
+            assert_eq!(
+                (arr.from, arr.to, arr.payload),
+                (NodeId(0), NodeId(to), to * 10)
+            );
+            assert!(
+                at.since(now) >= floor,
+                "delivered {:?} after the send, under the {floor:?} floor",
+                at.since(now)
+            );
+        }
     }
 }

@@ -290,15 +290,9 @@ impl HomeEngine {
         self.max_cmi_routes = routes;
     }
 
-    /// Feed one input through the engine.
-    pub fn handle(&mut self, input: HomeIn, dir: &mut dyn DirStore) -> Vec<EngineAction> {
-        let mut out = Vec::new();
-        self.handle_into(input, dir, &mut out);
-        out
-    }
-
-    /// [`handle`](HomeEngine::handle) appending the actions to `out`, so
-    /// a caller that reuses one buffer allocates nothing per input.
+    /// Feed one input through the engine, appending the actions to
+    /// `out`, so a caller that reuses one buffer allocates nothing per
+    /// input.
     pub fn handle_into(
         &mut self,
         input: HomeIn,
@@ -799,15 +793,9 @@ impl RemoteEngine {
         self.wbs.len()
     }
 
-    /// Feed one input through the engine.
-    pub fn handle(&mut self, input: RemoteIn) -> Vec<EngineAction> {
-        let mut out = Vec::new();
-        self.handle_into(input, &mut out);
-        out
-    }
-
-    /// [`handle`](RemoteEngine::handle) appending the actions to `out`,
-    /// so a caller that reuses one buffer allocates nothing per input.
+    /// Feed one input through the engine, appending the actions to
+    /// `out`, so a caller that reuses one buffer allocates nothing per
+    /// input.
     pub fn handle_into(&mut self, input: RemoteIn, out: &mut Vec<EngineAction>) {
         self.msgs_handled.inc();
         match input {
@@ -1058,6 +1046,20 @@ mod tests {
         HashMap::new()
     }
 
+    /// Feed one input through `home`, returning its actions.
+    fn home_in(home: &mut HomeEngine, input: HomeIn, dir: &mut dyn DirStore) -> Vec<EngineAction> {
+        let mut out = Vec::new();
+        home.handle_into(input, dir, &mut out);
+        out
+    }
+
+    /// Feed one input through `eng`, returning its actions.
+    fn remote_in(eng: &mut RemoteEngine, input: RemoteIn) -> Vec<EngineAction> {
+        let mut out = Vec::new();
+        eng.handle_into(input, &mut out);
+        out
+    }
+
     fn send_of(actions: &[EngineAction]) -> Vec<(NodeId, ProtoMsg)> {
         actions
             .iter()
@@ -1072,7 +1074,8 @@ mod tests {
     fn remote_read_uncached_gets_clean_exclusive() {
         let mut home = HomeEngine::new(HOME, 4);
         let mut dir = dir_map();
-        let acts = home.handle(
+        let acts = home_in(
+            &mut home,
             HomeIn::Msg {
                 from: R1,
                 msg: ProtoMsg::Req {
@@ -1089,7 +1092,8 @@ mod tests {
                 excl: false
             }]
         );
-        let acts = home.handle(
+        let acts = home_in(
+            &mut home,
             HomeIn::ExportReply {
                 line: L,
                 version: 5,
@@ -1119,7 +1123,8 @@ mod tests {
     fn read_with_home_cached_copy_grants_shared() {
         let mut home = HomeEngine::new(HOME, 4);
         let mut dir = dir_map();
-        home.handle(
+        home_in(
+            &mut home,
             HomeIn::Msg {
                 from: R1,
                 msg: ProtoMsg::Req {
@@ -1129,7 +1134,8 @@ mod tests {
             },
             &mut dir,
         );
-        let acts = home.handle(
+        let acts = home_in(
+            &mut home,
             HomeIn::ExportReply {
                 line: L,
                 version: 5,
@@ -1162,7 +1168,8 @@ mod tests {
         let mut home = HomeEngine::new(HOME, 4);
         let mut dir = dir_map();
         dir.set_dir(L, DirEntry::Exclusive(R1));
-        let acts = home.handle(
+        let acts = home_in(
+            &mut home,
             HomeIn::Msg {
                 from: R2,
                 msg: ProtoMsg::Req {
@@ -1199,7 +1206,8 @@ mod tests {
         let mut home = HomeEngine::new(HOME, 4);
         let mut dir = dir_map();
         dir.set_dir(L, DirEntry::Exclusive(R1));
-        let acts = home.handle(
+        let acts = home_in(
+            &mut home,
             HomeIn::Msg {
                 from: R2,
                 msg: ProtoMsg::Req {
@@ -1217,7 +1225,8 @@ mod tests {
             }
         ));
         // A third node's read queues at home meanwhile.
-        let acts = home.handle(
+        let acts = home_in(
+            &mut home,
             HomeIn::Msg {
                 from: NodeId(3),
                 msg: ProtoMsg::Req {
@@ -1230,7 +1239,8 @@ mod tests {
         assert!(acts.is_empty(), "conflicting request must queue: {acts:?}");
         // Sharing write-back arrives: memory freshened, both sharers
         // recorded, queued request replayed.
-        let acts = home.handle(
+        let acts = home_in(
+            &mut home,
             HomeIn::Msg {
                 from: R1,
                 msg: ProtoMsg::SharingWb {
@@ -1265,7 +1275,8 @@ mod tests {
             .into_iter()
             .collect();
         dir.set_dir(L, DirEntry::Shared(sharers));
-        let acts = home.handle(
+        let acts = home_in(
+            &mut home,
             HomeIn::Msg {
                 from: R1,
                 msg: ProtoMsg::Req {
@@ -1313,7 +1324,8 @@ mod tests {
         // R1 was invalidated by R2's earlier ReadEx; dir no longer lists
         // R1 when its upgrade arrives.
         dir.set_dir(L, DirEntry::Exclusive(R2));
-        let acts = home.handle(
+        let acts = home_in(
+            &mut home,
             HomeIn::Msg {
                 from: R1,
                 msg: ProtoMsg::Req {
@@ -1340,7 +1352,8 @@ mod tests {
         let mut dir = dir_map();
         dir.set_dir(L, DirEntry::Exclusive(R1));
         // R1 wrote the line back (message in flight) and re-requests.
-        let acts = home.handle(
+        let acts = home_in(
+            &mut home,
             HomeIn::Msg {
                 from: R1,
                 msg: ProtoMsg::Req {
@@ -1352,7 +1365,8 @@ mod tests {
         );
         assert!(acts.is_empty(), "blocked awaiting the in-flight write-back");
         // The write-back lands: ack + memory write + the request replays.
-        let acts = home.handle(
+        let acts = home_in(
+            &mut home,
             HomeIn::Msg {
                 from: R1,
                 msg: ProtoMsg::WriteBack {
@@ -1378,7 +1392,8 @@ mod tests {
         let mut home = HomeEngine::new(HOME, 4);
         let mut dir = dir_map();
         dir.set_dir(L, DirEntry::Exclusive(R2)); // already re-assigned
-        let acts = home.handle(
+        let acts = home_in(
+            &mut home,
             HomeIn::Msg {
                 from: R1,
                 msg: ProtoMsg::WriteBack {
@@ -1403,7 +1418,8 @@ mod tests {
         let mut home = HomeEngine::new(HOME, 4);
         let mut dir = dir_map();
         dir.set_dir(L, DirEntry::Exclusive(R1));
-        let acts = home.handle(
+        let acts = home_in(
+            &mut home,
             HomeIn::LocalRecall {
                 line: L,
                 req: ReqType::Read,
@@ -1422,7 +1438,8 @@ mod tests {
                 }
             )]
         );
-        let acts = home.handle(
+        let acts = home_in(
+            &mut home,
             HomeIn::Msg {
                 from: R1,
                 msg: ProtoMsg::Reply {
@@ -1459,19 +1476,21 @@ mod tests {
         let mut home = HomeEngine::new(HOME, 8);
         let mut dir = dir_map();
         dir.set_dir(L, DirEntry::Shared([R1, R2].into_iter().collect()));
-        let acts = home.handle(HomeIn::LocalInvalRemotes { line: L }, &mut dir);
+        let acts = home_in(&mut home, HomeIn::LocalInvalRemotes { line: L }, &mut dir);
         let invals = send_of(&acts);
         assert_eq!(invals.len(), 2);
         assert_eq!(dir.dir(L), DirEntry::Uncached);
         // Acks return quietly.
-        home.handle(
+        home_in(
+            &mut home,
             HomeIn::Msg {
                 from: R1,
                 msg: ProtoMsg::InvalAck { line: L },
             },
             &mut dir,
         );
-        home.handle(
+        home_in(
+            &mut home,
             HomeIn::Msg {
                 from: R2,
                 msg: ProtoMsg::InvalAck { line: L },
@@ -1486,11 +1505,14 @@ mod tests {
     #[test]
     fn local_request_sends_to_home_and_fill_completes() {
         let mut eng = RemoteEngine::new(R1);
-        let acts = eng.handle(RemoteIn::LocalReq {
-            line: L,
-            req: ReqType::Read,
-            home: HOME,
-        });
+        let acts = remote_in(
+            &mut eng,
+            RemoteIn::LocalReq {
+                line: L,
+                req: ReqType::Read,
+                home: HOME,
+            },
+        );
         assert_eq!(
             send_of(&acts),
             vec![(
@@ -1501,16 +1523,19 @@ mod tests {
                 }
             )]
         );
-        let acts = eng.handle(RemoteIn::Msg {
-            from: HOME,
-            msg: ProtoMsg::Reply {
-                line: L,
-                grant: Grant::Shared,
-                version: Some(4),
-                acks_expected: 0,
-                from_owner: false,
+        let acts = remote_in(
+            &mut eng,
+            RemoteIn::Msg {
+                from: HOME,
+                msg: ProtoMsg::Reply {
+                    line: L,
+                    grant: Grant::Shared,
+                    version: Some(4),
+                    acks_expected: 0,
+                    from_owner: false,
+                },
             },
-        });
+        );
         assert_eq!(
             acts,
             vec![EngineAction::Fill {
@@ -1526,50 +1551,65 @@ mod tests {
     #[test]
     fn eager_exclusive_holds_tsrf_until_acks() {
         let mut eng = RemoteEngine::new(R1);
-        eng.handle(RemoteIn::LocalReq {
-            line: L,
-            req: ReqType::ReadEx,
-            home: HOME,
-        });
-        let acts = eng.handle(RemoteIn::Msg {
-            from: HOME,
-            msg: ProtoMsg::Reply {
+        remote_in(
+            &mut eng,
+            RemoteIn::LocalReq {
                 line: L,
-                grant: Grant::Exclusive,
-                version: Some(4),
-                acks_expected: 2,
-                from_owner: false,
+                req: ReqType::ReadEx,
+                home: HOME,
             },
-        });
+        );
+        let acts = remote_in(
+            &mut eng,
+            RemoteIn::Msg {
+                from: HOME,
+                msg: ProtoMsg::Reply {
+                    line: L,
+                    grant: Grant::Exclusive,
+                    version: Some(4),
+                    acks_expected: 2,
+                    from_owner: false,
+                },
+            },
+        );
         assert!(
             matches!(acts[0], EngineAction::Fill { excl: true, .. }),
             "data usable eagerly"
         );
         assert_eq!(eng.txns.occupied(), 1, "awaiting invalidation acks");
-        eng.handle(RemoteIn::Msg {
-            from: R2,
-            msg: ProtoMsg::InvalAck { line: L },
-        });
+        remote_in(
+            &mut eng,
+            RemoteIn::Msg {
+                from: R2,
+                msg: ProtoMsg::InvalAck { line: L },
+            },
+        );
         assert_eq!(eng.txns.occupied(), 1);
-        eng.handle(RemoteIn::Msg {
-            from: NodeId(3),
-            msg: ProtoMsg::InvalAck { line: L },
-        });
+        remote_in(
+            &mut eng,
+            RemoteIn::Msg {
+                from: NodeId(3),
+                msg: ProtoMsg::InvalAck { line: L },
+            },
+        );
         assert_eq!(eng.txns.occupied(), 0);
     }
 
     #[test]
     fn forwarded_request_serviced_via_export() {
         let mut eng = RemoteEngine::new(R1);
-        let acts = eng.handle(RemoteIn::Msg {
-            from: HOME,
-            msg: ProtoMsg::Fwd {
-                kind: ReqType::Read,
-                line: L,
-                requester: R2,
-                home: HOME,
+        let acts = remote_in(
+            &mut eng,
+            RemoteIn::Msg {
+                from: HOME,
+                msg: ProtoMsg::Fwd {
+                    kind: ReqType::Read,
+                    line: L,
+                    requester: R2,
+                    home: HOME,
+                },
             },
-        });
+        );
         assert_eq!(
             acts,
             vec![EngineAction::Export {
@@ -1577,12 +1617,15 @@ mod tests {
                 excl: false
             }]
         );
-        let acts = eng.handle(RemoteIn::ExportReply {
-            line: L,
-            version: 9,
-            dirty: true,
-            cached: true,
-        });
+        let acts = remote_in(
+            &mut eng,
+            RemoteIn::ExportReply {
+                line: L,
+                version: 9,
+                dirty: true,
+                cached: true,
+            },
+        );
         let sends = send_of(&acts);
         assert!(sends.contains(&(
             R2,
@@ -1606,21 +1649,27 @@ mod tests {
     #[test]
     fn forward_to_home_requester_skips_sharing_writeback() {
         let mut eng = RemoteEngine::new(R1);
-        eng.handle(RemoteIn::Msg {
-            from: HOME,
-            msg: ProtoMsg::Fwd {
-                kind: ReqType::Read,
-                line: L,
-                requester: HOME,
-                home: HOME,
+        remote_in(
+            &mut eng,
+            RemoteIn::Msg {
+                from: HOME,
+                msg: ProtoMsg::Fwd {
+                    kind: ReqType::Read,
+                    line: L,
+                    requester: HOME,
+                    home: HOME,
+                },
             },
-        });
-        let acts = eng.handle(RemoteIn::ExportReply {
-            line: L,
-            version: 9,
-            dirty: true,
-            cached: true,
-        });
+        );
+        let acts = remote_in(
+            &mut eng,
+            RemoteIn::ExportReply {
+                line: L,
+                version: 9,
+                dirty: true,
+                cached: true,
+            },
+        );
         let sends = send_of(&acts);
         assert_eq!(
             sends.len(),
@@ -1633,35 +1682,44 @@ mod tests {
     #[test]
     fn early_forward_parks_in_tsrf_until_data_arrives() {
         let mut eng = RemoteEngine::new(R1);
-        eng.handle(RemoteIn::LocalReq {
-            line: L,
-            req: ReqType::ReadEx,
-            home: HOME,
-        });
-        // Home granted us exclusivity and immediately forwarded R2's
-        // request; the forward overtakes our data reply.
-        let acts = eng.handle(RemoteIn::Msg {
-            from: HOME,
-            msg: ProtoMsg::Fwd {
-                kind: ReqType::ReadEx,
+        remote_in(
+            &mut eng,
+            RemoteIn::LocalReq {
                 line: L,
-                requester: R2,
+                req: ReqType::ReadEx,
                 home: HOME,
             },
-        });
+        );
+        // Home granted us exclusivity and immediately forwarded R2's
+        // request; the forward overtakes our data reply.
+        let acts = remote_in(
+            &mut eng,
+            RemoteIn::Msg {
+                from: HOME,
+                msg: ProtoMsg::Fwd {
+                    kind: ReqType::ReadEx,
+                    line: L,
+                    requester: R2,
+                    home: HOME,
+                },
+            },
+        );
         assert!(acts.is_empty(), "forward parked: {acts:?}");
         // Our data arrives: fill locally, then service the parked
         // forward.
-        let acts = eng.handle(RemoteIn::Msg {
-            from: HOME,
-            msg: ProtoMsg::Reply {
-                line: L,
-                grant: Grant::Exclusive,
-                version: Some(6),
-                acks_expected: 0,
-                from_owner: false,
+        let acts = remote_in(
+            &mut eng,
+            RemoteIn::Msg {
+                from: HOME,
+                msg: ProtoMsg::Reply {
+                    line: L,
+                    grant: Grant::Exclusive,
+                    version: Some(6),
+                    acks_expected: 0,
+                    from_owner: false,
+                },
             },
-        });
+        );
         assert!(matches!(acts[0], EngineAction::Fill { .. }));
         assert!(matches!(
             acts[1],
@@ -1675,23 +1733,29 @@ mod tests {
     #[test]
     fn writeback_race_served_from_retained_copy() {
         let mut eng = RemoteEngine::new(R1);
-        eng.handle(RemoteIn::LocalWb {
-            line: L,
-            version: 12,
-            home: HOME,
-        });
+        remote_in(
+            &mut eng,
+            RemoteIn::LocalWb {
+                line: L,
+                version: 12,
+                home: HOME,
+            },
+        );
         assert!(eng.wb_in_flight(L));
         // A forward crosses our write-back: serve it from the retained
         // version without touching the (already evicted) caches.
-        let acts = eng.handle(RemoteIn::Msg {
-            from: HOME,
-            msg: ProtoMsg::Fwd {
-                kind: ReqType::ReadEx,
-                line: L,
-                requester: R2,
-                home: HOME,
+        let acts = remote_in(
+            &mut eng,
+            RemoteIn::Msg {
+                from: HOME,
+                msg: ProtoMsg::Fwd {
+                    kind: ReqType::ReadEx,
+                    line: L,
+                    requester: R2,
+                    home: HOME,
+                },
             },
-        });
+        );
         let sends = send_of(&acts);
         assert_eq!(sends.len(), 1);
         assert!(matches!(
@@ -1709,10 +1773,13 @@ mod tests {
                 .any(|a| matches!(a, EngineAction::Export { .. })),
             "no local export needed"
         );
-        eng.handle(RemoteIn::Msg {
-            from: HOME,
-            msg: ProtoMsg::WbAck { line: L },
-        });
+        remote_in(
+            &mut eng,
+            RemoteIn::Msg {
+                from: HOME,
+                msg: ProtoMsg::WbAck { line: L },
+            },
+        );
         assert!(!eng.wb_in_flight(L));
     }
 
@@ -1720,15 +1787,18 @@ mod tests {
     fn cmi_chain_hops_and_final_ack() {
         let mut eng = RemoteEngine::new(R1);
         let route = vec![R1, R2, NodeId(3)];
-        let acts = eng.handle(RemoteIn::Msg {
-            from: HOME,
-            msg: ProtoMsg::Inval {
-                line: L,
-                route: route.clone(),
-                hop: 0,
-                requester: NodeId(7),
+        let acts = remote_in(
+            &mut eng,
+            RemoteIn::Msg {
+                from: HOME,
+                msg: ProtoMsg::Inval {
+                    line: L,
+                    route: route.clone(),
+                    hop: 0,
+                    requester: NodeId(7),
+                },
             },
-        });
+        );
         assert!(acts.contains(&EngineAction::Purge { line: L }));
         assert_eq!(
             send_of(&acts),
@@ -1744,15 +1814,18 @@ mod tests {
         );
         // The last node in the route acks the requester.
         let mut last = RemoteEngine::new(NodeId(3));
-        let acts = last.handle(RemoteIn::Msg {
-            from: R2,
-            msg: ProtoMsg::Inval {
-                line: L,
-                route,
-                hop: 2,
-                requester: NodeId(7),
+        let acts = remote_in(
+            &mut last,
+            RemoteIn::Msg {
+                from: R2,
+                msg: ProtoMsg::Inval {
+                    line: L,
+                    route,
+                    hop: 2,
+                    requester: NodeId(7),
+                },
             },
-        });
+        );
         assert_eq!(
             send_of(&acts),
             vec![(NodeId(7), ProtoMsg::InvalAck { line: L })]
@@ -1763,30 +1836,39 @@ mod tests {
     fn tsrf_overflow_defers_and_retries() {
         let mut eng = RemoteEngine::new(R1);
         for i in 0..16u64 {
-            eng.handle(RemoteIn::LocalReq {
-                line: LineAddr(i),
-                req: ReqType::Read,
-                home: HOME,
-            });
+            remote_in(
+                &mut eng,
+                RemoteIn::LocalReq {
+                    line: LineAddr(i),
+                    req: ReqType::Read,
+                    home: HOME,
+                },
+            );
         }
         // 17th defers.
-        let acts = eng.handle(RemoteIn::LocalReq {
-            line: LineAddr(99),
-            req: ReqType::Read,
-            home: HOME,
-        });
+        let acts = remote_in(
+            &mut eng,
+            RemoteIn::LocalReq {
+                line: LineAddr(99),
+                req: ReqType::Read,
+                home: HOME,
+            },
+        );
         assert!(acts.is_empty());
         // Completing one transaction releases the deferred request.
-        let acts = eng.handle(RemoteIn::Msg {
-            from: HOME,
-            msg: ProtoMsg::Reply {
-                line: LineAddr(0),
-                grant: Grant::Shared,
-                version: Some(1),
-                acks_expected: 0,
-                from_owner: false,
+        let acts = remote_in(
+            &mut eng,
+            RemoteIn::Msg {
+                from: HOME,
+                msg: ProtoMsg::Reply {
+                    line: LineAddr(0),
+                    grant: Grant::Shared,
+                    version: Some(1),
+                    acks_expected: 0,
+                    from_owner: false,
+                },
             },
-        });
+        );
         assert!(
             send_of(&acts).contains(&(
                 HOME,

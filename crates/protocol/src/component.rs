@@ -2,12 +2,12 @@
 //!
 //! One node's pair of microcoded protocol engines — home and remote
 //! (paper §2.6) — plus their occupancy servers and the shared replay
-//! recovery unit, behind the kernel's [`Component`] interface. The
-//! directory the home engine consults lives in memory, so it is
+//! recovery unit, behind one handler, [`EngineComplex::handle_into`].
+//! The directory the home engine consults lives in memory, so it is
 //! threaded in per event as the [`DirStore`] context rather than owned
 //! here; the remote engine needs no directory.
 
-use piranha_kernel::{Component, Port, Server};
+use piranha_kernel::Server;
 use piranha_types::{Duration, NodeId, SimTime};
 
 use crate::{
@@ -86,9 +86,9 @@ impl EngineComplex {
         self.recovery.replays()
     }
 
-    /// Run `event` through its engine, appending the actions to `out`:
-    /// the allocation-free form of [`Component::handle`] for callers
-    /// that apply the actions themselves and reuse one buffer.
+    /// Run `event` through its engine, appending the actions to `out` in
+    /// the order the engine produces them. A caller that reuses one
+    /// buffer allocates nothing per event.
     pub fn handle_into(
         &mut self,
         event: EngineEvent,
@@ -98,26 +98,6 @@ impl EngineComplex {
         match event {
             EngineEvent::Home(input) => self.home.handle_into(input, dirs, out),
             EngineEvent::Remote(input) => self.remote.handle_into(input, out),
-        }
-    }
-}
-
-impl Component for EngineComplex {
-    type Event = EngineEvent;
-    type Action = EngineAction;
-    type Ctx<'a> = &'a mut dyn DirStore;
-
-    fn handle(
-        &mut self,
-        now: SimTime,
-        event: EngineEvent,
-        dirs: &mut dyn DirStore,
-        out: &mut Port<EngineAction>,
-    ) {
-        let mut acts = Vec::new();
-        self.handle_into(event, dirs, &mut acts);
-        for act in acts {
-            out.emit(now, act);
         }
     }
 }

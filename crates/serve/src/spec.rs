@@ -24,6 +24,7 @@
 
 use piranha_harness::{RunRequest, RunScale};
 use piranha_system::SystemConfig;
+use piranha_types::ids::MAX_NODES;
 use piranha_workloads::{DssConfig, OltpConfig, SynthConfig, WebConfig, Workload};
 
 use crate::json::Json;
@@ -120,7 +121,9 @@ impl RunSpec {
     ///
     /// # Errors
     ///
-    /// Reports a missing `preset`/`workload`/`scale` field.
+    /// Reports a missing `preset`/`workload`/`scale` field, or a machine
+    /// of more than [`MAX_NODES`] nodes (`chips + io_nodes`), the limit
+    /// of the directory's 10-bit node pointers.
     pub fn from_json(v: &Json) -> Result<Self, String> {
         let field = |k: &str| {
             v.get(k)
@@ -128,10 +131,18 @@ impl RunSpec {
                 .map(str::to_string)
                 .ok_or_else(|| format!("run spec needs a string field {k:?}"))
         };
+        let chips = v.get("chips").and_then(Json::as_u64).unwrap_or(1).max(1);
+        let io_nodes = v.get("io_nodes").and_then(Json::as_u64).unwrap_or(0);
+        if chips.saturating_add(io_nodes) > MAX_NODES as u64 {
+            return Err(format!(
+                "run spec field \"chips\" ({chips}) plus \"io_nodes\" ({io_nodes}) \
+                 exceeds the {MAX_NODES}-node limit"
+            ));
+        }
         Ok(RunSpec {
             preset: field("preset")?,
-            chips: v.get("chips").and_then(Json::as_u64).unwrap_or(1).max(1) as usize,
-            io_nodes: v.get("io_nodes").and_then(Json::as_u64).unwrap_or(0) as usize,
+            chips: chips as usize,
+            io_nodes: io_nodes as usize,
             workload: field("workload")?,
             scale: field("scale")?,
         })
@@ -285,6 +296,21 @@ mod tests {
         assert_eq!(req.cfg.io_nodes, 2);
         assert_eq!(req.cfg.name, "P2x3");
         assert!(req.scale == RunScale::tiny());
+    }
+
+    #[test]
+    fn machine_size_is_bounded_at_max_nodes() {
+        let decode =
+            |spec: RunSpec| RunSpec::from_json(&Json::parse(&spec.to_json().to_string()).unwrap());
+        let max = RunSpec::new("p1", "synth", "tiny").with_chips(MAX_NODES);
+        assert_eq!(decode(max.clone()), Ok(max));
+        let err = decode(
+            RunSpec::new("p1", "synth", "tiny")
+                .with_chips(1000)
+                .with_io_nodes(25),
+        )
+        .expect_err("1025 nodes exceed the limit");
+        assert!(err.contains("chips") && err.contains("io_nodes"), "{err}");
     }
 
     #[test]

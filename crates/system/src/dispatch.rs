@@ -1,13 +1,16 @@
 //! Event dispatch: routing between the component adapters.
 //!
 //! This is the only layer that knows the machine's topology of
-//! components. Each arm of [`NodeLane::dispatch`] hands the event to the
-//! owning adapter's `Component::handle` and routes the actions that come
-//! back out of its port — it contains **no subsystem logic** of its own.
-//! The two cross-cutting concerns the paper treats as system-level —
+//! components. Each arm of [`NodeLane::dispatch`] calls the owning
+//! adapter's one handler — `CpuCluster::handle`,
+//! `CacheComplex::handle_into`, `MemArray::read_return`,
+//! `EngineComplex::handle_into`, and at barriers `Fabric::send` — and
+//! routes the actions it appends to a lane-owned buffer, in the order
+//! the adapter produced them. It contains **no subsystem logic** of its
+//! own. The two cross-cutting concerns the paper treats as system-level —
 //! fault injection/recovery (§2.7) and observability — are applied here,
-//! uniformly at the port boundary, so no subsystem crate knows they
-//! exist.
+//! uniformly where the actions are routed, so no subsystem crate knows
+//! they exist.
 //!
 //! Dispatch is written against one `NodeLane` at a time so nodes can
 //! advance on independent worker threads: everything a handler touches
@@ -22,9 +25,8 @@ use piranha_cache::{BankAction, BankEvent, CacheEvent, Mesi, Slot};
 use piranha_cpu::{CpuAction, CpuCtx, CpuEvent};
 use piranha_faults::{FaultKind, FaultPlane};
 use piranha_ics::TransferSize;
-use piranha_kernel::{Component, Port};
 use piranha_mem::{MemEvent, Scrub};
-use piranha_net::{crc32, flip_bit, Arrive, Depart, Fabric, Packet, PacketKind};
+use piranha_net::{crc32, flip_bit, Depart, Fabric, Packet, PacketKind};
 use piranha_probe::{Probe, TraceLevel};
 use piranha_protocol::coherence::occupancy_cycles;
 use piranha_protocol::{EngineAction, EngineEvent, HomeIn, ProtoMsg, RemoteIn};
@@ -35,8 +37,8 @@ use crate::machine::PAGE_LINES;
 use crate::node::{Node, NodeDirs, NodeLane};
 use crate::wiring::{track_base, TRACK_BANK, TRACK_HOME, TRACK_MEM, TRACK_NET, TRACK_REMOTE};
 
-/// An event on a lane's partition. The handling node is the partition's
-/// own dimension, so events name only the in-node target.
+/// An event on a lane's queue. The handling node is the lane's own, so
+/// events name only the in-node target.
 #[derive(Debug, Clone)]
 pub(crate) enum Ev {
     /// An event for the node's CPU cluster (step or fill).
@@ -133,7 +135,7 @@ impl NodeLane {
                     sh.cfg.lat.bank.as_ps(),
                     0,
                 );
-                self.bank(t, ce);
+                self.bank(ce);
                 self.run_work(sh, t);
             }
             Ev::MemRead(me) => {
@@ -148,22 +150,15 @@ impl NodeLane {
                 // The memory array reads version/directory at data-return
                 // time, so intervening writes are observed; its MemData
                 // goes straight back to the requesting bank.
-                let mut mport = std::mem::take(&mut self.mem_port);
-                self.node.mem.handle(t, me, (), &mut mport);
-                for (_, d) in mport.drain() {
-                    self.bank(
-                        t,
-                        CacheEvent {
-                            bank: d.bank,
-                            ev: BankEvent::MemData {
-                                line: d.line,
-                                version: d.version,
-                                remote: d.remote,
-                            },
-                        },
-                    );
-                }
-                self.mem_port = mport;
+                let d = self.node.mem.read_return(me);
+                self.bank(CacheEvent {
+                    bank: d.bank,
+                    ev: BankEvent::MemData {
+                        line: d.line,
+                        version: d.version,
+                        remote: d.remote,
+                    },
+                });
                 self.run_work(sh, t);
             }
             Ev::NetMsg { from, msg } => {
@@ -223,8 +218,8 @@ impl NodeLane {
 
     /// Deliver one event to the node's CPU cluster and route the
     /// resulting actions: memory requests toward the L2 (via the ICS and
-    /// the bank occupancy server), reschedules onto the partition, and
-    /// completions into the run loop's `unfinished` count.
+    /// the bank occupancy server), reschedules onto the lane's queue,
+    /// and completions into the run loop's `unfinished` count.
     fn cpu_event(&mut self, sh: &LaneShared<'_>, t: SimTime, ev: CpuEvent) {
         let (cpu, is_step) = match ev {
             CpuEvent::Step { cpu } => (cpu, true),
@@ -241,7 +236,7 @@ impl NodeLane {
             }
         };
         let fill_cycle = sh.time_to_cycle(t);
-        let mut port = std::mem::take(&mut self.cpu_port);
+        let mut acts = std::mem::take(&mut self.cpu_buf);
         let (retired, cyc_delta) = {
             let NodeLane {
                 node,
@@ -261,7 +256,7 @@ impl NodeLane {
                 enabled: sc.cpu_enabled(CpuId(cpu as u8)),
                 fill_cycle,
             };
-            cpus.handle(t, ev, ctx, &mut port);
+            cpus.handle(ev, ctx, &mut acts);
             (
                 cpus.core(cpu).stats().instrs - before,
                 cpus.core(cpu).now_cycle() - cyc_before,
@@ -292,7 +287,7 @@ impl NodeLane {
                 retired,
             );
         }
-        for (_, act) in port.drain() {
+        for act in acts.drain(..) {
             match act {
                 CpuAction::Issue { cpu, at_cycle, req } => {
                     let issue = sh.cycle_to_time(at_cycle).max(t);
@@ -370,7 +365,7 @@ impl NodeLane {
                 CpuAction::Finished { .. } => self.unfinished -= 1,
             }
         }
-        self.cpu_port = port;
+        self.cpu_buf = acts;
     }
 
     /// Run `ev` through the node's engine complex (threading the
@@ -387,10 +382,9 @@ impl NodeLane {
 
     /// Run `ev` through one of the node's L2 banks and queue the
     /// resulting actions on the lane's work queue.
-    fn bank(&mut self, t: SimTime, ev: CacheEvent) {
-        self.node.caches.handle(t, ev, (), &mut self.bank_port);
-        self.work
-            .extend(self.bank_port.drain().map(|(_, a)| Item::Bank(a)));
+    fn bank(&mut self, ev: CacheEvent) {
+        self.node.caches.handle_into(ev, &mut self.bank_buf);
+        self.work.extend(self.bank_buf.drain(..).map(Item::Bank));
     }
 
     /// Apply the lane's queued bank/engine actions at time `t`, in
@@ -455,18 +449,15 @@ impl NodeLane {
                 };
                 self.node.ics.transfer(t, size, Lane::Low);
                 let bank = self.bank_of(line);
-                self.bank(
-                    t,
-                    CacheEvent {
-                        bank,
-                        ev: BankEvent::Victim {
-                            slot,
-                            line,
-                            state,
-                            version,
-                        },
+                self.bank(CacheEvent {
+                    bank,
+                    ev: BankEvent::Victim {
+                        slot,
+                        line,
+                        state,
+                        version,
                     },
-                );
+                });
             }
             BankAction::ReadMem { line } => {
                 let bank = self.bank_of(line);
@@ -569,13 +560,10 @@ impl NodeLane {
             }
             EngineAction::Export { line, excl } => {
                 let bank = self.bank_of(line);
-                self.bank(
-                    t,
-                    CacheEvent {
-                        bank,
-                        ev: BankEvent::Export { line, excl },
-                    },
-                );
+                self.bank(CacheEvent {
+                    bank,
+                    ev: BankEvent::Export { line, excl },
+                });
             }
             EngineAction::Fill {
                 line,
@@ -585,28 +573,22 @@ impl NodeLane {
             } => {
                 let bank = self.bank_of(line);
                 let grant = if excl { Mesi::Exclusive } else { Mesi::Shared };
-                self.bank(
-                    t,
-                    CacheEvent {
-                        bank,
-                        ev: BankEvent::RemoteFill {
-                            line,
-                            grant,
-                            version,
-                            source,
-                        },
+                self.bank(CacheEvent {
+                    bank,
+                    ev: BankEvent::RemoteFill {
+                        line,
+                        grant,
+                        version,
+                        source,
                     },
-                );
+                });
             }
             EngineAction::Purge { line } => {
                 let bank = self.bank_of(line);
-                self.bank(
-                    t,
-                    CacheEvent {
-                        bank,
-                        ev: BankEvent::InvalAll { line },
-                    },
-                );
+                self.bank(CacheEvent {
+                    bank,
+                    ev: BankEvent::InvalAll { line },
+                });
             }
             EngineAction::MemWrite { line, version } => {
                 let bank = self.bank_of(line);
@@ -665,14 +647,13 @@ impl NodeLane {
 
 /// The machine-side half of cross-node delivery, used only at quantum
 /// barriers (and between every serial event batch, where the barrier
-/// degenerates to "immediately"): the shared fabric, its port, and the
-/// lookahead bound the deliveries must respect. Routing happens on the
+/// degenerates to "immediately"): the shared fabric and the lookahead
+/// bound the deliveries must respect. Routing happens on the
 /// coordinator with all lanes parked, so ordinary `&mut` access is
 /// enough — the fabric itself needs no locks.
 pub(crate) struct NetPath<'a> {
     pub(crate) cfg: &'a SystemConfig,
     pub(crate) net: &'a mut Fabric<ProtoMsg>,
-    pub(crate) port: &'a mut Port<Arrive<ProtoMsg>>,
     pub(crate) probe: &'a Probe,
     /// The per-pair lookahead matrix; every routed delivery is checked
     /// against its own pair's bound (hop distance × minimum per-hop
@@ -718,12 +699,7 @@ impl NetPath<'_> {
         d: Depart<ProtoMsg>,
     ) -> (SimTime, NodeId, ProtoMsg) {
         let (from, to, lane, kind) = (d.from, d.to, d.lane, d.kind);
-        self.net.handle(t, d, (), self.port);
-        let (first, arr) = {
-            let mut it = self.port.drain();
-            it.next().expect("one arrival per departure")
-        };
-        debug_assert!(self.port.is_empty());
+        let (first, arr) = self.net.send(t, d);
         // The whole parallel scheme rests on no cross-node event
         // landing closer than the lookahead bound. The fabric charges
         // at least serialization + one hop *per hop of the shortest

@@ -8,7 +8,7 @@
 //!   wrapped per chip in a `NodeLane` that carries everything the
 //!   dispatch layer needs to advance that chip independently;
 //! * `dispatch` — event routing between adapters, with fault
-//!   injection and probe spans applied at the port boundary;
+//!   injection and probe spans applied as their actions are routed;
 //! * `wiring` — construction, topology, and observability plumbing.
 //!
 //! This module keeps only the run loops and the externally visible
@@ -41,8 +41,8 @@
 use piranha_cache::Slot;
 use piranha_cpu::CoreStats;
 use piranha_faults::{AvailabilityReport, FaultPlane};
-use piranha_kernel::{Lookahead, Port};
-use piranha_net::{Arrive, Fabric};
+use piranha_kernel::Lookahead;
+use piranha_net::Fabric;
 use piranha_probe::Probe;
 use piranha_protocol::{LineRange, ProtoMsg, RasPolicy};
 use piranha_types::{CpuId, Duration, LineAddr, SimTime};
@@ -92,7 +92,7 @@ pub struct ParsimStats {
 /// ```
 pub struct Machine {
     pub(crate) cfg: SystemConfig,
-    /// One lane per chip: the node plus its event partition, outbox,
+    /// One lane per chip: the node plus its event queue, outbox,
     /// fault plane, and dispatch scratch state.
     pub(crate) lanes: Vec<NodeLane>,
     /// The machine-wide interconnect fabric (touched only at barriers).
@@ -101,8 +101,6 @@ pub struct Machine {
     /// every recording call a no-op. The simulation never reads it, so
     /// attaching a probe cannot change simulated results.
     pub(crate) probe: Probe,
-    /// Reusable port for fabric arrivals at barrier-time routing.
-    pub(crate) net_port: Port<Arrive<ProtoMsg>>,
     /// The per-pair lookahead matrix, derived at wiring time from the
     /// fabric's topology distances; its global minimum (asserted
     /// strictly positive) is the window quantum, the per-pair bounds
@@ -543,7 +541,6 @@ impl Machine {
             lanes,
             net,
             probe,
-            net_port,
             lookahead,
             parsim,
             clock,
@@ -568,7 +565,6 @@ impl Machine {
         let mut path = NetPath {
             cfg,
             net,
-            port: net_port,
             probe,
             lookahead,
         };

@@ -6,8 +6,8 @@
 //! banks), the memory array with the in-memory directory, the two
 //! protocol engines, the intra-chip switch, the system controller, and
 //! the node's RAS policy. The node is pure composition — every behavior
-//! lives in a subsystem crate's [`Component`](piranha_kernel::Component)
-//! adapter; the dispatch layer routes events between them.
+//! lives in a subsystem crate's component adapter; the dispatch layer
+//! routes events between them.
 
 use piranha_types::FastMap;
 use std::collections::VecDeque;
@@ -16,8 +16,8 @@ use piranha_cache::{BankAction, CacheComplex, L1Set, L2Bank, Slot};
 use piranha_cpu::{CoreModel, CpuAction, CpuCluster, InOrderCore, InstrStream, OooCore};
 use piranha_faults::FaultPlane;
 use piranha_ics::Ics;
-use piranha_kernel::{Partition, Port};
-use piranha_mem::{DirEntry, MemArray, MemBank, MemData};
+use piranha_kernel::EventQueue;
+use piranha_mem::{DirEntry, MemArray, MemBank};
 use piranha_net::Depart;
 use piranha_parsim::Outbox;
 use piranha_probe::Probe;
@@ -112,8 +112,8 @@ impl Node {
 }
 
 /// One node plus everything the dispatch layer needs to advance it
-/// independently of the other nodes: its own event partition, fault
-/// plane, version counter, outstanding-request table, reusable ports,
+/// independently of the other nodes: its own event queue, fault plane,
+/// version counter, outstanding-request table, reusable action buffers,
 /// and the outbox that buffers cross-node departures until the next
 /// quantum barrier.
 ///
@@ -127,8 +127,9 @@ pub(crate) struct NodeLane {
     pub(crate) index: usize,
     /// The chip itself.
     pub(crate) node: Node,
-    /// The lane-local event partition.
-    pub(crate) events: Partition<Ev>,
+    /// The lane-local event queue (its sequence numbers are local to
+    /// the lane, so lanes never share an allocator).
+    pub(crate) events: EventQueue<Ev>,
     /// Cross-node departures buffered inside the current quantum.
     pub(crate) outbox: Outbox<Depart<ProtoMsg>>,
     /// The lane's fault oracle (node 0 owns the scripted schedule; the
@@ -157,11 +158,10 @@ pub(crate) struct NodeLane {
     /// The dispatch work queue of bank/engine actions (see
     /// `NodeLane::run_work`), kept so its allocation is reused.
     pub(crate) work: VecDeque<Item>,
-    /// Reusable output ports, one per action type.
-    pub(crate) cpu_port: Port<CpuAction>,
-    pub(crate) bank_port: Port<BankAction>,
-    pub(crate) mem_port: Port<MemData>,
-    /// Reusable buffer of protocol-engine actions.
+    /// Reusable action buffers the CPU cluster, the cache complex and
+    /// the engine complex append into, one per action type.
+    pub(crate) cpu_buf: Vec<CpuAction>,
+    pub(crate) bank_buf: Vec<BankAction>,
     pub(crate) eng_buf: Vec<EngineAction>,
 }
 
@@ -177,7 +177,7 @@ impl NodeLane {
         NodeLane {
             index,
             node,
-            events: Partition::new(),
+            events: EventQueue::new(),
             outbox: Outbox::default(),
             faults,
             traffic,
@@ -189,9 +189,8 @@ impl NodeLane {
             instrs_retired: 0,
             unfinished: 0,
             work: VecDeque::new(),
-            cpu_port: Port::new(),
-            bank_port: Port::new(),
-            mem_port: Port::new(),
+            cpu_buf: Vec::new(),
+            bank_buf: Vec::new(),
             eng_buf: Vec::new(),
         }
     }

@@ -10,11 +10,11 @@
 //! inside the subsystem handlers, and the event calendar carries
 //! *timing only*. Functional warming therefore drives the very same
 //! handlers by direct calls — `CpuCluster::step`, the bank and engine
-//! `handle_into`, `CoreModel::fill` — and resolves each CPU miss before
-//! the core steps on, through a small FIFO work queue instead of
-//! latency-separated events. It skips the calendar, the ports and wake
-//! events, the ICS transfer charges, the occupancy servers, and the
-//! probe spans, which is where the speedup comes from.
+//! `handle_into`, `MemArray::read_return`, `CoreModel::fill` — and
+//! resolves each CPU miss before the core steps on, through a small
+//! FIFO work queue instead of latency-separated events. It skips the
+//! calendar and wake events, the ICS transfer charges, the occupancy
+//! servers, and the probe spans, which is where the speedup comes from.
 //!
 //! The regime switch is exact in both directions:
 //!
@@ -34,6 +34,7 @@ use std::time::Instant;
 
 use piranha_cache::{BankAction, BankEvent, CacheEvent, Mesi, Slot};
 use piranha_cpu::{CoreStats, CoreStatus, CpuCtx, CpuEvent, MemReq};
+use piranha_mem::MemEvent;
 use piranha_probe::HistogramHandle;
 use piranha_protocol::{EngineAction, EngineEvent, HomeIn, RemoteIn};
 use piranha_sample::{SampleConfig, SampleDriver, SampleTarget, WindowSample};
@@ -273,8 +274,7 @@ impl Warm {
                 // coincide.
                 let bank = lane.bank_of(line);
                 lane.node.mem.access(bank, t, line);
-                let version = lane.node.mem.version(bank, line);
-                let remote = lane.node.mem.directory(bank, line).summary();
+                let d = lane.node.mem.read_return(MemEvent { bank, line });
                 q.push_back(WarmWork::Bank(
                     li,
                     t,
@@ -282,8 +282,8 @@ impl Warm {
                         bank,
                         ev: BankEvent::MemData {
                             line,
-                            version,
-                            remote,
+                            version: d.version,
+                            remote: d.remote,
                         },
                     },
                 ));
@@ -582,7 +582,6 @@ impl Machine {
             lanes,
             net,
             probe,
-            net_port,
             lookahead,
             clock,
             ..
@@ -593,7 +592,6 @@ impl Machine {
         let mut path = NetPath {
             cfg,
             net,
-            port: net_port,
             probe,
             lookahead,
         };
@@ -625,8 +623,8 @@ impl Machine {
             }
         }
         for lane in lanes.iter_mut() {
-            // Partitions refuse scheduling into their local past, and the
-            // drain may have advanced past a step's original time.
+            // Lane queues refuse scheduling into their local past, and
+            // the drain may have advanced past a step's original time.
             let now = lane.events.now();
             for &(t, cpu) in &deferred[lane.index] {
                 lane.events

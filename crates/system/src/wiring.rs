@@ -1,7 +1,7 @@
 //! Machine assembly: topology, node construction, and observability
 //! wiring (track naming, metric sampling, utilization reports).
 
-use piranha_kernel::{Lookahead, Port};
+use piranha_kernel::Lookahead;
 use piranha_net::{Fabric, Network, Topology, TopologyKind};
 use piranha_probe::Probe;
 use piranha_types::{NodeId, SimTime};
@@ -198,7 +198,6 @@ impl Machine {
             lanes,
             net,
             probe: Probe::disabled(),
-            net_port: Port::new(),
             lookahead,
             parsim: crate::machine::ParsimStats::default(),
             tally: crate::warm::SampleTally::default(),

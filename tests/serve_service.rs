@@ -144,6 +144,10 @@ fn malformed_submissions_are_rejected_not_fatal() {
         .submit(&[RunSpec::new("p1", "oltp", "galactic")])
         .expect_err("unknown scale must be rejected");
     assert!(err.contains("galactic"), "error names the offender: {err}");
+    let err = client
+        .submit(&[RunSpec::new("p4", "oltp", "tiny").with_chips(5000)])
+        .expect_err("a machine past MAX_NODES must be rejected");
+    assert!(err.contains("chips"), "error names the field: {err}");
     client
         .submit(&[])
         .expect_err("an empty plan must be rejected");
