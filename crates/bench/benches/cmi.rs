@@ -34,7 +34,7 @@ fn run(routes: usize) -> (f64, u64, f64) {
     cfg.cmi_routes = routes;
     let mut m = Machine::new(cfg, &storm());
     let r = m.run(8_000, 20_000);
-    let msgs = m.network().delivered();
+    let msgs = m.fabric_stats().delivered;
     (r.throughput_ipns(), msgs, t0.elapsed().as_secs_f64())
 }
 

@@ -338,6 +338,13 @@ impl L2Bank {
         self.pending.contains_key(&line)
     }
 
+    /// The pending transaction on `line` and the requests queued behind
+    /// it, rendered for deadlock reports.
+    pub fn describe_pending(&self, line: LineAddr) -> Option<String> {
+        let p = self.pending.get(&line)?;
+        Some(format!("{:?} waiters {:?}", p.kind, p.waiters))
+    }
+
     /// Whether the bank's own storage holds `line` (for tests).
     pub fn in_array(&self, line: LineAddr) -> bool {
         self.array.find(line.0).is_some()
@@ -1431,7 +1438,13 @@ mod tests {
         bank.handle(read(d(0), 100, HOME), &mut l1s);
         let a = bank.handle(read(d(1), 100, HOME), &mut l1s);
         assert!(a.is_empty(), "second miss must queue: {a:?}");
+        let pending = bank.describe_pending(LineAddr(100)).expect("pending");
+        assert!(
+            pending.starts_with("LocalMiss") && pending.contains("waiters [Miss"),
+            "{pending}"
+        );
         let a = bank.handle(mem_data(100, 5, RemoteSummary::None), &mut l1s);
+        assert_eq!(bank.describe_pending(LineAddr(100)), None);
         // First grant to d0 (E from memory), then replay: d1 forwards
         // from d0.
         let grants: Vec<Slot> = a

@@ -81,45 +81,10 @@ impl<P> Fabric<P> {
         self.net.resend(now, pkt)
     }
 
-    /// Packets delivered.
-    pub fn delivered(&self) -> u64 {
-        self.net.delivered()
-    }
-
-    /// Link-level retransmissions.
-    pub fn retransmits(&self) -> u64 {
-        self.net.retransmits()
-    }
-
-    /// Packets deflected by full output queues.
-    pub fn deflections(&self) -> u64 {
-        self.net.deflections()
-    }
-
-    /// Deflections charged to each node's router (indexed by node).
-    pub fn node_deflections(&self) -> &[u64] {
-        self.net.node_deflections()
-    }
-
-    /// Packets refused by a full output port (bounded disciplines).
-    pub fn drops(&self) -> u64 {
-        self.net.drops()
-    }
-
-    /// PFC pause events (credit-based back-pressure stalls).
-    pub fn pauses(&self) -> u64 {
-        self.net.pauses()
-    }
-
-    /// A full occupancy/loss counter snapshot (see
+    /// Every traffic, occupancy and loss counter in one snapshot (see
     /// [`crate::FabricStats`]).
     pub fn stats(&self) -> crate::FabricStats {
         self.net.stats()
-    }
-
-    /// Mean hops per delivered packet.
-    pub fn mean_hops(&self) -> f64 {
-        self.net.mean_hops()
     }
 
     /// The routed topology.

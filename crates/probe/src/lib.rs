@@ -135,20 +135,6 @@ impl Probe {
         }
     }
 
-    /// Pull-sample an absolute counter reading.
-    pub fn publish_counter(&self, name: &str, v: u64) {
-        if let Some(i) = &self.0 {
-            i.registry.publish_counter(name, v);
-        }
-    }
-
-    /// Pull-sample a gauge reading.
-    pub fn publish_gauge(&self, name: &str, v: f64) {
-        if let Some(i) = &self.0 {
-            i.registry.publish_gauge(name, v);
-        }
-    }
-
     /// A flat snapshot of every metric (`None` when disabled).
     pub fn metrics(&self) -> Option<MetricsSnapshot> {
         self.0.as_deref().map(|i| i.registry.snapshot())
@@ -246,7 +232,6 @@ mod tests {
         assert!(!p.is_enabled());
         assert!(!p.trace_on(TraceLevel::Spans));
         p.counter("x").inc();
-        p.publish_counter("y", 9);
         p.span(TraceLevel::Spans, "cpu", "step", 0, 0, 1, 0);
         assert!(p.metrics().is_none());
         assert!(p.trace_snapshot().is_none());

@@ -7,14 +7,11 @@
 //! simulation hot paths; registration and snapshotting take a lock but
 //! happen at setup and reporting time only.
 //!
-//! Two usage styles coexist:
-//!
-//! * **push**: hold a [`CounterHandle`]/[`GaugeHandle`]/[`HistogramHandle`]
-//!   and update it as events happen;
-//! * **pull**: a subsystem that already owns its authoritative counters
-//!   (the one-source-of-truth rule) is *sampled* into the registry at
-//!   snapshot time via [`MetricRegistry::publish_counter`] /
-//!   [`MetricRegistry::publish_gauge`].
+//! Metrics are *pushed*: hold a [`CounterHandle`]/[`GaugeHandle`]/
+//! [`HistogramHandle`] and update it as events happen. Counters a
+//! subsystem already keeps itself are not copied in here; the system
+//! crate's `Machine::metrics` reads them into a [`MetricsSnapshot`] of
+//! its own, and a probed run merges the two snapshots.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,14 +45,6 @@ impl CounterHandle {
     pub fn add(&self, n: u64) {
         if let Some(c) = &self.0 {
             c.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Overwrite with an absolute value (pull-sampling).
-    #[inline]
-    pub fn set(&self, v: u64) {
-        if let Some(c) = &self.0 {
-            c.store(v, Ordering::Relaxed);
         }
     }
 
@@ -220,18 +209,6 @@ impl MetricRegistry {
         }
     }
 
-    /// Pull-sample: store an absolute counter reading under `name`. The
-    /// owning subsystem keeps the authoritative count; the registry only
-    /// holds the latest sampled view.
-    pub fn publish_counter(&self, name: &str, v: u64) {
-        self.register_counter(name).set(v);
-    }
-
-    /// Pull-sample a gauge reading.
-    pub fn publish_gauge(&self, name: &str, v: f64) {
-        self.register_gauge(name).set(v);
-    }
-
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
         self.slots.lock().unwrap().len()
@@ -345,6 +322,17 @@ impl MetricsSnapshot {
     }
 }
 
+/// One `name value` line per row, the names padded to one width.
+impl std::fmt::Display for MetricsSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let width = self.entries.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
+        for (name, v) in &self.entries {
+            writeln!(f, "{name:<width$}  {v}")?;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,14 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn publish_overwrites() {
-        let reg = MetricRegistry::new();
-        reg.publish_counter("sampled", 10);
-        reg.publish_counter("sampled", 7);
-        assert_eq!(reg.snapshot().get("sampled"), Some(&MetricValue::Count(7)));
-    }
-
-    #[test]
     fn histogram_flattens_into_snapshot() {
         let reg = MetricRegistry::new();
         let h = reg.register_histogram("lat");
@@ -446,8 +426,8 @@ mod tests {
     #[test]
     fn snapshot_is_sorted_and_csv_renders() {
         let reg = MetricRegistry::new();
-        reg.publish_counter("z.last", 1);
-        reg.publish_counter("a.first", 2);
+        reg.register_counter("z.last").add(1);
+        reg.register_counter("a.first").add(2);
         let snap = reg.snapshot();
         assert!(snap.entries.windows(2).all(|w| w[0].0 <= w[1].0));
         let csv = snap.to_csv();
@@ -458,11 +438,24 @@ mod tests {
     }
 
     #[test]
+    fn display_aligns_one_row_per_line() {
+        let snap = MetricsSnapshot::from_entries(vec![
+            ("net.mean_hops".into(), MetricValue::Value(1.5)),
+            ("machine.instrs".into(), MetricValue::Count(42)),
+        ]);
+        assert_eq!(
+            snap.to_string(),
+            "machine.instrs  42\nnet.mean_hops   1.5\n"
+        );
+        assert_eq!(MetricsSnapshot::default().to_string(), "");
+    }
+
+    #[test]
     fn prefix_query() {
         let reg = MetricRegistry::new();
-        reg.publish_counter("cpu.node0.core0.instrs", 5);
-        reg.publish_counter("cpu.node0.core1.instrs", 6);
-        reg.publish_counter("net.delivered", 7);
+        reg.register_counter("cpu.node0.core0.instrs").add(5);
+        reg.register_counter("cpu.node0.core1.instrs").add(6);
+        reg.register_counter("net.delivered").add(7);
         let snap = reg.snapshot();
         assert_eq!(snap.with_prefix("cpu.").count(), 2);
     }

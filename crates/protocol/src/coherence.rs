@@ -282,6 +282,29 @@ impl HomeEngine {
         self.active.high_water()
     }
 
+    /// Live TSRF entries and inputs deferred on a full TSRF.
+    pub fn occupancy(&self) -> (usize, usize) {
+        (self.active.occupied(), self.overflow.len())
+    }
+
+    /// Each live transaction (line and state), then each line's queued
+    /// requests, `; `-separated: the engine's part of a deadlock report.
+    pub fn describe(&self) -> String {
+        let mut items: Vec<String> = self
+            .active
+            .iter()
+            .map(|e| format!("{} {:?}", e.line, e.state))
+            .collect();
+        let mut queued: Vec<_> = self.waiters.iter().filter(|(_, q)| !q.is_empty()).collect();
+        queued.sort_unstable_by_key(|(line, _)| **line);
+        items.extend(
+            queued
+                .iter()
+                .map(|(line, q)| format!("{line} queued {q:?}")),
+        );
+        items.join("; ")
+    }
+
     /// Override the CMI route budget (for the cruise-missile-invalidate
     /// ablation: a large value degenerates to one point-to-point
     /// invalidation message per sharer, as in conventional protocols).
@@ -788,6 +811,22 @@ impl RemoteEngine {
         self.txns.high_water()
     }
 
+    /// Live TSRF entries and requests deferred on a full TSRF.
+    pub fn occupancy(&self) -> (usize, usize) {
+        (self.txns.occupied(), self.overflow.len())
+    }
+
+    /// Each live transaction (line and state), `; `-separated: the
+    /// engine's part of a deadlock report.
+    pub fn describe(&self) -> String {
+        let items: Vec<String> = self
+            .txns
+            .iter()
+            .map(|e| format!("{} {:?}", e.line, e.state))
+            .collect();
+        items.join("; ")
+    }
+
     /// Number of write-backs currently awaiting acknowledgement.
     pub fn pending_wbs(&self) -> usize {
         self.wbs.len()
@@ -1237,6 +1276,12 @@ mod tests {
             &mut dir,
         );
         assert!(acts.is_empty(), "conflicting request must queue: {acts:?}");
+        assert_eq!(home.occupancy(), (1, 0), "queued per line, not deferred");
+        let state = home.describe();
+        assert!(
+            state.contains("AwaitSharingWb") && state.contains("queued [QueuedReq"),
+            "{state}"
+        );
         // Sharing write-back arrives: memory freshened, both sharers
         // recorded, queued request replayed.
         let acts = home_in(
@@ -1855,6 +1900,8 @@ mod tests {
             },
         );
         assert!(acts.is_empty());
+        assert_eq!(eng.occupancy(), (16, 1), "full TSRF, one deferred");
+        assert!(eng.describe().starts_with("L0x0 RemoteTxn"));
         // Completing one transaction releases the deferred request.
         let acts = remote_in(
             &mut eng,
@@ -1879,5 +1926,6 @@ mod tests {
             )),
             "deferred request sent after completion: {acts:?}"
         );
+        assert_eq!(eng.occupancy(), (16, 0), "the retry took the freed entry");
     }
 }

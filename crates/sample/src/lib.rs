@@ -304,12 +304,7 @@ impl SampleEstimate {
             self.detailed_instrs,
             self.warmed_instrs,
         );
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in repr.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        piranha_types::fnv1a(repr.as_bytes())
     }
 }
 

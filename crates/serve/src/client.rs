@@ -31,8 +31,10 @@ pub struct JobTicket {
 pub struct JobRow {
     /// The spec's human-readable label.
     pub label: String,
-    /// `queued`, `running`, or `done`.
+    /// `queued`, `running`, `done`, or `failed`.
     pub state: String,
+    /// Why the simulation failed (failed rows only).
+    pub error: Option<String>,
     /// `memory`, `store`, or `computed` (done rows only).
     pub provenance: Option<String>,
     /// Wall-clock cost of resolving the entry (done rows only).
@@ -48,18 +50,19 @@ pub struct JobRow {
 pub struct JobStatus {
     /// The job id.
     pub job: u64,
-    /// `queued`, `running`, or `done`.
+    /// `queued`, `running`, `done`, or `failed` (every entry finished,
+    /// at least one failed).
     pub state: String,
     /// Entries total.
     pub total: u64,
-    /// Entries completed.
+    /// Entries finished, failed ones included.
     pub done: u64,
     /// Per-entry rows.
     pub rows: Vec<JobRow>,
 }
 
 impl JobStatus {
-    /// Whether every entry has completed.
+    /// Whether every entry has completed successfully.
     pub fn is_done(&self) -> bool {
         self.state == "done"
     }
@@ -172,6 +175,7 @@ impl Client {
                     .and_then(Json::as_str)
                     .unwrap_or_default()
                     .to_string(),
+                error: r.get("error").and_then(Json::as_str).map(str::to_string),
                 provenance: r
                     .get("provenance")
                     .and_then(Json::as_str)
@@ -197,7 +201,7 @@ impl Client {
         })
     }
 
-    /// Poll `status` until the job completes.
+    /// Poll `status` until every entry of the job is done or failed.
     ///
     /// # Errors
     ///
@@ -205,7 +209,7 @@ impl Client {
     pub fn wait(&mut self, job: u64, poll: Duration) -> Result<JobStatus, String> {
         loop {
             let s = self.status(job)?;
-            if s.is_done() {
+            if s.is_done() || s.state == "failed" {
                 return Ok(s);
             }
             std::thread::sleep(poll);
@@ -214,7 +218,7 @@ impl Client {
 
     /// Stream a job's progress events, invoking `on_event` per line
     /// until the terminating `job_done` event (passed to the callback
-    /// too). Blocks until the job completes.
+    /// too). Blocks until every entry is done or failed.
     ///
     /// # Errors
     ///

@@ -45,22 +45,12 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// change to the simulator (any such change re-blesses the table).
 const GOLDEN_TABLE: &str = include_str!("../../../tests/golden_fingerprints.tsv");
 
-/// FNV-1a over `bytes`, the same hash the fingerprint uses.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The build stamp persisted entries are guarded by: a hash of the
 /// schema version and the golden-fingerprint table. Two builds share a
 /// stamp exactly when they agree on the envelope layout *and* on the
 /// bit-exact behaviour of the simulator (as certified by the goldens).
 pub fn build_stamp() -> u64 {
-    fnv1a(format!("piranha-serve/v{SCHEMA_VERSION}|{GOLDEN_TABLE}").as_bytes())
+    piranha_types::fnv1a(format!("piranha-serve/v{SCHEMA_VERSION}|{GOLDEN_TABLE}").as_bytes())
 }
 
 /// A decoded store entry: the cache key it was saved under and the

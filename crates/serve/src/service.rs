@@ -39,6 +39,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -81,6 +82,17 @@ enum EntryState {
         fingerprint: u64,
         ipns: f64,
     },
+    /// The simulation panicked; `error` is the panic message.
+    Failed {
+        error: String,
+    },
+}
+
+impl EntryState {
+    /// Done or failed: nothing more will happen to the entry.
+    fn finished(&self) -> bool {
+        matches!(self, EntryState::Done { .. } | EntryState::Failed { .. })
+    }
 }
 
 #[derive(Debug)]
@@ -93,6 +105,7 @@ struct Entry {
 #[derive(Debug, Default)]
 struct Job {
     entries: Vec<Entry>,
+    /// Entries finished, failed ones included.
     done: usize,
     /// Pre-rendered progress event lines, replayed to `watch`ers.
     events: Vec<String>,
@@ -100,8 +113,13 @@ struct Job {
 
 impl Job {
     fn state(&self) -> &'static str {
+        let failed = |e: &Entry| matches!(e.state, EntryState::Failed { .. });
         if self.done == self.entries.len() {
-            "done"
+            if self.entries.iter().any(failed) {
+                "failed"
+            } else {
+                "done"
+            }
         } else if self
             .entries
             .iter()
@@ -143,6 +161,10 @@ impl Job {
                             ));
                             fields.push(("ipns".into(), Json::F64(*ipns)));
                         }
+                        EntryState::Failed { error } => {
+                            fields.push(("state".into(), Json::str("failed")));
+                            fields.push(("error".into(), Json::str(error)));
+                        }
                     }
                     Json::obj(fields)
                 })
@@ -180,9 +202,7 @@ impl ServerState {
     fn set_entry_state(&self, job_id: u64, idx: usize, state: EntryState, event: Json) {
         let mut jobs = self.jobs.lock().unwrap();
         if let Some(job) = jobs.get_mut(&job_id) {
-            if matches!(state, EntryState::Done { .. })
-                && !matches!(job.entries[idx].state, EntryState::Done { .. })
-            {
+            if state.finished() && !job.entries[idx].state.finished() {
                 job.done += 1;
             }
             job.entries[idx].state = state;
@@ -222,7 +242,35 @@ impl ServerState {
                 ]),
             );
             let start = Instant::now();
-            let (r, provenance) = self.cache.resolve(self.store.as_deref(), &item.req);
+            // A panicking simulation (a protocol deadlock, the event
+            // budget) fails its own entry; the worker lives on, and the
+            // claim guard releases the key as the panic unwinds.
+            let resolved = catch_unwind(AssertUnwindSafe(|| {
+                self.cache.resolve(self.store.as_deref(), &item.req)
+            }));
+            let (r, provenance) = match resolved {
+                Ok(resolved) => resolved,
+                Err(payload) => {
+                    let error = payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_else(|| "the simulation panicked".into());
+                    self.set_entry_state(
+                        item.job,
+                        item.idx,
+                        EntryState::Failed {
+                            error: error.clone(),
+                        },
+                        Json::obj(vec![
+                            ("event".into(), Json::str("failed")),
+                            ("label".into(), Json::str(&label)),
+                            ("error".into(), Json::str(error)),
+                        ]),
+                    );
+                    continue;
+                }
+            };
             match provenance {
                 Provenance::Memory => &self.mem_hits,
                 Provenance::Store => &self.store_hits,
@@ -592,7 +640,7 @@ fn status(state: &ServerState, req: &Json) -> Json {
 }
 
 /// Stream a job's progress events (replaying history first), ending
-/// with a `job_done` line once every entry completes.
+/// with a `job_done` line once every entry is done or failed.
 fn watch(state: &ServerState, req: &Json, out: &mut impl Write) -> std::io::Result<()> {
     let Some(job_id) = req.get("job").and_then(Json::as_u64) else {
         return respond(out, error("watch needs a 'job' id"));

@@ -90,7 +90,9 @@ impl RunSpec {
     ///
     /// # Errors
     ///
-    /// Names the first unknown preset/workload/scale token.
+    /// Names the first unknown preset/workload/scale token, or a
+    /// `completion` scale on a workload whose streams never end (`synth`,
+    /// `web`, or `oltp`/`tpcc`/`dss` without a positive bound).
     pub fn resolve(&self) -> Result<RunRequest, String> {
         let mut cfg = resolve_preset(&self.preset)?;
         if self.chips > 1 {
@@ -99,11 +101,21 @@ impl RunSpec {
         if self.io_nodes > 0 {
             cfg = cfg.with_io_nodes(self.io_nodes);
         }
-        Ok(RunRequest::new(
-            cfg,
-            resolve_workload(&self.workload)?,
-            resolve_scale(&self.scale)?,
-        ))
+        let workload = resolve_workload(&self.workload)?;
+        let scale = resolve_scale(&self.scale)?;
+        let bounded = match &workload {
+            Workload::Oltp(c) => c.txn_limit > 0,
+            Workload::Dss(c) => c.line_limit > 0,
+            _ => false,
+        };
+        if scale.to_completion && !bounded {
+            return Err(format!(
+                "run spec scale {:?} never ends on the unbounded workload {:?} \
+                 (bound it, e.g. \"oltp:200\")",
+                self.scale, self.workload
+            ));
+        }
+        Ok(RunRequest::new(cfg, workload, scale))
     }
 
     /// The spec as a JSON object (the `submit` wire format).
@@ -121,9 +133,11 @@ impl RunSpec {
     ///
     /// # Errors
     ///
-    /// Reports a missing `preset`/`workload`/`scale` field, or a machine
-    /// of more than [`MAX_NODES`] nodes (`chips + io_nodes`), the limit
-    /// of the directory's 10-bit node pointers.
+    /// Reports a missing `preset`/`workload`/`scale` field, a present
+    /// `chips` that is not a positive integer or `io_nodes` that is not a
+    /// non-negative one, or a machine of more than [`MAX_NODES`] nodes
+    /// (`chips + io_nodes`), the limit of the directory's 10-bit node
+    /// pointers.
     pub fn from_json(v: &Json) -> Result<Self, String> {
         let field = |k: &str| {
             v.get(k)
@@ -131,8 +145,14 @@ impl RunSpec {
                 .map(str::to_string)
                 .ok_or_else(|| format!("run spec needs a string field {k:?}"))
         };
-        let chips = v.get("chips").and_then(Json::as_u64).unwrap_or(1).max(1);
-        let io_nodes = v.get("io_nodes").and_then(Json::as_u64).unwrap_or(0);
+        let count = |k: &str, default: u64, min: u64| match v.get(k) {
+            None => Ok(default),
+            Some(j) => j.as_u64().filter(|&n| n >= min).ok_or_else(|| {
+                format!("run spec field {k:?} must be an integer >= {min}, not {j}")
+            }),
+        };
+        let chips = count("chips", 1, 1)?;
+        let io_nodes = count("io_nodes", 0, 0)?;
         if chips.saturating_add(io_nodes) > MAX_NODES as u64 {
             return Err(format!(
                 "run spec field \"chips\" ({chips}) plus \"io_nodes\" ({io_nodes}) \
@@ -311,6 +331,40 @@ mod tests {
         )
         .expect_err("1025 nodes exceed the limit");
         assert!(err.contains("chips") && err.contains("io_nodes"), "{err}");
+    }
+
+    #[test]
+    fn malformed_machine_sizes_name_their_field() {
+        let decode = |json: &str| RunSpec::from_json(&Json::parse(json).unwrap());
+        let spec = r#""preset":"p4","workload":"oltp","scale":"tiny""#;
+        for (field, bad) in [
+            ("chips", r#""16""#),
+            ("chips", "-3"),
+            ("chips", "2.5"),
+            ("chips", "0"),
+            ("io_nodes", r#""1""#),
+            ("io_nodes", "-1"),
+            ("io_nodes", "0.5"),
+        ] {
+            let err = decode(&format!("{{{spec},\"{field}\":{bad}}}"))
+                .expect_err("a malformed size must not decode to the default");
+            assert!(err.contains(field), "{field}={bad}: {err}");
+        }
+        let ok = decode(&format!("{{{spec},\"chips\":16,\"io_nodes\":0}}")).unwrap();
+        assert_eq!((ok.chips, ok.io_nodes), (16, 0));
+    }
+
+    #[test]
+    fn completion_needs_a_bounded_workload() {
+        for workload in ["oltp", "oltp:0", "tpcc", "dss", "synth", "web"] {
+            let err = RunSpec::new("p1", workload, "completion")
+                .resolve()
+                .expect_err("an unbounded completion run never ends");
+            assert!(err.contains("scale") && err.contains(workload), "{err}");
+        }
+        for workload in ["oltp:5", "tpcc:5", "dss:100"] {
+            assert!(RunSpec::new("p1", workload, "completion").resolve().is_ok());
+        }
     }
 
     #[test]

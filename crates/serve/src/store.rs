@@ -58,10 +58,10 @@ impl DiskStore {
     /// be arbitrarily long and contains characters hostile to
     /// filenames; the address is fixed-width and safe.
     pub fn address(key: &str) -> String {
-        let a = envelope::fnv1a(key.as_bytes());
+        let a = piranha_types::fnv1a(key.as_bytes());
         // Second variant: different offset basis (FNV-0 style seed over
         // a tag) so the two halves are independent.
-        let b = envelope::fnv1a(format!("piranha-store/{key}").as_bytes());
+        let b = piranha_types::fnv1a(format!("piranha-store/{key}").as_bytes());
         format!("{a:016x}{b:016x}")
     }
 

@@ -25,7 +25,6 @@ pub mod config;
 pub(crate) mod dispatch;
 pub mod machine;
 pub(crate) mod node;
-pub mod report;
 pub mod result;
 pub mod sysctl;
 pub(crate) mod warm;
@@ -43,7 +42,5 @@ pub use piranha_sample::{Estimator, SampleConfig, SampleEstimate};
 pub use piranha_traffic::{
     ArrivalKind, DiurnalCurve, OverflowPolicy, TrafficConfig, TrafficLedger, TrafficSummary,
 };
-pub use report::{MachineReport, NodeReport};
 pub use result::{CpuBreakdown, RunResult};
 pub use sysctl::{CtrlPacket, CtrlReply, SystemController};
-pub use warm::SampleTally;

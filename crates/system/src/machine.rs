@@ -181,7 +181,8 @@ impl Machine {
         self.clock
     }
 
-    /// The interconnect fabric (for delivery/deflection statistics).
+    /// The interconnect fabric (topology and delivery-latency bounds;
+    /// its counters are [`Machine::fabric_stats`]).
     pub fn network(&self) -> &Fabric<ProtoMsg> {
         &self.net
     }
@@ -315,7 +316,8 @@ impl Machine {
     }
 
     /// Attach the availability ledger and committed-work count to a
-    /// result, audit RAS mirror consistency, and snapshot metrics (the
+    /// result, audit RAS mirror consistency, and, with a probe attached,
+    /// snapshot the statistics table and the probe's histograms (the
     /// metrics stay outside the fingerprint; availability and committed
     /// work are folded in).
     pub(crate) fn finish_result(&mut self, r: &mut RunResult) {
@@ -327,8 +329,11 @@ impl Machine {
         r.committed_txns = self.committed_txns();
         r.traffic = self.traffic_summary();
         self.check_ras();
-        self.sample_metrics();
-        r.metrics = self.probe.metrics().unwrap_or_default();
+        if let Some(histograms) = self.probe.metrics() {
+            let mut rows = self.metrics().entries;
+            rows.extend(histograms.entries);
+            r.metrics = piranha_probe::MetricsSnapshot::from_entries(rows);
+        }
     }
 
     /// Total workload-level units of work (transactions, scan lines)
@@ -350,8 +355,8 @@ impl Machine {
 
     /// Merged open-loop traffic results across all lanes (conservation
     /// ledger + birth→commit latency histogram); `None` when traffic is
-    /// off.
-    pub fn traffic_summary(&self) -> Option<piranha_traffic::TrafficSummary> {
+    /// off. Outside the crate it is [`RunResult::traffic`].
+    pub(crate) fn traffic_summary(&self) -> Option<piranha_traffic::TrafficSummary> {
         if !self.cfg.traffic.enabled() {
             return None;
         }
@@ -472,6 +477,8 @@ impl Machine {
     ///
     /// Panics if the event queues drain while CPUs are unfinished or the
     /// event budget is exhausted — both indicate a protocol deadlock bug.
+    /// A drained queue panics with a report of where every node is stuck
+    /// (see `deadlock_report`).
     pub fn run_until_total(&mut self, target: u64) {
         debug_assert_eq!(
             self.lanes.iter().map(|l| l.instrs_retired).sum::<u64>(),
@@ -498,10 +505,15 @@ impl Machine {
             }
             for _ in 0..64 {
                 let Some((t, ev)) = lane.events.pop() else {
-                    assert!(
-                        lane.unfinished == 0,
-                        "event queue drained with unfinished CPUs: deadlock"
-                    );
+                    if lane.unfinished > 0 {
+                        panic!(
+                            "{}",
+                            deadlock_report(
+                                "event queue drained with unfinished CPUs: deadlock",
+                                std::slice::from_ref(lane)
+                            )
+                        );
+                    }
                     break 'outer;
                 };
                 assert!(
@@ -606,7 +618,13 @@ impl Machine {
                     return None;
                 }
                 let Some(base) = t_min else {
-                    panic!("event queues drained with unfinished CPUs: deadlock");
+                    panic!(
+                        "{}",
+                        deadlock_report(
+                            "event queues drained with unfinished CPUs: deadlock",
+                            lanes
+                        )
+                    );
                 };
                 Some(lookahead.horizon(base))
             },
@@ -712,4 +730,54 @@ impl Machine {
             }
         }
     }
+}
+
+/// `headline`, then the simulated time and, per node, what holds it up:
+/// each protocol engine's TSRF and deferred-input counts and its live
+/// transactions (the home engine's queued requests too), then each line
+/// the node's CPUs wait on, with the waiting L1 slots and the L2 bank's
+/// pending entry for the line.
+fn deadlock_report(headline: &str, lanes: &[NodeLane]) -> String {
+    use std::fmt::Write;
+    let now = lanes
+        .iter()
+        .map(|l| l.events.now())
+        .max()
+        .unwrap_or_default();
+    let mut out = format!("{headline}\nat {now}");
+    for lane in lanes {
+        let nd = &lane.node;
+        let (home, remote) = (nd.engines.home(), nd.engines.remote());
+        let ((ht, hd), (rt, rd)) = (home.occupancy(), remote.occupancy());
+        let _ = write!(
+            out,
+            "\nnode {}: home {ht} TSRF {hd} deferred, remote {rt} TSRF {rd} deferred",
+            lane.index
+        );
+        for (name, state) in [("home", home.describe()), ("remote", remote.describe())] {
+            if !state.is_empty() {
+                let _ = write!(out, "\n  {name}: {state}");
+            }
+        }
+        let mut waits: Vec<_> = lane
+            .outstanding
+            .keys()
+            .map(|&(slot, line)| (line, slot))
+            .collect();
+        waits.sort_unstable();
+        for group in waits.chunk_by(|a, b| a.0 == b.0) {
+            let line = group[0].0;
+            let _ = write!(out, "\n  {line} awaited by");
+            for (_, slot) in group {
+                let _ = write!(out, " {slot}");
+            }
+            let bank = nd
+                .caches
+                .bank((line.0 % nd.caches.bank_count() as u64) as usize);
+            if let Some(pending) = bank.describe_pending(line) {
+                let _ = write!(out, "; bank: {pending}");
+            }
+        }
+    }
+    out
 }

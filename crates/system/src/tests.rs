@@ -253,7 +253,7 @@ fn sampled_run_single_chip_smoke() {
         est.detailed_fraction
     );
     assert!(m.total_instrs() >= 8 * 60_000);
-    let tally = m.sample_tally();
+    let tally = m.tally;
     assert_eq!(tally.windows, 6);
     // In-order cores warm at exactly one cycle per instruction, so the
     // warming-cycle tally equals the warmed instruction count.
@@ -312,9 +312,53 @@ fn open_loop_traffic_single_chip_smoke() {
     assert!(t.p99_ns() >= t.p50_ns());
     assert!(t.p50_ns() > 0);
     m.check_coherence();
-    let report = m.report();
-    assert!(report.traffic.is_some());
-    assert!(report.to_string().contains("traffic: p50"));
+    let table = m.metrics();
+    let count = |name: &str| table.get(name).and_then(|v| v.as_count());
+    assert_eq!(count("traffic.generated"), Some(t.ledger.generated));
+    assert_eq!(count("traffic.completed"), Some(40));
+    assert_eq!(count("traffic.txn_latency_ns.p50"), Some(t.p50_ns()));
+    assert_eq!(count("traffic.txn_latency_ns.p99"), Some(t.p99_ns()));
+    assert_eq!(
+        table.get("traffic.drop_rate").map(|v| v.as_f64()),
+        Some(t.drop_rate())
+    );
+    assert_eq!(count("cpu.node0.core1.units"), Some(20));
+}
+
+/// The statistics table's machine-wide protocol rows are the sums of
+/// the per-engine counters, and every node contributes its rows.
+#[test]
+fn metrics_table_aggregates_the_engines() {
+    let mut m = Machine::new(
+        SystemConfig::piranha_pn(2).scaled_to_chips(2),
+        &Workload::Synth(SynthConfig::heavy()),
+    );
+    m.run(1_000, 5_000);
+    let table = m.metrics();
+    let (mut msgs, mut instrs) = (0, 0);
+    for lane in &m.lanes {
+        let (home, remote) = (lane.node.engines.home(), lane.node.engines.remote());
+        msgs += home.msgs_handled() + remote.msgs_handled();
+        instrs += home.instr_executed() + remote.instr_executed();
+    }
+    assert!(msgs > 0, "two chips exchanged protocol messages");
+    assert_eq!(
+        table.get("protocol.msgs").and_then(|v| v.as_count()),
+        Some(msgs)
+    );
+    assert_eq!(
+        table.get("protocol.mean_occupancy").map(|v| v.as_f64()),
+        Some(instrs as f64 / msgs as f64)
+    );
+    for name in [
+        "mem.node1.page_hit_rate",
+        "sc.node1.packets",
+        "protocol.node1.home_tsrf",
+        "protocol.node1.remote_deferred",
+    ] {
+        assert!(table.get(name).is_some(), "missing {name}");
+    }
+    assert!(m.probe().metrics().is_none(), "the table needs no probe");
 }
 
 /// The same open-loop protocol across the multi-chip quantum engine:

@@ -45,21 +45,21 @@ use crate::machine::Machine;
 use crate::node::{Node, NodeDirs, NodeLane};
 use crate::result::RunResult;
 
-/// Cumulative sampled-execution counters, published by the probe as
+/// Cumulative sampled-execution counters, the statistics table's
 /// `sample.windows` / `sample.detailed_cycles` / `sample.warming_cycles`.
 /// All-zero unless [`Machine::run_sampled`] ran. In-order cores warm at
 /// exactly one cycle per instruction ([`piranha_cpu::CoreModel::warm_advance`]'s
 /// fixed-IPC contract), so the two cycle counters split the run's
 /// simulated core time between the regimes.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SampleTally {
+pub(crate) struct SampleTally {
     /// Detailed measurement windows taken.
-    pub windows: u64,
+    pub(crate) windows: u64,
     /// Core cycles (summed over CPUs) spent under the detailed model,
     /// lead-ins included.
-    pub detailed_cycles: u64,
+    pub(crate) detailed_cycles: u64,
     /// Core cycles (summed over CPUs) spent in functional warming.
-    pub warming_cycles: u64,
+    pub(crate) warming_cycles: u64,
 }
 
 /// One unit of synchronous warm-mode work. Lane-tagged because protocol
@@ -455,12 +455,6 @@ impl Machine {
             .collect()
     }
 
-    /// Cumulative sampled-execution counters (all-zero unless
-    /// [`Machine::run_sampled`] ran).
-    pub fn sample_tally(&self) -> SampleTally {
-        self.tally
-    }
-
     /// A digest of every piece of *architectural* state the functional
     /// warming path claims to keep identical to detailed execution: L1
     /// tag/MESI/version occupancy, i/d TLB residency, L2 array
@@ -509,12 +503,7 @@ impl Machine {
                 ));
             }
         }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in repr.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        piranha_types::fnv1a(repr.as_bytes())
     }
 
     /// Functionally warm the machine until the total retired instruction

@@ -1,9 +1,9 @@
 //! Machine assembly: topology, node construction, and observability
-//! wiring (track naming, metric sampling, utilization reports).
+//! wiring (track naming and the statistics table).
 
 use piranha_kernel::Lookahead;
 use piranha_net::{Fabric, Network, Topology, TopologyKind};
-use piranha_probe::Probe;
+use piranha_probe::{MetricValue, MetricsSnapshot, Probe};
 use piranha_types::{NodeId, SimTime};
 use piranha_workloads::{SynthConfig, SynthStream};
 
@@ -247,15 +247,17 @@ impl Machine {
         }
     }
 
-    /// Pull-sample every subsystem's authoritative counters into the
-    /// probe's metric registry. The subsystems keep the single source of
-    /// truth; the registry holds the latest sampled reading. A no-op
-    /// when the probe is disabled.
-    pub fn sample_metrics(&self) {
-        if !self.probe.is_enabled() {
-            return;
-        }
-        let p = &self.probe;
+    /// The machine's statistics table: one row per counter a subsystem
+    /// keeps, each named here and nowhere else (dots separate the
+    /// hierarchy: `cpu.node0.core1.instrs`, `net.delivered`). Read from
+    /// the subsystems' own counters at call time, so it never disagrees
+    /// with them. A probed run's
+    /// [`RunResult::metrics`](crate::RunResult::metrics) is this table
+    /// merged with the probe registry's snapshot (its histograms).
+    pub fn metrics(&self) -> MetricsSnapshot {
+        use MetricValue::{Count, Value};
+        let mut rows: Vec<(String, MetricValue)> = Vec::new();
+        let mut row = |name: &str, v: MetricValue| rows.push((name.to_string(), v));
         let (scheduled, popped, migrated) = self.lanes.iter().fold((0, 0, 0), |(s, o, m), l| {
             (
                 s + l.events.scheduled(),
@@ -263,171 +265,145 @@ impl Machine {
                 m + l.events.migrated(),
             )
         });
-        p.publish_counter("kernel.events.scheduled", scheduled);
-        p.publish_counter("kernel.events.popped", popped);
-        p.publish_counter("kernel.events.migrated", migrated);
-        p.publish_counter("machine.instrs", self.total_instrs());
-        p.publish_gauge("mem.page_hit_rate", self.mem_page_hit_rate());
-        p.publish_counter("net.delivered", self.net.delivered());
-        p.publish_counter("net.deflections", self.net.deflections());
-        p.publish_counter("net.retransmits", self.net.retransmits());
-        p.publish_gauge("net.mean_hops", self.net.mean_hops());
-        // Fabric congestion counters: queue-discipline losses/stalls,
-        // per-link wire-time occupancy, per-node deflection split.
+        row("kernel.events.scheduled", Count(scheduled));
+        row("kernel.events.popped", Count(popped));
+        row("kernel.events.migrated", Count(migrated));
+        row("machine.instrs", Count(self.total_instrs()));
+        row("mem.page_hit_rate", Value(self.mem_page_hit_rate()));
+        // Fabric traffic and congestion: queue-discipline losses and
+        // stalls, per-link wire-time occupancy, per-node deflections.
         let fs = self.net.stats();
-        p.publish_counter("net.drops", fs.drops);
-        p.publish_counter("net.pauses", fs.pauses);
-        p.publish_counter("net.pause_ns", fs.pause_time.as_ns());
-        p.publish_counter("net.links", fs.links as u64);
-        p.publish_counter("net.link_busy_ns", fs.link_busy.as_ns());
-        p.publish_counter("net.link_max_busy_ns", fs.max_link_busy.as_ns());
-        p.publish_gauge(
+        row("net.delivered", Count(fs.delivered));
+        row("net.deflections", Count(fs.deflections));
+        row("net.retransmits", Count(fs.retransmits));
+        row("net.mean_hops", Value(fs.mean_hops));
+        row("net.drops", Count(fs.drops));
+        row("net.pauses", Count(fs.pauses));
+        row("net.pause_ns", Count(fs.pause_time.as_ns()));
+        row("net.links", Count(fs.links as u64));
+        row("net.link_busy_ns", Count(fs.link_busy.as_ns()));
+        row("net.link_max_busy_ns", Count(fs.max_link_busy.as_ns()));
+        row(
             "net.occupancy",
-            fs.occupancy(self.now().since(SimTime::ZERO)),
+            Value(fs.occupancy(self.now().since(SimTime::ZERO))),
         );
         for (n, d) in fs
             .node_deflections
             .iter()
-            .enumerate()
             .take(self.lanes.len())
+            .enumerate()
         {
-            p.publish_counter(&format!("net.node{n}.deflections"), *d);
+            row(&format!("net.node{n}.deflections"), Count(*d));
         }
-        let ps = self.parsim_stats();
-        p.publish_counter("parsim.rounds", ps.rounds);
-        p.publish_counter("parsim.windows", ps.windows);
-        p.publish_counter("parsim.empty_windows", ps.empty_windows);
-        p.publish_counter("parsim.merged_events", ps.merged_events);
-        p.publish_counter("parsim.events", ps.events);
-        let st = self.sample_tally();
-        p.publish_counter("sample.windows", st.windows);
-        p.publish_counter("sample.detailed_cycles", st.detailed_cycles);
-        p.publish_counter("sample.warming_cycles", st.warming_cycles);
+        let (mut msgs, mut instrs) = (0, 0);
+        for e in self.lanes.iter().map(|l| &l.node.engines) {
+            msgs += e.home().msgs_handled() + e.remote().msgs_handled();
+            instrs += e.home().instr_executed() + e.remote().instr_executed();
+        }
+        row("protocol.msgs", Count(msgs));
+        // Microinstructions per handled message: the paper's "few
+        // instructions at each engine".
+        row(
+            "protocol.mean_occupancy",
+            Value(instrs as f64 / msgs.max(1) as f64),
+        );
+        let ps = self.parsim;
+        row("parsim.rounds", Count(ps.rounds));
+        row("parsim.windows", Count(ps.windows));
+        row("parsim.empty_windows", Count(ps.empty_windows));
+        row("parsim.merged_events", Count(ps.merged_events));
+        row("parsim.events", Count(ps.events));
+        row("sample.windows", Count(self.tally.windows));
+        row("sample.detailed_cycles", Count(self.tally.detailed_cycles));
+        row("sample.warming_cycles", Count(self.tally.warming_cycles));
         let av = self.availability();
-        p.publish_counter("faults.injected", av.injected);
-        p.publish_counter("faults.corrected", av.corrected);
-        p.publish_counter("faults.escalated", av.escalated);
-        p.publish_counter("faults.retransmits", av.retransmits);
-        p.publish_counter("faults.recovery_cycles", av.recovery_cycles);
+        row("faults.injected", Count(av.injected));
+        row("faults.corrected", Count(av.corrected));
+        row("faults.escalated", Count(av.escalated));
+        row("faults.retransmits", Count(av.retransmits));
+        row("faults.recovery_cycles", Count(av.recovery_cycles));
         if let Some(ts) = self.traffic_summary() {
             // Offered vs. accepted load, machine-wide: the open-loop
             // generator's output against what the bounded queues took.
-            p.publish_counter("traffic.generated", ts.ledger.generated);
-            p.publish_counter("traffic.accepted", ts.ledger.accepted);
-            p.publish_counter("traffic.dropped", ts.ledger.dropped);
-            p.publish_counter("traffic.deferred", ts.ledger.deferred);
-            p.publish_counter("traffic.completed", ts.ledger.completed);
+            row("traffic.generated", Count(ts.ledger.generated));
+            row("traffic.accepted", Count(ts.ledger.accepted));
+            row("traffic.dropped", Count(ts.ledger.dropped));
+            row("traffic.deferred", Count(ts.ledger.deferred));
+            row("traffic.completed", Count(ts.ledger.completed));
+            row("traffic.txn_latency_ns.p50", Count(ts.p50_ns()));
+            row("traffic.txn_latency_ns.p95", Count(ts.p95_ns()));
+            row("traffic.txn_latency_ns.p99", Count(ts.p99_ns()));
+            row("traffic.drop_rate", Value(ts.drop_rate()));
         }
         for (n, lane) in self.lanes.iter().enumerate() {
             let node = &lane.node;
-            for (c, core) in node.cpus.cores().enumerate() {
+            for (c, (core, stream)) in node.cpus.cores().zip(node.cpus.streams()).enumerate() {
                 let s = core.stats();
                 let k = format!("cpu.node{n}.core{c}");
-                p.publish_counter(&format!("{k}.instrs"), s.instrs);
-                p.publish_counter(&format!("{k}.l1_hits"), s.l1_hits);
-                p.publish_counter(&format!("{k}.l1i_misses"), s.l1i_misses);
-                p.publish_counter(&format!("{k}.l1d_misses"), s.l1d_misses);
-                p.publish_counter(&format!("{k}.sb_reqs"), s.sb_reqs);
-                p.publish_counter(&format!("{k}.tlb_misses"), core.tlb_misses());
-                p.publish_counter(&format!("{k}.stall_cycles"), s.total_stall());
+                row(&format!("{k}.instrs"), Count(s.instrs));
+                row(&format!("{k}.l1_hits"), Count(s.l1_hits));
+                row(&format!("{k}.l1i_misses"), Count(s.l1i_misses));
+                row(&format!("{k}.l1d_misses"), Count(s.l1d_misses));
+                row(&format!("{k}.sb_reqs"), Count(s.sb_reqs));
+                row(&format!("{k}.tlb_misses"), Count(core.tlb_misses()));
+                row(&format!("{k}.stall_cycles"), Count(s.total_stall()));
+                // Work units committed: transactions, queries or scan
+                // lines; zero for streams that track none.
+                let units = stream.units_completed().or_else(|| stream.txns_committed());
+                row(&format!("{k}.units"), Count(units.unwrap_or(0)));
             }
-            p.publish_counter(
+            row(
                 &format!("cache.node{n}.bank_lookups"),
-                node.caches.lookups(),
+                Count(node.caches.lookups()),
             );
-            p.publish_counter(&format!("ics.node{n}.words"), node.ics.words_moved());
-            p.publish_gauge(
+            row(&format!("ics.node{n}.words"), Count(node.ics.words_moved()));
+            row(
                 &format!("ics.node{n}.utilization"),
-                node.ics.utilization(self.now()),
+                Value(node.ics.utilization(self.now())),
             );
-            p.publish_counter(
-                &format!("mem.node{n}.accesses"),
-                node.mem.banks().iter().map(|m| m.rdram().accesses()).sum(),
+            let rdram = || node.mem.banks().iter().map(|m| m.rdram());
+            let accesses: u64 = rdram().map(|r| r.accesses()).sum();
+            let hits: f64 = rdram()
+                .map(|r| r.page_hit_rate() * r.accesses() as f64)
+                .sum();
+            row(&format!("mem.node{n}.accesses"), Count(accesses));
+            row(
+                &format!("mem.node{n}.page_hit_rate"),
+                Value(if accesses == 0 {
+                    0.0
+                } else {
+                    hits / accesses as f64
+                }),
             );
-            p.publish_counter(
-                &format!("protocol.node{n}.home_msgs"),
-                node.engines.home().msgs_handled(),
+            let (home, remote) = (node.engines.home(), node.engines.remote());
+            let p = format!("protocol.node{n}");
+            row(&format!("{p}.home_msgs"), Count(home.msgs_handled()));
+            row(&format!("{p}.remote_msgs"), Count(remote.msgs_handled()));
+            row(&format!("{p}.replays"), Count(node.engines.replays()));
+            row(
+                &format!("{p}.tsrf_high_water"),
+                Value(home.tsrf_high_water().max(remote.tsrf_high_water()) as f64),
             );
-            p.publish_counter(
-                &format!("protocol.node{n}.remote_msgs"),
-                node.engines.remote().msgs_handled(),
+            for (engine, (tsrf, deferred)) in
+                [("home", home.occupancy()), ("remote", remote.occupancy())]
+            {
+                row(&format!("{p}.{engine}_tsrf"), Count(tsrf as u64));
+                row(&format!("{p}.{engine}_deferred"), Count(deferred as u64));
+            }
+            row(&format!("ras.node{n}.cap_faults"), Count(node.ras.faults()));
+            row(
+                &format!("sc.node{n}.packets"),
+                Count(node.sc.packets_handled()),
             );
-            p.publish_counter(&format!("protocol.node{n}.replays"), node.engines.replays());
-            p.publish_counter(&format!("ras.node{n}.cap_faults"), node.ras.faults());
             if lane.traffic.enabled() {
                 let l = lane.traffic.ledger();
-                p.publish_counter(&format!("traffic.node{n}.generated"), l.generated);
-                p.publish_counter(&format!("traffic.node{n}.accepted"), l.accepted);
-                p.publish_counter(&format!("traffic.node{n}.dropped"), l.dropped);
-                p.publish_counter(&format!("traffic.node{n}.deferred"), l.deferred);
-                p.publish_counter(&format!("traffic.node{n}.completed"), l.completed);
+                row(&format!("traffic.node{n}.generated"), Count(l.generated));
+                row(&format!("traffic.node{n}.accepted"), Count(l.accepted));
+                row(&format!("traffic.node{n}.dropped"), Count(l.dropped));
+                row(&format!("traffic.node{n}.deferred"), Count(l.deferred));
+                row(&format!("traffic.node{n}.completed"), Count(l.completed));
             }
-            p.publish_gauge(
-                &format!("protocol.node{n}.tsrf_high_water"),
-                node.engines
-                    .home()
-                    .tsrf_high_water()
-                    .max(node.engines.remote().tsrf_high_water()) as f64,
-            );
         }
-    }
-
-    /// Snapshot a machine-wide utilization report (the system
-    /// controller's performance-monitoring role, §2).
-    pub fn report(&self) -> crate::report::MachineReport {
-        let nodes = self
-            .lanes
-            .iter()
-            .map(|lane| {
-                let n = &lane.node;
-                let mem_accesses: u64 = n.mem.banks().iter().map(|m| m.rdram().accesses()).sum();
-                let hits: f64 = n
-                    .mem
-                    .banks()
-                    .iter()
-                    .map(|m| m.rdram().page_hit_rate() * m.rdram().accesses() as f64)
-                    .sum();
-                crate::report::NodeReport {
-                    ics_words: n.ics.words_moved(),
-                    ics_utilization: n.ics.utilization(self.now()),
-                    bank_lookups: n.caches.lookups(),
-                    mem_accesses,
-                    mem_page_hit_rate: if mem_accesses == 0 {
-                        0.0
-                    } else {
-                        hits / mem_accesses as f64
-                    },
-                    home_msgs: n.engines.home().msgs_handled(),
-                    remote_msgs: n.engines.remote().msgs_handled(),
-                    home_instrs: n.engines.home().instr_executed(),
-                    remote_instrs: n.engines.remote().instr_executed(),
-                    tsrf_high_water: (
-                        n.engines.home().tsrf_high_water(),
-                        n.engines.remote().tsrf_high_water(),
-                    ),
-                    sc_packets: n.sc.packets_handled(),
-                    core_units: n
-                        .cpus
-                        .streams()
-                        .map(|s| {
-                            s.units_completed()
-                                .or_else(|| s.txns_committed())
-                                .unwrap_or(0)
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        crate::report::MachineReport {
-            now: self.now(),
-            nodes,
-            net_delivered: self.net.delivered(),
-            net_deflections: self.net.deflections(),
-            net_mean_hops: self.net.mean_hops(),
-            net_fabric: self.net.stats(),
-            instrs: self.total_instrs(),
-            parsim: self.parsim_stats(),
-            traffic: self.traffic_summary(),
-        }
+        MetricsSnapshot::from_entries(rows)
     }
 }

@@ -33,6 +33,18 @@ pub const LINE_SHIFT: u32 = 6;
 /// Cache-line size in bytes (64, per the paper).
 pub const LINE_BYTES: u64 = 1 << LINE_SHIFT;
 
+/// 64-bit FNV-1a over `bytes`: the one hash behind run fingerprints,
+/// state and sample digests, and result-store addresses.
+///
+/// ```
+/// assert_eq!(piranha_types::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// A byte-granularity physical address.
 ///
 /// The simulator models a single global physical address space spanning all
@@ -246,6 +258,12 @@ mod tests {
         assert!(!FillSource::LocalMem.is_remote());
         assert!(FillSource::RemoteMem.is_remote());
         assert!(FillSource::RemoteDirty.is_remote());
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -33,11 +33,11 @@ fn main() {
             hm + rm,
             hw,
             rw,
-            m.network().deflections(),
+            m.fabric_stats().deflections,
         );
         m.check_coherence();
         if chips == 4 {
-            println!("\n{}", m.report());
+            println!("\n{}", m.metrics());
         }
     }
     println!("Coherence invariants verified after every run.");

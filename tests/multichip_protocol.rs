@@ -54,7 +54,7 @@ fn four_chip_scaling_respects_tsrf_bounds() {
         "remote engines did real work: {remote_msgs}"
     );
     assert!(home_hw <= 16 && remote_hw <= 16, "TSRF bound respected");
-    assert!(m.network().delivered() > 1_000);
+    assert!(m.fabric_stats().delivered > 1_000);
 }
 
 /// Write-back races and recalls: a migratory pattern (every CPU updates
@@ -119,7 +119,7 @@ fn multichip_determinism() {
         (
             s.iter().map(|c| c.instrs).sum::<u64>(),
             s.iter().map(|c| c.fills[3] + c.fills[4]).sum::<u64>(),
-            m.network().delivered(),
+            m.fabric_stats().delivered,
             m.now().as_ps(),
         )
     };

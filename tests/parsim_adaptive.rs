@@ -116,7 +116,7 @@ fn parsim_counters_surface_through_probe_and_report() {
     let stats = m.parsim_stats();
     assert!(stats.rounds > 0 && stats.windows > 0);
 
-    // Probe registry rows (sampled by finish_result -> sample_metrics).
+    // Statistics-table rows, merged into the result by finish_result.
     for (name, want) in [
         ("parsim.rounds", stats.rounds),
         ("parsim.windows", stats.windows),
@@ -142,15 +142,13 @@ fn parsim_counters_surface_through_probe_and_report() {
         );
     }
 
-    // Machine report carries the same counters.
-    let report = m.report();
-    assert_eq!(report.parsim, stats);
-    let rows = report.to_metrics();
+    // The table itself carries the same counters, probe or not.
+    let table = m.metrics();
     assert_eq!(
-        rows.get("parsim.rounds").and_then(|v| v.as_count()),
+        table.get("parsim.rounds").and_then(|v| v.as_count()),
         Some(stats.rounds)
     );
-    assert!(report.to_string().contains("parallel engine:"));
+    assert!(table.to_string().contains("parsim.windows"));
 }
 
 #[test]

@@ -143,7 +143,7 @@ fn metrics_snapshot_exports() {
     let (r, _) = probed(&tiny_request(), TraceLevel::Off);
     assert!(
         !r.metrics.is_empty(),
-        "sample_metrics populated the snapshot"
+        "the statistics table populated the snapshot"
     );
     for name in [
         "kernel.events.popped",

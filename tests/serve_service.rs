@@ -1,7 +1,8 @@
 //! End-to-end exercise of the experiment service over real TCP: submit
 //! a plan, stream progress, verify provenance transitions
 //! (computed → memory → store across server generations), deduplicate
-//! duplicate specs, and drain cleanly on shutdown.
+//! duplicate specs, fail a panicking run without losing its worker,
+//! and drain cleanly on shutdown.
 
 use std::io::{BufRead, BufReader, Write};
 use std::sync::Arc;
@@ -148,6 +149,30 @@ fn malformed_submissions_are_rejected_not_fatal() {
         .submit(&[RunSpec::new("p4", "oltp", "tiny").with_chips(5000)])
         .expect_err("a machine past MAX_NODES must be rejected");
     assert!(err.contains("chips"), "error names the field: {err}");
+    let err = client
+        .submit(&[RunSpec::new("p1", "oltp", "completion")])
+        .expect_err("an unbounded run to completion never ends");
+    assert!(
+        err.contains("scale") && err.contains("oltp"),
+        "error names the fields: {err}"
+    );
+    // Sizes the typed client cannot send: a malformed field must not
+    // decode to its default.
+    let mut raw = RawConn::open(&addr);
+    for (field, bad) in [
+        ("chips", r#""16""#),
+        ("chips", "-3"),
+        ("chips", "2.5"),
+        ("chips", "0"),
+        ("io_nodes", r#""1""#),
+    ] {
+        let reply = raw.ask(&format!(
+            r#"{{"cmd":"submit","plan":[{{"preset":"p1","workload":"oltp","scale":"tiny","{field}":{bad}}}]}}"#
+        ));
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+        let err = reply.get("error").and_then(Json::as_str).unwrap_or("");
+        assert!(err.contains(field), "{field}={bad}: {err}");
+    }
     client
         .submit(&[])
         .expect_err("an empty plan must be rejected");
@@ -167,25 +192,86 @@ fn malformed_submissions_are_rejected_not_fatal() {
     handle.join().expect("server thread drains");
 }
 
+/// A raw request/reply connection, for lines the typed client cannot
+/// produce.
+struct RawConn {
+    conn: std::net::TcpStream,
+    replies: BufReader<std::net::TcpStream>,
+}
+
+impl RawConn {
+    fn open(addr: &str) -> RawConn {
+        let conn = std::net::TcpStream::connect(addr).expect("connect");
+        let replies = BufReader::new(conn.try_clone().expect("clone socket"));
+        RawConn { conn, replies }
+    }
+
+    fn ask(&mut self, line: &str) -> Json {
+        self.conn.write_all(line.as_bytes()).expect("send");
+        self.conn.write_all(b"\n").expect("send");
+        let mut reply = String::new();
+        self.replies.read_line(&mut reply).expect("reply");
+        Json::parse(&reply).expect("replies are JSON")
+    }
+}
+
+/// A simulation that panics fails its own entry: the job ends `failed`
+/// with the panic message, and the one worker survives to answer `ping`
+/// and complete the next job. The spec is the P4x16 OLTP run that
+/// deadlocks at the default seed (ROADMAP item 1), so the message is
+/// the deadlock report.
+#[test]
+fn a_panicking_simulation_fails_its_job_not_the_server() {
+    let server = Server::bind("127.0.0.1:0", None, ServerConfig { threads: 1 })
+        .expect("bind an ephemeral port");
+    let addr = server.local_addr().expect("bound socket").to_string();
+    let handle = std::thread::spawn(move || server.run());
+    let mut client = Client::connect(&addr).expect("connect");
+    assert_eq!(client.ping().expect("ping"), 1, "a single worker");
+
+    let ticket = client
+        .submit(&[RunSpec::new("p4", "oltp", "quick").with_chips(16)])
+        .expect("submit");
+    let mut failure = None;
+    client
+        .watch(ticket.job, |ev| {
+            if ev.get("event").and_then(Json::as_str) == Some("failed") {
+                failure = ev.get("error").and_then(Json::as_str).map(str::to_string);
+            }
+        })
+        .expect("watch ends although the entry failed");
+    let error = failure.expect("a failed event");
+    assert!(error.starts_with("event queues drained"), "{error}");
+    assert!(
+        error.contains("deadlock") && error.contains("node 13: home 1 TSRF"),
+        "{error}"
+    );
+    let status = client.status(ticket.job).expect("status");
+    assert_eq!(status.state, "failed");
+    assert_eq!(status.rows[0].error.as_deref(), Some(error.as_str()));
+
+    assert_eq!(client.ping().expect("ping"), 1, "the worker is still there");
+    let ticket = client
+        .submit(&[RunSpec::new("p1", "oltp", "tiny")])
+        .expect("a good plan still works");
+    let done = client
+        .wait(ticket.job, Duration::from_millis(5))
+        .expect("wait");
+    assert!(done.is_done());
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread drains");
+}
+
 #[test]
 fn a_nesting_bomb_is_rejected_and_the_server_keeps_serving() {
     let (addr, handle) = spawn_server(None);
-    let mut conn = std::net::TcpStream::connect(&addr).expect("connect");
-    let mut replies = BufReader::new(conn.try_clone().expect("clone socket"));
-    let mut ask = |line: &str| {
-        conn.write_all(line.as_bytes()).expect("send");
-        conn.write_all(b"\n").expect("send");
-        let mut reply = String::new();
-        replies.read_line(&mut reply).expect("reply");
-        Json::parse(&reply).expect("replies are JSON")
-    };
-
-    let bomb = ask(&"[".repeat(1 << 20));
+    let mut raw = RawConn::open(&addr);
+    let bomb = raw.ask(&"[".repeat(1 << 20));
     assert_eq!(bomb.get("ok").and_then(Json::as_bool), Some(false));
     let err = bomb.get("error").and_then(Json::as_str).unwrap_or("");
     assert!(err.contains("nesting"), "error names the cause: {err}");
 
-    let pong = ask(r#"{"cmd":"ping"}"#);
+    let pong = raw.ask(r#"{"cmd":"ping"}"#);
     assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
     Client::connect(&addr)
         .expect("connect")
