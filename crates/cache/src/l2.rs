@@ -303,8 +303,8 @@ pub struct L2Bank {
 
 impl L2Bank {
     /// An empty bank. `bank_id`/`bank_count` define which lines this bank
-    /// owns: those with `line % bank_count == bank_id` (the paper's
-    /// low-order-bit interleaving).
+    /// owns: those [`LineAddr::bank`] places at `bank_id` of
+    /// `bank_count` (the paper's low-order-bit interleaving).
     ///
     /// # Panics
     ///
@@ -325,7 +325,7 @@ impl L2Bank {
 
     /// Whether this bank owns `line` under the interleaving.
     pub fn owns(&self, line: LineAddr) -> bool {
-        line.0 % self.bank_count == self.bank_id
+        line.bank(self.bank_count as usize) as u64 == self.bank_id
     }
 
     /// The duplicate-tag directory (for invariant checks in tests).

@@ -4,9 +4,10 @@
 //! The paper's memory controller has no direct ICS access — "access to
 //! memory is controlled by and routed through the corresponding L2
 //! controller" at cache-line granularity, for both data and directory —
-//! so this type exposes exactly two operations, a line read and a line
-//! write, each of which also touches the directory bits (they live in the
-//! same ECC words).
+//! so this type exposes exactly two timed operations, a line access (a
+//! read's start) and a line write. The directory bits live in the same
+//! ECC words, so reading them costs nothing extra: a read's version and
+//! directory are taken untimed at its data-return instant.
 
 use piranha_types::FastMap;
 
@@ -35,10 +36,10 @@ pub struct MemBankConfig {
 /// use piranha_types::{LineAddr, SimTime};
 ///
 /// let mut bank = MemBank::new(MemBankConfig::default());
-/// let (acc, version, dir) = bank.read(SimTime::ZERO, LineAddr(4));
-/// assert_eq!(version, 0);
-/// assert_eq!(dir, piranha_mem::DirEntry::Uncached);
+/// let acc = bank.access(SimTime::ZERO, LineAddr(4));
 /// assert_eq!(acc.critical.as_ns(), 60);
+/// assert_eq!(bank.version(LineAddr(4)), 0);
+/// assert_eq!(bank.directory(LineAddr(4)), piranha_mem::DirEntry::Uncached);
 /// ```
 #[derive(Debug)]
 pub struct MemBank {
@@ -64,41 +65,10 @@ impl MemBank {
         self.rdram.access(now, line)
     }
 
-    /// Read a line: returns the access timing, the stored version, and
-    /// the directory entry (read for free from the same ECC words).
-    pub fn read(&mut self, now: SimTime, line: LineAddr) -> (MemAccess, u64, DirEntry) {
-        let acc = self.rdram.access(now, line);
-        let v = self.versions.get(&line).copied().unwrap_or(0);
-        let d = self.directory.get(&line).cloned().unwrap_or_default();
-        (acc, v, d)
-    }
-
     /// Write a line's data (a write-back); directory bits are unchanged.
     pub fn write(&mut self, now: SimTime, line: LineAddr, version: u64) -> MemAccess {
         let acc = self.rdram.access(now, line);
         self.versions.insert(line, version);
-        acc
-    }
-
-    /// Update only the directory bits (charged as a normal line access —
-    /// the bits live in the line's ECC words).
-    pub fn write_directory(&mut self, now: SimTime, line: LineAddr, dir: DirEntry) -> MemAccess {
-        let acc = self.rdram.access(now, line);
-        self.directory.insert(line, dir);
-        acc
-    }
-
-    /// Write data and directory together (one access).
-    pub fn write_with_directory(
-        &mut self,
-        now: SimTime,
-        line: LineAddr,
-        version: u64,
-        dir: DirEntry,
-    ) -> MemAccess {
-        let acc = self.rdram.access(now, line);
-        self.versions.insert(line, version);
-        self.directory.insert(line, dir);
         acc
     }
 
@@ -184,9 +154,10 @@ mod tests {
     #[test]
     fn versions_persist_across_read_write() {
         let mut b = MemBank::new(MemBankConfig::default());
-        assert_eq!(b.read(SimTime::ZERO, LineAddr(1)).1, 0);
+        b.access(SimTime::ZERO, LineAddr(1));
+        assert_eq!(b.version(LineAddr(1)), 0, "unwritten memory reads 0");
         b.write(SimTime::from_ns(200), LineAddr(1), 42);
-        assert_eq!(b.read(SimTime::from_ns(400), LineAddr(1)).1, 42);
+        b.access(SimTime::from_ns(400), LineAddr(1));
         assert_eq!(b.version(LineAddr(1)), 42);
     }
 
@@ -195,8 +166,8 @@ mod tests {
         let mut b = MemBank::new(MemBankConfig::default());
         let sharers: NodeSet = [NodeId(3)].into_iter().collect();
         b.set_directory(LineAddr(7), DirEntry::Shared(sharers.clone()));
-        let (_, _, d) = b.read(SimTime::ZERO, LineAddr(7));
-        assert_eq!(d, DirEntry::Shared(sharers));
+        b.access(SimTime::ZERO, LineAddr(7));
+        assert_eq!(b.directory(LineAddr(7)), DirEntry::Shared(sharers));
         // Data write-backs leave the directory alone.
         b.write(SimTime::from_ns(100), LineAddr(7), 5);
         assert_ne!(b.directory(LineAddr(7)), DirEntry::Uncached);
@@ -204,15 +175,18 @@ mod tests {
 
     #[test]
     fn combined_write_sets_both() {
+        // A write-back and a directory update of one line: each lands
+        // without disturbing the other.
         let mut b = MemBank::new(MemBankConfig::default());
-        b.write_with_directory(
-            SimTime::ZERO,
-            LineAddr(9),
-            11,
-            DirEntry::Exclusive(NodeId(2)),
-        );
+        b.set_directory(LineAddr(9), DirEntry::Exclusive(NodeId(2)));
+        b.write(SimTime::ZERO, LineAddr(9), 11);
         assert_eq!(b.version(LineAddr(9)), 11);
         assert_eq!(b.directory(LineAddr(9)), DirEntry::Exclusive(NodeId(2)));
+        assert_eq!(
+            b.directory_lines(),
+            vec![(LineAddr(9), DirEntry::Exclusive(NodeId(2)).encode())]
+        );
+        assert_eq!(b.written_lines(), vec![(LineAddr(9), 11)]);
     }
 
     #[test]
@@ -242,10 +216,10 @@ mod tests {
     #[test]
     fn timing_flows_through_rdram() {
         let mut b = MemBank::new(MemBankConfig::default());
-        let (a1, _, _) = b.read(SimTime::ZERO, LineAddr(0));
+        let a1 = b.access(SimTime::ZERO, LineAddr(0));
         assert!(!a1.page_hit);
-        let a2 = b.write_directory(a1.full, LineAddr(1), DirEntry::Uncached);
-        assert!(a2.page_hit, "directory update to the same page hits open");
+        let a2 = b.write(a1.full, LineAddr(1), 3);
+        assert!(a2.page_hit, "a write to the same page hits open");
         assert_eq!(b.rdram().accesses(), 2);
     }
 }

@@ -24,13 +24,11 @@
 #![warn(missing_docs)]
 
 pub mod bank;
-pub mod component;
 pub mod directory;
 pub mod ecc;
 pub mod rdram;
 
 pub use bank::{MemBank, MemBankConfig};
-pub use component::{MemArray, MemData, MemEvent};
 pub use directory::{DirEntry, NodeSet, DIR_BITS, POINTER_LIMIT};
 pub use ecc::Scrub;
 pub use rdram::{MemAccess, Rdram, RdramConfig};

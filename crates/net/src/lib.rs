@@ -14,6 +14,10 @@
 //!   packets through a disposition vector and lets low-priority traffic
 //!   bypass blocked high-priority traffic.
 //!
+//! The simulated machine sends every packet through [`Network`]
+//! directly; the two queues are standalone models that only their own
+//! tests drive.
+//!
 //! Physically, each of the four channels per processing node is 22 wires
 //! per direction at 2 Gbit/s/wire with a DC-balanced 19-bits-in-22
 //! encoding ([`encoding`]) — implemented here exactly as described,
@@ -26,7 +30,6 @@
 
 #![warn(missing_docs)]
 
-pub mod component;
 pub mod encoding;
 pub mod packet;
 pub mod queues;
@@ -34,7 +37,6 @@ pub mod recovery;
 pub mod router;
 pub mod topology;
 
-pub use component::{Arrive, Depart, Fabric};
 pub use encoding::{decode22, encode22, CodecError};
 pub use packet::{Packet, PacketKind, PRIORITIES};
 pub use queues::{InQueue, OutQueue};

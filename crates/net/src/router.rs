@@ -757,6 +757,19 @@ mod tests {
     }
 
     #[test]
+    fn send_keeps_endpoints_and_payload() {
+        let mut net: Network<u16> = Network::new(Topology::ring(4), NetworkConfig::paper_default());
+        for (to, kind) in [(1u16, PacketKind::Short), (2, PacketKind::Long)] {
+            let p = Packet::new(NodeId(0), NodeId(to), Lane::High, kind, to * 10);
+            let (_, got) = net.send(SimTime::from_ns(100), p);
+            assert_eq!(
+                (got.src, got.dst, got.lane, got.kind, got.payload),
+                (NodeId(0), NodeId(to), Lane::High, kind, to * 10)
+            );
+        }
+    }
+
+    #[test]
     fn min_delivery_latency_is_the_paper_quantum() {
         // The conservative lookahead bound equals the best-case direct
         // delivery above: short serialization (4 ns) + one hop (16 ns).

@@ -827,11 +827,6 @@ impl RemoteEngine {
         items.join("; ")
     }
 
-    /// Number of write-backs currently awaiting acknowledgement.
-    pub fn pending_wbs(&self) -> usize {
-        self.wbs.len()
-    }
-
     /// Feed one input through the engine, appending the actions to
     /// `out`, so a caller that reuses one buffer allocates nothing per
     /// input.

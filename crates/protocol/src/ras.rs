@@ -182,11 +182,6 @@ impl RasPolicy {
         entries
     }
 
-    /// The registered mirrored ranges.
-    pub fn mirrored_ranges(&self) -> &[LineRange] {
-        &self.mirrored
-    }
-
     /// Capability faults raised so far.
     pub fn faults(&self) -> u64 {
         self.faults

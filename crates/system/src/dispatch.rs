@@ -3,38 +3,46 @@
 //! This is the only layer that knows the machine's topology of
 //! components. Each arm of [`NodeLane::dispatch`] calls the owning
 //! adapter's one handler — `CpuCluster::handle`,
-//! `CacheComplex::handle_into`, `MemArray::read_return`,
-//! `EngineComplex::handle_into`, and at barriers `Fabric::send` — and
-//! routes the actions it appends to a lane-owned buffer, in the order
-//! the adapter produced them. It contains **no subsystem logic** of its
-//! own. The two cross-cutting concerns the paper treats as system-level —
-//! fault injection/recovery (§2.7) and observability — are applied here,
+//! `CacheComplex::handle_into`, `EngineComplex::handle_into` — or reads
+//! a memory bank directly (`Node::mem_data`), and routes the actions
+//! the adapter appends to a lane-owned buffer, in the order it produced
+//! them. It contains **no subsystem logic** of its own. The two
+//! cross-cutting concerns the paper treats as system-level — fault
+//! injection/recovery (§2.7) and observability — are applied here,
 //! uniformly where the actions are routed, so no subsystem crate knows
 //! they exist.
+//!
+//! One router serves both execution regimes. [`NodeLane::route_bank`]
+//! and [`NodeLane::route_engine`] turn a bank or engine action into the
+//! follow-on event it causes on the node (a [`Next`]), or apply a
+//! home-memory write in place. Detailed dispatch (`run_work`) and
+//! functional warming (`warm.rs`) keep only what they time differently —
+//! `Grant`, `ReadMem` and `Send`, plus the detailed ICS charges — and
+//! each delivers the `Next` in its own order: detailed dispatch at once,
+//! warming through its FIFO.
 //!
 //! Dispatch is written against one `NodeLane` at a time so nodes can
 //! advance on independent worker threads: everything a handler touches
 //! lives on the lane, and the single cross-node path (a protocol
-//! engine's `Send`) buffers into the lane's outbox instead of touching
-//! another node's queue. The buffered departures are routed through the
-//! shared fabric at the next quantum barrier by [`NetPath::route`],
-//! which also enforces the conservative-lookahead invariant every
-//! cross-node delivery must respect.
+//! engine's `Send`) buffers a packet into the lane's outbox instead of
+//! touching another node's queue. The buffered packets are routed
+//! through the shared network at the next quantum barrier by
+//! [`NetPath::route`], which also enforces the conservative-lookahead
+//! invariant every cross-node delivery must respect.
 
 use piranha_cache::{BankAction, BankEvent, CacheEvent, Mesi, Slot};
 use piranha_cpu::{CpuAction, CpuCtx, CpuEvent};
 use piranha_faults::{FaultKind, FaultPlane};
 use piranha_ics::TransferSize;
-use piranha_mem::{MemEvent, Scrub};
-use piranha_net::{crc32, flip_bit, Depart, Fabric, Packet, PacketKind};
+use piranha_mem::Scrub;
+use piranha_net::{crc32, flip_bit, Network, Packet, PacketKind};
 use piranha_probe::{Probe, TraceLevel};
 use piranha_protocol::coherence::occupancy_cycles;
 use piranha_protocol::{EngineAction, EngineEvent, HomeIn, ProtoMsg, RemoteIn};
 use piranha_types::{CpuId, Duration, FillSource, Lane, LineAddr, NodeId, SimTime};
 
 use crate::config::SystemConfig;
-use crate::machine::PAGE_LINES;
-use crate::node::{Node, NodeDirs, NodeLane};
+use crate::node::{Node, NodeLane};
 use crate::wiring::{track_base, TRACK_BANK, TRACK_HOME, TRACK_MEM, TRACK_NET, TRACK_REMOTE};
 
 /// An event on a lane's queue. The handling node is the lane's own, so
@@ -45,16 +53,25 @@ pub(crate) enum Ev {
     Cpu(CpuEvent),
     /// An event for one of the node's L2 banks.
     Bank(CacheEvent),
-    /// A memory read's critical word is available.
-    MemRead(MemEvent),
+    /// A memory read's critical word is available: memory bank `bank`
+    /// returns `line`.
+    MemRead { bank: usize, line: LineAddr },
     /// A protocol message arrives at the node.
     NetMsg { from: NodeId, msg: ProtoMsg },
 }
 
-/// A unit of synchronous follow-on work inside one dispatch.
+/// A unit of synchronous follow-on work inside one detailed dispatch.
 pub(crate) enum Item {
     Bank(BankAction),
     Eng(EngineAction),
+}
+
+/// The follow-on event a routed action causes on its own node. The
+/// caller delivers it in its regime's order: detailed dispatch runs it at
+/// once, functional warming queues it.
+pub(crate) enum Next {
+    Bank(CacheEvent),
+    Eng(EngineEvent),
 }
 
 /// Convert a CPU cycle number to simulated time under `cfg`'s clock.
@@ -81,9 +98,9 @@ impl<'a> LaneShared<'a> {
         LaneShared { cfg, lanes }
     }
 
-    /// The home node of a line (8 KB pages interleaved round-robin).
+    /// The home node of a line.
     pub(crate) fn home_of(&self, line: LineAddr) -> usize {
-        ((line.0 / PAGE_LINES) % self.lanes as u64) as usize
+        line.home(self.lanes)
     }
 
     pub(crate) fn cycle_to_time(&self, cycle: u64) -> SimTime {
@@ -115,7 +132,7 @@ impl NodeLane {
     }
 
     pub(crate) fn bank_of(&self, line: LineAddr) -> usize {
-        (line.0 % self.node.caches.bank_count() as u64) as usize
+        line.bank(self.node.caches.bank_count())
     }
 
     pub(crate) fn dispatch(&mut self, sh: &LaneShared<'_>, t: SimTime, ev: Ev) {
@@ -138,27 +155,17 @@ impl NodeLane {
                 self.bank(ce);
                 self.run_work(sh, t);
             }
-            Ev::MemRead(me) => {
+            Ev::MemRead { bank, line } => {
                 self.probe.instant(
                     TraceLevel::Spans,
                     "mem",
                     "dram.read",
-                    track_base(self.index) + TRACK_MEM + me.bank as u32,
+                    track_base(self.index) + TRACK_MEM + bank as u32,
                     t.as_ps(),
-                    me.line.0,
+                    line.0,
                 );
-                // The memory array reads version/directory at data-return
-                // time, so intervening writes are observed; its MemData
-                // goes straight back to the requesting bank.
-                let d = self.node.mem.read_return(me);
-                self.bank(CacheEvent {
-                    bank: d.bank,
-                    ev: BankEvent::MemData {
-                        line: d.line,
-                        version: d.version,
-                        remote: d.remote,
-                    },
-                });
+                let data = self.node.mem_data(bank, line);
+                self.bank(data);
                 self.run_work(sh, t);
             }
             Ev::NetMsg { from, msg } => {
@@ -368,15 +375,10 @@ impl NodeLane {
         self.cpu_buf = acts;
     }
 
-    /// Run `ev` through the node's engine complex (threading the
-    /// directory view in) and queue the resulting actions on the lane's
-    /// work queue.
+    /// Run `ev` through the node's engine complex and queue the
+    /// resulting actions on the lane's work queue.
     fn engine(&mut self, ev: EngineEvent) {
-        let Node { engines, mem, .. } = &mut self.node;
-        let mut dirs = NodeDirs {
-            banks: mem.banks_mut(),
-        };
-        engines.handle_into(ev, &mut dirs, &mut self.eng_buf);
+        self.node.engine_into(ev, &mut self.eng_buf);
         self.work.extend(self.eng_buf.drain(..).map(Item::Eng));
     }
 
@@ -388,27 +390,38 @@ impl NodeLane {
     }
 
     /// Apply the lane's queued bank/engine actions at time `t`, in
-    /// order, including the follow-on work each one queues behind the
-    /// rest. The queue is a lane field, so its allocation is reused
-    /// across dispatches.
+    /// order, running the follow-on event each one causes at once, which
+    /// queues that event's actions behind the rest. The queue is a lane
+    /// field, so its allocation is reused across dispatches.
     fn run_work(&mut self, sh: &LaneShared<'_>, t: SimTime) {
         while let Some(item) = self.work.pop_front() {
-            match item {
-                Item::Bank(a) => self.apply_bank_action(sh, t, a),
-                Item::Eng(a) => self.apply_engine_action(t, a),
+            let next = match item {
+                Item::Bank(a) => self.time_bank(sh, t, a),
+                Item::Eng(EngineAction::Send { to, msg }) => {
+                    self.send(t, to, msg);
+                    None
+                }
+                Item::Eng(a) => self.route_engine(t, a),
+            };
+            match next {
+                Some(Next::Bank(ce)) => self.bank(ce),
+                Some(Next::Eng(ev)) => self.engine(ev),
+                None => {}
             }
         }
     }
 
-    fn apply_bank_action(&mut self, sh: &LaneShared<'_>, t: SimTime, a: BankAction) {
+    /// The detailed regime's half of a bank action: time a `Grant` (ICS
+    /// fill, CPU wake) or a `ReadMem` (RDRAM access, fault scrub, data
+    /// return), charge the ICS for L1 traffic, and route the rest.
+    fn time_bank(&mut self, sh: &LaneShared<'_>, t: SimTime, a: BankAction) -> Option<Next> {
         match a {
             BankAction::Grant {
                 slot,
                 line,
-                state: _,
-                version: _,
                 source,
                 upgraded,
+                ..
             } => {
                 let id = self
                     .outstanding
@@ -431,37 +444,11 @@ impl NodeLane {
                         source,
                     }),
                 );
-            }
-            BankAction::Inval { .. } | BankAction::Downgrade { .. } => {
-                self.node.ics.transfer(t, TransferSize::Header, Lane::High);
-            }
-            BankAction::VictimDisplaced {
-                slot,
-                line,
-                state,
-                version,
-            } => {
-                // Victim data crosses the ICS to its own bank.
-                let size = if state == Mesi::Modified {
-                    TransferSize::Line
-                } else {
-                    TransferSize::Header
-                };
-                self.node.ics.transfer(t, size, Lane::Low);
-                let bank = self.bank_of(line);
-                self.bank(CacheEvent {
-                    bank,
-                    ev: BankEvent::Victim {
-                        slot,
-                        line,
-                        state,
-                        version,
-                    },
-                });
+                None
             }
             BankAction::ReadMem { line } => {
                 let bank = self.bank_of(line);
-                let acc = self.node.mem.access(bank, t, line);
+                let acc = self.node.mem[bank].access(t, line);
                 let mut ready = (acc.critical + sh.cfg.lat.mc_overhead).max(t);
                 if self.faults.enabled() {
                     let cyc = sh.time_to_cycle(t);
@@ -469,32 +456,110 @@ impl NodeLane {
                         ready += self.scrub_line(sh, t, bank, line, f);
                     }
                 }
-                self.events
-                    .schedule(ready, Ev::MemRead(MemEvent { bank, line }));
+                self.events.schedule(ready, Ev::MemRead { bank, line });
+                None
+            }
+            BankAction::Inval { .. } | BankAction::Downgrade { .. } => {
+                self.node.ics.transfer(t, TransferSize::Header, Lane::High);
+                None
+            }
+            BankAction::VictimDisplaced { state, .. } => {
+                // Victim data crosses the ICS to its own bank.
+                let size = if state == Mesi::Modified {
+                    TransferSize::Line
+                } else {
+                    TransferSize::Header
+                };
+                self.node.ics.transfer(t, size, Lane::Low);
+                self.route_bank(sh, t, a)
+            }
+            a => self.route_bank(sh, t, a),
+        }
+    }
+
+    /// Buffer a protocol engine's cross-node message in the lane's
+    /// outbox as the packet the network will carry.
+    fn send(&mut self, t: SimTime, to: NodeId, msg: ProtoMsg) {
+        // A same-node "cross-node" message would deliver with zero
+        // network latency and break the conservative lookahead; the
+        // engines always short-cut local traffic through the bank path
+        // instead, so this firing means a protocol bug.
+        assert_ne!(
+            to.index(),
+            self.index,
+            "protocol engine on node {} sent itself a network message; \
+             zero-latency self-sends violate the lookahead bound",
+            self.index
+        );
+        let kind = if msg.is_long() {
+            PacketKind::Long
+        } else {
+            PacketKind::Short
+        };
+        let lane = msg.lane();
+        // Buffered, not routed: the packet is held in the lane's outbox
+        // until the quantum barrier, where all lanes' traffic is merged
+        // in deterministic (time, source, seq) order and routed together.
+        let from = NodeId(self.index as u16);
+        self.outbox.push(t, Packet::new(from, to, lane, kind, msg));
+    }
+
+    /// Route one bank action both regimes apply alike: return the
+    /// follow-on event it causes on this node, or apply a home-memory
+    /// write in place. `Grant` and `ReadMem` are timed differently in
+    /// the two regimes, so each caller applies them itself.
+    pub(crate) fn route_bank(
+        &mut self,
+        sh: &LaneShared<'_>,
+        t: SimTime,
+        a: BankAction,
+    ) -> Option<Next> {
+        let ev = match a {
+            BankAction::Grant { .. } | BankAction::ReadMem { .. } => {
+                unreachable!("{a:?} is applied by its regime, not routed")
+            }
+            // The L1 state change already happened inside the bank
+            // handler; what is left is ICS traffic, which only the
+            // detailed regime charges.
+            BankAction::Inval { .. } | BankAction::Downgrade { .. } => return None,
+            BankAction::VictimDisplaced {
+                slot,
+                line,
+                state,
+                version,
+            } => {
+                let ev = BankEvent::Victim {
+                    slot,
+                    line,
+                    state,
+                    version,
+                };
+                return Some(Next::Bank(CacheEvent {
+                    bank: self.bank_of(line),
+                    ev,
+                }));
             }
             BankAction::WriteMem { line, version } => {
-                let bank = self.bank_of(line);
-                let nd = &mut self.node;
-                nd.mem.write(bank, t, line, version);
-                nd.ras.on_home_write(line, version);
+                self.node.write_home(t, line, version);
+                return None;
             }
             BankAction::RemoteReq { slot: _, line, req } => {
                 let home = NodeId(sh.home_of(line) as u16);
-                self.engine(EngineEvent::Remote(RemoteIn::LocalReq { line, req, home }));
+                EngineEvent::Remote(RemoteIn::LocalReq { line, req, home })
             }
             BankAction::RemoteWb { line, version } => {
                 let home = NodeId(sh.home_of(line) as u16);
-                self.engine(EngineEvent::Remote(RemoteIn::LocalWb {
+                EngineEvent::Remote(RemoteIn::LocalWb {
                     line,
                     version,
                     home,
-                }));
+                })
             }
             BankAction::HomeInvalRemote { line } => {
-                self.engine(EngineEvent::Home(HomeIn::LocalInvalRemotes { line }));
+                EngineEvent::Home(HomeIn::LocalInvalRemotes { line })
             }
             BankAction::HomeRecall { slot: _, line, req } => {
-                self.engine(EngineEvent::Home(HomeIn::LocalRecall { line, req }));
+                EngineEvent::Home(HomeIn::LocalRecall { line, req })
             }
             BankAction::ExportReply {
                 line,
@@ -502,7 +567,7 @@ impl NodeLane {
                 dirty,
                 cached,
             } => {
-                let ev = if sh.home_of(line) == self.index {
+                if sh.home_of(line) == self.index {
                     EngineEvent::Home(HomeIn::ExportReply {
                         line,
                         version,
@@ -516,87 +581,47 @@ impl NodeLane {
                         dirty,
                         cached,
                     })
-                };
-                self.engine(ev);
+                }
             }
-        }
+        };
+        Some(Next::Eng(ev))
     }
 
-    fn apply_engine_action(&mut self, t: SimTime, a: EngineAction) {
-        match a {
-            EngineAction::Send { to, msg } => {
-                // Satellite hardening: a same-node "cross-node" message
-                // would deliver with zero network latency and break the
-                // conservative lookahead; the engines always short-cut
-                // local traffic through the bank path instead, so this
-                // firing means a protocol bug.
-                assert_ne!(
-                    to.index(),
-                    self.index,
-                    "protocol engine on node {} sent itself a network message; \
-                     zero-latency self-sends violate the lookahead bound",
-                    self.index
-                );
-                let kind = if msg.is_long() {
-                    PacketKind::Long
-                } else {
-                    PacketKind::Short
-                };
-                let lane = msg.lane();
-                // Buffered, not routed: the departure is held in the
-                // lane's outbox until the quantum barrier, where all
-                // lanes' traffic is merged in deterministic
-                // (time, source, seq) order and routed together.
-                self.outbox.push(
-                    t,
-                    Depart {
-                        from: NodeId(self.index as u16),
-                        to,
-                        lane,
-                        kind,
-                        payload: msg,
-                    },
-                );
+    /// Route one engine action both regimes apply alike: return the bank
+    /// event it causes on this node, or apply a home-memory write in
+    /// place. A `Send` crosses nodes, which the regimes time differently,
+    /// so each caller applies it itself.
+    pub(crate) fn route_engine(&mut self, t: SimTime, a: EngineAction) -> Option<Next> {
+        let (line, ev) = match a {
+            EngineAction::Send { .. } => {
+                unreachable!("{a:?} is applied by its regime, not routed")
             }
-            EngineAction::Export { line, excl } => {
-                let bank = self.bank_of(line);
-                self.bank(CacheEvent {
-                    bank,
-                    ev: BankEvent::Export { line, excl },
-                });
-            }
+            EngineAction::Export { line, excl } => (line, BankEvent::Export { line, excl }),
             EngineAction::Fill {
                 line,
                 excl,
                 version,
                 source,
             } => {
-                let bank = self.bank_of(line);
                 let grant = if excl { Mesi::Exclusive } else { Mesi::Shared };
-                self.bank(CacheEvent {
-                    bank,
-                    ev: BankEvent::RemoteFill {
-                        line,
-                        grant,
-                        version,
-                        source,
-                    },
-                });
+                let ev = BankEvent::RemoteFill {
+                    line,
+                    grant,
+                    version,
+                    source,
+                };
+                (line, ev)
             }
-            EngineAction::Purge { line } => {
-                let bank = self.bank_of(line);
-                self.bank(CacheEvent {
-                    bank,
-                    ev: BankEvent::InvalAll { line },
-                });
-            }
+            EngineAction::Purge { line } => (line, BankEvent::InvalAll { line }),
             EngineAction::MemWrite { line, version } => {
-                let bank = self.bank_of(line);
-                let nd = &mut self.node;
-                nd.mem.write(bank, t, line, version);
-                nd.ras.on_home_write(line, version);
+                self.node.write_home(t, line, version);
+                return None;
             }
-        }
+        };
+        Some(Next::Bank(CacheEvent {
+            bank: self.bank_of(line),
+            ev,
+        }))
     }
 
     /// Apply an injected memory bit-flip and run the SEC-DED scrub
@@ -618,7 +643,7 @@ impl NodeLane {
         } else {
             &[f.bit_a]
         };
-        let outcome = self.node.mem.inject_and_scrub(bank, line, bits);
+        let outcome = self.node.mem[bank].inject_and_scrub(line, bits);
         let (corrected, penalty) = match outcome {
             Scrub::Clean(_) | Scrub::Corrected(_) => (true, self.faults.cfg().scrub_cycles),
             Scrub::Uncorrectable => {
@@ -627,7 +652,7 @@ impl NodeLane {
                 // first-line ECC defence.
                 let nd = &mut self.node;
                 if let Some(v) = nd.ras.mirror_copy(line) {
-                    nd.mem.set_version(bank, line, v);
+                    nd.mem[bank].set_version(line, v);
                 }
                 (false, self.faults.cfg().failover_cycles)
             }
@@ -647,13 +672,13 @@ impl NodeLane {
 
 /// The machine-side half of cross-node delivery, used only at quantum
 /// barriers (and between every serial event batch, where the barrier
-/// degenerates to "immediately"): the shared fabric and the lookahead
+/// degenerates to "immediately"): the shared network and the lookahead
 /// bound the deliveries must respect. Routing happens on the
 /// coordinator with all lanes parked, so ordinary `&mut` access is
-/// enough — the fabric itself needs no locks.
+/// enough — the network itself needs no locks.
 pub(crate) struct NetPath<'a> {
     pub(crate) cfg: &'a SystemConfig,
-    pub(crate) net: &'a mut Fabric<ProtoMsg>,
+    pub(crate) net: &'a mut Network<ProtoMsg>,
     pub(crate) probe: &'a Probe,
     /// The per-pair lookahead matrix; every routed delivery is checked
     /// against its own pair's bound (hop distance × minimum per-hop
@@ -664,14 +689,14 @@ pub(crate) struct NetPath<'a> {
 
 impl NetPath<'_> {
     /// The barrier step: merge every lane's buffered cross-node
-    /// departures into `merged` (a reused buffer) in deterministic
-    /// `(time, source, seq)` order, route them through the fabric, and
+    /// packets into `merged` (a reused buffer) in deterministic
+    /// `(time, source, seq)` order, route them through the network, and
     /// schedule each arrival on its destination lane. Returns how many
-    /// departures were routed.
+    /// packets were routed.
     pub(crate) fn route_departures(
         &mut self,
         lanes: &mut [NodeLane],
-        merged: &mut Vec<piranha_parsim::Merged<Depart<ProtoMsg>>>,
+        merged: &mut Vec<piranha_parsim::Merged<Packet<ProtoMsg>>>,
     ) -> usize {
         merged.clear();
         for (i, lane) in lanes.iter_mut().enumerate() {
@@ -680,7 +705,7 @@ impl NetPath<'_> {
         piranha_parsim::sort_merged(merged);
         let routed = merged.len();
         for m in merged.drain(..) {
-            let dest = m.payload.to.index();
+            let dest = m.payload.dst.index();
             let (arrive, from, msg) = self.route(&mut lanes[m.source].faults, m.time, m.payload);
             lanes[dest]
                 .events
@@ -689,19 +714,21 @@ impl NetPath<'_> {
         routed
     }
 
-    /// Route one buffered departure through the fabric, applying the
+    /// Route one buffered packet through the network, applying the
     /// *source* lane's link-fault hooks; returns the final delivery
     /// time, the source, and the (possibly retransmitted) payload.
     pub(crate) fn route(
         &mut self,
         faults: &mut FaultPlane,
         t: SimTime,
-        d: Depart<ProtoMsg>,
+        p: Packet<ProtoMsg>,
     ) -> (SimTime, NodeId, ProtoMsg) {
-        let (from, to, lane, kind) = (d.from, d.to, d.lane, d.kind);
-        let (first, arr) = self.net.send(t, d);
+        let (from, to, lane, kind) = (p.src, p.dst, p.lane, p.kind);
+        let (first, p) = self.net.send(t, p);
+        // A delivery never lands before its send.
+        let first = first.max(t);
         // The whole parallel scheme rests on no cross-node event
-        // landing closer than the lookahead bound. The fabric charges
+        // landing closer than the lookahead bound. The network charges
         // at least serialization + one hop *per hop of the shortest
         // path*, so the pair's bound — not just the fabric-wide minimum
         // — holds, with equality as the worst legal case.
@@ -718,10 +745,10 @@ impl NetPath<'_> {
             track_base(from.index()) + TRACK_NET,
             t.as_ps(),
             first.since(t).as_ps(),
-            arr.payload.line().0,
+            p.payload.line().0,
         );
         let mut arrive = first;
-        let mut payload = arr.payload;
+        let mut payload = p.payload;
         if faults.enabled() {
             let cyc = time_to_cycle(self.cfg, t);
             if let Some(f) = faults.packet_fault(cyc) {

@@ -4,10 +4,11 @@
 //! subsystem crates export:
 //!
 //! * `node` — per-chip composition (CPU cluster, cache complex,
-//!   memory array, engine complex, ICS, system controller, RAS),
+//!   memory banks, engine complex, ICS, system controller, RAS),
 //!   wrapped per chip in a `NodeLane` that carries everything the
 //!   dispatch layer needs to advance that chip independently;
-//! * `dispatch` — event routing between adapters, with fault
+//! * `dispatch` — event routing between adapters, through the one
+//!   router detailed dispatch and functional warming share, with fault
 //!   injection and probe spans applied as their actions are routed;
 //! * `wiring` — construction, topology, and observability plumbing.
 //!
@@ -42,7 +43,7 @@ use piranha_cache::Slot;
 use piranha_cpu::CoreStats;
 use piranha_faults::{AvailabilityReport, FaultPlane};
 use piranha_kernel::Lookahead;
-use piranha_net::Fabric;
+use piranha_net::Network;
 use piranha_probe::Probe;
 use piranha_protocol::{LineRange, ProtoMsg, RasPolicy};
 use piranha_types::{CpuId, Duration, LineAddr, SimTime};
@@ -52,9 +53,6 @@ use crate::config::SystemConfig;
 use crate::dispatch::{Ev, LaneShared, NetPath};
 use crate::node::NodeLane;
 use crate::result::RunResult;
-
-/// Lines per OS page (8 KB pages interleave homes across nodes).
-pub(crate) const PAGE_LINES: u64 = 128;
 
 /// Cumulative parallel-engine execution counters (multi-chip machines
 /// only; a single-chip machine's serial loop leaves them at zero except
@@ -95,8 +93,8 @@ pub struct Machine {
     /// One lane per chip: the node plus its event queue, outbox,
     /// fault plane, and dispatch scratch state.
     pub(crate) lanes: Vec<NodeLane>,
-    /// The machine-wide interconnect fabric (touched only at barriers).
-    pub(crate) net: Fabric<ProtoMsg>,
+    /// The machine-wide interconnect (touched only at barriers).
+    pub(crate) net: Network<ProtoMsg>,
     /// Observability handle; `Probe::disabled()` (the default) makes
     /// every recording call a no-op. The simulation never reads it, so
     /// attaching a probe cannot change simulated results.
@@ -139,15 +137,6 @@ impl Machine {
         Self::with_streams(cfg, streams)
     }
 
-    /// The home node of a line (8 KB pages interleaved round-robin).
-    pub(crate) fn home_of(&self, line: LineAddr) -> usize {
-        ((line.0 / PAGE_LINES) % self.lanes.len() as u64) as usize
-    }
-
-    pub(crate) fn bank_of(&self, node: usize, line: LineAddr) -> usize {
-        (line.0 % self.lanes[node].node.caches.bank_count() as u64) as usize
-    }
-
     /// The configuration.
     pub fn config(&self) -> &SystemConfig {
         &self.cfg
@@ -181,9 +170,9 @@ impl Machine {
         self.clock
     }
 
-    /// The interconnect fabric (topology and delivery-latency bounds;
-    /// its counters are [`Machine::fabric_stats`]).
-    pub fn network(&self) -> &Fabric<ProtoMsg> {
+    /// The interconnect (topology, configuration and delivery-latency
+    /// bounds; its counters are [`Machine::fabric_stats`]).
+    pub fn network(&self) -> &Network<ProtoMsg> {
         &self.net
     }
 
@@ -224,17 +213,12 @@ impl Machine {
         self.workers = workers.max(1);
     }
 
-    /// The configured worker-thread count.
-    pub fn parallel_workers(&self) -> usize {
-        self.workers
-    }
-
     /// Mean RDRAM open-page hit rate across all memory banks.
     pub fn mem_page_hit_rate(&self) -> f64 {
         let mut hits = 0.0;
         let mut n = 0.0;
         for lane in &self.lanes {
-            for m in lane.node.mem.banks() {
+            for m in &lane.node.mem {
                 let a = m.rdram().accesses() as f64;
                 hits += m.rdram().page_hit_rate() * a;
                 n += a;
@@ -423,7 +407,7 @@ impl Machine {
         for lane in &self.lanes {
             for (_slot, l1) in lane.node.caches.l1s().iter() {
                 for (line, _state, v) in l1.resident() {
-                    if range.contains(line) && self.home_of(line) == node {
+                    if range.contains(line) && line.home(self.lanes.len()) == node {
                         cached.push((line, v));
                     }
                 }
@@ -435,10 +419,7 @@ impl Machine {
             .persist_barrier(range, cached.into_iter());
         let t = self.clock;
         for &(line, v) in &dirty {
-            let bank = self.bank_of(node, line);
-            let nd = &mut self.lanes[node].node;
-            nd.mem.write(bank, t, line, v);
-            nd.ras.on_home_write(line, v);
+            self.lanes[node].node.write_home(t, line, v);
         }
         dirty.len()
     }
@@ -455,8 +436,7 @@ impl Machine {
         for (n, lane) in self.lanes.iter().enumerate() {
             let node = &lane.node;
             for (line, v) in node.ras.mirror_entries() {
-                let bank = (line.0 % node.mem.bank_count() as u64) as usize;
-                let mem_v = node.mem.version(bank, line);
+                let mem_v = node.mem[line.bank(node.mem.len())].version(line);
                 assert_eq!(
                     v, mem_v,
                     "mirror log diverges from memory for {line} on node {n}"
@@ -711,7 +691,7 @@ impl Machine {
                     }
                     let d = node
                         .caches
-                        .dup(self.bank_of(n, line))
+                        .dup(lane.bank_of(line))
                         .get(line)
                         .unwrap_or_else(|| panic!("L1 line {line} missing from dup tags"));
                     assert!(
@@ -771,9 +751,7 @@ fn deadlock_report(headline: &str, lanes: &[NodeLane]) -> String {
             for (_, slot) in group {
                 let _ = write!(out, " {slot}");
             }
-            let bank = nd
-                .caches
-                .bank((line.0 % nd.caches.bank_count() as u64) as usize);
+            let bank = nd.caches.bank(lane.bank_of(line));
             if let Some(pending) = bank.describe_pending(line) {
                 let _ = write!(out, "; bank: {pending}");
             }

@@ -3,28 +3,28 @@
 //!
 //! A node owns exactly the hardware one Piranha chip carries: the CPU
 //! cluster with its instruction streams, the cache complex (L1s + L2
-//! banks), the memory array with the in-memory directory, the two
+//! banks), the memory banks with the in-memory directory, the two
 //! protocol engines, the intra-chip switch, the system controller, and
 //! the node's RAS policy. The node is pure composition — every behavior
-//! lives in a subsystem crate's component adapter; the dispatch layer
-//! routes events between them.
+//! lives in a subsystem crate; the dispatch layer routes events between
+//! them.
 
 use piranha_types::FastMap;
 use std::collections::VecDeque;
 
-use piranha_cache::{BankAction, CacheComplex, L1Set, L2Bank, Slot};
+use piranha_cache::{BankAction, BankEvent, CacheComplex, CacheEvent, L1Set, L2Bank, Slot};
 use piranha_cpu::{CoreModel, CpuAction, CpuCluster, InOrderCore, InstrStream, OooCore};
 use piranha_faults::FaultPlane;
 use piranha_ics::Ics;
 use piranha_kernel::EventQueue;
-use piranha_mem::{DirEntry, MemArray, MemBank};
-use piranha_net::Depart;
+use piranha_mem::{DirEntry, MemBank};
+use piranha_net::Packet;
 use piranha_parsim::Outbox;
 use piranha_probe::Probe;
 use piranha_protocol::coherence::DirStore;
-use piranha_protocol::{EngineAction, EngineComplex, LineRange, ProtoMsg, RasPolicy};
+use piranha_protocol::{EngineAction, EngineComplex, EngineEvent, LineRange, ProtoMsg, RasPolicy};
 use piranha_traffic::TrafficPlane;
-use piranha_types::{LineAddr, NodeId};
+use piranha_types::{LineAddr, NodeId, SimTime};
 
 use crate::config::{CoreKind, SystemConfig};
 use crate::dispatch::{Ev, Item};
@@ -36,8 +36,9 @@ pub(crate) struct Node {
     pub(crate) cpus: CpuCluster,
     /// L1s + L2 banks + bank occupancy.
     pub(crate) caches: CacheComplex,
-    /// RDRAM banks + in-memory directory.
-    pub(crate) mem: MemArray,
+    /// RDRAM banks + in-memory directory, one per L2 bank and
+    /// interleaved like them.
+    pub(crate) mem: Vec<MemBank>,
     /// Home/remote protocol engines + occupancy + replay recovery.
     pub(crate) engines: EngineComplex,
     /// The intra-chip switch.
@@ -97,7 +98,7 @@ impl Node {
         Node {
             cpus: CpuCluster::new(cores, streams, cfg.cpu_quantum),
             caches: CacheComplex::new(L1Set::new(n_cpus, cfg.l1), banks),
-            mem: MemArray::new((0..n_banks).map(|_| MemBank::new(cfg.mem)).collect()),
+            mem: (0..n_banks).map(|_| MemBank::new(cfg.mem)).collect(),
             engines: EngineComplex::new(
                 NodeId(n as u16),
                 total_nodes,
@@ -108,6 +109,37 @@ impl Node {
             sc,
             ras,
         }
+    }
+
+    /// The data a read of `line` on memory bank `bank` hands back to the
+    /// L2 bank: the line's version and directory summary as they are
+    /// now, at the data-return instant, so a write made after the read
+    /// was issued shows. Both execution regimes complete reads here.
+    pub(crate) fn mem_data(&self, bank: usize, line: LineAddr) -> CacheEvent {
+        let mb = &self.mem[bank];
+        CacheEvent {
+            bank,
+            ev: BankEvent::MemData {
+                line,
+                version: mb.version(line),
+                remote: mb.directory(line).summary(),
+            },
+        }
+    }
+
+    /// Run `ev` through the engine complex, with the memory banks as the
+    /// home engine's directory store, appending the actions to `out`.
+    pub(crate) fn engine_into(&mut self, ev: EngineEvent, out: &mut Vec<EngineAction>) {
+        let Node { engines, mem, .. } = self;
+        engines.handle_into(ev, &mut NodeDirs { banks: mem }, out);
+    }
+
+    /// Write `line`'s `version` to its home memory bank at `t`, and
+    /// mirror it when the RAS policy covers the line.
+    pub(crate) fn write_home(&mut self, t: SimTime, line: LineAddr, version: u64) {
+        let bank = line.bank(self.mem.len());
+        self.mem[bank].write(t, line, version);
+        self.ras.on_home_write(line, version);
     }
 }
 
@@ -131,7 +163,7 @@ pub(crate) struct NodeLane {
     /// the lane, so lanes never share an allocator).
     pub(crate) events: EventQueue<Ev>,
     /// Cross-node departures buffered inside the current quantum.
-    pub(crate) outbox: Outbox<Depart<ProtoMsg>>,
+    pub(crate) outbox: Outbox<Packet<ProtoMsg>>,
     /// The lane's fault oracle (node 0 owns the scripted schedule; the
     /// rest draw from node-decorrelated random streams).
     pub(crate) faults: FaultPlane,
@@ -205,19 +237,19 @@ impl std::fmt::Debug for NodeLane {
 }
 
 /// View of one node's memory banks as the home engine's directory store.
-pub(crate) struct NodeDirs<'a> {
-    pub(crate) banks: &'a mut [MemBank],
+struct NodeDirs<'a> {
+    banks: &'a mut [MemBank],
 }
 
 impl DirStore for NodeDirs<'_> {
     fn dir(&self, line: LineAddr) -> DirEntry {
-        self.banks[(line.0 % self.banks.len() as u64) as usize].directory(line)
+        self.banks[line.bank(self.banks.len())].directory(line)
     }
     fn set_dir(&mut self, line: LineAddr, dir: DirEntry) {
-        let n = self.banks.len() as u64;
-        self.banks[(line.0 % n) as usize].set_directory(line, dir);
+        let bank = line.bank(self.banks.len());
+        self.banks[bank].set_directory(line, dir);
     }
     fn mem_version(&self, line: LineAddr) -> u64 {
-        self.banks[(line.0 % self.banks.len() as u64) as usize].version(line)
+        self.banks[line.bank(self.banks.len())].version(line)
     }
 }

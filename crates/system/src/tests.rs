@@ -428,3 +428,38 @@ fn sampled_run_is_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+/// A memory read returns the line's version and directory summary as
+/// they are at its data-return instant: a write and a directory update
+/// made after the read was issued both show.
+#[test]
+fn read_return_reports_the_state_at_the_return_instant() {
+    use piranha_cache::BankEvent;
+    use piranha_mem::DirEntry;
+    use piranha_types::{LineAddr, RemoteSummary, SimTime};
+
+    let mut m = Machine::new(
+        SystemConfig::piranha_p1(),
+        &Workload::Synth(SynthConfig::light()),
+    );
+    let node = &mut m.lanes[0].node;
+    let line = LineAddr(7);
+    let bank = line.bank(node.mem.len());
+    node.write_home(SimTime::ZERO, line, 3);
+    // The read starts; a write and a remote grant land before its data
+    // returns.
+    node.mem[bank].access(SimTime::from_ns(10), line);
+    node.write_home(SimTime::from_ns(20), line, 9);
+    node.mem[bank].set_directory(line, DirEntry::Exclusive(NodeId(2)));
+    let data = node.mem_data(bank, line);
+    assert_eq!(data.bank, bank);
+    assert_eq!(
+        data.ev,
+        BankEvent::MemData {
+            line,
+            version: 9,
+            remote: RemoteSummary::Exclusive,
+        },
+        "the version written after the read was issued"
+    );
+}

@@ -10,11 +10,14 @@
 //! inside the subsystem handlers, and the event calendar carries
 //! *timing only*. Functional warming therefore drives the very same
 //! handlers by direct calls — `CpuCluster::step`, the bank and engine
-//! `handle_into`, `MemArray::read_return`, `CoreModel::fill` — and
-//! resolves each CPU miss before the core steps on, through a small
-//! FIFO work queue instead of latency-separated events. It skips the
-//! calendar and wake events, the ICS transfer charges, the occupancy
-//! servers, and the probe spans, which is where the speedup comes from.
+//! `handle_into`, `Node::mem_data`, `CoreModel::fill` — routes their
+//! actions through the router detailed dispatch uses
+//! (`NodeLane::route_bank`, `NodeLane::route_engine`), and resolves each
+//! CPU miss before the core steps on, through a small FIFO of follow-on
+//! events instead of latency-separated ones. It applies only `Grant`,
+//! `ReadMem` and `Send` itself, at zero latency, and skips the calendar
+//! and wake events, the ICS transfer charges, the occupancy servers, and
+//! the probe spans, which is where the speedup comes from.
 //!
 //! The regime switch is exact in both directions:
 //!
@@ -32,17 +35,16 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use piranha_cache::{BankAction, BankEvent, CacheEvent, Mesi, Slot};
+use piranha_cache::{BankAction, BankEvent, CacheEvent, Slot};
 use piranha_cpu::{CoreStats, CoreStatus, CpuCtx, CpuEvent, MemReq};
-use piranha_mem::MemEvent;
 use piranha_probe::HistogramHandle;
 use piranha_protocol::{EngineAction, EngineEvent, HomeIn, RemoteIn};
 use piranha_sample::{SampleConfig, SampleDriver, SampleTarget, WindowSample};
 use piranha_types::{CpuId, FillSource, LineAddr, NodeId, SimTime};
 
-use crate::dispatch::{Ev, LaneShared, NetPath};
+use crate::dispatch::{Ev, LaneShared, NetPath, Next};
 use crate::machine::Machine;
-use crate::node::{Node, NodeDirs, NodeLane};
+use crate::node::{Node, NodeLane};
 use crate::result::RunResult;
 
 /// Cumulative sampled-execution counters, the statistics table's
@@ -62,13 +64,6 @@ pub(crate) struct SampleTally {
     pub(crate) warming_cycles: u64,
 }
 
-/// One unit of synchronous warm-mode work. Lane-tagged because protocol
-/// `Send`s cross nodes; everything else stays on its own lane.
-enum WarmWork {
-    Bank(usize, SimTime, CacheEvent),
-    Eng(usize, SimTime, EngineEvent),
-}
-
 /// The one CPU request a warm drain resolves: its lane, L1 slot, line
 /// and core-local id. Warming issues a miss only once the previous one
 /// has been granted, so this slot replaces the detailed engine's
@@ -82,10 +77,12 @@ struct InFlight {
 
 /// The warm resolver's state, kept across a whole warming phase so the
 /// per-step and per-miss work allocates nothing: the FIFO of pending
-/// work, the request in flight, and one reused buffer per producer.
+/// follow-on events, each tagged with its lane and time (lane-tagged
+/// because protocol `Send`s cross nodes), the request in flight, and
+/// one reused buffer per producer.
 #[derive(Default)]
 struct Warm {
-    q: VecDeque<WarmWork>,
+    q: VecDeque<(usize, SimTime, Next)>,
     inflight: Option<InFlight>,
     issues: Vec<(u64, MemReq)>,
     bank: Vec<BankAction>,
@@ -149,21 +146,18 @@ impl Warm {
                 line: req.line,
                 id: req.id,
             });
-            let lane = &lanes[li];
-            self.q.push_back(WarmWork::Bank(
-                li,
-                sh.cycle_to_time(at_cycle).max(t),
-                CacheEvent {
-                    bank: lane.bank_of(req.line),
-                    ev: BankEvent::Miss {
-                        slot,
-                        req: req.req,
-                        line: req.line,
-                        home_local: sh.home_of(req.line) == li,
-                        store_version: req.store_version,
-                    },
+            let miss = CacheEvent {
+                bank: lanes[li].bank_of(req.line),
+                ev: BankEvent::Miss {
+                    slot,
+                    req: req.req,
+                    line: req.line,
+                    home_local: sh.home_of(req.line) == li,
+                    store_version: req.store_version,
                 },
-            ));
+            };
+            let at = sh.cycle_to_time(at_cycle).max(t);
+            self.q.push_back((li, at, Next::Bank(miss)));
             self.drain(lanes, sh);
             assert!(
                 self.inflight.is_none(),
@@ -175,27 +169,24 @@ impl Warm {
         (retired, progressed)
     }
 
-    /// Resolve queued warm work until the queue is empty. Mirrors the
-    /// action routing of `dispatch.rs` arm for arm, minus everything
-    /// that only exists for timing (ICS transfers, occupancy servers,
-    /// calendar scheduling, probe spans, fault hooks).
+    /// Resolve queued warm work until the queue is empty: run each
+    /// follow-on event through its handler and its actions through the
+    /// shared router, minus everything that only exists for timing (ICS
+    /// transfers, occupancy servers, calendar scheduling, probe spans,
+    /// fault hooks).
     fn drain(&mut self, lanes: &mut [NodeLane], sh: &LaneShared<'_>) {
-        while let Some(w) = self.q.pop_front() {
-            match w {
-                WarmWork::Bank(li, t, ce) => {
+        while let Some((li, t, next)) = self.q.pop_front() {
+            match next {
+                Next::Bank(ce) => {
                     lanes[li].node.caches.handle_into(ce, &mut self.bank);
                     let mut acts = std::mem::take(&mut self.bank);
                     for a in acts.drain(..) {
-                        self.bank_action(lanes, sh, li, t, a);
+                        self.bank_action(&mut lanes[li], sh, t, a);
                     }
                     self.bank = acts;
                 }
-                WarmWork::Eng(li, t, ev) => {
-                    let Node { engines, mem, .. } = &mut lanes[li].node;
-                    let mut dirs = NodeDirs {
-                        banks: mem.banks_mut(),
-                    };
-                    engines.handle_into(ev, &mut dirs, &mut self.eng);
+                Next::Eng(ev) => {
+                    lanes[li].node.engine_into(ev, &mut self.eng);
                     let mut acts = std::mem::take(&mut self.eng);
                     for a in acts.drain(..) {
                         self.engine_action(lanes, sh, li, t, a);
@@ -228,129 +219,26 @@ impl Warm {
         core.fill(f.id, at, source);
     }
 
-    fn bank_action(
-        &mut self,
-        lanes: &mut [NodeLane],
-        sh: &LaneShared<'_>,
-        li: usize,
-        t: SimTime,
-        a: BankAction,
-    ) {
-        let lane = &mut lanes[li];
-        let q = &mut self.q;
-        match a {
+    fn bank_action(&mut self, lane: &mut NodeLane, sh: &LaneShared<'_>, t: SimTime, a: BankAction) {
+        let next = match a {
             BankAction::Grant {
                 slot, line, source, ..
-            } => self.fill(lane, slot, line, source),
-            // Pure ICS header traffic in detailed mode; the L1 state
-            // change already happened inside the bank handler.
-            BankAction::Inval { .. } | BankAction::Downgrade { .. } => {}
-            BankAction::VictimDisplaced {
-                slot,
-                line,
-                state,
-                version,
             } => {
-                let bank = lane.bank_of(line);
-                q.push_back(WarmWork::Bank(
-                    li,
-                    t,
-                    CacheEvent {
-                        bank,
-                        ev: BankEvent::Victim {
-                            slot,
-                            line,
-                            state,
-                            version,
-                        },
-                    },
-                ));
+                self.fill(lane, slot, line, source);
+                None
             }
             BankAction::ReadMem { line } => {
                 // Touch the RDRAM page state (so page-locality stays
-                // warm), then return the data synchronously. The
-                // detailed path reads version/directory at data-return
-                // time; with zero latency "now" and "return time"
-                // coincide.
+                // warm), then return the data at once: with zero latency
+                // the read's issue and data-return instants coincide.
                 let bank = lane.bank_of(line);
-                lane.node.mem.access(bank, t, line);
-                let d = lane.node.mem.read_return(MemEvent { bank, line });
-                q.push_back(WarmWork::Bank(
-                    li,
-                    t,
-                    CacheEvent {
-                        bank,
-                        ev: BankEvent::MemData {
-                            line,
-                            version: d.version,
-                            remote: d.remote,
-                        },
-                    },
-                ));
+                lane.node.mem[bank].access(t, line);
+                Some(Next::Bank(lane.node.mem_data(bank, line)))
             }
-            BankAction::WriteMem { line, version } => {
-                let bank = lane.bank_of(line);
-                let nd = &mut lane.node;
-                nd.mem.write(bank, t, line, version);
-                nd.ras.on_home_write(line, version);
-            }
-            BankAction::RemoteReq { slot: _, line, req } => {
-                let home = NodeId(sh.home_of(line) as u16);
-                q.push_back(WarmWork::Eng(
-                    li,
-                    t,
-                    EngineEvent::Remote(RemoteIn::LocalReq { line, req, home }),
-                ));
-            }
-            BankAction::RemoteWb { line, version } => {
-                let home = NodeId(sh.home_of(line) as u16);
-                q.push_back(WarmWork::Eng(
-                    li,
-                    t,
-                    EngineEvent::Remote(RemoteIn::LocalWb {
-                        line,
-                        version,
-                        home,
-                    }),
-                ));
-            }
-            BankAction::HomeInvalRemote { line } => {
-                q.push_back(WarmWork::Eng(
-                    li,
-                    t,
-                    EngineEvent::Home(HomeIn::LocalInvalRemotes { line }),
-                ));
-            }
-            BankAction::HomeRecall { slot: _, line, req } => {
-                q.push_back(WarmWork::Eng(
-                    li,
-                    t,
-                    EngineEvent::Home(HomeIn::LocalRecall { line, req }),
-                ));
-            }
-            BankAction::ExportReply {
-                line,
-                version,
-                dirty,
-                cached,
-            } => {
-                let ev = if sh.home_of(line) == li {
-                    EngineEvent::Home(HomeIn::ExportReply {
-                        line,
-                        version,
-                        dirty,
-                        cached,
-                    })
-                } else {
-                    EngineEvent::Remote(RemoteIn::ExportReply {
-                        line,
-                        version,
-                        dirty,
-                        cached,
-                    })
-                };
-                q.push_back(WarmWork::Eng(li, t, ev));
-            }
+            a => lane.route_bank(sh, t, a),
+        };
+        if let Some(next) = next {
+            self.q.push_back((lane.index, t, next));
         }
     }
 
@@ -362,7 +250,6 @@ impl Warm {
         t: SimTime,
         a: EngineAction,
     ) {
-        let q = &mut self.q;
         match a {
             EngineAction::Send { to, msg } => {
                 // Cross-node protocol message, delivered with zero
@@ -381,58 +268,12 @@ impl Warm {
                 } else {
                     EngineEvent::Remote(RemoteIn::Msg { from, msg })
                 };
-                q.push_back(WarmWork::Eng(dest, t, ev));
+                self.q.push_back((dest, t, Next::Eng(ev)));
             }
-            EngineAction::Export { line, excl } => {
-                let bank = lanes[li].bank_of(line);
-                q.push_back(WarmWork::Bank(
-                    li,
-                    t,
-                    CacheEvent {
-                        bank,
-                        ev: BankEvent::Export { line, excl },
-                    },
-                ));
-            }
-            EngineAction::Fill {
-                line,
-                excl,
-                version,
-                source,
-            } => {
-                let bank = lanes[li].bank_of(line);
-                let grant = if excl { Mesi::Exclusive } else { Mesi::Shared };
-                q.push_back(WarmWork::Bank(
-                    li,
-                    t,
-                    CacheEvent {
-                        bank,
-                        ev: BankEvent::RemoteFill {
-                            line,
-                            grant,
-                            version,
-                            source,
-                        },
-                    },
-                ));
-            }
-            EngineAction::Purge { line } => {
-                let bank = lanes[li].bank_of(line);
-                q.push_back(WarmWork::Bank(
-                    li,
-                    t,
-                    CacheEvent {
-                        bank,
-                        ev: BankEvent::InvalAll { line },
-                    },
-                ));
-            }
-            EngineAction::MemWrite { line, version } => {
-                let lane = &mut lanes[li];
-                let bank = lane.bank_of(line);
-                let nd = &mut lane.node;
-                nd.mem.write(bank, t, line, version);
-                nd.ras.on_home_write(line, version);
+            a => {
+                if let Some(next) = lanes[li].route_engine(t, a) {
+                    self.q.push_back((li, t, next));
+                }
             }
         }
     }
@@ -495,7 +336,7 @@ impl Machine {
                 dup.sort_unstable();
                 repr.push_str(&format!("dup[{b}]{dup:?};"));
             }
-            for (b, bank) in nd.mem.banks().iter().enumerate() {
+            for (b, bank) in nd.mem.iter().enumerate() {
                 repr.push_str(&format!(
                     "mem[{b}]v{:?}d{:?};",
                     bank.written_lines(),

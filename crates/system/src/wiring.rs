@@ -2,7 +2,7 @@
 //! wiring (track naming and the statistics table).
 
 use piranha_kernel::Lookahead;
-use piranha_net::{Fabric, Network, Topology, TopologyKind};
+use piranha_net::{Network, Topology, TopologyKind};
 use piranha_probe::{MetricValue, MetricsSnapshot, Probe};
 use piranha_types::{NodeId, SimTime};
 use piranha_workloads::{SynthConfig, SynthStream};
@@ -44,7 +44,7 @@ pub(crate) fn track_base(node: usize) -> u32 {
 /// I/O attachment). Only [`Topology::fat_tree`] creates nodes beyond
 /// the lanes: its interior switches are deliberate phantom nodes that
 /// route but never source or sink traffic, which is why the lookahead
-/// is built from [`Fabric::host_pair_bounds`] rather than the full
+/// is built from [`Network::host_pair_bounds`] rather than the full
 /// matrix.
 pub(crate) fn build_topology(kind: TopologyKind, processing: usize, io: usize) -> Topology {
     let total = processing + io;
@@ -128,7 +128,7 @@ impl Machine {
         );
         let total_nodes = cfg.nodes + cfg.io_nodes;
         let topo = build_topology(cfg.topology, cfg.nodes, cfg.io_nodes);
-        let net = Fabric::new(Network::new(topo, cfg.net));
+        let net = Network::new(topo, cfg.net);
         // The lookahead matrix is computed from the actual topology:
         // `bound(s, d)` = hop distance × the per-hop minimum (Table 1:
         // short-packet serialization + one hop). Its global minimum is
@@ -361,7 +361,7 @@ impl Machine {
                 &format!("ics.node{n}.utilization"),
                 Value(node.ics.utilization(self.now())),
             );
-            let rdram = || node.mem.banks().iter().map(|m| m.rdram());
+            let rdram = || node.mem.iter().map(|m| m.rdram());
             let accesses: u64 = rdram().map(|r| r.accesses()).sum();
             let hits: f64 = rdram()
                 .map(|r| r.page_hit_rate() * r.accesses() as f64)

@@ -288,11 +288,6 @@ impl TrafficPlane {
         total
     }
 
-    /// Per-core ledgers, for probe counters.
-    pub fn core_ledgers(&self) -> impl Iterator<Item = TrafficLedger> + '_ {
-        self.cores.iter().map(|l| l.ledger)
-    }
-
     /// Merged summary of this plane (ledger + latency histogram).
     pub fn summary(&self) -> TrafficSummary {
         let mut latency = Histogram::new();

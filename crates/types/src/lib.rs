@@ -84,10 +84,36 @@ impl core::fmt::Display for Addr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LineAddr(pub u64);
 
+/// Lines per OS page: 8 KB pages are the unit that interleaves home
+/// memory across nodes.
+pub const PAGE_LINES: u64 = 128;
+
 impl LineAddr {
     /// The base byte address of the line.
     pub fn base(self) -> Addr {
         Addr(self.0 << LINE_SHIFT)
+    }
+
+    /// The L2 bank (and memory bank) that owns the line on a chip with
+    /// `banks` banks: consecutive lines interleave across the banks.
+    ///
+    /// ```
+    /// # use piranha_types::LineAddr;
+    /// assert_eq!(LineAddr(11).bank(8), 3);
+    /// ```
+    pub fn bank(self, banks: usize) -> usize {
+        (self.0 % banks as u64) as usize
+    }
+
+    /// The home node of the line in a machine of `nodes` nodes: pages of
+    /// [`PAGE_LINES`] lines interleave round-robin across the nodes.
+    ///
+    /// ```
+    /// # use piranha_types::{LineAddr, PAGE_LINES};
+    /// assert_eq!(LineAddr(3 * PAGE_LINES + 5).home(2), 1);
+    /// ```
+    pub fn home(self, nodes: usize) -> usize {
+        ((self.0 / PAGE_LINES) % nodes as u64) as usize
     }
 }
 

@@ -76,7 +76,7 @@ fn lookahead_degenerates_to_the_global_quantum_on_paper_configs() {
     let m = multichip(4);
     let la = m.lookahead();
     assert!(la.is_uniform(), "fully connected => uniform matrix");
-    assert_eq!(la.quantum(), m.network().min_delivery_latency());
+    assert_eq!(la.quantum(), m.network().config().min_delivery_latency());
     assert_eq!(m.quantum(), la.quantum());
     for s in 0..4 {
         for d in 0..4 {

@@ -1,16 +1,23 @@
 //! Property-based tests (proptest) on core invariants: directory
 //! encodings, the DC-balanced link code, cache state machines, CMI
-//! planning, and randomized whole-machine coherence.
+//! planning, randomized whole-machine coherence, and decoders that
+//! reject hostile input without panicking.
 
 use proptest::prelude::*;
 
 use piranha::cache::{L1Cache, L1Config, Mesi, StoreOutcome, Tlb, TlbConfig, Victim};
+use piranha::cpu::CoreStats;
 use piranha::mem::{DirEntry, NodeSet};
 use piranha::net::{decode22, encode22};
+use piranha::probe::{MetricValue, MetricsSnapshot};
 use piranha::protocol::msg::plan_cmi_routes;
-use piranha::types::{Addr, LineAddr, NodeId};
+use piranha::serve::envelope;
+use piranha::serve::json::Json;
+use piranha::serve::RunSpec;
+use piranha::types::time::Clock;
+use piranha::types::{Addr, Duration, LineAddr, NodeId};
 use piranha::workloads::{SynthConfig, Workload};
-use piranha::{Machine, SystemConfig};
+use piranha::{Machine, RunResult, SystemConfig};
 
 proptest! {
     /// Directory encode/decode: exact for ≤4 sharers and exclusive
@@ -449,5 +456,100 @@ proptest! {
                 prop_assert_eq!(bank.in_array(l), e.in_l2, "array/dup disagreement for {}", l);
             }
         }
+    }
+}
+
+/// A small store envelope: one CPU, a committed count and one metric.
+fn envelope_text() -> (String, u64) {
+    let cpu = CoreStats {
+        instrs: 1234,
+        l1_hits: 1000,
+        l1d_misses: 17,
+        ..CoreStats::default()
+    };
+    let mut r = RunResult::new(
+        "p1".into(),
+        Duration::from_ns(5678),
+        Clock::from_mhz(500),
+        vec![cpu],
+    );
+    r.committed_txns = Some(7);
+    r.metrics =
+        MetricsSnapshot::from_entries(vec![("machine.instrs".into(), MetricValue::Count(1234))]);
+    (envelope::encode("p1|oltp|tiny", &r), r.fingerprint())
+}
+
+/// A valid `submit` run-spec line.
+fn spec_text() -> String {
+    let spec = RunSpec::new("p4", "oltp:20", "tiny")
+        .with_chips(2)
+        .with_io_nodes(1);
+    spec.to_json().to_string()
+}
+
+/// One edit of `base`: overwrite, delete or insert the byte at `pos`
+/// (taken modulo the length), or truncate there.
+fn edit(base: &str, op: usize, pos: usize, byte: u8) -> Vec<u8> {
+    let mut b = base.as_bytes().to_vec();
+    let i = pos % (b.len() + 1);
+    match op {
+        0 if i < b.len() => b[i] = byte,
+        1 if i < b.len() => {
+            b.remove(i);
+        }
+        2 => b.insert(i, byte),
+        _ => b.truncate(i),
+    }
+    b
+}
+
+/// Decode `bytes` as a submitted run spec, the server's order: JSON,
+/// then the spec fields, then the symbolic names. Any step may refuse
+/// the input; none may panic.
+fn decode_spec(bytes: &[u8]) {
+    if let Ok(v) = Json::parse(&String::from_utf8_lossy(bytes)) {
+        if let Ok(spec) = RunSpec::from_json(&v) {
+            let _ = spec.resolve();
+        }
+    }
+}
+
+/// Decode `bytes` as a store envelope; an envelope that decodes keeps
+/// the fingerprint it was written with.
+fn decode_envelope(bytes: &[u8], fingerprint: u64) {
+    if let Ok(env) = envelope::decode(&String::from_utf8_lossy(bytes)) {
+        assert_eq!(env.result.fingerprint(), fingerprint);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+
+    /// Random bytes, half of them drawn from JSON's own punctuation and
+    /// literals so that some inputs get deep into the parser.
+    #[test]
+    fn decoders_refuse_random_bytes(
+        raw in proptest::collection::vec((0u16..256, proptest::bool::ANY), 0..160),
+    ) {
+        const JSONISH: &[u8] = b"{}[]\":,-.0123456789eE truefalsn\\u";
+        let bytes: Vec<u8> = raw
+            .iter()
+            .map(|&(b, jsonish)| if jsonish { JSONISH[b as usize % JSONISH.len()] } else { b as u8 })
+            .collect();
+        decode_spec(&bytes);
+        decode_envelope(&bytes, 0);
+    }
+
+    /// Single-byte edits and truncations of a valid store envelope.
+    #[test]
+    fn envelope_decode_refuses_edits(op in 0usize..4, pos in 0usize..1 << 20, byte in 0u16..256) {
+        let (text, fingerprint) = envelope_text();
+        decode_envelope(&edit(&text, op, pos, byte as u8), fingerprint);
+    }
+
+    /// Single-byte edits and truncations of a valid run-spec line.
+    #[test]
+    fn spec_decode_refuses_edits(op in 0usize..4, pos in 0usize..1 << 20, byte in 0u16..256) {
+        decode_spec(&edit(&spec_text(), op, pos, byte as u8));
     }
 }
