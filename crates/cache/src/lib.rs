@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 mod assoc;
-pub mod component;
 pub mod config;
 pub mod dup;
 pub mod l1;
@@ -34,7 +33,6 @@ pub mod l2;
 pub mod mesi;
 pub mod tlb;
 
-pub use component::{CacheComplex, CacheEvent};
 pub use config::{L1Config, L2BankConfig};
 pub use dup::{DupEntry, DupTags, ExtState, Owner, Slot, Slots};
 pub use l1::{L1Cache, L1Set, StoreOutcome, Victim};

@@ -21,14 +21,14 @@
 #![warn(missing_docs)]
 
 pub mod btb;
-pub mod component;
+pub mod cluster;
 pub mod inorder;
 pub mod ooo;
 pub mod stats;
 pub mod stream;
 
 pub use btb::Btb;
-pub use component::{CpuAction, CpuCluster, CpuCtx, CpuEvent};
+pub use cluster::{CpuCluster, CpuCtx};
 pub use inorder::{InOrderConfig, InOrderCore};
 pub use ooo::{OooConfig, OooCore};
 pub use stats::CoreStats;

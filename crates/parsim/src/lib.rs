@@ -2,7 +2,7 @@
 //! barriers (the parti-gem5 / ScaleSimulator recipe adapted to Piranha).
 //!
 //! The model: a simulation is split into *lanes* (one simulated node —
-//! chip plus its memory/protocol/router adapters — per lane). Every lane
+//! chip with its memory banks and protocol engines — per lane). Every lane
 //! advances independently through the events of one *window* — the span
 //! `[t_min, t_min + quantum)` where `quantum` is the minimum cross-lane
 //! delivery latency — and then the lanes synchronize. Cross-lane events

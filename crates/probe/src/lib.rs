@@ -2,9 +2,8 @@
 //!
 //! The observability substrate of the simulator, in three parts:
 //!
-//! 1. a central [`MetricRegistry`] of hierarchically-named counters,
-//!    gauges and histograms with typed, lock-free handles
-//!    ([`CounterHandle`], [`GaugeHandle`], [`HistogramHandle`]);
+//! 1. a central [`MetricRegistry`] of hierarchically-named histograms
+//!    with cheaply cloned handles ([`HistogramHandle`]);
 //! 2. a cycle-stamped structured trace ring buffer ([`TraceBuffer`])
 //!    recording subsystem spans, zero-cost when disabled (runtime
 //!    [`TraceLevel`] gate plus the compile-time `trace` feature);
@@ -25,11 +24,12 @@
 //! use piranha_probe::{Probe, ProbeConfig, TraceLevel};
 //!
 //! let probe = Probe::new(ProbeConfig::with_level(TraceLevel::Spans));
-//! let fills = probe.counter("cpu.node0.core0.fills");
-//! fills.inc();
+//! let waits = probe.histogram("parsim.node0.barrier_wait_ns");
+//! waits.record(1_250);
 //! probe.span(TraceLevel::Spans, "cache", "bank.lookup", 3, 1_000, 500, 0xbeef);
 //! let metrics = probe.metrics().unwrap();
-//! assert_eq!(metrics.get("cpu.node0.core0.fills").unwrap().as_count(), Some(1));
+//! let count = metrics.get("parsim.node0.barrier_wait_ns.count").unwrap();
+//! assert_eq!(count.as_count(), Some(1));
 //! // One span recorded — when the `trace` feature is compiled in.
 //! let expected = if cfg!(feature = "trace") { 1 } else { 0 };
 //! assert_eq!(probe.trace_snapshot().unwrap().len(), expected);
@@ -42,9 +42,7 @@ pub mod registry;
 pub mod stall;
 pub mod trace;
 
-pub use registry::{
-    CounterHandle, GaugeHandle, HistogramHandle, MetricRegistry, MetricValue, MetricsSnapshot,
-};
+pub use registry::{HistogramHandle, MetricRegistry, MetricValue, MetricsSnapshot};
 pub use stall::{StallRow, StallTable};
 pub use trace::{TraceBuffer, TraceEvent, TraceLevel, TraceSnapshot};
 
@@ -109,22 +107,6 @@ impl Probe {
     /// The shared registry, if attached.
     pub fn registry(&self) -> Option<&MetricRegistry> {
         self.0.as_deref().map(|i| &i.registry)
-    }
-
-    /// Register a counter (no-op handle when disabled).
-    pub fn counter(&self, name: &str) -> CounterHandle {
-        match &self.0 {
-            Some(i) => i.registry.register_counter(name),
-            None => CounterHandle::noop(),
-        }
-    }
-
-    /// Register a gauge (no-op handle when disabled).
-    pub fn gauge(&self, name: &str) -> GaugeHandle {
-        match &self.0 {
-            Some(i) => i.registry.register_gauge(name),
-            None => GaugeHandle::noop(),
-        }
     }
 
     /// Register a histogram (no-op handle when disabled).
@@ -231,7 +213,7 @@ mod tests {
         let p = Probe::disabled();
         assert!(!p.is_enabled());
         assert!(!p.trace_on(TraceLevel::Spans));
-        p.counter("x").inc();
+        p.histogram("x").record(1);
         p.span(TraceLevel::Spans, "cpu", "step", 0, 0, 1, 0);
         assert!(p.metrics().is_none());
         assert!(p.trace_snapshot().is_none());
@@ -242,11 +224,11 @@ mod tests {
     fn clones_share_state() {
         let p = Probe::new(ProbeConfig::with_level(TraceLevel::Spans));
         let q = p.clone();
-        p.counter("shared").add(2);
-        q.counter("shared").add(3);
+        p.histogram("shared").record(2);
+        q.histogram("shared").record(3);
         assert_eq!(
-            p.metrics().unwrap().get("shared").unwrap().as_count(),
-            Some(5)
+            p.metrics().unwrap().get("shared.count").unwrap().as_count(),
+            Some(2)
         );
         q.span(TraceLevel::Spans, "net", "send", 1, 10, 5, 0);
         assert_eq!(p.trace_snapshot().unwrap().len(), 1);
@@ -269,12 +251,12 @@ mod tests {
     #[test]
     fn off_level_probe_still_collects_metrics() {
         let p = Probe::new(ProbeConfig::default());
-        p.counter("kernel.events").add(7);
+        p.histogram("sample.warm_host_ns").record(7);
         assert!(!p.trace_on(TraceLevel::Spans));
         assert_eq!(
             p.metrics()
                 .unwrap()
-                .get("kernel.events")
+                .get("sample.warm_host_ns.max")
                 .unwrap()
                 .as_count(),
             Some(7)

@@ -1,84 +1,21 @@
 //! The central metric registry.
 //!
-//! Every subsystem registers hierarchically-named metrics (dots as
-//! separators: `cpu.node0.core1.instrs`, `net.delivered`) and receives a
-//! typed handle. Handles are cheap to clone and lock-free to update —
-//! counters and gauges are a single relaxed atomic — so they can sit on
-//! simulation hot paths; registration and snapshotting take a lock but
-//! happen at setup and reporting time only.
+//! Subsystems register hierarchically-named histograms (dots as
+//! separators: `sample.warm_host_ns`, `parsim.node0.barrier_wait_ns`)
+//! and receive a [`HistogramHandle`]. Handles are cheap to clone, so
+//! they can sit on simulation hot paths; registration and snapshotting
+//! take a lock but happen at setup and reporting time only.
 //!
-//! Metrics are *pushed*: hold a [`CounterHandle`]/[`GaugeHandle`]/
-//! [`HistogramHandle`] and update it as events happen. Counters a
-//! subsystem already keeps itself are not copied in here; the system
-//! crate's `Machine::metrics` reads them into a [`MetricsSnapshot`] of
-//! its own, and a probed run merges the two snapshots.
+//! Metrics are *pushed*: hold a handle and record into it as events
+//! happen. Counters a subsystem already keeps itself are not copied in
+//! here; the system crate's `Machine::metrics` reads them into a
+//! [`MetricsSnapshot`] of its own, and a probed run merges the two
+//! snapshots.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use piranha_kernel::Histogram;
-
-/// A registered counter: a monotonically increasing `u64`.
-///
-/// The disabled (no-op) handle costs one branch per update, so handles
-/// can be embedded unconditionally.
-#[derive(Debug, Clone, Default)]
-pub struct CounterHandle(Option<Arc<AtomicU64>>);
-
-impl CounterHandle {
-    /// A handle that ignores updates (for probes that are switched off).
-    pub fn noop() -> Self {
-        CounterHandle(None)
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&self) {
-        if let Some(c) = &self.0 {
-            c.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if let Some(c) = &self.0 {
-            c.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (0 for a no-op handle).
-    pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-}
-
-/// A registered gauge: an instantaneous `f64` (occupancy, rate, level).
-#[derive(Debug, Clone, Default)]
-pub struct GaugeHandle(Option<Arc<AtomicU64>>);
-
-impl GaugeHandle {
-    /// A handle that ignores updates.
-    pub fn noop() -> Self {
-        GaugeHandle(None)
-    }
-
-    /// Set the gauge.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        if let Some(g) = &self.0 {
-            g.store(v.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (0.0 for a no-op handle).
-    pub fn get(&self) -> f64 {
-        self.0
-            .as_ref()
-            .map_or(0.0, |g| f64::from_bits(g.load(Ordering::Relaxed)))
-    }
-}
 
 /// A registered histogram of `u64` samples (latencies, sizes).
 #[derive(Debug, Clone, Default)]
@@ -142,28 +79,21 @@ impl std::fmt::Display for MetricValue {
     }
 }
 
-#[derive(Debug)]
-enum Slot {
-    Counter(Arc<AtomicU64>),
-    Gauge(Arc<AtomicU64>),
-    Histogram(Arc<Mutex<Histogram>>),
-}
-
-/// The registry: a name → metric map with typed registration.
+/// The registry: a name → histogram map.
 ///
 /// # Examples
 ///
 /// ```
 /// use piranha_probe::MetricRegistry;
 /// let reg = MetricRegistry::new();
-/// let c = reg.register_counter("cache.node0.bank0.lookups");
-/// c.add(3);
+/// let lat = reg.register_histogram("sample.warm_host_ns");
+/// lat.record(3);
 /// let snap = reg.snapshot();
-/// assert_eq!(snap.get("cache.node0.bank0.lookups").unwrap().as_count(), Some(3));
+/// assert_eq!(snap.get("sample.warm_host_ns.count").unwrap().as_count(), Some(1));
 /// ```
 #[derive(Debug, Default)]
 pub struct MetricRegistry {
-    slots: Mutex<BTreeMap<String, Slot>>,
+    slots: Mutex<BTreeMap<String, Arc<Mutex<Histogram>>>>,
 }
 
 impl MetricRegistry {
@@ -172,83 +102,43 @@ impl MetricRegistry {
         Self::default()
     }
 
-    /// Register (or re-fetch) a counter. Registration is idempotent:
-    /// the same name always resolves to the same underlying cell.
-    pub fn register_counter(&self, name: &str) -> CounterHandle {
-        let mut slots = self.slots.lock().unwrap();
-        let slot = slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Counter(Arc::new(AtomicU64::new(0))));
-        match slot {
-            Slot::Counter(c) => CounterHandle(Some(Arc::clone(c))),
-            _ => panic!("metric {name} already registered with a different type"),
-        }
-    }
-
-    /// Register (or re-fetch) a gauge.
-    pub fn register_gauge(&self, name: &str) -> GaugeHandle {
-        let mut slots = self.slots.lock().unwrap();
-        let slot = slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Gauge(Arc::new(AtomicU64::new(0))));
-        match slot {
-            Slot::Gauge(g) => GaugeHandle(Some(Arc::clone(g))),
-            _ => panic!("metric {name} already registered with a different type"),
-        }
-    }
-
-    /// Register (or re-fetch) a histogram.
+    /// Register (or re-fetch) a histogram. Registration is idempotent:
+    /// the same name always resolves to the same underlying histogram.
     pub fn register_histogram(&self, name: &str) -> HistogramHandle {
         let mut slots = self.slots.lock().unwrap();
-        let slot = slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Histogram(Arc::new(Mutex::new(Histogram::default()))));
-        match slot {
-            Slot::Histogram(h) => HistogramHandle(Some(Arc::clone(h))),
-            _ => panic!("metric {name} already registered with a different type"),
-        }
+        let h = slots.entry(name.to_string()).or_default();
+        HistogramHandle(Some(Arc::clone(h)))
     }
 
-    /// Number of registered metrics.
+    /// Number of registered histograms.
     pub fn len(&self) -> usize {
         self.slots.lock().unwrap().len()
     }
 
-    /// Whether no metrics are registered.
+    /// Whether no histograms are registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// A point-in-time reading of every metric, sorted by name.
-    /// Histograms flatten into `<name>.count/.mean/.max/.p50/.p95/.p99`.
+    /// A point-in-time reading of every histogram, sorted by name, each
+    /// flattened into `<name>.count/.mean/.max/.p50/.p95/.p99`.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let slots = self.slots.lock().unwrap();
-        let mut entries = Vec::with_capacity(slots.len());
-        for (name, slot) in slots.iter() {
-            match slot {
-                Slot::Counter(c) => {
-                    entries.push((name.clone(), MetricValue::Count(c.load(Ordering::Relaxed))))
-                }
-                Slot::Gauge(g) => entries.push((
-                    name.clone(),
-                    MetricValue::Value(f64::from_bits(g.load(Ordering::Relaxed))),
-                )),
-                Slot::Histogram(h) => {
-                    let core = h.lock().unwrap();
-                    entries.push((format!("{name}.count"), MetricValue::Count(core.count())));
-                    entries.push((format!("{name}.mean"), MetricValue::Value(core.mean())));
-                    entries.push((format!("{name}.max"), MetricValue::Count(core.max())));
-                    for p in [50.0, 95.0, 99.0] {
-                        entries.push((
-                            format!("{name}.p{p:.0}"),
-                            MetricValue::Count(core.percentile(p)),
-                        ));
-                    }
-                }
+        let mut entries = Vec::with_capacity(6 * slots.len());
+        for (name, h) in slots.iter() {
+            let core = h.lock().unwrap();
+            entries.push((format!("{name}.count"), MetricValue::Count(core.count())));
+            entries.push((format!("{name}.mean"), MetricValue::Value(core.mean())));
+            entries.push((format!("{name}.max"), MetricValue::Count(core.max())));
+            for p in [50.0, 95.0, 99.0] {
+                entries.push((
+                    format!("{name}.p{p:.0}"),
+                    MetricValue::Count(core.percentile(p)),
+                ));
             }
         }
-        // Histogram flattening can emit out of name order (`.mean` sorts
-        // after `.max`); from_entries restores the sorted invariant that
+        // Flattening emits out of name order (`.mean` sorts after
+        // `.max`); from_entries restores the sorted invariant that
         // `get`'s binary search relies on.
         MetricsSnapshot::from_entries(entries)
     }
@@ -339,46 +229,30 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_round_trip() {
-        let reg = MetricRegistry::new();
-        let c = reg.register_counter("a.b.c");
-        c.inc();
-        c.add(4);
-        let g = reg.register_gauge("a.b.util");
-        g.set(0.75);
-        let snap = reg.snapshot();
+        let snap = MetricsSnapshot::from_entries(vec![
+            ("a.b.util".into(), MetricValue::Value(0.75)),
+            ("a.b.c".into(), MetricValue::Count(5)),
+        ]);
         assert_eq!(snap.get("a.b.c"), Some(&MetricValue::Count(5)));
         assert_eq!(snap.get("a.b.util"), Some(&MetricValue::Value(0.75)));
+        assert_eq!(snap.get("a.b.util").unwrap().as_count(), None);
+        assert_eq!(snap.get("a.b.c").unwrap().as_f64(), 5.0);
         assert!(snap.get("missing").is_none());
     }
 
     #[test]
     fn registration_is_idempotent() {
         let reg = MetricRegistry::new();
-        let a = reg.register_counter("x");
-        let b = reg.register_counter("x");
-        a.inc();
-        b.inc();
-        assert_eq!(a.get(), 2, "same cell behind both handles");
+        let a = reg.register_histogram("x");
+        let b = reg.register_histogram("x");
+        a.record(1);
+        b.record(2);
+        assert_eq!(a.core().count(), 2, "same histogram behind both handles");
         assert_eq!(reg.len(), 1);
     }
 
     #[test]
-    #[should_panic(expected = "different type")]
-    fn type_mismatch_panics() {
-        let reg = MetricRegistry::new();
-        reg.register_counter("x");
-        reg.register_gauge("x");
-    }
-
-    #[test]
     fn noop_handles_ignore_updates() {
-        let c = CounterHandle::noop();
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 0);
-        let g = GaugeHandle::noop();
-        g.set(3.0);
-        assert_eq!(g.get(), 0.0);
         let h = HistogramHandle::noop();
         h.record(5);
         assert_eq!(h.core().count(), 0);
@@ -426,15 +300,15 @@ mod tests {
     #[test]
     fn snapshot_is_sorted_and_csv_renders() {
         let reg = MetricRegistry::new();
-        reg.register_counter("z.last").add(1);
-        reg.register_counter("a.first").add(2);
+        reg.register_histogram("z.last").record(1);
+        reg.register_histogram("a.first").record(2);
         let snap = reg.snapshot();
         assert!(snap.entries.windows(2).all(|w| w[0].0 <= w[1].0));
         let csv = snap.to_csv();
         assert!(csv.starts_with("metric,value\n"));
-        assert!(csv.contains("a.first,2\n"));
+        assert!(csv.contains("a.first.max,2\n"));
         let json = snap.to_json();
-        assert!(json.contains("\"z.last\": 1"));
+        assert!(json.contains("\"z.last.count\": 1"));
     }
 
     #[test]
@@ -452,11 +326,11 @@ mod tests {
 
     #[test]
     fn prefix_query() {
-        let reg = MetricRegistry::new();
-        reg.register_counter("cpu.node0.core0.instrs").add(5);
-        reg.register_counter("cpu.node0.core1.instrs").add(6);
-        reg.register_counter("net.delivered").add(7);
-        let snap = reg.snapshot();
+        let snap = MetricsSnapshot::from_entries(vec![
+            ("cpu.node0.core0.instrs".into(), MetricValue::Count(5)),
+            ("cpu.node0.core1.instrs".into(), MetricValue::Count(6)),
+            ("net.delivered".into(), MetricValue::Count(7)),
+        ]);
         assert_eq!(snap.with_prefix("cpu.").count(), 2);
     }
 }

@@ -38,7 +38,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use piranha_kernel::Counter;
-use piranha_mem::{DirEntry, NodeSet};
+use piranha_mem::{DirEntry, MemBank, NodeSet};
 use piranha_types::{FillSource, LineAddr, NodeId, ReqType};
 
 use crate::msg::{plan_cmi_routes, Grant, ProtoMsg};
@@ -65,7 +65,7 @@ pub fn occupancy_cycles(input_kind: &str) -> u64 {
 }
 
 /// Read/write access to the directory bits stored with this node's
-/// memory (implemented over the `piranha-mem` banks by the chip).
+/// memory (implemented over the node's `piranha-mem` banks below).
 pub trait DirStore {
     /// Current directory entry for `line`.
     fn dir(&self, line: LineAddr) -> DirEntry;
@@ -74,6 +74,22 @@ pub trait DirStore {
     /// The data version stored in this node's memory (used when the home
     /// engine answers a local request directly from memory).
     fn mem_version(&self, line: LineAddr) -> u64;
+}
+
+/// A node's memory banks, interleaved like its L2 banks
+/// ([`LineAddr::bank`]): the directory and data version of a line live in
+/// the bank that holds it.
+impl DirStore for Vec<MemBank> {
+    fn dir(&self, line: LineAddr) -> DirEntry {
+        self[line.bank(self.len())].directory(line)
+    }
+    fn set_dir(&mut self, line: LineAddr, dir: DirEntry) {
+        let bank = line.bank(self.len());
+        self[bank].set_directory(line, dir);
+    }
+    fn mem_version(&self, line: LineAddr) -> u64 {
+        self[line.bank(self.len())].version(line)
+    }
 }
 
 impl DirStore for HashMap<LineAddr, DirEntry> {

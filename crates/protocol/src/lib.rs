@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod coherence;
-pub mod component;
 pub mod microcode;
 pub mod msg;
 pub mod ras;
@@ -46,7 +45,6 @@ pub mod recovery;
 pub mod tsrf;
 
 pub use coherence::{EngineAction, HomeEngine, HomeIn, RemoteEngine, RemoteIn};
-pub use component::{EngineComplex, EngineEvent};
 pub use msg::{Grant, ProtoMsg};
 pub use ras::{Capability, LineRange, RasPolicy, WriteVerdict};
 pub use recovery::EngineRecovery;

@@ -5,11 +5,12 @@
 //! - `v` — the envelope schema version ([`SCHEMA_VERSION`]); entries
 //!   with a different version are rejected (recompute, never panic);
 //! - `stamp` — the build stamp ([`build_stamp`]): a hash of the schema
-//!   version and the checked-in golden-fingerprint table. Any change to
-//!   the simulator that moves a golden fingerprint re-blesses that
-//!   table, changes the stamp, and thereby invalidates every persisted
-//!   entry of the old build — stale results from an incompatible
-//!   simulator are rejected at load instead of silently served;
+//!   version and the checked-in golden tables (detailed fingerprints and
+//!   sampled runs). Any change to the simulator that moves a golden
+//!   re-blesses its table, changes the stamp, and thereby invalidates
+//!   every persisted entry of the old build — stale results from an
+//!   incompatible simulator are rejected at load instead of silently
+//!   served;
 //! - `key` — the full harness cache key, so a content-address collision
 //!   (or a foreign file) is detected by comparison, not trusted;
 //! - `fingerprint` — the result's [`RunResult::fingerprint`], which
@@ -40,17 +41,22 @@ use crate::json::Json;
 /// Envelope schema version; bump when the field layout changes.
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// The golden-fingerprint table this build was blessed against. Baked
-/// into the binary so the store stamp moves with every behavioural
-/// change to the simulator (any such change re-blesses the table).
+/// The golden tables this build was blessed against: the detailed
+/// fingerprints and the sampled runs (`fig5 --sample` replays sampled
+/// results from the store). Baked into the binary so the store stamp
+/// moves with every behavioural change to the simulator (any such
+/// change re-blesses a table).
 const GOLDEN_TABLE: &str = include_str!("../../../tests/golden_fingerprints.tsv");
+const GOLDEN_SAMPLED: &str = include_str!("../../../tests/golden_sampled.tsv");
 
 /// The build stamp persisted entries are guarded by: a hash of the
-/// schema version and the golden-fingerprint table. Two builds share a
-/// stamp exactly when they agree on the envelope layout *and* on the
+/// schema version and the golden tables. Two builds share a stamp
+/// exactly when they agree on the envelope layout *and* on the
 /// bit-exact behaviour of the simulator (as certified by the goldens).
 pub fn build_stamp() -> u64 {
-    piranha_types::fnv1a(format!("piranha-serve/v{SCHEMA_VERSION}|{GOLDEN_TABLE}").as_bytes())
+    piranha_types::fnv1a(
+        format!("piranha-serve/v{SCHEMA_VERSION}|{GOLDEN_TABLE}|{GOLDEN_SAMPLED}").as_bytes(),
+    )
 }
 
 /// A decoded store entry: the cache key it was saved under and the

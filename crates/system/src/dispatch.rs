@@ -1,16 +1,15 @@
-//! Event dispatch: routing between the component adapters.
+//! Event dispatch: routing between the node's units.
 //!
-//! This is the only layer that knows the machine's topology of
-//! components. Each arm of [`NodeLane::dispatch`] calls the owning
-//! adapter's one handler — `CpuCluster::handle`,
-//! `CacheComplex::handle_into`, `EngineComplex::handle_into` — or reads
-//! a memory bank directly (`Node::mem_data`), and routes the actions
-//! the adapter appends to a lane-owned buffer, in the order it produced
-//! them. It contains **no subsystem logic** of its own. The two
-//! cross-cutting concerns the paper treats as system-level — fault
-//! injection/recovery (§2.7) and observability — are applied here,
-//! uniformly where the actions are routed, so no subsystem crate knows
-//! they exist.
+//! This is the only layer that knows how a chip's units connect. Each
+//! arm of [`NodeLane::dispatch`] runs one unit: a CPU through
+//! [`NodeLane::step_cpu`] or [`NodeLane::fill_cpu`], an L2 bank or a
+//! protocol engine through `Node::handle`, or a memory bank's read
+//! return through `Node::mem_data`. It then routes the actions the unit
+//! appended to a lane-owned buffer, in the order it produced them. It
+//! contains **no subsystem logic** of its own. The two cross-cutting
+//! concerns the paper treats as system-level — fault injection/recovery
+//! (§2.7) and observability — are applied here, uniformly where the
+//! actions are routed, so no subsystem crate knows they exist.
 //!
 //! One router serves both execution regimes. [`NodeLane::route_bank`]
 //! and [`NodeLane::route_engine`] turn a bank or engine action into the
@@ -18,8 +17,8 @@
 //! home-memory write in place. Detailed dispatch (`run_work`) and
 //! functional warming (`warm.rs`) keep only what they time differently —
 //! `Grant`, `ReadMem` and `Send`, plus the detailed ICS charges — and
-//! each delivers the `Next` in its own order: detailed dispatch at once,
-//! warming through its FIFO.
+//! each runs the `Next` through `Node::handle` in its own order:
+//! detailed dispatch at once, warming through its FIFO.
 //!
 //! Dispatch is written against one `NodeLane` at a time so nodes can
 //! advance on independent worker threads: everything a handler touches
@@ -30,29 +29,36 @@
 //! [`NetPath::route`], which also enforces the conservative-lookahead
 //! invariant every cross-node delivery must respect.
 
-use piranha_cache::{BankAction, BankEvent, CacheEvent, Mesi, Slot};
-use piranha_cpu::{CpuAction, CpuCtx, CpuEvent};
+use piranha_cache::{BankAction, BankEvent, Mesi, Slot};
+use piranha_cpu::{CoreStatus, MemReq};
 use piranha_faults::{FaultKind, FaultPlane};
 use piranha_ics::TransferSize;
 use piranha_mem::Scrub;
 use piranha_net::{crc32, flip_bit, Network, Packet, PacketKind};
 use piranha_probe::{Probe, TraceLevel};
 use piranha_protocol::coherence::occupancy_cycles;
-use piranha_protocol::{EngineAction, EngineEvent, HomeIn, ProtoMsg, RemoteIn};
+use piranha_protocol::{EngineAction, HomeIn, ProtoMsg, RemoteIn};
 use piranha_types::{CpuId, Duration, FillSource, Lane, LineAddr, NodeId, SimTime};
 
 use crate::config::SystemConfig;
-use crate::node::{Node, NodeLane};
+use crate::node::NodeLane;
 use crate::wiring::{track_base, TRACK_BANK, TRACK_HOME, TRACK_MEM, TRACK_NET, TRACK_REMOTE};
 
 /// An event on a lane's queue. The handling node is the lane's own, so
 /// events name only the in-node target.
 #[derive(Debug, Clone)]
 pub(crate) enum Ev {
-    /// An event for the node's CPU cluster (step or fill).
-    Cpu(CpuEvent),
-    /// An event for one of the node's L2 banks.
-    Bank(CacheEvent),
+    /// Let CPU `cpu` execute up to its quantum.
+    Step { cpu: usize },
+    /// Complete CPU `cpu`'s outstanding request `id`, served from
+    /// `source`.
+    Fill {
+        cpu: usize,
+        id: u64,
+        source: FillSource,
+    },
+    /// Run `ev` through L2 bank `bank`.
+    Bank { bank: usize, ev: BankEvent },
     /// A memory read's critical word is available: memory bank `bank`
     /// returns `line`.
     MemRead { bank: usize, line: LineAddr },
@@ -66,12 +72,29 @@ pub(crate) enum Item {
     Eng(EngineAction),
 }
 
-/// The follow-on event a routed action causes on its own node. The
-/// caller delivers it in its regime's order: detailed dispatch runs it at
-/// once, functional warming queues it.
+/// The follow-on event a routed action causes on its own node, run by
+/// `Node::handle`. The caller runs it in its regime's order: detailed
+/// dispatch at once, functional warming through its FIFO.
 pub(crate) enum Next {
-    Bank(CacheEvent),
-    Eng(EngineEvent),
+    /// Run `ev` through L2 bank `bank`.
+    Bank { bank: usize, ev: BankEvent },
+    /// Run the home (directory-side) engine.
+    Home(HomeIn),
+    /// Run the remote (requester-side) engine.
+    Remote(RemoteIn),
+}
+
+impl Next {
+    /// A protocol message `msg` from `from` arriving at a node: the home
+    /// engine takes it when the node homes the message's line
+    /// (`is_home`), the remote engine otherwise.
+    pub(crate) fn arrival(is_home: bool, from: NodeId, msg: ProtoMsg) -> Next {
+        if is_home {
+            Next::Home(HomeIn::Msg { from, msg })
+        } else {
+            Next::Remote(RemoteIn::Msg { from, msg })
+        }
+    }
 }
 
 /// Convert a CPU cycle number to simulated time under `cfg`'s clock.
@@ -132,7 +155,27 @@ impl NodeLane {
     }
 
     pub(crate) fn bank_of(&self, line: LineAddr) -> usize {
-        line.bank(self.node.caches.bank_count())
+        line.bank(self.node.banks.len())
+    }
+
+    /// The bank miss CPU `cpu`'s request `req` raises: its L1 slot, the
+    /// L2 bank that owns the line, and the event that bank runs. Both
+    /// execution regimes issue a CPU request here.
+    pub(crate) fn miss(
+        &self,
+        sh: &LaneShared<'_>,
+        cpu: usize,
+        req: &MemReq,
+    ) -> (Slot, usize, BankEvent) {
+        let slot = Slot::new(CpuId(cpu as u8), req.kind);
+        let ev = BankEvent::Miss {
+            slot,
+            req: req.req,
+            line: req.line,
+            home_local: sh.home_of(req.line) == self.index,
+            store_version: req.store_version,
+        };
+        (slot, self.bank_of(req.line), ev)
     }
 
     pub(crate) fn dispatch(&mut self, sh: &LaneShared<'_>, t: SimTime, ev: Ev) {
@@ -141,19 +184,31 @@ impl NodeLane {
             "work left over from the last dispatch"
         );
         match ev {
-            Ev::Cpu(ev) => self.cpu_event(sh, t, ev),
-            Ev::Bank(ce) => {
+            Ev::Step { cpu } => self.time_step(sh, t, cpu),
+            Ev::Fill { cpu, id, source } => {
+                self.probe.instant(
+                    TraceLevel::Verbose,
+                    "cpu",
+                    "fill",
+                    track_base(self.index) + cpu as u32,
+                    t.as_ps(),
+                    id,
+                );
+                self.fill_cpu(cpu, id, sh.time_to_cycle(t), source);
+                self.complete_traffic(cpu);
+                self.wake(sh, t, cpu);
+            }
+            Ev::Bank { bank, ev } => {
                 self.probe.span(
                     TraceLevel::Spans,
                     "cache",
                     "bank.lookup",
-                    track_base(self.index) + TRACK_BANK + ce.bank as u32,
+                    track_base(self.index) + TRACK_BANK + bank as u32,
                     t.as_ps(),
                     sh.cfg.lat.bank.as_ps(),
                     0,
                 );
-                self.bank(ce);
-                self.run_work(sh, t);
+                self.run_work(sh, t, Next::Bank { bank, ev });
             }
             Ev::MemRead { bank, line } => {
                 self.probe.instant(
@@ -164,9 +219,8 @@ impl NodeLane {
                     t.as_ps(),
                     line.0,
                 );
-                let data = self.node.mem_data(bank, line);
-                self.bank(data);
-                self.run_work(sh, t);
+                let ev = self.node.mem_data(bank, line);
+                self.run_work(sh, t, Next::Bank { bank, ev });
             }
             Ev::NetMsg { from, msg } => {
                 let line = msg.line();
@@ -187,7 +241,7 @@ impl NodeLane {
                         // replays from its TSRF-recorded inputs: extra
                         // occupancy, same architectural outcome (the
                         // state machine only commits at completion).
-                        let extra = self.node.engines.replay(kind);
+                        let extra = self.node.recovery.replay(kind);
                         pe_cycles += extra;
                         self.faults.note_recovery(h.kind, true, extra, 0);
                         self.probe.instant(
@@ -211,69 +265,67 @@ impl NodeLane {
                     occ.as_ps(),
                     line.0,
                 );
-                self.node.engines.acquire(is_home, t, occ);
-                let ev = if is_home {
-                    EngineEvent::Home(HomeIn::Msg { from, msg })
+                let srv = if is_home {
+                    &mut self.node.home_srv
                 } else {
-                    EngineEvent::Remote(RemoteIn::Msg { from, msg })
+                    &mut self.node.remote_srv
                 };
-                self.engine(ev);
-                self.run_work(sh, t);
+                srv.acquire(t, occ);
+                self.run_work(sh, t, Next::arrival(is_home, from, msg));
             }
         }
     }
 
-    /// Deliver one event to the node's CPU cluster and route the
-    /// resulting actions: memory requests toward the L2 (via the ICS and
-    /// the bank occupancy server), reschedules onto the lane's queue,
-    /// and completions into the run loop's `unfinished` count.
-    fn cpu_event(&mut self, sh: &LaneShared<'_>, t: SimTime, ev: CpuEvent) {
-        let (cpu, is_step) = match ev {
-            CpuEvent::Step { cpu } => (cpu, true),
-            CpuEvent::Fill { cpu, id, .. } => {
-                self.probe.instant(
-                    TraceLevel::Verbose,
-                    "cpu",
-                    "fill",
-                    track_base(self.index) + cpu as u32,
-                    t.as_ps(),
-                    id,
-                );
-                (cpu, false)
-            }
-        };
-        let fill_cycle = sh.time_to_cycle(t);
-        let mut acts = std::mem::take(&mut self.cpu_buf);
-        let (retired, cyc_delta) = {
-            let NodeLane {
-                node,
-                versions,
-                version_stride,
-                ..
-            } = self;
-            let Node {
-                cpus, caches, sc, ..
-            } = node;
-            let before = cpus.core(cpu).stats().instrs;
-            let cyc_before = cpus.core(cpu).now_cycle();
-            let ctx = CpuCtx {
-                l1s: caches.l1s_mut(),
-                versions,
-                version_stride: *version_stride,
-                enabled: sc.cpu_enabled(CpuId(cpu as u8)),
-                fill_cycle,
-            };
-            cpus.handle(ev, ctx, &mut acts);
-            (
-                cpus.core(cpu).stats().instrs - before,
-                cpus.core(cpu).now_cycle() - cyc_before,
-            )
-        };
-        self.instrs_retired += retired;
-        // Open-loop traffic: the park check inside the core's advance
-        // stamps a transaction's commit cycle; drain it here — before the
-        // action loop below can poll the plane for the next admission —
-        // and close the birth→commit latency ledger.
+    /// The detailed regime's CPU step: step `cpu` and time what it did —
+    /// each memory request toward the L2 (via the ICS and the bank
+    /// occupancy server), in issue order, then its next step if it is
+    /// still runnable.
+    fn time_step(&mut self, sh: &LaneShared<'_>, t: SimTime, cpu: usize) {
+        let cyc_before = self.node.cpus.core(cpu).now_cycle();
+        let mut reqs = std::mem::take(&mut self.reqs);
+        let (status, retired) = self.step_cpu(cpu, false, &mut reqs);
+        let now_cycle = self.node.cpus.core(cpu).now_cycle();
+        self.complete_traffic(cpu);
+        if now_cycle > cyc_before {
+            self.probe.span(
+                TraceLevel::Spans,
+                "cpu",
+                "step",
+                track_base(self.index) + cpu as u32,
+                t.as_ps(),
+                sh.cfg.cpu_clock.cycles_dur(now_cycle - cyc_before).as_ps(),
+                retired,
+            );
+        }
+        for (at_cycle, req) in reqs.drain(..) {
+            let issue = sh.cycle_to_time(at_cycle).max(t);
+            // Request message over the ICS (header) + path latency.
+            let tics = self
+                .node
+                .ics
+                .transfer(issue, TransferSize::Header, Lane::Low);
+            let arrive = (issue + sh.cfg.lat.req).max(tics);
+            let (slot, bank, ev) = self.miss(sh, cpu, &req);
+            let exec = self.node.bank_srv[bank].acquire(arrive, sh.cfg.lat.bank);
+            let prev = self.outstanding.insert((slot, req.line), req.id);
+            assert!(
+                prev.is_none(),
+                "duplicate outstanding request for {slot} {}",
+                req.line
+            );
+            self.events.schedule(exec.max(t), Ev::Bank { bank, ev });
+        }
+        self.reqs = reqs;
+        if status == Some(CoreStatus::Runnable) {
+            self.wake(sh, sh.cycle_to_time(now_cycle).max(t), cpu);
+        }
+    }
+
+    /// Open-loop traffic: the park check inside the core's advance
+    /// stamps a transaction's commit cycle; drain it — before `wake` can
+    /// poll the plane for the next admission — and close the
+    /// birth→commit latency ledger.
+    fn complete_traffic(&mut self, cpu: usize) {
         if self.traffic.enabled() {
             if let Some(commit) = self.node.cpus.stream_mut(cpu).take_completion() {
                 if let Some(ns) = self.traffic.complete(cpu, commit) {
@@ -283,117 +335,64 @@ impl NodeLane {
                 }
             }
         }
-        if is_step && cyc_delta > 0 {
-            self.probe.span(
-                TraceLevel::Spans,
-                "cpu",
-                "step",
-                track_base(self.index) + cpu as u32,
-                t.as_ps(),
-                sh.cfg.cpu_clock.cycles_dur(cyc_delta).as_ps(),
-                retired,
-            );
-        }
-        for act in acts.drain(..) {
-            match act {
-                CpuAction::Issue { cpu, at_cycle, req } => {
-                    let issue = sh.cycle_to_time(at_cycle).max(t);
-                    // Request message over the ICS (header) + path latency.
-                    let tics = self
-                        .node
-                        .ics
-                        .transfer(issue, TransferSize::Header, Lane::Low);
-                    let arrive = (issue + sh.cfg.lat.req).max(tics);
-                    let bank = self.bank_of(req.line);
-                    let exec = self.node.caches.acquire(bank, arrive, sh.cfg.lat.bank);
-                    let slot = Slot::new(CpuId(cpu as u8), req.kind);
-                    let prev = self.outstanding.insert((slot, req.line), req.id);
-                    assert!(
-                        prev.is_none(),
-                        "duplicate outstanding request for {slot} {}",
-                        req.line
-                    );
-                    let home_local = sh.home_of(req.line) == self.index;
-                    self.events.schedule(
-                        exec.max(t),
-                        Ev::Bank(CacheEvent {
-                            bank,
-                            ev: BankEvent::Miss {
-                                slot,
-                                req: req.req,
-                                line: req.line,
-                                home_local,
-                                store_version: req.store_version,
-                            },
-                        }),
-                    );
-                }
-                CpuAction::Wake { cpu, at_cycle } => {
-                    let next = sh.cycle_to_time(at_cycle).max(t);
-                    // Open-loop traffic: a parked stream's wake is an
-                    // admission request, not a step. Once the boundary is
-                    // fully drained (commit stamped and collected above),
-                    // consult the plane instead of stepping blindly.
-                    if self.traffic.enabled() {
-                        let stream = self.node.cpus.stream(cpu);
-                        if stream.parked() && !stream.boundary_pending() {
-                            if stream.exhausted() {
-                                // Let the core observe end-of-stream and
-                                // finish; no plane poll for a dead stream.
-                                self.node.cpus.stream_mut(cpu).admit(0);
-                                self.events.schedule(next, Ev::Cpu(CpuEvent::Step { cpu }));
-                            } else {
-                                let now_cyc = sh.time_to_cycle(next);
-                                match self.traffic.poll(cpu, now_cyc) {
-                                    piranha_traffic::Admission::Admit { extra_idle } => {
-                                        self.node.cpus.stream_mut(cpu).admit(extra_idle);
-                                        // The parked core's local clock froze
-                                        // at the last commit; pull it forward
-                                        // so the new transaction is costed
-                                        // from its admission cycle.
-                                        self.node.cpus.core_mut(cpu).align_cycle(now_cyc);
-                                        self.events.schedule(next, Ev::Cpu(CpuEvent::Step { cpu }));
-                                    }
-                                    piranha_traffic::Admission::WaitUntil(c) => {
-                                        // Idle until the next arrival. The
-                                        // future Step keeps the event queue
-                                        // non-empty, so the run loop's
-                                        // deadlock check stays quiet.
-                                        let at = sh.cycle_to_time(c).max(next);
-                                        self.events.schedule(at, Ev::Cpu(CpuEvent::Step { cpu }));
-                                    }
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                    self.events.schedule(next, Ev::Cpu(CpuEvent::Step { cpu }));
-                }
-                CpuAction::Finished { .. } => self.unfinished -= 1,
-            }
-        }
-        self.cpu_buf = acts;
     }
 
-    /// Run `ev` through the node's engine complex and queue the
-    /// resulting actions on the lane's work queue.
-    fn engine(&mut self, ev: EngineEvent) {
-        self.node.engine_into(ev, &mut self.eng_buf);
+    /// Schedule CPU `cpu`'s next step at `next`.
+    fn wake(&mut self, sh: &LaneShared<'_>, next: SimTime, cpu: usize) {
+        // Open-loop traffic: a parked stream's wake is an admission
+        // request, not a step. Once the boundary is fully drained
+        // (commit stamped and collected by `complete_traffic`), consult
+        // the plane instead of stepping blindly.
+        if self.traffic.enabled() {
+            let stream = self.node.cpus.stream(cpu);
+            if stream.parked() && !stream.boundary_pending() {
+                if stream.exhausted() {
+                    // Let the core observe end-of-stream and finish; no
+                    // plane poll for a dead stream.
+                    self.node.cpus.stream_mut(cpu).admit(0);
+                    self.events.schedule(next, Ev::Step { cpu });
+                } else {
+                    let now_cyc = sh.time_to_cycle(next);
+                    match self.traffic.poll(cpu, now_cyc) {
+                        piranha_traffic::Admission::Admit { extra_idle } => {
+                            self.node.cpus.stream_mut(cpu).admit(extra_idle);
+                            // The parked core's local clock froze at the
+                            // last commit; pull it forward so the new
+                            // transaction is costed from its admission
+                            // cycle.
+                            self.node.cpus.core_mut(cpu).align_cycle(now_cyc);
+                            self.events.schedule(next, Ev::Step { cpu });
+                        }
+                        piranha_traffic::Admission::WaitUntil(c) => {
+                            // Idle until the next arrival. The future
+                            // Step keeps the event queue non-empty, so
+                            // the run loop's deadlock check stays quiet.
+                            let at = sh.cycle_to_time(c).max(next);
+                            self.events.schedule(at, Ev::Step { cpu });
+                        }
+                    }
+                }
+                return;
+            }
+        }
+        self.events.schedule(next, Ev::Step { cpu });
+    }
+
+    /// Run `next` through its bank or engine and queue the resulting
+    /// actions on the lane's work queue.
+    fn queue(&mut self, next: Next) {
+        self.node
+            .handle(next, &mut self.bank_buf, &mut self.eng_buf);
+        self.work.extend(self.bank_buf.drain(..).map(Item::Bank));
         self.work.extend(self.eng_buf.drain(..).map(Item::Eng));
     }
 
-    /// Run `ev` through one of the node's L2 banks and queue the
-    /// resulting actions on the lane's work queue.
-    fn bank(&mut self, ev: CacheEvent) {
-        self.node.caches.handle_into(ev, &mut self.bank_buf);
-        self.work.extend(self.bank_buf.drain(..).map(Item::Bank));
-    }
-
-    /// Apply the lane's queued bank/engine actions at time `t`, in
-    /// order, running the follow-on event each one causes at once, which
-    /// queues that event's actions behind the rest. The queue is a lane
-    /// field, so its allocation is reused across dispatches.
-    fn run_work(&mut self, sh: &LaneShared<'_>, t: SimTime) {
+    /// Run `next` at time `t`, then apply the queued actions in order,
+    /// running the follow-on event each one causes at once, which queues
+    /// that event's actions behind the rest. The queue is a lane field,
+    /// so its allocation is reused across dispatches.
+    fn run_work(&mut self, sh: &LaneShared<'_>, t: SimTime, next: Next) {
+        self.queue(next);
         while let Some(item) = self.work.pop_front() {
             let next = match item {
                 Item::Bank(a) => self.time_bank(sh, t, a),
@@ -403,10 +402,8 @@ impl NodeLane {
                 }
                 Item::Eng(a) => self.route_engine(t, a),
             };
-            match next {
-                Some(Next::Bank(ce)) => self.bank(ce),
-                Some(Next::Eng(ev)) => self.engine(ev),
-                None => {}
+            if let Some(next) = next {
+                self.queue(next);
             }
         }
     }
@@ -436,14 +433,8 @@ impl NodeLane {
                 };
                 self.node.ics.transfer(t, size, Lane::High);
                 let wake = t + sh.reply_latency(source);
-                self.events.schedule(
-                    wake,
-                    Ev::Cpu(CpuEvent::Fill {
-                        cpu: slot.cpu().index(),
-                        id,
-                        source,
-                    }),
-                );
+                let cpu = slot.cpu().index();
+                self.events.schedule(wake, Ev::Fill { cpu, id, source });
                 None
             }
             BankAction::ReadMem { line } => {
@@ -514,7 +505,7 @@ impl NodeLane {
         t: SimTime,
         a: BankAction,
     ) -> Option<Next> {
-        let ev = match a {
+        let next = match a {
             BankAction::Grant { .. } | BankAction::ReadMem { .. } => {
                 unreachable!("{a:?} is applied by its regime, not routed")
             }
@@ -534,10 +525,10 @@ impl NodeLane {
                     state,
                     version,
                 };
-                return Some(Next::Bank(CacheEvent {
+                return Some(Next::Bank {
                     bank: self.bank_of(line),
                     ev,
-                }));
+                });
             }
             BankAction::WriteMem { line, version } => {
                 self.node.write_home(t, line, version);
@@ -545,21 +536,19 @@ impl NodeLane {
             }
             BankAction::RemoteReq { slot: _, line, req } => {
                 let home = NodeId(sh.home_of(line) as u16);
-                EngineEvent::Remote(RemoteIn::LocalReq { line, req, home })
+                Next::Remote(RemoteIn::LocalReq { line, req, home })
             }
             BankAction::RemoteWb { line, version } => {
                 let home = NodeId(sh.home_of(line) as u16);
-                EngineEvent::Remote(RemoteIn::LocalWb {
+                Next::Remote(RemoteIn::LocalWb {
                     line,
                     version,
                     home,
                 })
             }
-            BankAction::HomeInvalRemote { line } => {
-                EngineEvent::Home(HomeIn::LocalInvalRemotes { line })
-            }
+            BankAction::HomeInvalRemote { line } => Next::Home(HomeIn::LocalInvalRemotes { line }),
             BankAction::HomeRecall { slot: _, line, req } => {
-                EngineEvent::Home(HomeIn::LocalRecall { line, req })
+                Next::Home(HomeIn::LocalRecall { line, req })
             }
             BankAction::ExportReply {
                 line,
@@ -568,14 +557,14 @@ impl NodeLane {
                 cached,
             } => {
                 if sh.home_of(line) == self.index {
-                    EngineEvent::Home(HomeIn::ExportReply {
+                    Next::Home(HomeIn::ExportReply {
                         line,
                         version,
                         dirty,
                         cached,
                     })
                 } else {
-                    EngineEvent::Remote(RemoteIn::ExportReply {
+                    Next::Remote(RemoteIn::ExportReply {
                         line,
                         version,
                         dirty,
@@ -584,7 +573,7 @@ impl NodeLane {
                 }
             }
         };
-        Some(Next::Eng(ev))
+        Some(next)
     }
 
     /// Route one engine action both regimes apply alike: return the bank
@@ -618,10 +607,10 @@ impl NodeLane {
                 return None;
             }
         };
-        Some(Next::Bank(CacheEvent {
+        Some(Next::Bank {
             bank: self.bank_of(line),
             ev,
-        }))
+        })
     }
 
     /// Apply an injected memory bit-flip and run the SEC-DED scrub

@@ -1,13 +1,13 @@
 //! The event-driven whole-system simulator: run loop and system API.
 //!
-//! The [`Machine`] is three thin layers over the component adapters the
-//! subsystem crates export:
+//! The [`Machine`] is three thin layers over the units the subsystem
+//! crates export:
 //!
-//! * `node` — per-chip composition (CPU cluster, cache complex,
-//!   memory banks, engine complex, ICS, system controller, RAS),
+//! * `node` — one chip's units (CPU cluster, L1s, L2 banks, memory
+//!   banks, home and remote engines, ICS, system controller, RAS),
 //!   wrapped per chip in a `NodeLane` that carries everything the
 //!   dispatch layer needs to advance that chip independently;
-//! * `dispatch` — event routing between adapters, through the one
+//! * `dispatch` — event routing between the units, through the one
 //!   router detailed dispatch and functional warming share, with fault
 //!   injection and probe spans applied as their actions are routed;
 //! * `wiring` — construction, topology, and observability plumbing.
@@ -239,10 +239,10 @@ impl Machine {
         let mut hw = 0;
         let mut rw = 0;
         for l in &self.lanes {
-            hm += l.node.engines.home().msgs_handled();
-            rm += l.node.engines.remote().msgs_handled();
-            hw = hw.max(l.node.engines.home().tsrf_high_water());
-            rw = rw.max(l.node.engines.remote().tsrf_high_water());
+            hm += l.node.home.msgs_handled();
+            rm += l.node.remote.msgs_handled();
+            hw = hw.max(l.node.home.tsrf_high_water());
+            rw = rw.max(l.node.remote.tsrf_high_water());
         }
         (hm, rm, hw, rw)
     }
@@ -405,7 +405,7 @@ impl Machine {
     pub fn ras_persist_barrier(&mut self, node: usize, range: LineRange) -> usize {
         let mut cached: Vec<(LineAddr, u64)> = Vec::new();
         for lane in &self.lanes {
-            for (_slot, l1) in lane.node.caches.l1s().iter() {
+            for (_slot, l1) in lane.node.l1s.iter() {
                 for (line, _state, v) in l1.resident() {
                     if range.contains(line) && line.home(self.lanes.len()) == node {
                         cached.push((line, v));
@@ -645,8 +645,7 @@ impl Machine {
             lane.unfinished += 1;
         }
         let at = t.max(lane.events.now());
-        lane.events
-            .schedule(at, Ev::Cpu(piranha_cpu::CpuEvent::Step { cpu }));
+        lane.events.schedule(at, Ev::Step { cpu });
     }
 
     /// The system controller of `node` (configuration, interrupts,
@@ -677,7 +676,7 @@ impl Machine {
         let mut per_node: Map<(usize, LineAddr), (u32, u32)> = Map::new(); // (copies, writable)
         for (n, lane) in self.lanes.iter().enumerate() {
             let node = &lane.node;
-            for (slot, l1) in node.caches.l1s().iter() {
+            for (slot, l1) in node.l1s.iter() {
                 for (line, state, _v) in l1.resident() {
                     let e = per_node.entry((n, line)).or_insert((0, 0));
                     e.0 += 1;
@@ -689,9 +688,8 @@ impl Machine {
                             );
                         }
                     }
-                    let d = node
-                        .caches
-                        .dup(lane.bank_of(line))
+                    let d = node.banks[lane.bank_of(line)]
+                        .dup()
                         .get(line)
                         .unwrap_or_else(|| panic!("L1 line {line} missing from dup tags"));
                     assert!(
@@ -727,7 +725,7 @@ fn deadlock_report(headline: &str, lanes: &[NodeLane]) -> String {
     let mut out = format!("{headline}\nat {now}");
     for lane in lanes {
         let nd = &lane.node;
-        let (home, remote) = (nd.engines.home(), nd.engines.remote());
+        let (home, remote) = (&nd.home, &nd.remote);
         let ((ht, hd), (rt, rd)) = (home.occupancy(), remote.occupancy());
         let _ = write!(
             out,
@@ -751,7 +749,7 @@ fn deadlock_report(headline: &str, lanes: &[NodeLane]) -> String {
             for (_, slot) in group {
                 let _ = write!(out, " {slot}");
             }
-            let bank = nd.caches.bank(lane.bank_of(line));
+            let bank = &nd.banks[lane.bank_of(line)];
             if let Some(pending) = bank.describe_pending(line) {
                 let _ = write!(out, "; bank: {pending}");
             }

@@ -1,46 +1,63 @@
-//! One node (chip) of the machine, assembled from the subsystem
-//! component adapters.
+//! One node (chip) of the machine: the units one Piranha chip carries,
+//! held directly.
 //!
-//! A node owns exactly the hardware one Piranha chip carries: the CPU
-//! cluster with its instruction streams, the cache complex (L1s + L2
-//! banks), the memory banks with the in-memory directory, the two
-//! protocol engines, the intra-chip switch, the system controller, and
-//! the node's RAS policy. The node is pure composition — every behavior
-//! lives in a subsystem crate; the dispatch layer routes events between
-//! them.
+//! A node owns exactly the hardware of one chip (§2): the CPU cluster
+//! with its instruction streams, the L1s, the interleaved L2 banks and
+//! their memory banks (which hold the in-memory directory), the home and
+//! remote protocol engines, the intra-chip switch, the system
+//! controller, and the node's RAS policy, plus the occupancy servers the
+//! detailed regime times the banks and engines with. Every behaviour
+//! lives in a subsystem crate. [`Node::handle`] runs one follow-on event
+//! through its bank or engine for both execution regimes, and
+//! [`NodeLane::step_cpu`] / [`NodeLane::fill_cpu`] run and fill a core for
+//! both; the dispatch layer routes the actions between them.
 
 use piranha_types::FastMap;
 use std::collections::VecDeque;
 
-use piranha_cache::{BankAction, BankEvent, CacheComplex, CacheEvent, L1Set, L2Bank, Slot};
-use piranha_cpu::{CoreModel, CpuAction, CpuCluster, InOrderCore, InstrStream, OooCore};
+use piranha_cache::{BankAction, BankEvent, L1Set, L2Bank, Slot};
+use piranha_cpu::{
+    CoreModel, CoreStatus, CpuCluster, CpuCtx, InOrderCore, InstrStream, MemReq, OooCore,
+};
 use piranha_faults::FaultPlane;
 use piranha_ics::Ics;
-use piranha_kernel::EventQueue;
-use piranha_mem::{DirEntry, MemBank};
+use piranha_kernel::{EventQueue, Server};
+use piranha_mem::MemBank;
 use piranha_net::Packet;
 use piranha_parsim::Outbox;
 use piranha_probe::Probe;
-use piranha_protocol::coherence::DirStore;
-use piranha_protocol::{EngineAction, EngineComplex, EngineEvent, LineRange, ProtoMsg, RasPolicy};
+use piranha_protocol::{
+    EngineAction, EngineRecovery, HomeEngine, LineRange, ProtoMsg, RasPolicy, RemoteEngine,
+};
 use piranha_traffic::TrafficPlane;
-use piranha_types::{LineAddr, NodeId, SimTime};
+use piranha_types::{CpuId, FillSource, LineAddr, NodeId, SimTime};
 
 use crate::config::{CoreKind, SystemConfig};
-use crate::dispatch::{Ev, Item};
+use crate::dispatch::{Ev, Item, Next};
 use crate::sysctl::SystemController;
 
 /// One node (chip) of the machine.
 pub(crate) struct Node {
     /// The CPU cluster: cores, streams, done-tracking.
     pub(crate) cpus: CpuCluster,
-    /// L1s + L2 banks + bank occupancy.
-    pub(crate) caches: CacheComplex,
+    /// The CPUs' L1 instruction/data caches.
+    pub(crate) l1s: L1Set,
+    /// The node-interleaved L2 banks with their duplicate L1 tags.
+    pub(crate) banks: Vec<L2Bank>,
+    /// One occupancy server per L2 bank.
+    pub(crate) bank_srv: Vec<Server>,
     /// RDRAM banks + in-memory directory, one per L2 bank and
-    /// interleaved like them.
+    /// interleaved like them; the home engine's directory store.
     pub(crate) mem: Vec<MemBank>,
-    /// Home/remote protocol engines + occupancy + replay recovery.
-    pub(crate) engines: EngineComplex,
+    /// The home (directory-side) protocol engine.
+    pub(crate) home: HomeEngine,
+    /// The remote (requester-side) protocol engine.
+    pub(crate) remote: RemoteEngine,
+    /// The engines' occupancy servers.
+    pub(crate) home_srv: Server,
+    pub(crate) remote_srv: Server,
+    /// The engines' shared TSRF replay recovery unit.
+    pub(crate) recovery: EngineRecovery,
     /// The intra-chip switch.
     pub(crate) ics: Ics,
     /// The system controller (hot start/stop, boot, monitoring).
@@ -76,9 +93,6 @@ impl Node {
                 CoreKind::Ooo(c) => Box::new(OooCore::new(c)) as Box<dyn CoreModel>,
             })
             .collect();
-        let banks: Vec<L2Bank> = (0..n_banks)
-            .map(|b| L2Bank::new(cfg.l2_bank, b as u64, n_banks as u64))
-            .collect();
         let mut sc = SystemController::new(NodeId(n as u16), n_cpus);
         let peers: Vec<NodeId> = (0..total_nodes)
             .filter(|&m| m != n)
@@ -95,16 +109,21 @@ impl Node {
                 end: LineAddr(cfg.faults.mirror_lines),
             });
         }
+        let mut home = HomeEngine::new(NodeId(n as u16), total_nodes);
+        home.set_cmi_routes(cfg.cmi_routes);
         Node {
             cpus: CpuCluster::new(cores, streams, cfg.cpu_quantum),
-            caches: CacheComplex::new(L1Set::new(n_cpus, cfg.l1), banks),
+            l1s: L1Set::new(n_cpus, cfg.l1),
+            banks: (0..n_banks)
+                .map(|b| L2Bank::new(cfg.l2_bank, b as u64, n_banks as u64))
+                .collect(),
+            bank_srv: (0..n_banks).map(|_| Server::new()).collect(),
             mem: (0..n_banks).map(|_| MemBank::new(cfg.mem)).collect(),
-            engines: EngineComplex::new(
-                NodeId(n as u16),
-                total_nodes,
-                cfg.cmi_routes,
-                cfg.faults.replay_timeout_cycles,
-            ),
+            home,
+            remote: RemoteEngine::new(NodeId(n as u16)),
+            home_srv: Server::new(),
+            remote_srv: Server::new(),
+            recovery: EngineRecovery::new(cfg.faults.replay_timeout_cycles),
             ics: Ics::new(cfg.ics),
             sc,
             ras,
@@ -115,23 +134,32 @@ impl Node {
     /// L2 bank: the line's version and directory summary as they are
     /// now, at the data-return instant, so a write made after the read
     /// was issued shows. Both execution regimes complete reads here.
-    pub(crate) fn mem_data(&self, bank: usize, line: LineAddr) -> CacheEvent {
+    pub(crate) fn mem_data(&self, bank: usize, line: LineAddr) -> BankEvent {
         let mb = &self.mem[bank];
-        CacheEvent {
-            bank,
-            ev: BankEvent::MemData {
-                line,
-                version: mb.version(line),
-                remote: mb.directory(line).summary(),
-            },
+        BankEvent::MemData {
+            line,
+            version: mb.version(line),
+            remote: mb.directory(line).summary(),
         }
     }
 
-    /// Run `ev` through the engine complex, with the memory banks as the
-    /// home engine's directory store, appending the actions to `out`.
-    pub(crate) fn engine_into(&mut self, ev: EngineEvent, out: &mut Vec<EngineAction>) {
-        let Node { engines, mem, .. } = self;
-        engines.handle_into(ev, &mut NodeDirs { banks: mem }, out);
+    /// Run `next` through its L2 bank (against the L1s) or protocol
+    /// engine (the home engine against the memory banks' directory),
+    /// appending the actions to `bank_out` or `eng_out` in the order the
+    /// unit produces them. Both execution regimes run every bank and
+    /// engine event here; a caller that reuses the buffers allocates
+    /// nothing per event.
+    pub(crate) fn handle(
+        &mut self,
+        next: Next,
+        bank_out: &mut Vec<BankAction>,
+        eng_out: &mut Vec<EngineAction>,
+    ) {
+        match next {
+            Next::Bank { bank, ev } => self.banks[bank].handle_into(ev, &mut self.l1s, bank_out),
+            Next::Home(input) => self.home.handle_into(input, &mut self.mem, eng_out),
+            Next::Remote(input) => self.remote.handle_into(input, eng_out),
+        }
     }
 
     /// Write `line`'s `version` to its home memory bank at `t`, and
@@ -190,9 +218,9 @@ pub(crate) struct NodeLane {
     /// The dispatch work queue of bank/engine actions (see
     /// `NodeLane::run_work`), kept so its allocation is reused.
     pub(crate) work: VecDeque<Item>,
-    /// Reusable action buffers the CPU cluster, the cache complex and
-    /// the engine complex append into, one per action type.
-    pub(crate) cpu_buf: Vec<CpuAction>,
+    /// Reusable buffers a CPU step issues its requests into and
+    /// [`Node::handle`] appends bank and engine actions to.
+    pub(crate) reqs: Vec<(u64, MemReq)>,
     pub(crate) bank_buf: Vec<BankAction>,
     pub(crate) eng_buf: Vec<EngineAction>,
 }
@@ -221,10 +249,49 @@ impl NodeLane {
             instrs_retired: 0,
             unfinished: 0,
             work: VecDeque::new(),
-            cpu_buf: Vec::new(),
+            reqs: Vec::new(),
             bank_buf: Vec::new(),
             eng_buf: Vec::new(),
         }
+    }
+
+    /// Run `cpu` up to the cluster quantum — its functional-warming path
+    /// with `warm` — appending the requests it issues to `reqs`, and
+    /// count what it retired and whether its stream ended. Both
+    /// execution regimes step a CPU here. Returns the core's status
+    /// (`None`: done or stopped, not run) and the instructions retired.
+    pub(crate) fn step_cpu(
+        &mut self,
+        cpu: usize,
+        warm: bool,
+        reqs: &mut Vec<(u64, MemReq)>,
+    ) -> (Option<CoreStatus>, u64) {
+        let Node { cpus, l1s, sc, .. } = &mut self.node;
+        let before = cpus.core(cpu).stats().instrs;
+        let ctx = CpuCtx {
+            l1s,
+            versions: &mut self.versions,
+            version_stride: self.version_stride,
+            enabled: sc.cpu_enabled(CpuId(cpu as u8)),
+        };
+        let status = cpus.step(cpu, warm, ctx, reqs);
+        let retired = cpus.core(cpu).stats().instrs - before;
+        self.instrs_retired += retired;
+        if status == Some(CoreStatus::Done) {
+            self.unfinished -= 1;
+        }
+        (status, retired)
+    }
+
+    /// Deliver the fill of `cpu`'s request `id` at core cycle `at_cycle`,
+    /// counting the instructions it retires (an out-of-order core
+    /// retires the window head a fill completes). Both execution regimes
+    /// fill a CPU here.
+    pub(crate) fn fill_cpu(&mut self, cpu: usize, id: u64, at_cycle: u64, source: FillSource) {
+        let core = self.node.cpus.core_mut(cpu);
+        let before = core.stats().instrs;
+        core.fill(id, at_cycle, source);
+        self.instrs_retired += core.stats().instrs - before;
     }
 }
 
@@ -233,23 +300,5 @@ impl std::fmt::Debug for NodeLane {
         f.debug_struct("NodeLane")
             .field("index", &self.index)
             .finish_non_exhaustive()
-    }
-}
-
-/// View of one node's memory banks as the home engine's directory store.
-struct NodeDirs<'a> {
-    banks: &'a mut [MemBank],
-}
-
-impl DirStore for NodeDirs<'_> {
-    fn dir(&self, line: LineAddr) -> DirEntry {
-        self.banks[line.bank(self.banks.len())].directory(line)
-    }
-    fn set_dir(&mut self, line: LineAddr, dir: DirEntry) {
-        let bank = line.bank(self.banks.len());
-        self.banks[bank].set_directory(line, dir);
-    }
-    fn mem_version(&self, line: LineAddr) -> u64 {
-        self.banks[line.bank(self.banks.len())].version(line)
     }
 }

@@ -5,19 +5,20 @@
 //! IPC while every piece of *architectural* state — L1/L2 tags,
 //! duplicate tags, TLBs, the in-memory directory, memory versions, the
 //! RDRAM page table — keeps evolving exactly as the detailed model
-//! would evolve it. The repo's component split makes this cheap to get
-//! right: all coherence state transitions already happen synchronously
-//! inside the subsystem handlers, and the event calendar carries
-//! *timing only*. Functional warming therefore drives the very same
-//! handlers by direct calls — `CpuCluster::step`, the bank and engine
-//! `handle_into`, `Node::mem_data`, `CoreModel::fill` — routes their
-//! actions through the router detailed dispatch uses
-//! (`NodeLane::route_bank`, `NodeLane::route_engine`), and resolves each
-//! CPU miss before the core steps on, through a small FIFO of follow-on
-//! events instead of latency-separated ones. It applies only `Grant`,
-//! `ReadMem` and `Send` itself, at zero latency, and skips the calendar
-//! and wake events, the ICS transfer charges, the occupancy servers, and
-//! the probe spans, which is where the speedup comes from.
+//! would evolve it. The split into subsystem units makes this cheap to
+//! get right: all coherence state transitions already happen
+//! synchronously inside the subsystem handlers, and the event calendar
+//! carries *timing only*. Functional warming therefore runs every unit
+//! through the very calls detailed dispatch makes — `NodeLane::step_cpu`,
+//! `NodeLane::miss`, `Node::handle` for the banks and engines,
+//! `Node::mem_data`, `NodeLane::fill_cpu` — routes their actions through
+//! the router detailed dispatch uses (`NodeLane::route_bank`,
+//! `NodeLane::route_engine`), and resolves each CPU miss before the core
+//! steps on, through a small FIFO of follow-on events instead of
+//! latency-separated ones. It applies only `Grant`, `ReadMem` and `Send`
+//! itself, at zero latency, and skips the calendar and wake events, the
+//! ICS transfer charges, the occupancy servers, and the probe spans,
+//! which is where the speedup comes from.
 //!
 //! The regime switch is exact in both directions:
 //!
@@ -35,16 +36,16 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use piranha_cache::{BankAction, BankEvent, CacheEvent, Slot};
-use piranha_cpu::{CoreStats, CoreStatus, CpuCtx, CpuEvent, MemReq};
+use piranha_cache::{BankAction, Slot};
+use piranha_cpu::{CoreStats, CoreStatus, MemReq};
 use piranha_probe::HistogramHandle;
-use piranha_protocol::{EngineAction, EngineEvent, HomeIn, RemoteIn};
+use piranha_protocol::EngineAction;
 use piranha_sample::{SampleConfig, SampleDriver, SampleTarget, WindowSample};
 use piranha_types::{CpuId, FillSource, LineAddr, NodeId, SimTime};
 
 use crate::dispatch::{Ev, LaneShared, NetPath, Next};
 use crate::machine::Machine;
-use crate::node::{Node, NodeLane};
+use crate::node::NodeLane;
 use crate::result::RunResult;
 
 /// Cumulative sampled-execution counters, the statistics table's
@@ -93,8 +94,8 @@ impl Warm {
     /// One warm step of one CPU: advance it up to the cluster quantum,
     /// then resolve each request it issued, in issue order, through the
     /// real cache / directory / protocol state machinery. Returns the
-    /// instructions retired and whether the step made any progress
-    /// (retired, issued, or finished its stream).
+    /// instructions retired, fills included, and whether the step made
+    /// any progress (retired, issued, or finished its stream).
     fn step(
         &mut self,
         lanes: &mut [NodeLane],
@@ -109,55 +110,24 @@ impl Warm {
         let t = sh
             .cycle_to_time(lane.node.cpus.core(cpu).now_cycle())
             .max(lane.events.now());
-        let NodeLane {
-            node,
-            versions,
-            version_stride,
-            ..
-        } = lane;
-        let Node {
-            cpus, caches, sc, ..
-        } = node;
-        let before = cpus.core(cpu).stats().instrs;
-        let ctx = CpuCtx {
-            l1s: caches.l1s_mut(),
-            versions,
-            version_stride: *version_stride,
-            enabled: sc.cpu_enabled(CpuId(cpu as u8)),
-            fill_cycle: 0,
-        };
-        let finished = cpus.step(cpu, true, ctx, &mut self.issues) == Some(CoreStatus::Done);
-        let retired = cpus.core(cpu).stats().instrs - before;
-        lane.instrs_retired += retired;
-        if finished {
-            lane.unfinished -= 1;
-        }
+        let before = lane.instrs_retired;
+        let (status, retired) = lane.step_cpu(cpu, true, &mut self.issues);
         // A zero-retirement step that discovers stream completion (the
         // stream ended inside the previous detailed window, with the
         // final `Finished` deferred to this step) still counts as
         // progress: it moved `unfinished` toward the loop's exit.
-        let progressed = retired > 0 || !self.issues.is_empty() || finished;
+        let progressed = retired > 0 || !self.issues.is_empty() || status == Some(CoreStatus::Done);
         for i in 0..self.issues.len() {
             let (at_cycle, req) = self.issues[i];
-            let slot = Slot::new(CpuId(cpu as u8), req.kind);
+            let (slot, bank, ev) = lanes[li].miss(sh, cpu, &req);
             self.inflight = Some(InFlight {
                 lane: li,
                 slot,
                 line: req.line,
                 id: req.id,
             });
-            let miss = CacheEvent {
-                bank: lanes[li].bank_of(req.line),
-                ev: BankEvent::Miss {
-                    slot,
-                    req: req.req,
-                    line: req.line,
-                    home_local: sh.home_of(req.line) == li,
-                    store_version: req.store_version,
-                },
-            };
             let at = sh.cycle_to_time(at_cycle).max(t);
-            self.q.push_back((li, at, Next::Bank(miss)));
+            self.q.push_back((li, at, Next::Bank { bank, ev }));
             self.drain(lanes, sh);
             assert!(
                 self.inflight.is_none(),
@@ -166,35 +136,29 @@ impl Warm {
             );
         }
         self.issues.clear();
-        (retired, progressed)
+        (lanes[li].instrs_retired - before, progressed)
     }
 
     /// Resolve queued warm work until the queue is empty: run each
-    /// follow-on event through its handler and its actions through the
-    /// shared router, minus everything that only exists for timing (ICS
-    /// transfers, occupancy servers, calendar scheduling, probe spans,
-    /// fault hooks).
+    /// follow-on event through its bank or engine and its actions
+    /// through the shared router, minus everything that only exists for
+    /// timing (ICS transfers, occupancy servers, calendar scheduling,
+    /// probe spans, fault hooks).
     fn drain(&mut self, lanes: &mut [NodeLane], sh: &LaneShared<'_>) {
+        let (mut bank, mut eng) = (
+            std::mem::take(&mut self.bank),
+            std::mem::take(&mut self.eng),
+        );
         while let Some((li, t, next)) = self.q.pop_front() {
-            match next {
-                Next::Bank(ce) => {
-                    lanes[li].node.caches.handle_into(ce, &mut self.bank);
-                    let mut acts = std::mem::take(&mut self.bank);
-                    for a in acts.drain(..) {
-                        self.bank_action(&mut lanes[li], sh, t, a);
-                    }
-                    self.bank = acts;
-                }
-                Next::Eng(ev) => {
-                    lanes[li].node.engine_into(ev, &mut self.eng);
-                    let mut acts = std::mem::take(&mut self.eng);
-                    for a in acts.drain(..) {
-                        self.engine_action(lanes, sh, li, t, a);
-                    }
-                    self.eng = acts;
-                }
+            lanes[li].node.handle(next, &mut bank, &mut eng);
+            for a in bank.drain(..) {
+                self.bank_action(&mut lanes[li], sh, t, a);
+            }
+            for a in eng.drain(..) {
+                self.engine_action(lanes, sh, li, t, a);
             }
         }
+        (self.bank, self.eng) = (bank, eng);
     }
 
     /// Deliver a grant to the request in flight, at the core's
@@ -214,9 +178,9 @@ impl Warm {
             f.line,
             f.lane
         );
-        let core = lane.node.cpus.core_mut(slot.cpu().index());
-        let at = core.now_cycle();
-        core.fill(f.id, at, source);
+        let cpu = slot.cpu().index();
+        let at = lane.node.cpus.core(cpu).now_cycle();
+        lane.fill_cpu(cpu, f.id, at, source);
     }
 
     fn bank_action(&mut self, lane: &mut NodeLane, sh: &LaneShared<'_>, t: SimTime, a: BankAction) {
@@ -233,7 +197,8 @@ impl Warm {
                 // the read's issue and data-return instants coincide.
                 let bank = lane.bank_of(line);
                 lane.node.mem[bank].access(t, line);
-                Some(Next::Bank(lane.node.mem_data(bank, line)))
+                let ev = lane.node.mem_data(bank, line);
+                Some(Next::Bank { bank, ev })
             }
             a => lane.route_bank(sh, t, a),
         };
@@ -262,13 +227,8 @@ impl Warm {
                 );
                 let dest = to.index();
                 let is_home = sh.home_of(msg.line()) == dest;
-                let from = NodeId(li as u16);
-                let ev = if is_home {
-                    EngineEvent::Home(HomeIn::Msg { from, msg })
-                } else {
-                    EngineEvent::Remote(RemoteIn::Msg { from, msg })
-                };
-                self.q.push_back((dest, t, Next::Eng(ev)));
+                let next = Next::arrival(is_home, NodeId(li as u16), msg);
+                self.q.push_back((dest, t, next));
             }
             a => {
                 if let Some(next) = lanes[li].route_engine(t, a) {
@@ -310,7 +270,7 @@ impl Machine {
         for lane in &self.lanes {
             let nd = &lane.node;
             repr.push_str(&format!("node{}:", lane.index));
-            for (slot, l1) in nd.caches.l1s().iter() {
+            for (slot, l1) in nd.l1s.iter() {
                 let mut resident: Vec<_> = l1.resident().collect();
                 resident.sort_unstable_by_key(|(l, _, _)| *l);
                 repr.push_str(&format!("l1[{slot}]{resident:?};"));
@@ -319,8 +279,7 @@ impl Machine {
                 let (itlb, dtlb) = core.tlb_residency();
                 repr.push_str(&format!("tlb[{cpu}]i{itlb:?}d{dtlb:?};"));
             }
-            for b in 0..nd.caches.bank_count() {
-                let bank = nd.caches.bank(b);
+            for (b, bank) in nd.banks.iter().enumerate() {
                 repr.push_str(&format!("l2[{b}]{:?};", bank.resident_lines()));
                 let mut dup: Vec<String> = bank
                     .dup()
@@ -446,7 +405,7 @@ impl Machine {
             for lane in lanes.iter_mut() {
                 while let Some((t, ev)) = lane.events.pop_before(horizon) {
                     match ev {
-                        Ev::Cpu(CpuEvent::Step { cpu }) => deferred[lane.index].push((t, cpu)),
+                        Ev::Step { cpu } => deferred[lane.index].push((t, cpu)),
                         other => lane.dispatch(&sh, t, other),
                     }
                 }
@@ -457,8 +416,7 @@ impl Machine {
             // the drain may have advanced past a step's original time.
             let now = lane.events.now();
             for &(t, cpu) in &deferred[lane.index] {
-                lane.events
-                    .schedule(t.max(now), Ev::Cpu(CpuEvent::Step { cpu }));
+                lane.events.schedule(t.max(now), Ev::Step { cpu });
             }
             *clock = (*clock).max(lane.events.now());
         }

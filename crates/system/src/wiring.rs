@@ -185,10 +185,7 @@ impl Machine {
             };
             let mut lane = NodeLane::new(n, total_nodes, node, faults, traffic);
             for c in 0..lane.node.cpus.len() {
-                lane.events.schedule(
-                    SimTime::ZERO,
-                    Ev::Cpu(piranha_cpu::CpuEvent::Step { cpu: c }),
-                );
+                lane.events.schedule(SimTime::ZERO, Ev::Step { cpu: c });
             }
             lane.unfinished = lane.node.cpus.len();
             lanes.push(lane);
@@ -232,7 +229,7 @@ impl Machine {
                 self.probe
                     .name_track(base + c as u32, format!("node{n}.cpu{c}"));
             }
-            for b in 0..node.caches.bank_count() {
+            for b in 0..node.banks.len() {
                 self.probe
                     .name_track(base + TRACK_BANK + b as u32, format!("node{n}.l2bank{b}"));
                 self.probe
@@ -296,9 +293,9 @@ impl Machine {
             row(&format!("net.node{n}.deflections"), Count(*d));
         }
         let (mut msgs, mut instrs) = (0, 0);
-        for e in self.lanes.iter().map(|l| &l.node.engines) {
-            msgs += e.home().msgs_handled() + e.remote().msgs_handled();
-            instrs += e.home().instr_executed() + e.remote().instr_executed();
+        for nd in self.lanes.iter().map(|l| &l.node) {
+            msgs += nd.home.msgs_handled() + nd.remote.msgs_handled();
+            instrs += nd.home.instr_executed() + nd.remote.instr_executed();
         }
         row("protocol.msgs", Count(msgs));
         // Microinstructions per handled message: the paper's "few
@@ -354,7 +351,7 @@ impl Machine {
             }
             row(
                 &format!("cache.node{n}.bank_lookups"),
-                Count(node.caches.lookups()),
+                Count(node.bank_srv.iter().map(|s| s.jobs()).sum()),
             );
             row(&format!("ics.node{n}.words"), Count(node.ics.words_moved()));
             row(
@@ -375,11 +372,11 @@ impl Machine {
                     hits / accesses as f64
                 }),
             );
-            let (home, remote) = (node.engines.home(), node.engines.remote());
+            let (home, remote) = (&node.home, &node.remote);
             let p = format!("protocol.node{n}");
             row(&format!("{p}.home_msgs"), Count(home.msgs_handled()));
             row(&format!("{p}.remote_msgs"), Count(remote.msgs_handled()));
-            row(&format!("{p}.replays"), Count(node.engines.replays()));
+            row(&format!("{p}.replays"), Count(node.recovery.replays()));
             row(
                 &format!("{p}.tsrf_high_water"),
                 Value(home.tsrf_high_water().max(remote.tsrf_high_water()) as f64),

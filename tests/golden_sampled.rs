@@ -14,8 +14,9 @@
 //! * [`Machine::arch_state_digest`] of the machine afterwards (caches,
 //!   TLBs, duplicate tags, directory, memory versions).
 //!
-//! The rows are a P8 chip and a two-chip P2x2 (the latter drives the
-//! warm protocol engines and cross-node `Send`s) on bounded OLTP run to
+//! The rows are a P8 chip, a two-chip P2x2 (which drives the warm
+//! protocol engines and cross-node `Send`s) and the out-of-order OOO
+//! chip (whose fills retire instructions) on bounded OLTP run to
 //! completion, plus a budgeted P8 sampled [`RunRequest`].
 //!
 //! To regenerate after an *intentional* change to warming:
@@ -55,6 +56,14 @@ fn rows() -> Vec<(&'static str, RunRequest)> {
             "P2x2|oltp_bounded200|completion",
             sampled(
                 SystemConfig::piranha_pn(2).scaled_to_chips(2),
+                oltp_bounded(200),
+                RunScale::completion(),
+            ),
+        ),
+        (
+            "OOO|oltp_bounded200|completion",
+            sampled(
+                SystemConfig::ooo(),
                 oltp_bounded(200),
                 RunScale::completion(),
             ),
