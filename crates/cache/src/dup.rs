@@ -12,7 +12,10 @@
 //! line, and the *partial directory interpretation* the paper describes —
 //! whether a line is cached by remote nodes ([`ExtState`]) — as one
 //! consolidated per-line record, which is behaviourally equivalent to the
-//! separate hardware structures and much easier to audit.
+//! separate hardware structures and much easier to audit. Like the
+//! hardware's tags, the record is compact: a [`DupEntry`] packs three
+//! slot masks, an owner byte and a flag byte beside the L2 copy's
+//! version into 16 bytes, and its accessors return the unpacked types.
 
 use std::collections::hash_map::Entry;
 
@@ -69,6 +72,7 @@ impl core::fmt::Display for Slot {
 /// interpretation of the directory information" (paper §2.3) that lets
 /// the L2 controller avoid the protocol engines for most local requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum ExtState {
     /// Home is this node and no remote node caches the line.
     HomeOnly,
@@ -85,6 +89,15 @@ pub enum ExtState {
 }
 
 impl ExtState {
+    /// Every state, indexed by its discriminant (its two bits in a
+    /// [`DupEntry`]).
+    const ALL: [ExtState; 4] = [
+        ExtState::HomeOnly,
+        ExtState::HomeRemoteShared,
+        ExtState::HeldShared,
+        ExtState::HeldExclusive,
+    ];
+
     /// Whether a local exclusive request can be satisfied without any
     /// inter-node transaction *given the line is on-chip*.
     pub fn exclusive_ok_on_chip(self) -> bool {
@@ -133,45 +146,115 @@ impl Iterator for Slots {
 ///
 /// The duplicate L1 tags are three slot masks, one per MESI predicate,
 /// so "who holds it", "who may write it" and "how many copies" are
-/// single word operations.
+/// single word operations. The owner and the node-level state are one
+/// byte each, so an entry is 16 bytes.
 #[derive(Debug, Clone)]
 pub struct DupEntry {
+    /// Data version of the L2 copy (meaningful when `in_l2`).
+    l2_version: u64,
     /// Slots holding a copy in any readable state.
     present: u16,
     /// Slots holding it Exclusive or Modified.
     writable: u16,
     /// Slots holding it Modified.
     modified: u16,
+    /// The owning L1's slot number, or `OWNER_L2`.
+    owner: u8,
+    /// The [`ExtState`] in the low two bits, then `IN_L2`, `L2_DIRTY`
+    /// and `NODE_DIRTY`.
+    flags: u8,
+}
+
+const _: () = assert!(core::mem::size_of::<DupEntry>() <= 16);
+
+/// The owner byte of a line the L2 copy owns (slots are below
+/// [`MAX_SLOTS`]).
+const OWNER_L2: u8 = u8::MAX;
+const EXT_BITS: u8 = 0b11;
+const IN_L2: u8 = 1 << 2;
+const L2_DIRTY: u8 = 1 << 3;
+const NODE_DIRTY: u8 = 1 << 4;
+
+impl DupEntry {
+    fn new(ext: ExtState) -> Self {
+        DupEntry {
+            l2_version: 0,
+            present: 0,
+            writable: 0,
+            modified: 0,
+            owner: OWNER_L2,
+            flags: ext as u8,
+        }
+    }
+
     /// Current owner.
-    pub owner: Owner,
+    pub fn owner(&self) -> Owner {
+        match self.owner {
+            OWNER_L2 => Owner::L2,
+            slot => Owner::L1(Slot(slot)),
+        }
+    }
+
+    /// Make `owner` the line's owner.
+    pub fn set_owner(&mut self, owner: Owner) {
+        self.owner = match owner {
+            Owner::L2 => OWNER_L2,
+            Owner::L1(slot) => {
+                debug_assert!(slot.index() < MAX_SLOTS, "{slot:?} is not an L1 slot");
+                slot.0
+            }
+        };
+    }
+
     /// External (inter-node) state.
-    pub ext: ExtState,
+    pub fn ext(&self) -> ExtState {
+        ExtState::ALL[(self.flags & EXT_BITS) as usize]
+    }
+
+    /// Set the external (inter-node) state.
+    pub fn set_ext(&mut self, ext: ExtState) {
+        self.flags = (self.flags & !EXT_BITS) | ext as u8;
+    }
+
     /// Whether the L2 bank itself holds a valid copy.
-    pub in_l2: bool,
+    pub fn in_l2(&self) -> bool {
+        self.flags & IN_L2 != 0
+    }
+
     /// Whether the L2 copy is dirty with respect to memory.
-    pub l2_dirty: bool,
-    /// Data version of the L2 copy (meaningful when `in_l2`).
-    pub l2_version: u64,
+    pub fn l2_dirty(&self) -> bool {
+        self.flags & L2_DIRTY != 0
+    }
+
+    /// Mark the L2 copy dirty or clean with respect to memory.
+    pub fn set_l2_dirty(&mut self, dirty: bool) {
+        self.set_flag(L2_DIRTY, dirty);
+    }
+
+    /// Data version of the L2 copy (meaningful when [`in_l2`](Self::in_l2)).
+    pub fn l2_version(&self) -> u64 {
+        self.l2_version
+    }
+
     /// Whether the node's data differs from memory/home even though no
     /// copy is in Modified state — set when a dirty owner is downgraded
     /// by a read forward, so that the *owner's* later eviction still
     /// writes back (the paper's "even clean lines ... may cause a
     /// write-back").
-    pub node_dirty: bool,
-}
+    pub fn node_dirty(&self) -> bool {
+        self.flags & NODE_DIRTY != 0
+    }
 
-impl DupEntry {
-    fn new(ext: ExtState) -> Self {
-        DupEntry {
-            present: 0,
-            writable: 0,
-            modified: 0,
-            owner: Owner::L2,
-            ext,
-            in_l2: false,
-            l2_dirty: false,
-            l2_version: 0,
-            node_dirty: false,
+    /// Set or clear [`node_dirty`](Self::node_dirty).
+    pub fn set_node_dirty(&mut self, dirty: bool) {
+        self.set_flag(NODE_DIRTY, dirty);
+    }
+
+    fn set_flag(&mut self, flag: u8, on: bool) {
+        if on {
+            self.flags |= flag;
+        } else {
+            self.flags &= !flag;
         }
     }
 
@@ -221,7 +304,7 @@ impl DupEntry {
 
     /// Whether any copy (L1 or L2) exists on-chip.
     pub fn any_copy(&self) -> bool {
-        self.in_l2 || self.present != 0
+        self.in_l2() || self.present != 0
     }
 
     /// The version held by the current owner.
@@ -232,7 +315,7 @@ impl DupEntry {
     /// arrays; callers must fetch them there. Only valid for L2 owner.
     pub fn l2_owner_version(&self) -> u64 {
         assert_eq!(
-            self.owner,
+            self.owner(),
             Owner::L2,
             "owner is an L1; read its version from the L1"
         );
@@ -269,12 +352,12 @@ impl DupTags {
     pub fn set_l1(&mut self, line: LineAddr, slot: Slot, state: Mesi, ext: ExtState) {
         let e = self.lines.entry(line).or_insert_with(|| {
             let mut e = DupEntry::new(ext);
-            e.owner = Owner::L1(slot);
+            e.set_owner(Owner::L1(slot));
             e
         });
         e.set_l1_state(slot, state);
         if state.writable() {
-            e.owner = Owner::L1(slot);
+            e.set_owner(Owner::L1(slot));
         }
     }
 
@@ -288,11 +371,11 @@ impl DupTags {
         };
         let e = o.get_mut();
         e.set_l1_state(slot, Mesi::Invalid);
-        if e.owner == Owner::L1(slot) {
-            if e.in_l2 {
-                e.owner = Owner::L2;
+        if e.owner() == Owner::L1(slot) {
+            if e.in_l2() {
+                e.set_owner(Owner::L2);
             } else if let Some(s) = e.holders().first() {
-                e.owner = Owner::L1(s);
+                e.set_owner(Owner::L1(s));
             }
         }
         if !e.any_copy() {
@@ -305,10 +388,10 @@ impl DupTags {
     /// Record that the L2 now holds a valid copy and becomes owner.
     pub fn set_l2(&mut self, line: LineAddr, dirty: bool, version: u64, ext: ExtState) {
         let e = self.lines.entry(line).or_insert_with(|| DupEntry::new(ext));
-        e.in_l2 = true;
-        e.l2_dirty = dirty;
+        e.set_flag(IN_L2, true);
+        e.set_l2_dirty(dirty);
         e.l2_version = version;
-        e.owner = Owner::L2;
+        e.set_owner(Owner::L2);
     }
 
     /// Record that the L2 copy is gone (eviction or exclusive grant to an
@@ -318,11 +401,10 @@ impl DupTags {
         let Some(e) = self.lines.get_mut(&line) else {
             return false;
         };
-        e.in_l2 = false;
-        e.l2_dirty = false;
-        if e.owner == Owner::L2 {
+        e.set_flag(IN_L2 | L2_DIRTY, false);
+        if e.owner() == Owner::L2 {
             if let Some(s) = new_owner.or_else(|| e.holders().first()) {
-                e.owner = Owner::L1(s);
+                e.set_owner(Owner::L1(s));
             }
         }
         if !e.any_copy() {
@@ -384,10 +466,10 @@ mod tests {
         let mut d = DupTags::new();
         d.set_l1(L, dslot(0), Mesi::Exclusive, ExtState::HomeOnly);
         let e = d.get(L).unwrap();
-        assert_eq!(e.owner, Owner::L1(dslot(0)));
+        assert_eq!(e.owner(), Owner::L1(dslot(0)));
         assert_eq!(e.exclusive_holder(), Some(dslot(0)));
         assert_eq!(e.holder_count(), 1);
-        assert!(!e.in_l2);
+        assert!(!e.in_l2());
     }
 
     #[test]
@@ -396,9 +478,9 @@ mod tests {
         d.set_l1(L, dslot(0), Mesi::Shared, ExtState::HomeOnly);
         d.set_l1(L, dslot(1), Mesi::Shared, ExtState::HomeOnly);
         // Owner is the first sharer; clearing it falls back to the other.
-        assert_eq!(d.get(L).unwrap().owner, Owner::L1(dslot(0)));
+        assert_eq!(d.get(L).unwrap().owner(), Owner::L1(dslot(0)));
         let e = d.clear_l1(L, dslot(0)).unwrap();
-        assert_eq!(e.owner, Owner::L1(dslot(1)));
+        assert_eq!(e.owner(), Owner::L1(dslot(1)));
         // Last copy gone: entry removed.
         assert!(d.clear_l1(L, dslot(1)).is_none());
         assert!(d.is_empty());
@@ -410,12 +492,12 @@ mod tests {
         d.set_l1(L, dslot(2), Mesi::Shared, ExtState::HomeOnly);
         d.set_l2(L, true, 7, ExtState::HomeOnly);
         let e = d.get(L).unwrap();
-        assert_eq!(e.owner, Owner::L2);
-        assert!(e.in_l2 && e.l2_dirty);
+        assert_eq!(e.owner(), Owner::L2);
+        assert!(e.in_l2() && e.l2_dirty());
         assert_eq!(e.l2_owner_version(), 7);
         // Granting the line exclusively to an L1 clears the L2 copy.
         assert!(d.clear_l2(L, Some(dslot(2))));
-        assert_eq!(d.get(L).unwrap().owner, Owner::L1(dslot(2)));
+        assert_eq!(d.get(L).unwrap().owner(), Owner::L1(dslot(2)));
     }
 
     #[test]
@@ -431,9 +513,9 @@ mod tests {
         let mut d = DupTags::new();
         d.set_l2(L, false, 1, ExtState::HomeOnly);
         d.set_l1(L, islot(4), Mesi::Shared, ExtState::HomeOnly);
-        assert_eq!(d.get(L).unwrap().owner, Owner::L2);
+        assert_eq!(d.get(L).unwrap().owner(), Owner::L2);
         d.set_l1(L, dslot(4), Mesi::Modified, ExtState::HomeOnly);
-        assert_eq!(d.get(L).unwrap().owner, Owner::L1(dslot(4)));
+        assert_eq!(d.get(L).unwrap().owner(), Owner::L1(dslot(4)));
     }
 
     #[test]
@@ -443,6 +525,33 @@ mod tests {
         d.set_l1(L, islot(5), Mesi::Shared, ExtState::HomeOnly);
         let h: Vec<Slot> = d.get(L).unwrap().holders().collect();
         assert_eq!(h, vec![islot(0), islot(5)]);
+    }
+
+    #[test]
+    fn packed_entry_round_trips_every_field() {
+        let owners =
+            core::iter::once(Owner::L2).chain((0..MAX_SLOTS as u8).map(|s| Owner::L1(Slot(s))));
+        for owner in owners {
+            for ext in ExtState::ALL {
+                for bits in 0..8u8 {
+                    let (in_l2, l2_dirty, node_dirty) =
+                        (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0);
+                    let mut e = DupEntry::new(ExtState::HomeOnly);
+                    e.set_l1_state(dslot(7), Mesi::Modified);
+                    e.l2_version = u64::MAX;
+                    e.set_owner(owner);
+                    e.set_ext(ext);
+                    e.set_flag(IN_L2, in_l2);
+                    e.set_l2_dirty(l2_dirty);
+                    e.set_node_dirty(node_dirty);
+                    let read = (e.owner(), e.ext(), e.in_l2(), e.l2_dirty(), e.node_dirty());
+                    assert_eq!(read, (owner, ext, in_l2, l2_dirty, node_dirty));
+                    assert_eq!(e.l2_version(), u64::MAX);
+                    assert_eq!(e.l1_state(dslot(7)), Mesi::Modified);
+                    assert_eq!(e.holders().collect::<Vec<_>>(), vec![dslot(7)]);
+                }
+            }
+        }
     }
 
     #[test]
@@ -462,7 +571,7 @@ mod tests {
         let mut d = DupTags::new();
         d.set_l1(L, dslot(1), Mesi::Modified, ExtState::HeldExclusive);
         let e = d.remove(L).unwrap();
-        assert_eq!(e.ext, ExtState::HeldExclusive);
+        assert_eq!(e.ext(), ExtState::HeldExclusive);
         assert!(d.remove(L).is_none());
     }
 

@@ -507,22 +507,22 @@ impl L2Bank {
         out: &mut Vec<BankAction>,
     ) {
         let e = self.dup.get(line).expect("caller checked");
-        let ext = e.ext;
-        match e.owner {
+        let ext = e.ext();
+        match e.owner() {
             Owner::L2 => {
-                let version = e.l2_version;
+                let version = e.l2_version();
                 let lone = e.holder_count() == 0 && ext.exclusive_ok_on_chip();
                 if lone {
                     // Clean-exclusive: hand the only copy to the L1 so a
                     // later store upgrades silently; the L2 copy is
                     // dropped (no duplicates).
-                    let dirty_carry = e.l2_dirty;
+                    let dirty_carry = e.l2_dirty();
                     self.array_remove(line);
                     self.dup.clear_l2(line, None);
                     self.install(slot, line, Mesi::Exclusive, version, ext, l1s, out);
                     let en = self.dup.get_mut(line).unwrap();
-                    en.owner = Owner::L1(slot);
-                    en.node_dirty = dirty_carry;
+                    en.set_owner(Owner::L1(slot));
+                    en.set_node_dirty(dirty_carry);
                     out.push(BankAction::Grant {
                         slot,
                         line,
@@ -553,12 +553,12 @@ impl L2Bank {
                     .downgrade(line)
                     .expect("dup tags said owner holds the line");
                 if was_dirty {
-                    self.dup.get_mut(line).unwrap().node_dirty = true;
+                    self.dup.get_mut(line).unwrap().set_node_dirty(true);
                 }
                 self.dup.set_l1(line, owner, Mesi::Shared, ext);
                 out.push(BankAction::Downgrade { slot: owner, line });
                 self.install(slot, line, Mesi::Shared, version, ext, l1s, out);
-                self.dup.get_mut(line).unwrap().owner = Owner::L1(slot);
+                self.dup.get_mut(line).unwrap().set_owner(Owner::L1(slot));
                 out.push(BankAction::Grant {
                     slot,
                     line,
@@ -582,7 +582,7 @@ impl L2Bank {
         l1s: &mut L1Set,
         out: &mut Vec<BankAction>,
     ) {
-        let ext = self.dup.get(line).expect("caller checked").ext;
+        let ext = self.dup.get(line).expect("caller checked").ext();
         match ext {
             ExtState::HomeOnly | ExtState::HeldExclusive => {
                 self.grant_excl_on_chip(slot, line, store_version, l1s, out);
@@ -592,7 +592,7 @@ impl L2Bank {
                 // the home engine invalidate them in the background
                 // (eager exclusive reply, §2.5.3).
                 out.push(BankAction::HomeInvalRemote { line });
-                self.dup.get_mut(line).unwrap().ext = ExtState::HomeOnly;
+                self.dup.get_mut(line).unwrap().set_ext(ExtState::HomeOnly);
                 self.grant_excl_on_chip(slot, line, store_version, l1s, out);
             }
             ExtState::HeldShared => {
@@ -631,9 +631,9 @@ impl L2Bank {
     ) {
         let sv = store_version.expect("exclusive-type requests carry a store version");
         let e = self.dup.get(line).expect("on-chip copy exists");
-        let ext = e.ext;
-        let owner0 = e.owner;
-        let in_l2 = e.in_l2;
+        let ext = e.ext();
+        let owner0 = e.owner();
+        let in_l2 = e.in_l2();
         let requester_holds = e.l1_state(slot).readable();
         let holders = e.holders();
         let mut source = FillSource::L2Hit;
@@ -660,8 +660,8 @@ impl L2Bank {
             l1s.get_mut(slot).upgrade(line, sv);
             self.dup.set_l1(line, slot, Mesi::Modified, ext);
             let en = self.dup.get_mut(line).unwrap();
-            en.owner = Owner::L1(slot);
-            en.ext = ext;
+            en.set_owner(Owner::L1(slot));
+            en.set_ext(ext);
             out.push(BankAction::Grant {
                 slot,
                 line,
@@ -675,8 +675,8 @@ impl L2Bank {
             // and commit the store on top.
             self.install(slot, line, Mesi::Modified, sv, ext, l1s, out);
             let en = self.dup.get_mut(line).unwrap();
-            en.owner = Owner::L1(slot);
-            en.ext = ext;
+            en.set_owner(Owner::L1(slot));
+            en.set_ext(ext);
             out.push(BankAction::Grant {
                 slot,
                 line,
@@ -737,9 +737,9 @@ impl L2Bank {
             // Already invalidated at the dup tags; stale notification.
             return;
         }
-        let was_owner = e.owner == Owner::L1(slot);
-        let dirty = state.dirty() || e.node_dirty;
-        let ext = e.ext;
+        let was_owner = e.owner() == Owner::L1(slot);
+        let dirty = state.dirty() || e.node_dirty();
+        let ext = e.ext();
         self.dup.clear_l1(line, slot);
         if !was_owner {
             return;
@@ -762,7 +762,7 @@ impl L2Bank {
         }
         self.dup.set_l2(line, dirty, version, ext);
         if let Some(en) = self.dup.get_mut(line) {
-            en.node_dirty = false; // dirtiness now recorded on the L2 copy
+            en.set_node_dirty(false); // dirtiness now recorded on the L2 copy
         }
     }
 
@@ -773,8 +773,8 @@ impl L2Bank {
             .dup
             .get(line)
             .expect("L2-resident line has a dup entry");
-        assert!(e.in_l2, "array and dup tags disagree");
-        let (dirty, version, ext) = (e.l2_dirty, e.l2_version, e.ext);
+        assert!(e.in_l2(), "array and dup tags disagree");
+        let (dirty, version, ext) = (e.l2_dirty(), e.l2_version(), e.ext());
         self.array_remove(line);
         let survives = self.dup.clear_l2(line, None);
         if dirty {
@@ -794,7 +794,7 @@ impl L2Bank {
         // Memory (or home) is now fresh; surviving sharers are clean.
         if survives && dirty {
             if let Some(en) = self.dup.get_mut(line) {
-                en.node_dirty = false;
+                en.set_node_dirty(false);
             }
         }
     }
@@ -908,7 +908,7 @@ impl L2Bank {
     ) {
         self.install(slot, line, state, version, ext, l1s, out);
         let en = self.dup.get_mut(line).unwrap();
-        en.owner = Owner::L1(slot);
+        en.set_owner(Owner::L1(slot));
         out.push(BankAction::Grant {
             slot,
             line,
@@ -971,15 +971,15 @@ impl L2Bank {
                 self.dup.clear_l1(line, h);
                 out.push(BankAction::Inval { slot: h, line });
             }
-            if self.dup.get(line).unwrap().in_l2 {
+            if self.dup.get(line).unwrap().in_l2() {
                 self.array_remove(line);
                 self.dup.clear_l2(line, None);
             }
             l1s.get_mut(slot).upgrade(line, sv);
             self.dup.set_l1(line, slot, Mesi::Modified, ext);
             let en = self.dup.get_mut(line).unwrap();
-            en.owner = Owner::L1(slot);
-            en.ext = ext;
+            en.set_owner(Owner::L1(slot));
+            en.set_ext(ext);
             out.push(BankAction::Grant {
                 slot,
                 line,
@@ -1007,8 +1007,8 @@ impl L2Bank {
             };
             self.install(slot, line, state, v, ext, l1s, out);
             let en = self.dup.get_mut(line).unwrap();
-            en.owner = Owner::L1(slot);
-            en.ext = ext;
+            en.set_owner(Owner::L1(slot));
+            en.set_ext(ext);
             out.push(BankAction::Grant {
                 slot,
                 line,
@@ -1024,8 +1024,8 @@ impl L2Bank {
     /// The current on-chip data version of `line`, from its owner.
     fn node_version(&self, line: LineAddr, l1s: &L1Set) -> Option<u64> {
         let e = self.dup.get(line)?;
-        match e.owner {
-            Owner::L2 => Some(e.l2_version),
+        match e.owner() {
+            Owner::L2 => Some(e.l2_version()),
             Owner::L1(o) => l1s.get(o).version(line),
         }
     }
@@ -1034,7 +1034,7 @@ impl L2Bank {
     /// and inter-node invalidations).
     fn purge_on_chip(&mut self, line: LineAddr, l1s: &mut L1Set, out: &mut Vec<BankAction>) {
         let Some(e) = self.dup.get(line) else { return };
-        let (holders, in_l2) = (e.holders(), e.in_l2);
+        let (holders, in_l2) = (e.holders(), e.in_l2());
         for h in holders {
             l1s.get_mut(h).invalidate(line);
             out.push(BankAction::Inval { slot: h, line });
@@ -1064,15 +1064,15 @@ impl L2Bank {
             );
             return;
         };
-        let (version, dirty) = match e.owner {
-            Owner::L2 => (e.l2_version, e.l2_dirty || e.node_dirty),
+        let (version, dirty) = match e.owner() {
+            Owner::L2 => (e.l2_version(), e.l2_dirty() || e.node_dirty()),
             Owner::L1(o) => {
                 let v = l1s
                     .get(o)
                     .version(line)
                     .expect("dup tags said owner holds it");
                 let st = l1s.get(o).state(line);
-                (v, st.dirty() || e.node_dirty)
+                (v, st.dirty() || e.node_dirty())
             }
         };
         if excl {
@@ -1081,19 +1081,19 @@ impl L2Bank {
             // Shared export: downgrade any exclusive holder; memory gets
             // freshened by the engine if we report dirty.
             if let Some(o) = e.exclusive_holder() {
-                let ext = e.ext;
+                let ext = e.ext();
                 l1s.get_mut(o).downgrade(line);
                 self.dup.set_l1(line, o, Mesi::Shared, ext);
                 out.push(BankAction::Downgrade { slot: o, line });
             }
             let en = self.dup.get_mut(line).unwrap();
-            en.node_dirty = false;
-            en.l2_dirty = false;
-            en.ext = if en.ext.home_local() {
+            en.set_node_dirty(false);
+            en.set_l2_dirty(false);
+            en.set_ext(if en.ext().home_local() {
                 ExtState::HomeRemoteShared
             } else {
                 ExtState::HeldShared
-            };
+            });
         }
         out.push(BankAction::ExportReply {
             line,
@@ -1247,7 +1247,7 @@ mod tests {
         assert_eq!(l1s.get(d(1)).state(LineAddr(100)), Mesi::Shared);
         let e = bank.dup().get(LineAddr(100)).unwrap();
         assert_eq!(
-            e.owner,
+            e.owner(),
             Owner::L1(d(1)),
             "ownership moves to the last requester"
         );
@@ -1343,8 +1343,8 @@ mod tests {
         );
         assert!(bank.in_array(LineAddr(100)));
         let e = bank.dup().get(LineAddr(100)).unwrap();
-        assert_eq!(e.owner, Owner::L2);
-        assert!(!e.l2_dirty);
+        assert_eq!(e.owner(), Owner::L2);
+        assert!(!e.l2_dirty());
         // A later read is an L2 hit (clean-exclusive again).
         let a = bank.handle(read(d(1), 100, HOME), &mut l1s);
         assert!(matches!(
@@ -1403,7 +1403,7 @@ mod tests {
         bank.handle(readex(d(0), 100, HOME, 7), &mut l1s);
         bank.handle(mem_data(100, 0, RemoteSummary::None), &mut l1s); // M v7 at d0
         bank.handle(read(d(1), 100, HOME), &mut l1s); // downgrade d0, d1 owner (S)
-        assert!(bank.dup().get(LineAddr(100)).unwrap().node_dirty);
+        assert!(bank.dup().get(LineAddr(100)).unwrap().node_dirty());
         // Owner d1 evicts its *Shared* copy: must still write back.
         bank.handle(
             BankEvent::Victim {
@@ -1415,8 +1415,8 @@ mod tests {
             &mut l1s,
         );
         let e = bank.dup().get(LineAddr(100)).unwrap();
-        assert!(e.in_l2 && e.l2_dirty, "L2 copy must be dirty");
-        assert!(!e.node_dirty);
+        assert!(e.in_l2() && e.l2_dirty(), "L2 copy must be dirty");
+        assert!(!e.node_dirty());
         // Evict from L2 via capacity: fill the set with owner write-backs.
         // Directly exercise the eviction helper instead.
         let mut out = Vec::new();
@@ -1490,7 +1490,7 @@ mod tests {
             }
         ));
         assert_eq!(
-            bank.dup().get(LineAddr(100)).unwrap().ext,
+            bank.dup().get(LineAddr(100)).unwrap().ext(),
             ExtState::HeldShared
         );
         // A store on the held-shared copy must upgrade through home.
@@ -1523,7 +1523,7 @@ mod tests {
             }
         ));
         assert_eq!(
-            bank.dup().get(LineAddr(100)).unwrap().ext,
+            bank.dup().get(LineAddr(100)).unwrap().ext(),
             ExtState::HeldExclusive
         );
     }
@@ -1612,7 +1612,7 @@ mod tests {
             }
         ));
         assert_eq!(
-            bank.dup().get(LineAddr(100)).unwrap().ext,
+            bank.dup().get(LineAddr(100)).unwrap().ext(),
             ExtState::HomeRemoteShared,
             "owner retains a shared copy after a read recall"
         );
@@ -1637,7 +1637,7 @@ mod tests {
             }
         ));
         assert_eq!(
-            bank.dup().get(LineAddr(100)).unwrap().ext,
+            bank.dup().get(LineAddr(100)).unwrap().ext(),
             ExtState::HomeOnly
         );
     }
@@ -1705,7 +1705,7 @@ mod tests {
         ));
         assert_eq!(l1s.get(d(0)).state(LineAddr(100)), Mesi::Shared);
         assert_eq!(
-            bank.dup().get(LineAddr(100)).unwrap().ext,
+            bank.dup().get(LineAddr(100)).unwrap().ext(),
             ExtState::HomeRemoteShared
         );
     }

@@ -193,16 +193,6 @@ impl InstrStream for IsaStream {
         if self.trapped.is_some() || self.machine.halted() {
             return None;
         }
-        // Peek source/dest registers of the *next* instruction before
-        // executing it.
-        let pc_index = {
-            // The machine's PC is private; recover the instruction via
-            // the retired count — instead, step and use the Exec record.
-            // Dependencies must be computed from the pre-step state, so
-            // fetch the instruction by stepping and reconstructing.
-            0
-        };
-        let _ = pc_index;
         let before = self.machine.retired();
         let exec = match self.machine.step() {
             Ok(Some(e)) => e,
@@ -217,25 +207,28 @@ impl InstrStream for IsaStream {
         // Locate the executed instruction to extract its registers.
         let instr_idx = (exec.pc.0 - self.machine.program().text_base) / 4;
         let instr = self.machine.program().instrs[instr_idx as usize];
+        // Distances to the sources' writers, taken before this
+        // instruction becomes its destination's last writer.
         let sources = instr.sources();
-        let deps: Vec<u32> = sources.iter().map(|&r| self.dep_of(r)).collect();
+        let dep = |i: usize| sources.get(i).map_or(0, |&r| self.dep_of(r));
+        let (dep1, dep2) = (dep(0), dep(1));
         if let Some(d) = instr.dest() {
             self.last_writer[d as usize] = self.index;
         }
         let kind = match exec.kind {
             ExecKind::Alu => OpKind::Alu {
                 mul: false,
-                dep1: deps.first().copied().unwrap_or(0),
-                dep2: deps.get(1).copied().unwrap_or(0),
+                dep1,
+                dep2,
             },
             ExecKind::Mul => OpKind::Alu {
                 mul: true,
-                dep1: deps.first().copied().unwrap_or(0),
-                dep2: deps.get(1).copied().unwrap_or(0),
+                dep1,
+                dep2,
             },
             ExecKind::Load(a) => OpKind::Load {
                 addr: a,
-                dep_addr: deps.first().copied().unwrap_or(0),
+                dep_addr: dep1,
             },
             ExecKind::Store(a) => OpKind::Store { addr: a },
             ExecKind::WriteHint(a) => OpKind::WriteHint { addr: a },

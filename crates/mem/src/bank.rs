@@ -8,12 +8,21 @@
 //! read's start) and a line write. The directory bits live in the same
 //! ECC words, so reading them costs nothing extra: a read's version and
 //! directory are taken untimed at its data-return instant.
+//!
+//! The directory store holds what the hardware holds: one 44-bit word
+//! per line ([`DirEntry::encode`]), kept in a `u64`. An entry the word
+//! cannot give back exactly ([`DirEntry::exact_word`] is `None`) is
+//! stored whole in a small side map, and its word is the marker
+//! `SPILLED`, a bit above the 44. So [`MemBank::directory`] returns
+//! exactly the entry last set, at 16 bytes a line for all but the
+//! spilled lines. A line set to `Uncached` keeps its (zero) word, so
+//! [`MemBank::directory_lines`] lists every line whose directory was
+//! ever set.
 
-use piranha_types::FastMap;
+use piranha_types::ids::MAX_NODES;
+use piranha_types::{FastMap, LineAddr, SimTime};
 
-use piranha_types::{LineAddr, SimTime};
-
-use crate::directory::DirEntry;
+use crate::directory::{DirEntry, DIR_BITS};
 use crate::rdram::{MemAccess, Rdram, RdramConfig};
 
 /// Configuration of a memory bank.
@@ -45,8 +54,23 @@ pub struct MemBankConfig {
 pub struct MemBank {
     rdram: Rdram,
     versions: FastMap<LineAddr, u64>,
-    directory: FastMap<LineAddr, DirEntry>,
+    /// Each line's directory word, or [`SPILLED`].
+    directory: FastMap<LineAddr, u64>,
+    /// The exact entry of each line whose word is [`SPILLED`].
+    spilled: FastMap<LineAddr, DirEntry>,
 }
+
+/// The directory word of a line whose exact entry is in
+/// `MemBank::spilled`: a bit no [`DirEntry::encode`] word sets.
+const SPILLED: u64 = 1 << 63;
+const _: () = assert!(
+    SPILLED.trailing_zeros() >= DIR_BITS,
+    "the marker lies above the 44 bits"
+);
+const _: () = assert!(
+    core::mem::size_of::<(LineAddr, u64)>() == 16,
+    "a line's directory is one u64 beside its key"
+);
 
 impl MemBank {
     /// A new bank with all lines at version 0 and uncached directories.
@@ -55,6 +79,7 @@ impl MemBank {
             rdram: Rdram::new(cfg.rdram),
             versions: FastMap::default(),
             directory: FastMap::default(),
+            spilled: FastMap::default(),
         }
     }
 
@@ -87,7 +112,10 @@ impl MemBank {
         let mut rows: Vec<(LineAddr, u64)> = self
             .directory
             .iter()
-            .map(|(l, d)| (*l, d.encode()))
+            .map(|(l, &word)| match word {
+                SPILLED => (*l, self.spilled[l].encode()),
+                _ => (*l, word),
+            })
             .collect();
         rows.sort_unstable();
         rows
@@ -96,7 +124,11 @@ impl MemBank {
     /// Peek the directory without timing (for protocol-engine state
     /// machines whose timing is charged separately by the simulator).
     pub fn directory(&self, line: LineAddr) -> DirEntry {
-        self.directory.get(&line).cloned().unwrap_or_default()
+        match self.directory.get(&line) {
+            None => DirEntry::Uncached,
+            Some(&SPILLED) => self.spilled[&line].clone(),
+            Some(&word) => DirEntry::decode(word, MAX_NODES),
+        }
     }
 
     /// Peek a version without timing (for invariant checks in tests).
@@ -107,7 +139,17 @@ impl MemBank {
     /// Set the directory without timing (protocol-engine updates; the
     /// engine charges its own memory access).
     pub fn set_directory(&mut self, line: LineAddr, dir: DirEntry) {
-        self.directory.insert(line, dir);
+        match dir.exact_word() {
+            Some(word) => {
+                if self.directory.insert(line, word) == Some(SPILLED) {
+                    self.spilled.remove(&line);
+                }
+            }
+            None => {
+                self.directory.insert(line, SPILLED);
+                self.spilled.insert(line, dir);
+            }
+        }
     }
 
     /// Set a version without timing (used by workload setup).
@@ -187,6 +229,41 @@ mod tests {
             vec![(LineAddr(9), DirEntry::Exclusive(NodeId(2)).encode())]
         );
         assert_eq!(b.written_lines(), vec![(LineAddr(9), 11)]);
+    }
+
+    #[test]
+    fn entries_the_word_cannot_hold_read_back_exactly() {
+        let mut b = MemBank::new(MemBankConfig::default());
+        let coarse: NodeSet = (1..=6).map(NodeId).collect();
+        let wide: NodeSet = [NodeId(2), NodeId(4000)].into_iter().collect();
+        for (line, e) in [
+            (1, DirEntry::Shared(NodeSet::new())),
+            (2, DirEntry::Shared(coarse)),
+            (3, DirEntry::Exclusive(NodeId(1024))),
+            (4, DirEntry::Shared(wide)),
+        ] {
+            b.set_directory(LineAddr(line), e.clone());
+            assert_eq!(b.directory(LineAddr(line)), e);
+        }
+        assert_eq!(b.spilled.len(), 4);
+        // Overwriting with an entry the word holds drops the side copy.
+        b.set_directory(LineAddr(3), DirEntry::Uncached);
+        b.set_directory(LineAddr(4), DirEntry::Exclusive(NodeId(9)));
+        assert_eq!(b.spilled.len(), 2);
+        assert_eq!(b.directory(LineAddr(3)), DirEntry::Uncached);
+        assert_eq!(b.directory(LineAddr(4)), DirEntry::Exclusive(NodeId(9)));
+        // Rows are the ECC words, the reset line included.
+        let rows: Vec<u64> = b.directory_lines().iter().map(|r| r.1).collect();
+        assert_eq!(rows[..3], [0, b.directory(LineAddr(2)).encode(), 0]);
+        assert_eq!(rows[3], DirEntry::Exclusive(NodeId(9)).encode());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn rows_of_an_id_past_the_encoding_panic_like_encode() {
+        let mut b = MemBank::new(MemBankConfig::default());
+        b.set_directory(LineAddr(1), DirEntry::Exclusive(NodeId(1024)));
+        b.directory_lines();
     }
 
     #[test]

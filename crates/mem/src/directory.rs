@@ -12,6 +12,15 @@
 //! Directory information is kept at node granularity and never includes
 //! the home node itself (the home's own caching is known from its L2 and
 //! duplicate L1 state).
+//!
+//! [`DirEntry`] is the protocol engines' view of a line's directory;
+//! [`DirEntry::encode`] packs it into the 44 bits. A
+//! [`MemBank`](crate::MemBank) stores each line as that word, so the
+//! store is as compact as the paper's. The few entries the word cannot
+//! give back exactly ([`DirEntry::exact_word`] is `None`: a coarse
+//! vector, an empty sharer set, or a node id beyond the encoding) the
+//! bank keeps whole beside it, so the simulation sees exact sharer sets,
+//! as before.
 
 use piranha_types::ids::{NodeId, MAX_NODES};
 use piranha_types::RemoteSummary;
@@ -169,6 +178,21 @@ impl DirEntry {
         }
     }
 
+    /// The entry's ECC word when decoding that word gives back exactly
+    /// this entry, whatever the system size; `None` for the entries the
+    /// word cannot hold: more than [`POINTER_LIMIT`] sharers (the coarse
+    /// vector decodes to a superset), `Shared` with no sharers (encodes
+    /// as `Uncached`), and a node id ≥ [`MAX_NODES`] (no encoding).
+    pub fn exact_word(&self) -> Option<u64> {
+        let fits = |n: NodeId| (n.0 as usize) < MAX_NODES;
+        let exact = match self {
+            DirEntry::Uncached => true,
+            DirEntry::Exclusive(n) => fits(*n),
+            DirEntry::Shared(s) => (1..=POINTER_LIMIT).contains(&s.len()) && s.iter().all(fits),
+        };
+        exact.then(|| self.encode())
+    }
+
     /// Decode 44 directory bits, expanding coarse-vector groups over the
     /// `total_nodes` in the system.
     ///
@@ -285,6 +309,30 @@ mod tests {
             DirEntry::Shared(full),
         ] {
             assert!(e.encode() < (1u64 << DIR_BITS), "{e:?} exceeds 44 bits");
+        }
+    }
+
+    #[test]
+    fn exact_words_decode_to_the_same_entry() {
+        let exact = [
+            DirEntry::Uncached,
+            DirEntry::Exclusive(NodeId(0)),
+            DirEntry::Exclusive(NodeId(1023)),
+            DirEntry::Shared(ns(&[7])),
+            DirEntry::Shared(ns(&[1023, 1022, 1021, 1020])),
+        ];
+        for e in exact {
+            let word = e.exact_word().expect("fits the word exactly");
+            assert_eq!(word, e.encode());
+            assert_eq!(DirEntry::decode(word, 2), e, "exact at any system size");
+        }
+        for e in [
+            DirEntry::Shared(NodeSet::new()),
+            DirEntry::Shared(ns(&[1, 2, 3, 4, 5])),
+            DirEntry::Exclusive(NodeId(1024)),
+            DirEntry::Shared(ns(&[3, 2000])),
+        ] {
+            assert_eq!(e.exact_word(), None, "{e:?} does not fit exactly");
         }
     }
 

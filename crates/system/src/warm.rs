@@ -288,7 +288,12 @@ impl Machine {
                         let holders: Vec<_> = e.holders().map(|s| (s, e.l1_state(s))).collect();
                         format!(
                             "{line}=({holders:?},{:?},{:?},{},{},{},{})",
-                            e.owner, e.ext, e.in_l2, e.l2_dirty, e.l2_version, e.node_dirty
+                            e.owner(),
+                            e.ext(),
+                            e.in_l2(),
+                            e.l2_dirty(),
+                            e.l2_version(),
+                            e.node_dirty()
                         )
                     })
                     .collect();

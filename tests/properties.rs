@@ -1,5 +1,5 @@
 //! Property-based tests (proptest) on core invariants: directory
-//! encodings, the DC-balanced link code, cache state machines, CMI
+//! encodings and the banks' directory store, the DC-balanced link code, cache state machines, CMI
 //! planning, randomized whole-machine coherence, and decoders that
 //! reject hostile input without panicking.
 
@@ -46,6 +46,80 @@ proptest! {
     fn directory_exclusive_round_trip(node in 0u16..1024) {
         let e = DirEntry::Exclusive(NodeId(node));
         prop_assert_eq!(DirEntry::decode(e.encode(), 1024), e);
+    }
+
+    /// The memory banks' directory store (one ECC word per line, exact
+    /// entries it cannot hold kept beside it) versus the plain map of
+    /// entries, under random updates: every read matches, and the banks'
+    /// rows are the map's entries encoded. Covers `Uncached`, exclusive
+    /// owners 0..=1023, shared sets of 0 to 8 members, and node ids past
+    /// the encoding's 1024 (one op in eight).
+    #[test]
+    fn directory_store_matches_reference_map(
+        ops in proptest::collection::vec(
+            (
+                0u8..4,
+                0u64..32,
+                0u16..1024,
+                proptest::collection::btree_set(0u16..1024, 0..9),
+                0u8..8,
+            ),
+            1..200,
+        ),
+    ) {
+        use piranha::mem::{MemBank, MemBankConfig};
+        use piranha::protocol::coherence::DirStore;
+        use std::collections::HashMap;
+
+        let mut banks: Vec<MemBank> = (0..2).map(|_| MemBank::new(MemBankConfig::default())).collect();
+        let mut reference: HashMap<LineAddr, DirEntry> = HashMap::new();
+        for (op, line, node, sharers, wide) in ops {
+            let line = LineAddr(line);
+            // Past the encoding: 1024 ..= 65473.
+            let far = NodeId(1024 + node * 63);
+            let entry = match op {
+                0 => {
+                    prop_assert_eq!(banks.dir(line), reference.dir(line), "read of {}", line);
+                    continue;
+                }
+                1 => DirEntry::Uncached,
+                2 if wide == 0 => DirEntry::Exclusive(far),
+                2 => DirEntry::Exclusive(NodeId(node)),
+                _ => {
+                    let mut set: NodeSet = sharers.iter().map(|&n| NodeId(n)).collect();
+                    if wide == 0 {
+                        set.insert(far);
+                    }
+                    DirEntry::Shared(set)
+                }
+            };
+            banks.set_dir(line, entry.clone());
+            reference.set_dir(line, entry);
+            prop_assert_eq!(banks.dir(line), reference.dir(line), "after setting {}", line);
+        }
+        for line in (0..32).map(LineAddr) {
+            prop_assert_eq!(banks.dir(line), reference.dir(line), "final read of {}", line);
+        }
+        // An id past the encoding has no ECC word (`encode` panics on
+        // both sides), so such lines are reset before the rows compare.
+        let unencodable: Vec<LineAddr> = reference
+            .iter()
+            .filter(|(_, e)| match e {
+                DirEntry::Uncached => false,
+                DirEntry::Exclusive(n) => n.0 >= 1024,
+                DirEntry::Shared(s) => s.iter().any(|n| n.0 >= 1024),
+            })
+            .map(|(l, _)| *l)
+            .collect();
+        for line in unencodable {
+            banks.set_dir(line, DirEntry::Uncached);
+            reference.set_dir(line, DirEntry::Uncached);
+        }
+        let mut rows: Vec<(LineAddr, u64)> = banks.iter().flat_map(MemBank::directory_lines).collect();
+        rows.sort_unstable();
+        let mut expected: Vec<(LineAddr, u64)> = reference.iter().map(|(l, e)| (*l, e.encode())).collect();
+        expected.sort_unstable();
+        prop_assert_eq!(rows, expected);
     }
 
     /// The 19-in-22 link code: every payload encodes to a word with
@@ -449,11 +523,11 @@ proptest! {
                 // (3) a writable holder excludes all other copies.
                 if let Some(x) = e.exclusive_holder() {
                     prop_assert_eq!(e.holder_count(), 1, "writable copy must be sole");
-                    prop_assert!(!e.in_l2, "writable L1 copy excludes the L2 copy");
+                    prop_assert!(!e.in_l2(), "writable L1 copy excludes the L2 copy");
                     let _ = x;
                 }
                 // (4) the L2 array agrees with the dup tags.
-                prop_assert_eq!(bank.in_array(l), e.in_l2, "array/dup disagreement for {}", l);
+                prop_assert_eq!(bank.in_array(l), e.in_l2(), "array/dup disagreement for {}", l);
             }
         }
     }
