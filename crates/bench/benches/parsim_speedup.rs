@@ -12,9 +12,14 @@
 //! `rounds_per_us` (barrier rendezvous per simulated microsecond),
 //! windows, the empty-window fraction, and mean events per window. On a
 //! machine with ≥ 4 cores the 2-worker run must be ≥ 1.4× faster than
-//! serial and the 4-worker run ≥ 2.0× (the ISSUE acceptance bar); on
-//! smaller machines the speedups are reported but not asserted, since
-//! oversubscribed lane threads cannot beat the serial loop.
+//! serial and the 4-worker run ≥ 2.0×. A host with 2 or 3 cores cannot
+//! be held to those bars, but it can run two lane workers at once, so
+//! there the 2-worker run must beat serial in at least
+//! [`MIN_FASTER_ROUNDS`] of the [`ROUNDS`] timed rounds; its 4-worker
+//! run, oversubscribed, is only warned about when it loses to serial.
+//! A single-core host asserts no speedup at all. `speedup_gate` in the
+//! report names the gate applied and `speedup_asserted` says whether
+//! there was one.
 //!
 //! On a shared host one serial/2-worker pair can read anywhere from
 //! 0.3x to 1.2x, so the 2-worker speedup is measured over
@@ -30,6 +35,9 @@ use piranha::{Machine, ParsimStats, RunResult, SystemConfig};
 
 /// Alternating serial / 2-worker rounds timed for the 2-worker speedup.
 const ROUNDS: usize = 5;
+
+/// Rounds the 2-worker run must win on a host with 2 or 3 cores.
+const MIN_FASTER_ROUNDS: usize = 3;
 
 /// Build and run `req` with `workers` lane threads, returning the
 /// seconds the run took and the machine too for its lifetime counters.
@@ -132,8 +140,7 @@ fn main() {
     println!("  workers=4  {four_s:>7.2}s  speedup {four_speedup:.2}x (bit-identical)");
     let rows = [(2usize, two_s, two_speedup), (4, four_s, four_speedup)];
 
-    let asserted = cores >= 4;
-    if asserted {
+    let gate = if cores >= 4 {
         let bars = [(2usize, 1.4f64), (4, 2.0)];
         for ((workers, _, speedup), (w2, bar)) in rows.iter().zip(bars) {
             assert_eq!(*workers, w2);
@@ -142,19 +149,30 @@ fn main() {
                 "{workers}-worker speedup {speedup:.2}x < {bar}x on a {cores}-core machine"
             );
         }
+        "1.4x at 2 workers, 2.0x at 4".to_string()
+    } else if cores >= 2 {
+        // Two workers fit on the host, so losing most rounds to the
+        // serial loop means the parallel engine no longer pays.
+        assert!(
+            faster >= MIN_FASTER_ROUNDS,
+            "2 workers beat serial in only {faster} of {ROUNDS} rounds on a {cores}-core host"
+        );
+        format!("2 workers faster in >= {MIN_FASTER_ROUNDS} of {ROUNDS} rounds")
     } else {
-        println!("  (speedup bars not asserted: {cores} core(s) < 4)");
-        // Unasserted is not the same as fine: a sub-1.0 "speedup" means
-        // the parallel engine *lost* to the serial loop, and silence
-        // here would let that rot unnoticed on small CI machines.
-        for (workers, _, speedup) in &rows {
-            if *speedup < 1.0 {
-                eprintln!(
-                    "WARN: parsim {workers}-worker run was SLOWER than serial \
-                     ({speedup:.2}x) on this {cores}-core host — unasserted, \
-                     but investigate before trusting parallel-run timings"
-                );
-            }
+        "none".to_string()
+    };
+    let asserted = gate != "none";
+    println!("  speedup gate ({cores} core(s)): {gate}");
+    // An oversubscribed run is not gated, but a sub-1.0 "speedup" still
+    // means the parallel engine *lost* to the serial loop, and silence
+    // here would let that rot unnoticed on small CI machines.
+    for (workers, _, speedup) in &rows {
+        if *workers > cores && *speedup < 1.0 {
+            eprintln!(
+                "WARN: parsim {workers}-worker run was SLOWER than serial \
+                 ({speedup:.2}x) on this {cores}-core host — unasserted, \
+                 but investigate before trusting parallel-run timings"
+            );
         }
     }
 
@@ -176,6 +194,7 @@ fn main() {
          \"empty_window_fraction\":{empty_fraction:.4},\
          \"events_per_window\":{events_per_window:.2},\
          \"bit_identical\":true,\"speedup_asserted\":{asserted},\
+         \"speedup_gate\":\"{gate}\",\
          \"min_required_speedup\":{{\"2\":1.4,\"4\":2.0}},\"runs\":[{}]}}\n",
         req.cfg.name,
         stats.rounds,

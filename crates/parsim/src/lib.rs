@@ -33,10 +33,19 @@
 //!   optional probe callback. Rounds are the engine's unit of *real*
 //!   synchronization, reported as `EngineStats::rounds`.
 //!
+//! Gate waits are timed only for a stall probe: without one, no worker
+//! reads the clock.
+//!
 //! The control closure receives the lanes as a plain `&mut [L]` — at a
-//! barrier every worker is provably parked, so the coordinator drains
-//! outboxes and injects arrivals with ordinary exclusive access, no
-//! per-lane locking.
+//! barrier every worker is provably parked, so the coordinator reaches
+//! any lane with ordinary exclusive access, no per-lane locking. What it
+//! reaches is still another core's memory, so the serial barrier step
+//! should touch as little of each lane as it can. The system crate's
+//! lanes keep it to three things: the coordinator drains each lane's
+//! [`Outbox`], appends each routed arrival to its destination lane's
+//! inbox, and reads a small summary the lane published at the end of
+//! its window; the lane's own worker schedules its inbox at the start of
+//! its next window.
 //!
 //! The crate is deliberately ignorant of what a lane *is*: the system
 //! crate supplies the lane type and the advance/control closures;
@@ -228,12 +237,16 @@ impl Gate {
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Wait until the value reaches `v`, accumulating any wall-clock
-    /// spent waiting (beyond the instant fast path) into `stall_ns`.
-    fn wait_min(&self, v: u64, stall_ns: &AtomicU64) {
+    /// Wait until the value reaches `v`. With `stall_ns`, any wall-clock
+    /// spent waiting (beyond the instant fast path) is added to it;
+    /// without, no clock is read.
+    fn wait_min(&self, v: u64, stall_ns: Option<&AtomicU64>) {
         if self.value.load(Ordering::SeqCst) >= v {
             return;
         }
+        let Some(stall_ns) = stall_ns else {
+            return self.wait_min_slow(v);
+        };
         let t0 = Instant::now();
         self.wait_min_slow(v);
         stall_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -286,13 +299,13 @@ impl<L> LaneSlice<L> {
 /// A cross-lane event buffered inside a window: send time plus the
 /// intra-window sequence number that makes the barrier merge total.
 #[derive(Debug, Clone)]
-pub struct Outbound<T> {
+struct Outbound<T> {
     /// When the source lane emitted the event.
-    pub time: SimTime,
+    time: SimTime,
     /// Position in the source lane's send order (monotone per lane).
-    pub seq: u64,
+    seq: u64,
     /// The buffered payload.
-    pub payload: T,
+    payload: T,
 }
 
 /// Per-lane buffer of cross-lane events awaiting the next barrier.
@@ -347,18 +360,11 @@ impl<T> Outbox<T> {
         self.entries.len()
     }
 
-    /// Take every buffered event, leaving the outbox empty (sequence
-    /// numbering continues where it left off).
-    pub fn drain(&mut self) -> Vec<Outbound<T>> {
-        std::mem::take(&mut self.entries)
-    }
-
     /// Drain every buffered event into `out` as [`Merged`] entries
     /// tagged with `source`, leaving the outbox empty but keeping its
-    /// allocation. The allocation-free sibling of
-    /// [`drain`](Outbox::drain) + [`merge_outboxes`] for the hot barrier
-    /// path: the caller reuses one merge buffer across windows and sorts
-    /// it once with [`sort_merged`].
+    /// allocation (sequence numbering continues where it left off). The
+    /// barrier reuses one merge buffer across windows: it drains every
+    /// outbox into it and sorts it once with [`sort_merged`].
     pub fn drain_into(&mut self, source: usize, out: &mut Vec<Merged<T>>) {
         out.extend(self.entries.drain(..).map(|e| Merged {
             time: e.time,
@@ -392,27 +398,6 @@ pub fn sort_merged<T>(buf: &mut [Merged<T>]) {
     buf.sort_unstable_by_key(|m| (m.time, m.source, m.seq));
 }
 
-/// Merge per-source outbox drains into the canonical barrier order
-/// (allocating convenience over [`Outbox::drain_into`] +
-/// [`sort_merged`]).
-pub fn merge_outboxes<T>(
-    per_source: impl IntoIterator<Item = (usize, Vec<Outbound<T>>)>,
-) -> Vec<Merged<T>> {
-    let mut merged: Vec<Merged<T>> = per_source
-        .into_iter()
-        .flat_map(|(source, entries)| {
-            entries.into_iter().map(move |e| Merged {
-                time: e.time,
-                source,
-                seq: e.seq,
-                payload: e.payload,
-            })
-        })
-        .collect();
-    sort_merged(&mut merged);
-    merged
-}
-
 /// How many sweep-level threads a harness should use when each run may
 /// itself spawn `per_run` lane workers: the two levels multiply, so they
 /// share one budget rather than both claiming all of it.
@@ -431,8 +416,9 @@ fn stash_panic(slot: &Mutex<Option<Box<dyn Any + Send>>>, payload: Box<dyn Any +
 /// returning the execution counters.
 ///
 /// Each window: `control` runs on the calling thread with exclusive
-/// `&mut` access to every lane (merge the previous window's outboxes,
-/// check stop conditions, pick the next horizon); if it returns a
+/// `&mut` access to every lane (merge the previous window's outboxes
+/// and hand the lanes their arrivals, check stop conditions, pick the
+/// next horizon); if it returns a
 /// horizon, every lane is advanced to it — across `workers` threads
 /// when `workers > 1` (the caller doubles as worker 0), inline
 /// otherwise — and the cycle repeats. Returning `None` ends the run
@@ -450,6 +436,12 @@ fn stash_panic(slot: &Mutex<Option<Box<dyn Any + Send>>>, payload: Box<dyn Any +
 /// once at shutdown) with `(worker index, gate-wait nanoseconds since
 /// the last flush)` for each worker — the raw material for per-lane
 /// barrier-stall histograms. Worker `w` owns lanes `w, w + workers, …`.
+/// Without it no gate wait reads the clock; nothing else changes.
+///
+/// Every worker waits while `control` runs, and each lane it touches is
+/// memory another core just wrote. So work a lane can do itself belongs
+/// in `advance`, on the lane's own worker: `control` should only hand a
+/// lane what other lanes sent it and read what the lane published.
 ///
 /// # Panics
 ///
@@ -496,17 +488,20 @@ pub fn run_windows<L: Send>(
     let stop = AtomicU64::new(0);
     let train = SpinBarrier::new(workers);
     let stalls: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
+    // Gate waits read the clock only when a probe will hear about it.
+    let timed = stall_probe.is_some();
+    let stall = |w: usize| timed.then(|| &stalls[w]);
     let panic_slot: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
 
     std::thread::scope(|s| {
         for w in 1..workers {
             let (issue, done, train) = (&issue, &done, &train);
-            let (horizon_ps, stop, stalls) = (&horizon_ps, &stop, &stalls);
+            let (horizon_ps, stop, stall) = (&horizon_ps, &stop, &stall);
             let (advance, slice, panic_slot) = (&advance, &slice, &panic_slot);
             s.spawn(move || {
                 let mut next: u64 = 0;
                 loop {
-                    issue.wait_min(next + 1, &stalls[w]);
+                    issue.wait_min(next + 1, stall(w));
                     if stop.load(Ordering::SeqCst) != 0 {
                         return;
                     }
@@ -580,7 +575,7 @@ pub fn run_windows<L: Send>(
             done.add(1);
             window += 1;
             stats.windows += 1;
-            done.wait_min(workers as u64 * window, &stalls[0]);
+            done.wait_min(workers as u64 * window, stall(0));
             if window.is_multiple_of(TRAIN_WINDOWS) {
                 train.wait();
                 stats.rounds += 1;
@@ -631,15 +626,14 @@ mod tests {
         });
     }
 
-    #[test]
-    fn gate_wakes_blocked_waiters() {
-        // spin = 0 forces the condvar slow path, covering the
-        // lost-wakeup-freedom argument rather than the spin loop.
+    /// Park a waiter on a spin-free gate (so it takes the condvar slow
+    /// path, covering the lost-wakeup-freedom argument rather than the
+    /// spin loop), then publish up to its threshold.
+    fn park_and_wake(stall: Option<&AtomicU64>) {
         let g = Gate::new(0);
-        let stall = AtomicU64::new(0);
         std::thread::scope(|s| {
             let t = s.spawn(|| {
-                g.wait_min(3, &stall);
+                g.wait_min(3, stall);
                 g.value.load(Ordering::SeqCst)
             });
             // Publish only once the waiter has registered as a sleeper:
@@ -654,56 +648,74 @@ mod tests {
             }
             assert!(t.join().unwrap() >= 3);
         });
+    }
+
+    #[test]
+    fn gate_wakes_blocked_waiters() {
+        let stall = AtomicU64::new(0);
+        park_and_wake(Some(&stall));
         assert!(stall.load(Ordering::Relaxed) > 0, "slow path was timed");
+    }
+
+    /// The clock-free wait a probe-less run takes still wakes a parked
+    /// waiter.
+    #[test]
+    fn untimed_gate_wakes_blocked_waiters() {
+        park_and_wake(None);
+    }
+
+    /// Drain `boxes` into one merge buffer and sort it, returning each
+    /// entry's `(time, source, seq, payload)`.
+    fn merge<T: Copy>(boxes: &mut [Outbox<T>]) -> Vec<(u64, usize, u64, T)> {
+        let mut merged = Vec::new();
+        for (i, b) in boxes.iter_mut().enumerate() {
+            b.drain_into(i, &mut merged);
+        }
+        sort_merged(&mut merged);
+        merged
+            .iter()
+            .map(|m| (m.time.as_ps(), m.source, m.seq, m.payload))
+            .collect()
     }
 
     #[test]
     fn outbox_merge_is_keyed_by_time_source_seq() {
-        let mut a = Outbox::new();
-        let mut b = Outbox::new();
-        a.push(SimTime(30), "a0");
-        a.push(SimTime(30), "a1");
-        b.push(SimTime(10), "b0");
-        b.push(SimTime(30), "b1");
-        let merged = merge_outboxes([(1usize, a.drain()), (0usize, b.drain())]);
-        let order: Vec<&str> = merged.iter().map(|m| m.payload).collect();
+        // Box 0 drains first but holds the later events, so only a sort
+        // by time gets b0 ahead of it.
+        let mut boxes = [Outbox::new(), Outbox::new()];
+        boxes[0].push(SimTime(30), "a0");
+        boxes[0].push(SimTime(30), "a1");
+        boxes[1].push(SimTime(10), "b0");
+        boxes[1].push(SimTime(30), "b1");
+        let order: Vec<&str> = merge(&mut boxes).iter().map(|m| m.3).collect();
         // time first, then source, then per-source seq.
-        assert_eq!(order, ["b0", "b1", "a0", "a1"]);
+        assert_eq!(order, ["b0", "a0", "a1", "b1"]);
         // Seq numbering continues across drains.
-        a.push(SimTime(40), "a2");
-        assert_eq!(a.drain()[0].seq, 2);
+        boxes[1].push(SimTime(40), "b2");
+        assert_eq!(merge(&mut boxes), [(40, 1, 2, "b2")]);
     }
 
     #[test]
-    fn drain_into_matches_the_allocating_merge() {
+    fn drain_into_tags_sources_and_empties_the_outboxes() {
+        // Drained in box order, these read (20, 30, 30, 10, 30): the sort
+        // must move box 1's first event to the front, and at t = 30 put
+        // box 0's seq 2 ahead of box 1's seq 1 (source before seq).
         let mut boxes = [Outbox::new(), Outbox::new()];
-        boxes[1].push(SimTime(30), 10u32);
-        boxes[0].push(SimTime(10), 20);
-        boxes[0].push(SimTime(30), 30);
-        let mut cloned = [Outbox::new(), Outbox::new()];
-        for (c, b) in cloned.iter_mut().zip(&boxes) {
-            for e in &b.entries {
-                c.push(e.time, e.payload);
-            }
-        }
-        let want = merge_outboxes(
-            cloned
-                .into_iter()
-                .enumerate()
-                .map(|(i, mut b)| (i, b.drain())),
+        boxes[0].push(SimTime(20), 1u32);
+        boxes[0].push(SimTime(30), 2);
+        boxes[0].push(SimTime(30), 3);
+        boxes[1].push(SimTime(10), 4);
+        boxes[1].push(SimTime(30), 5);
+        assert_eq!(
+            merge(&mut boxes),
+            [
+                (10, 1, 0, 4),
+                (20, 0, 0, 1),
+                (30, 0, 1, 2),
+                (30, 0, 2, 3),
+                (30, 1, 1, 5)
+            ]
         );
-        let mut got = Vec::new();
-        for (i, b) in boxes.iter_mut().enumerate() {
-            b.drain_into(i, &mut got);
-        }
-        sort_merged(&mut got);
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(
-                (g.time, g.source, g.seq, g.payload),
-                (w.time, w.source, w.seq, w.payload)
-            );
-        }
         assert!(boxes.iter().all(|b| b.is_empty()));
     }
 
@@ -715,7 +727,9 @@ mod tests {
         assert_eq!(sweep_share(8, 0), 8);
     }
 
-    fn drive(workers: usize) -> (Vec<Vec<u64>>, EngineStats) {
+    /// Drive five toy lanes at `workers`, with a stall probe attached
+    /// when `probed`.
+    fn drive(workers: usize, probed: bool) -> (Vec<Vec<u64>>, EngineStats) {
         let mut lanes: Vec<Toy> = (0..5)
             .map(|i| Toy {
                 pending: (0..20).map(|k| (k * 7 + i as u64) % 50).collect(),
@@ -723,6 +737,7 @@ mod tests {
             })
             .collect();
         let mut horizon = 0u64;
+        let mut probe = |_: usize, _: u64| {};
         let stats = run_windows(
             workers,
             &mut lanes,
@@ -745,20 +760,27 @@ mod tests {
                 horizon += 13;
                 Some(SimTime(horizon))
             },
-            None,
+            probed.then_some(&mut probe as &mut dyn FnMut(usize, u64)),
         );
         (lanes.into_iter().map(|l| l.log).collect(), stats)
     }
 
+    /// Neither the worker count nor an attached stall probe (the only
+    /// thing that makes the gates read the clock) changes a result.
     #[test]
     fn worker_count_changes_neither_outcomes_nor_stats() {
-        let (serial, serial_stats) = drive(1);
+        let (serial, serial_stats) = drive(1, false);
         assert_eq!(serial_stats.windows, 4, "50/13 = 4 windows drain the toys");
         assert_eq!(serial_stats.rounds, 1, "4 windows fit in one train");
         for workers in [2, 3, 8] {
-            let (log, stats) = drive(workers);
-            assert_eq!(log, serial, "{workers} workers diverged");
-            assert_eq!(stats, serial_stats, "{workers} workers changed stats");
+            for probed in [false, true] {
+                let (log, stats) = drive(workers, probed);
+                assert_eq!(log, serial, "{workers} workers (probed: {probed}) diverged");
+                assert_eq!(
+                    stats, serial_stats,
+                    "{workers} workers (probed: {probed}) changed stats"
+                );
+            }
         }
     }
 

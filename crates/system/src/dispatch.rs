@@ -24,10 +24,12 @@
 //! advance on independent worker threads: everything a handler touches
 //! lives on the lane, and the single cross-node path (a protocol
 //! engine's `Send`) buffers a packet into the lane's outbox instead of
-//! touching another node's queue. The buffered packets are routed
-//! through the shared network at the next quantum barrier by
-//! [`NetPath::route`], which also enforces the conservative-lookahead
-//! invariant every cross-node delivery must respect.
+//! touching another node's queue. At the next quantum barrier
+//! [`NetPath::route_departures`] routes the buffered packets through the
+//! shared network into each destination lane's inbox, which that lane
+//! queues itself; [`NetPath::route`] also enforces the
+//! conservative-lookahead invariant every cross-node delivery must
+//! respect.
 
 use piranha_cache::{BankAction, BankEvent, Mesi, Slot};
 use piranha_cpu::{CoreStatus, MemReq};
@@ -41,7 +43,7 @@ use piranha_protocol::{EngineAction, HomeIn, ProtoMsg, RemoteIn};
 use piranha_types::{CpuId, Duration, FillSource, Lane, LineAddr, NodeId, SimTime};
 
 use crate::config::SystemConfig;
-use crate::node::NodeLane;
+use crate::node::{LaneSummary, NodeLane};
 use crate::wiring::{track_base, TRACK_BANK, TRACK_HOME, TRACK_MEM, TRACK_NET, TRACK_REMOTE};
 
 /// An event on a lane's queue. The handling node is the lane's own, so
@@ -144,13 +146,40 @@ impl<'a> LaneShared<'a> {
 }
 
 impl NodeLane {
-    /// Drain and dispatch every lane event strictly before `horizon`.
+    /// Schedule the inbox's arrivals, then drain and dispatch every lane
+    /// event strictly before `horizon`, then publish the lane's summary.
     /// This is the per-worker body of a quantum: the conservative bound
     /// guarantees no other lane can schedule into `[now, horizon)`, so
     /// the lane advances with no synchronization at all.
     pub(crate) fn advance(&mut self, sh: &LaneShared<'_>, horizon: SimTime) {
+        self.flush_inbox();
         while let Some((t, ev)) = self.events.pop_before(horizon) {
             self.dispatch(sh, t, ev);
+        }
+        self.publish_summary();
+    }
+
+    /// Schedule the arrivals the last barrier routed here, in the order
+    /// it routed them.
+    pub(crate) fn flush_inbox(&mut self) {
+        for (t, from, msg) in self.inbox.drain(..) {
+            self.events.schedule(t, Ev::NetMsg { from, msg });
+        }
+    }
+
+    /// Record the lane's current state as its [`LaneSummary`].
+    pub(crate) fn publish_summary(&mut self) {
+        self.summary = self.live_summary();
+    }
+
+    /// The lane's current state, read field by field.
+    pub(crate) fn live_summary(&self) -> LaneSummary {
+        LaneSummary {
+            retired: self.instrs_retired,
+            unfinished: self.unfinished,
+            popped: self.events.popped(),
+            now: self.events.now(),
+            next: self.events.peek_time(),
         }
     }
 
@@ -680,27 +709,28 @@ impl NetPath<'_> {
     /// The barrier step: merge every lane's buffered cross-node
     /// packets into `merged` (a reused buffer) in deterministic
     /// `(time, source, seq)` order, route them through the network, and
-    /// schedule each arrival on its destination lane. Returns how many
-    /// packets were routed.
+    /// append each arrival to its destination lane's inbox in that
+    /// order (the lane schedules it; see [`NodeLane::flush_inbox`]).
+    /// Returns how many packets were routed and the earliest arrival.
     pub(crate) fn route_departures(
         &mut self,
         lanes: &mut [NodeLane],
         merged: &mut Vec<piranha_parsim::Merged<Packet<ProtoMsg>>>,
-    ) -> usize {
+    ) -> (usize, Option<SimTime>) {
         merged.clear();
         for (i, lane) in lanes.iter_mut().enumerate() {
             lane.outbox.drain_into(i, merged);
         }
         piranha_parsim::sort_merged(merged);
         let routed = merged.len();
+        let mut first: Option<SimTime> = None;
         for m in merged.drain(..) {
             let dest = m.payload.dst.index();
             let (arrive, from, msg) = self.route(&mut lanes[m.source].faults, m.time, m.payload);
-            lanes[dest]
-                .events
-                .schedule(arrive, Ev::NetMsg { from, msg });
+            first = Some(first.map_or(arrive, |f| f.min(arrive)));
+            lanes[dest].inbox.push((arrive, from, msg));
         }
-        routed
+        (routed, first)
     }
 
     /// Route one buffered packet through the network, applying the

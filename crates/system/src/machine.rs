@@ -522,10 +522,17 @@ impl Machine {
     /// with every worker provably parked, so the lanes are plain `&mut`,
     /// no per-lane mutexes — merges every lane's buffered departures in
     /// `(time, source, seq)` order into one reused buffer and routes
-    /// them through the shared fabric; both that order and each lane's
-    /// own event order are independent of the worker count, which is the
-    /// determinism argument in one sentence. A window with no traffic
-    /// skips the merge entirely (`empty_windows`).
+    /// them through the shared fabric into the destination lanes'
+    /// inboxes; both that order and each lane's own event order are
+    /// independent of the worker count, which is the determinism
+    /// argument in one sentence. A window with no traffic skips the
+    /// merge entirely (`empty_windows`).
+    ///
+    /// Beyond that the coordinator only reads each lane's
+    /// [`LaneSummary`](crate::node::LaneSummary), all the stop check and
+    /// the next window's base need, which the lane publishes at the end
+    /// of its window; the lane schedules its own inbox at the start of
+    /// the next one. Without a probe, no gate wait reads the clock.
     fn run_quanta(&mut self, target: u64) {
         let workers = self.workers.clamp(1, self.lanes.len());
         let Machine {
@@ -553,6 +560,9 @@ impl Machine {
                 h.record(ns);
             }
         };
+        let stall_probe = probe
+            .is_enabled()
+            .then_some(&mut record_waits as &mut dyn FnMut(usize, u64));
         let mut merged = Vec::new();
         let mut path = NetPath {
             cfg,
@@ -561,6 +571,13 @@ impl Machine {
             lookahead,
         };
         let mut popped_total = 0u64;
+        for lane in lanes.iter_mut() {
+            debug_assert!(
+                lane.inbox.is_empty(),
+                "a run started with arrivals unqueued"
+            );
+            lane.publish_summary();
+        }
         let stats = piranha_parsim::run_windows(
             workers,
             lanes,
@@ -568,26 +585,26 @@ impl Machine {
             |lanes, stats| {
                 // Route the previous window's cross-node traffic,
                 // charging the *source* lane's link-fault hooks.
-                match path.route_departures(lanes, &mut merged) {
+                let (routed, first_arrival) = path.route_departures(lanes, &mut merged);
+                match routed {
                     0 => stats.empty_windows += 1,
                     n => stats.merged_events += n as u64,
                 }
-                // Stop checks, then the next window's base time.
+                // Stop checks, then the next window's base time: the
+                // earliest of every lane's next event and the arrivals
+                // just routed, which sit in the inboxes.
                 let mut retired = 0u64;
                 let mut unfinished = 0usize;
                 let mut popped = 0u64;
-                let mut t_min: Option<SimTime> = None;
+                let mut t_min = first_arrival;
                 for lane in lanes.iter() {
-                    retired += lane.instrs_retired;
-                    unfinished += lane.unfinished;
-                    popped += lane.events.popped();
-                    *clock = (*clock).max(lane.events.now());
-                    if let Some(t) = lane.events.peek_time() {
-                        t_min = Some(match t_min {
-                            Some(m) => m.min(t),
-                            None => t,
-                        });
-                    }
+                    let s = &lane.summary;
+                    debug_assert_eq!(*s, lane.live_summary(), "a lane's summary is stale");
+                    retired += s.retired;
+                    unfinished += s.unfinished;
+                    popped += s.popped;
+                    *clock = (*clock).max(s.now);
+                    t_min = t_min.into_iter().chain(s.next).min();
                 }
                 assert!(
                     popped < 2_000_000_000,
@@ -608,8 +625,14 @@ impl Machine {
                 };
                 Some(lookahead.horizon(base))
             },
-            Some(&mut record_waits),
+            stall_probe,
         );
+        // The last control pass routed the final window's traffic;
+        // queue it now, so what runs next (a CPU start, warming, the
+        // next run) finds it where the barrier routed it.
+        for lane in lanes.iter_mut() {
+            lane.flush_inbox();
+        }
         parsim.rounds += stats.rounds;
         parsim.windows += stats.windows;
         parsim.empty_windows += stats.empty_windows;

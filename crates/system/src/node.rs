@@ -171,11 +171,29 @@ impl Node {
     }
 }
 
+/// What a lane reports to the window barrier once it has drained a
+/// window: everything the coordinator's stop check and next-window base
+/// read of it, so the coordinator never scans a lane's queue or
+/// counters, which the lane's worker owns.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LaneSummary {
+    /// Instructions retired by the node's CPUs.
+    pub(crate) retired: u64,
+    /// The node's CPUs that are enabled and not yet done.
+    pub(crate) unfinished: usize,
+    /// Events popped from the lane's queue.
+    pub(crate) popped: u64,
+    /// The lane's simulated time.
+    pub(crate) now: SimTime,
+    /// The earliest event left on the lane's queue.
+    pub(crate) next: Option<SimTime>,
+}
+
 /// One node plus everything the dispatch layer needs to advance it
 /// independently of the other nodes: its own event queue, fault plane,
 /// version counter, outstanding-request table, reusable action buffers,
-/// and the outbox that buffers cross-node departures until the next
-/// quantum barrier.
+/// the outbox that buffers cross-node departures until the next
+/// quantum barrier, and the inbox the barrier routes arrivals into.
 ///
 /// A lane is the unit of parallel-in-space execution: inside a quantum
 /// a worker thread owns one lane exclusively and touches nothing else,
@@ -192,6 +210,14 @@ pub(crate) struct NodeLane {
     pub(crate) events: EventQueue<Ev>,
     /// Cross-node departures buffered inside the current quantum.
     pub(crate) outbox: Outbox<Packet<ProtoMsg>>,
+    /// Arrivals the last barrier routed to this node, in merge order,
+    /// not yet on the queue. The lane schedules them itself before its
+    /// next window; nothing else schedules into the lane in between, so
+    /// they take the sequence numbers the barrier would have given them.
+    pub(crate) inbox: Vec<(SimTime, NodeId, ProtoMsg)>,
+    /// The lane's state as of its last drained window (see
+    /// [`LaneSummary`]).
+    pub(crate) summary: LaneSummary,
     /// The lane's fault oracle (node 0 owns the scripted schedule; the
     /// rest draw from node-decorrelated random streams).
     pub(crate) faults: FaultPlane,
@@ -239,6 +265,8 @@ impl NodeLane {
             node,
             events: EventQueue::new(),
             outbox: Outbox::default(),
+            inbox: Vec::new(),
+            summary: LaneSummary::default(),
             faults,
             traffic,
             traffic_hists: Vec::new(),

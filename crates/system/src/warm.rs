@@ -397,7 +397,9 @@ impl Machine {
         loop {
             path.route_departures(lanes, &mut merged);
             let mut t_min: Option<SimTime> = None;
-            for lane in lanes.iter() {
+            for lane in lanes.iter_mut() {
+                // Queue what was just routed before reading the queue.
+                lane.flush_inbox();
                 if let Some(t) = lane.events.peek_time() {
                     t_min = Some(match t_min {
                         Some(m) => m.min(t),
