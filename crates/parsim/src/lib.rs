@@ -15,26 +15,23 @@
 //! produce, so fingerprints are bit-identical for any worker count,
 //! including one.
 //!
-//! # The train protocol
+//! # The gate protocol
 //!
 //! Windows are tens of simulated nanoseconds, so a multi-chip run
 //! executes hundreds of thousands of them; making each one cheap is
 //! what decides whether `--parallel` beats serial. [`run_windows`]
-//! therefore separates the two costs a window can incur:
+//! synchronizes a window through one pair of lock-free gates: the
+//! sequencer publishes the next horizon on an atomic `issue` counter,
+//! workers pick it up, advance their lanes, and bump a `done` counter.
+//! No mutex, no condvar in the common case, and the sequencer thread
+//! doubles as worker 0 so the control closure never migrates off the
+//! calling thread. The gates are the only synchronization: once `done`
+//! counts every worker's window, every worker has left `advance`, and
+//! its next touch of a lane waits on `issue`.
 //!
-//! * **Per window** (every ~5 µs of wall-clock): a lock-free gate
-//!   handoff — the sequencer publishes the next horizon on an atomic,
-//!   workers pick it up, advance their lanes, and bump a completion
-//!   counter. No mutex, no condvar in the common case, and the
-//!   sequencer thread doubles as worker 0 so the control closure never
-//!   migrates off the calling thread.
-//! * **Per round** (every [`TRAIN_WINDOWS`] windows): a full
-//!   [`SpinBarrier`] rendezvous where stall time is flushed to the
-//!   optional probe callback. Rounds are the engine's unit of *real*
-//!   synchronization, reported as `EngineStats::rounds`.
-//!
-//! Gate waits are timed only for a stall probe: without one, no worker
-//! reads the clock.
+//! Gate waits are timed only for a stall probe, which hears about them
+//! every [`TRAIN_WINDOWS`] windows (the [`ParsimStats::rounds`] count):
+//! without one, no worker reads the clock.
 //!
 //! The control closure receives the lanes as a plain `&mut [L]` — at a
 //! barrier every worker is provably parked, so the coordinator reaches
@@ -56,27 +53,24 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use piranha_types::SimTime;
 
-/// Windows executed between two full barrier rendezvous ("one train").
-/// Within a train, consecutive windows hand off through lock-free
-/// gates; the blocking rendezvous — and the probe flush — happens only
-/// at train boundaries, dividing the engine's synchronization rounds by
-/// this factor.
+/// Windows between two flushes of gate-stall time to the stall probe
+/// ("one train"), counted as [`ParsimStats::rounds`].
 pub const TRAIN_WINDOWS: u64 = 8;
 
-/// Execution counters of one [`run_windows`] drive, identical for every
-/// worker count (they describe the simulation's window structure, not
-/// the thread schedule).
+/// Execution counters of the window engine, identical for every worker
+/// count: they describe the simulation's window structure, never the
+/// thread schedule, so tests and benches may assert on them. A
+/// [`run_windows`] drive returns them; a caller sums drives with `+=`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Barrier rendezvous executed: `windows.div_ceil(TRAIN_WINDOWS)`.
-    /// This is the engine's real synchronization count — the number the
-    /// fixed-quantum engine paid *per window*.
+pub struct ParsimStats {
+    /// Stall-probe flush points, `windows.div_ceil(TRAIN_WINDOWS)` per
+    /// drive whether or not a probe listens.
     pub rounds: u64,
     /// Logical windows executed (one horizon publication each).
     pub windows: u64,
@@ -86,85 +80,25 @@ pub struct EngineStats {
     /// Cross-lane events merged at barriers (maintained by the control
     /// closure).
     pub merged_events: u64,
+    /// Events the lanes popped, the work the windows carried. The engine
+    /// never sees an event: whoever owns the lanes fills this in when it
+    /// reports the counters.
+    pub events: u64,
 }
 
-/// A hybrid spin/block barrier for tightly coupled window loops.
-///
-/// Train rendezvous fire every few hundred simulated nanoseconds — many
-/// thousands of times per wall-clock second — so rendezvous latency is
-/// on the critical path. When the host has a core per party, waiters
-/// spin briefly on the generation word (the common case: lanes finish a
-/// train within microseconds of each other) before blocking. On an
-/// *oversubscribed* host spinning is skipped entirely and waiters go
-/// straight to a [`Condvar`]: a spinning or `yield_now`-ing waiter on a
-/// shared core steals exactly the timeslices the straggler needs (CFS
-/// `sched_yield` readily reschedules the yielder), turning every
-/// rendezvous into milliseconds — a real sleep keeps the penalty at a
-/// futex round-trip instead.
-#[derive(Debug)]
-pub struct SpinBarrier {
-    parties: usize,
-    /// Spin iterations before blocking; 0 when oversubscribed.
-    spin: u32,
-    /// Arrival count of the current generation, guarded for the condvar.
-    count: Mutex<usize>,
-    cv: Condvar,
-    generation: AtomicU64,
-}
-
-impl SpinBarrier {
-    /// A barrier releasing once `parties` threads have called
-    /// [`wait`](SpinBarrier::wait).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parties` is zero.
-    pub fn new(parties: usize) -> Self {
-        assert!(parties > 0, "a barrier needs at least one party");
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        SpinBarrier {
-            parties,
-            spin: if parties <= cores { 1 << 12 } else { 0 },
-            count: Mutex::new(0),
-            cv: Condvar::new(),
-            generation: AtomicU64::new(0),
-        }
-    }
-
-    /// Block until all parties have arrived.
-    pub fn wait(&self) {
-        let gen = self.generation.load(Ordering::Acquire);
-        {
-            let mut count = self.count.lock().unwrap();
-            *count += 1;
-            if *count == self.parties {
-                // Last arriver resets the count for the next round, then
-                // releases everyone: the generation advances under the
-                // lock (so a blocked waiter cannot miss it) and spinners
-                // see the atomic store without touching the lock.
-                *count = 0;
-                self.generation.fetch_add(1, Ordering::Release);
-                drop(count);
-                self.cv.notify_all();
-                return;
-            }
-        }
-        for _ in 0..self.spin {
-            if self.generation.load(Ordering::Acquire) != gen {
-                return;
-            }
-            std::hint::spin_loop();
-        }
-        let mut count = self.count.lock().unwrap();
-        while self.generation.load(Ordering::Acquire) == gen {
-            count = self.cv.wait(count).unwrap();
-        }
+impl std::ops::AddAssign for ParsimStats {
+    fn add_assign(&mut self, o: Self) {
+        self.rounds += o.rounds;
+        self.windows += o.windows;
+        self.empty_windows += o.empty_windows;
+        self.merged_events += o.merged_events;
+        self.events += o.events;
     }
 }
 
 /// A monotone epoch gate: one side publishes increasing values, the
 /// other waits for the value to reach a threshold. This is the
-/// per-window synchronization primitive of the train protocol — the
+/// per-window synchronization primitive of the gate protocol — the
 /// fast path is a single `SeqCst` load, the slow path a bounded spin,
 /// and only a waiter that outlasts the spin (or any waiter on an
 /// oversubscribed host) touches the mutex/condvar pair. The publisher
@@ -253,13 +187,13 @@ impl Gate {
     }
 }
 
-/// A raw lane-slice handle shared across the round protocol's threads.
+/// A raw lane-slice handle shared across the gate protocol's threads.
 ///
 /// Soundness rests on the protocol, not the type: the issue/done gates
-/// and the train barrier hand each lane to exactly one thread per
-/// window, with a happens-before edge (the gates' `SeqCst` traffic)
-/// between consecutive owners, so every temporary `&mut` derived below
-/// is exclusive for its lifetime. All access goes through this one raw
+/// hand each lane to exactly one thread per window, with a
+/// happens-before edge (the gates' `SeqCst` traffic) between
+/// consecutive owners, so every temporary `&mut` derived below is
+/// exclusive for its lifetime. All access goes through this one raw
 /// pointer — the caller's original `&mut [L]` is not touched again
 /// until the drive returns.
 struct LaneSlice<L> {
@@ -275,7 +209,7 @@ impl<L> LaneSlice<L> {
     ///
     /// # Safety
     ///
-    /// The round protocol must guarantee no other thread accesses lane
+    /// The gate protocol must guarantee no other thread accesses lane
     /// `i` for the returned borrow's lifetime.
     #[allow(clippy::mut_from_ref)]
     unsafe fn lane(&self, i: usize) -> &mut L {
@@ -288,7 +222,7 @@ impl<L> LaneSlice<L> {
     ///
     /// # Safety
     ///
-    /// The round protocol must guarantee no other thread accesses any
+    /// The gate protocol must guarantee no other thread accesses any
     /// lane for the returned borrow's lifetime.
     #[allow(clippy::mut_from_ref)]
     unsafe fn all(&self) -> &mut [L] {
@@ -418,25 +352,24 @@ fn stash_panic(slot: &Mutex<Option<Box<dyn Any + Send>>>, payload: Box<dyn Any +
 /// Each window: `control` runs on the calling thread with exclusive
 /// `&mut` access to every lane (merge the previous window's outboxes
 /// and hand the lanes their arrivals, check stop conditions, pick the
-/// next horizon); if it returns a
-/// horizon, every lane is advanced to it — across `workers` threads
-/// when `workers > 1` (the caller doubles as worker 0), inline
-/// otherwise — and the cycle repeats. Returning `None` ends the run
-/// *after* the previous window's traffic has been merged, so no
-/// buffered event is ever lost.
+/// next horizon); if it returns a horizon, every lane is advanced to it
+/// across `workers` threads (the caller doubles as worker 0 and, with
+/// one worker, spawns none), and the cycle repeats. Returning `None`
+/// ends the run *after* the previous window's traffic has been merged,
+/// so no buffered event is ever lost.
 ///
 /// Lanes are distributed to workers round-robin by index; each lane is
 /// touched by exactly one worker per window, and the gate pair orders
 /// every worker's lane mutations before the next `control` call. The
 /// worker count therefore cannot change *what* a lane computes, only
-/// *when* — determinism is structural, and the returned [`EngineStats`]
+/// *when* — determinism is structural, and the returned [`ParsimStats`]
 /// are identical for every worker count.
 ///
-/// `stall_probe`, when present, is called at every train rendezvous (and
-/// once at shutdown) with `(worker index, gate-wait nanoseconds since
-/// the last flush)` for each worker — the raw material for per-lane
-/// barrier-stall histograms. Worker `w` owns lanes `w, w + workers, …`.
-/// Without it no gate wait reads the clock; nothing else changes.
+/// `stall_probe`, when present and `workers > 1`, is called every
+/// [`TRAIN_WINDOWS`] windows (and once at shutdown) with `(worker
+/// index, gate-wait nanoseconds since the last flush)` for each worker;
+/// worker `w` owns lanes `w, w + workers, …`. Without it no gate wait
+/// reads the clock; nothing else changes.
 ///
 /// Every worker waits while `control` runs, and each lane it touches is
 /// memory another core just wrote. So work a lane can do itself belongs
@@ -452,27 +385,13 @@ pub fn run_windows<L: Send>(
     workers: usize,
     lanes: &mut [L],
     advance: impl Fn(&mut L, SimTime) + Sync,
-    mut control: impl FnMut(&mut [L], &mut EngineStats) -> Option<SimTime>,
-    mut stall_probe: Option<&mut dyn FnMut(usize, u64)>,
-) -> EngineStats {
+    mut control: impl FnMut(&mut [L], &mut ParsimStats) -> Option<SimTime>,
+    stall_probe: Option<&mut dyn FnMut(usize, u64)>,
+) -> ParsimStats {
     let workers = workers.clamp(1, lanes.len().max(1));
-    let mut stats = EngineStats::default();
-    if workers == 1 {
-        while let Some(horizon) = control(lanes, &mut stats) {
-            for lane in lanes.iter_mut() {
-                advance(lane, horizon);
-            }
-            stats.windows += 1;
-            if stats.windows.is_multiple_of(TRAIN_WINDOWS) {
-                stats.rounds += 1;
-            }
-        }
-        if !stats.windows.is_multiple_of(TRAIN_WINDOWS) {
-            stats.rounds += 1;
-        }
-        return stats;
-    }
-
+    // A lone worker never waits at a gate: there is nothing to report.
+    let mut stall_probe = stall_probe.filter(|_| workers > 1);
+    let mut stats = ParsimStats::default();
     let slice = LaneSlice {
         base: lanes.as_mut_ptr(),
         len: lanes.len(),
@@ -480,75 +399,69 @@ pub fn run_windows<L: Send>(
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let spin = if workers <= cores { 1 << 12 } else { 0 };
     // `issue` counts windows published (window k is live once the value
-    // passes k); `done` counts per-worker window completions (after
-    // window k, it reads `workers * (k + 1)`).
+    // reaches k); `done` counts per-worker window completions (after
+    // window k, it reads `workers * k`).
     let issue = Gate::new(spin);
     let done = Gate::new(spin);
     let horizon_ps = AtomicU64::new(0);
-    let stop = AtomicU64::new(0);
-    let train = SpinBarrier::new(workers);
+    let stop = AtomicBool::new(false);
     let stalls: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     // Gate waits read the clock only when a probe will hear about it.
     let timed = stall_probe.is_some();
     let stall = |w: usize| timed.then(|| &stalls[w]);
+    let mut flush_stalls = || {
+        if let Some(cb) = stall_probe.as_deref_mut() {
+            for (w, stall) in stalls.iter().enumerate() {
+                cb(w, stall.swap(0, Ordering::Relaxed));
+            }
+        }
+    };
     let panic_slot: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    // Worker w's share of a window: advance its lanes, then count the
+    // window done even if a lane panicked, or the sequencer would wait
+    // forever; the payload is re-raised once everyone is joined.
+    let run_lanes = |w: usize, horizon: SimTime| {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            for i in (w..slice.len).step_by(workers) {
+                // SAFETY: lane i belongs to worker w for this window
+                // (round-robin ownership); the issue/done gates order
+                // this against every other thread's access.
+                advance(unsafe { slice.lane(i) }, horizon);
+            }
+        }));
+        if let Err(payload) = outcome {
+            stash_panic(&panic_slot, payload);
+        }
+        done.add(1);
+    };
 
+    let mut window: u64 = 0;
     std::thread::scope(|s| {
         for w in 1..workers {
-            let (issue, done, train) = (&issue, &done, &train);
-            let (horizon_ps, stop, stall) = (&horizon_ps, &stop, &stall);
-            let (advance, slice, panic_slot) = (&advance, &slice, &panic_slot);
+            let (issue, horizon_ps, stop) = (&issue, &horizon_ps, &stop);
+            let (stall, run_lanes) = (&stall, &run_lanes);
             s.spawn(move || {
-                let mut next: u64 = 0;
-                loop {
-                    issue.wait_min(next + 1, stall(w));
-                    if stop.load(Ordering::SeqCst) != 0 {
+                for next in 1.. {
+                    issue.wait_min(next, stall(w));
+                    if stop.load(Ordering::SeqCst) {
                         return;
                     }
-                    let horizon = SimTime(horizon_ps.load(Ordering::SeqCst));
-                    // Keep participating in the gate/barrier protocol
-                    // even if a lane panics, or the sequencer and the
-                    // other workers would wait forever; the payload is
-                    // re-raised on the caller once everyone is joined.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        for i in (w..slice.len).step_by(workers) {
-                            // SAFETY: lane i belongs to worker w for
-                            // this window (round-robin ownership); the
-                            // issue/done gates order this against every
-                            // other thread's access.
-                            advance(unsafe { slice.lane(i) }, horizon);
-                        }
-                    }));
-                    if let Err(payload) = outcome {
-                        stash_panic(panic_slot, payload);
-                    }
-                    done.add(1);
-                    next += 1;
-                    if next.is_multiple_of(TRAIN_WINDOWS) {
-                        train.wait();
-                    }
+                    run_lanes(w, SimTime(horizon_ps.load(Ordering::SeqCst)));
                 }
             });
         }
 
         // The sequencer, doubling as worker 0.
-        let mut window: u64 = 0;
-        let flush_stalls = |probe: &mut Option<&mut dyn FnMut(usize, u64)>| {
-            if let Some(cb) = probe.as_deref_mut() {
-                for (w, stall) in stalls.iter().enumerate() {
-                    cb(w, stall.swap(0, Ordering::Relaxed));
-                }
-            }
-        };
         loop {
             let next = if panic_slot.lock().unwrap().is_some() {
                 None
             } else {
                 match catch_unwind(AssertUnwindSafe(|| {
-                    // SAFETY: every worker is parked (all issued windows
-                    // are done-counted and the last train barrier, if
-                    // due, has been crossed), so the coordinator holds
-                    // the only access until the next `issue.publish`.
+                    // SAFETY: `done` counted every worker's last window,
+                    // so every worker has left `advance` and waits on
+                    // `issue` before it touches a lane again: the
+                    // coordinator holds the only access until the next
+                    // `issue.publish`.
                     control(unsafe { slice.all() }, &mut stats)
                 })) {
                     Ok(next) => next,
@@ -562,40 +475,28 @@ pub fn run_windows<L: Send>(
                 break;
             };
             horizon_ps.store(horizon.as_ps(), Ordering::SeqCst);
-            issue.publish(window + 1);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                for i in (0..slice.len).step_by(workers) {
-                    // SAFETY: lane i belongs to worker 0 for this window.
-                    advance(unsafe { slice.lane(i) }, horizon);
-                }
-            }));
-            if let Err(payload) = outcome {
-                stash_panic(&panic_slot, payload);
-            }
-            done.add(1);
             window += 1;
-            stats.windows += 1;
+            issue.publish(window);
+            run_lanes(0, horizon);
             done.wait_min(workers as u64 * window, stall(0));
             if window.is_multiple_of(TRAIN_WINDOWS) {
-                train.wait();
-                stats.rounds += 1;
-                flush_stalls(&mut stall_probe);
+                flush_stalls();
             }
         }
         // Shutdown: release every worker parked on the next issue. The
         // stop flag is stored before the publish, so a worker that wakes
         // on this value observes it (SeqCst total order).
-        stop.store(1, Ordering::SeqCst);
+        stop.store(true, Ordering::SeqCst);
         issue.publish(window + 1);
-        if !window.is_multiple_of(TRAIN_WINDOWS) {
-            stats.rounds += 1;
-        }
-        flush_stalls(&mut stall_probe);
     });
+    // Every worker is joined, so its last wait is on the books.
+    flush_stalls();
 
     if let Some(payload) = panic_slot.into_inner().unwrap() {
         resume_unwind(payload);
     }
+    stats.windows = window;
+    stats.rounds = window.div_ceil(TRAIN_WINDOWS);
     stats
 }
 
@@ -608,22 +509,6 @@ mod tests {
     struct Toy {
         pending: Vec<u64>,
         log: Vec<u64>,
-    }
-
-    #[test]
-    fn spin_barrier_synchronizes() {
-        let b = SpinBarrier::new(4);
-        let hits = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                s.spawn(|| {
-                    hits.fetch_add(1, Ordering::SeqCst);
-                    b.wait();
-                });
-            }
-            b.wait();
-            assert_eq!(hits.load(Ordering::SeqCst), 3);
-        });
     }
 
     /// Park a waiter on a spin-free gate (so it takes the condvar slow
@@ -729,7 +614,7 @@ mod tests {
 
     /// Drive five toy lanes at `workers`, with a stall probe attached
     /// when `probed`.
-    fn drive(workers: usize, probed: bool) -> (Vec<Vec<u64>>, EngineStats) {
+    fn drive(workers: usize, probed: bool) -> (Vec<Vec<u64>>, ParsimStats) {
         let mut lanes: Vec<Toy> = (0..5)
             .map(|i| Toy {
                 pending: (0..20).map(|k| (k * 7 + i as u64) % 50).collect(),
@@ -785,7 +670,7 @@ mod tests {
     }
 
     #[test]
-    fn rounds_are_train_rendezvous_counts() {
+    fn rounds_count_trains_of_windows() {
         for workers in [1usize, 2] {
             let mut lanes = vec![0u64, 0u64];
             let mut issued = 0u64;
@@ -805,6 +690,58 @@ mod tests {
                 20u64.div_ceil(TRAIN_WINDOWS),
                 "rounds = ceil(windows / {TRAIN_WINDOWS}) at {workers} workers"
             );
+        }
+    }
+
+    /// The guarantee the gate protocol rests on: while `control` runs,
+    /// no worker is inside `advance`, and every lane has run every window
+    /// issued so far. Each lane raises a flag for the length of its
+    /// `advance`, so a control step racing a worker, or a lost wakeup
+    /// letting one through early, shows up as a raised flag or a lane a
+    /// window behind.
+    #[test]
+    fn control_runs_only_between_windows() {
+        struct Flagged {
+            inside: AtomicBool,
+            ran: u64,
+        }
+        const WINDOWS: u64 = 10_000;
+        for workers in [2usize, 3, 4] {
+            let mut lanes: Vec<Flagged> = (0..5)
+                .map(|_| Flagged {
+                    inside: AtomicBool::new(false),
+                    ran: 0,
+                })
+                .collect();
+            let mut issued = 0u64;
+            let stats = run_windows(
+                workers,
+                &mut lanes,
+                |lane, _| {
+                    lane.inside.store(true, Ordering::SeqCst);
+                    for _ in 0..lane.ran % 64 {
+                        std::hint::spin_loop();
+                    }
+                    lane.ran += 1;
+                    lane.inside.store(false, Ordering::SeqCst);
+                },
+                |lanes, _| {
+                    for (i, lane) in lanes.iter().enumerate() {
+                        assert!(
+                            !lane.inside.load(Ordering::SeqCst),
+                            "control ran while lane {i} advanced ({workers} workers)"
+                        );
+                        assert_eq!(
+                            lane.ran, issued,
+                            "lane {i} missed a window ({workers} workers)"
+                        );
+                    }
+                    issued += 1;
+                    (issued <= WINDOWS).then_some(SimTime(issued))
+                },
+                None,
+            );
+            assert_eq!(stats.windows, WINDOWS);
         }
     }
 
@@ -852,23 +789,28 @@ mod tests {
 
     #[test]
     fn stall_probe_reports_every_worker() {
-        let mut lanes = vec![(); 4];
-        let mut issued = 0u64;
-        let mut seen = std::collections::HashSet::new();
-        let mut probe = |w: usize, _ns: u64| {
-            seen.insert(w);
+        let reporting = |workers: usize| {
+            let mut lanes = vec![(); 4];
+            let mut issued = 0u64;
+            let mut seen = std::collections::HashSet::new();
+            let mut probe = |w: usize, _ns: u64| {
+                seen.insert(w);
+            };
+            run_windows(
+                workers,
+                &mut lanes,
+                |_, _| std::thread::yield_now(),
+                |_, _| {
+                    issued += 1;
+                    (issued <= TRAIN_WINDOWS + 1).then_some(SimTime(issued))
+                },
+                Some(&mut probe),
+            );
+            seen
         };
-        run_windows(
-            4,
-            &mut lanes,
-            |_, _| std::thread::yield_now(),
-            |_, _| {
-                issued += 1;
-                (issued <= TRAIN_WINDOWS + 1).then_some(SimTime(issued))
-            },
-            Some(&mut probe),
-        );
-        assert_eq!(seen, (0..4).collect(), "every worker flushed at least once");
+        assert_eq!(reporting(4), (0..4).collect(), "every worker flushed");
+        // A lone worker never waits at a gate, so the probe never hears.
+        assert!(reporting(1).is_empty(), "a 1-worker drive reported waits");
     }
 
     #[test]

@@ -150,13 +150,28 @@ impl NodeLane {
     /// event strictly before `horizon`, then publish the lane's summary.
     /// This is the per-worker body of a quantum: the conservative bound
     /// guarantees no other lane can schedule into `[now, horizon)`, so
-    /// the lane advances with no synchronization at all.
-    pub(crate) fn advance(&mut self, sh: &LaneShared<'_>, horizon: SimTime) {
+    /// the lane advances with no synchronization at all. A `drain`
+    /// completes what is in flight and runs no CPU: it sets each CPU
+    /// step aside for [`NodeLane::requeue_steps`].
+    pub(crate) fn advance(&mut self, sh: &LaneShared<'_>, horizon: SimTime, drain: bool) {
         self.flush_inbox();
         while let Some((t, ev)) = self.events.pop_before(horizon) {
-            self.dispatch(sh, t, ev);
+            match ev {
+                Ev::Step { cpu } if drain => self.steps_aside.push((t, cpu)),
+                ev => self.dispatch(sh, t, ev),
+            }
         }
         self.publish_summary();
+    }
+
+    /// Queue the CPU steps a drain set aside, in the order it popped
+    /// them. The drain may have advanced past a step's time, and the
+    /// queue refuses its local past, so a step runs no earlier than now.
+    pub(crate) fn requeue_steps(&mut self) {
+        let now = self.events.now();
+        for (t, cpu) in self.steps_aside.drain(..) {
+            self.events.schedule(t.max(now), Ev::Step { cpu });
+        }
     }
 
     /// Schedule the arrivals the last barrier routed here, in the order
@@ -178,7 +193,6 @@ impl NodeLane {
             retired: self.instrs_retired,
             unfinished: self.unfinished,
             popped: self.events.popped(),
-            now: self.events.now(),
             next: self.events.peek_time(),
         }
     }

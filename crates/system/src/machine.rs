@@ -28,10 +28,11 @@
 //! deterministic `(time, source, seq)` order and routed through the
 //! shared fabric. Basing every window on the global minimum *pending*
 //! time means an idle stretch (all chips waiting on a distant event)
-//! costs one window, not `gap / quantum` of them. Windows ride the
-//! parsim crate's *train* protocol: lock-free gate handoffs per window,
-//! a real barrier rendezvous only every [`piranha_parsim::TRAIN_WINDOWS`]
-//! windows (the [`ParsimStats::rounds`] count).
+//! costs one window, not `gap / quantum` of them. Windows hand off
+//! through the parsim crate's lock-free gate pair, the only
+//! synchronization. The sampled regime's in-flight drain
+//! (`Machine::drain_inflight`) runs the same loop under its own stop
+//! rule, on any machine.
 //!
 //! Because the worker threads only change *which thread* advances a
 //! lane — never the order of events within a lane or the merge order at
@@ -44,7 +45,8 @@ use piranha_cpu::CoreStats;
 use piranha_faults::{AvailabilityReport, FaultPlane};
 use piranha_kernel::Lookahead;
 use piranha_net::Network;
-use piranha_probe::Probe;
+pub use piranha_parsim::ParsimStats;
+use piranha_probe::{HistogramHandle, Probe};
 use piranha_protocol::{LineRange, ProtoMsg, RasPolicy};
 use piranha_types::{CpuId, Duration, LineAddr, SimTime};
 use piranha_workloads::Workload;
@@ -53,28 +55,6 @@ use crate::config::SystemConfig;
 use crate::dispatch::{Ev, LaneShared, NetPath};
 use crate::node::NodeLane;
 use crate::result::RunResult;
-
-/// Cumulative parallel-engine execution counters (multi-chip machines
-/// only; a single-chip machine's serial loop leaves them at zero except
-/// [`ParsimStats::events`]). Deterministic: every field is a function of
-/// the simulation, never of the worker count or thread schedule, so the
-/// counters are safe to assert on in tests and benches.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ParsimStats {
-    /// Barrier rendezvous executed (one per
-    /// [`piranha_parsim::TRAIN_WINDOWS`] windows) — the engine's real
-    /// synchronization count.
-    pub rounds: u64,
-    /// Logical lookahead windows executed.
-    pub windows: u64,
-    /// Barrier passes that found no cross-node traffic to merge.
-    pub empty_windows: u64,
-    /// Cross-node events merged and routed at barriers.
-    pub merged_events: u64,
-    /// Total events popped across all lanes (the work the windows
-    /// carried; `merged_events / windows` is the cross-node fraction).
-    pub events: u64,
-}
 
 /// The whole simulated system: node lanes, interconnect, lookahead.
 ///
@@ -104,7 +84,8 @@ pub struct Machine {
     /// strictly positive) is the window quantum, the per-pair bounds
     /// back the delivery assertions.
     pub(crate) lookahead: Lookahead,
-    /// Cumulative parallel-engine counters (see [`ParsimStats`]).
+    /// Cumulative window-engine counters (see [`ParsimStats`]), but for
+    /// `events`, which [`Machine::parsim_stats`] sums from the lanes.
     pub(crate) parsim: ParsimStats,
     /// Cumulative sampled-execution counters (see
     /// [`SampleTally`](crate::warm::SampleTally)); all-zero unless
@@ -114,8 +95,6 @@ pub struct Machine {
     /// quantum-stepped). Not part of `SystemConfig`: the thread count
     /// must never affect results, cache keys, or fingerprints.
     pub(crate) workers: usize,
-    /// Global simulated time: the furthest any lane has advanced.
-    pub(crate) clock: SimTime,
 }
 
 impl std::fmt::Debug for Machine {
@@ -167,7 +146,7 @@ impl Machine {
 
     /// Current simulated time: how far the furthest lane has advanced.
     pub fn now(&self) -> SimTime {
-        self.clock
+        lanes_now(&self.lanes)
     }
 
     /// The interconnect (topology, configuration and delivery-latency
@@ -197,11 +176,16 @@ impl Machine {
         &self.lookahead
     }
 
-    /// Cumulative parallel-engine counters: rounds, windows, merged
-    /// cross-node events (see [`ParsimStats`]). Identical for every
-    /// worker count.
+    /// Cumulative window-engine counters: rounds, windows, merged
+    /// cross-node events, and the events every lane popped (see
+    /// [`ParsimStats`]). Identical for every worker count. Only
+    /// `events` moves on a single-chip machine's serial loop; its
+    /// sampled runs count their in-flight drains' windows too.
     pub fn parsim_stats(&self) -> ParsimStats {
-        self.parsim
+        ParsimStats {
+            events: self.lanes.iter().map(|l| l.events.popped()).sum(),
+            ..self.parsim
+        }
     }
 
     /// Set the worker-thread count for multi-chip runs (clamped to
@@ -417,7 +401,7 @@ impl Machine {
             .node
             .ras
             .persist_barrier(range, cached.into_iter());
-        let t = self.clock;
+        let t = self.now();
         for &(line, v) in &dirty {
             self.lanes[node].node.write_home(t, line, v);
         }
@@ -467,7 +451,7 @@ impl Machine {
         if self.lanes.len() == 1 {
             self.run_serial(target);
         } else {
-            self.run_quanta(target);
+            self.run_windows(Until::Retired(target));
         }
     }
 
@@ -507,12 +491,12 @@ impl Machine {
                 );
             }
         }
-        self.clock = self.clock.max(self.lanes[0].events.now());
-        self.parsim.events = self.lanes[0].events.popped();
     }
 
-    /// The multi-chip engine: conservative parallel-in-space execution
-    /// with deterministic lookahead windows (`piranha-parsim`).
+    /// The windowed loop every multi-lane run and every in-flight drain
+    /// goes through: conservative parallel-in-space execution with
+    /// deterministic lookahead windows (`piranha-parsim`), stopped by
+    /// `until`.
     ///
     /// Every window, all lanes advance independently — one per worker
     /// thread — to the horizon at `t_min + quantum`. The lookahead
@@ -533,7 +517,7 @@ impl Machine {
     /// the next window's base need, which the lane publishes at the end
     /// of its window; the lane schedules its own inbox at the start of
     /// the next one. Without a probe, no gate wait reads the clock.
-    fn run_quanta(&mut self, target: u64) {
+    pub(crate) fn run_windows(&mut self, until: Until) {
         let workers = self.workers.clamp(1, self.lanes.len());
         let Machine {
             cfg,
@@ -542,27 +526,20 @@ impl Machine {
             probe,
             lookahead,
             parsim,
-            clock,
             ..
         } = self;
         let cfg: &SystemConfig = cfg;
         let lookahead: &Lookahead = lookahead;
         let sh = LaneShared::new(cfg, lanes.len());
-        let nlanes = lanes.len();
-        // Per-lane barrier-stall histograms (noop handles when the probe
-        // is disabled): worker w's gate-wait time is charged to every
-        // lane it owns, making stragglers visible per simulated chip.
-        let wait_hists: Vec<piranha_probe::HistogramHandle> = (0..nlanes)
-            .map(|n| probe.histogram(&format!("parsim.node{n}.barrier_wait_ns")))
+        // One barrier-stall histogram per worker, when a probe listens
+        // and there is a second worker to wait for.
+        let waits: Vec<HistogramHandle> = (0..workers)
+            .filter(|_| workers > 1 && probe.is_enabled())
+            .map(|w| probe.histogram(&format!("parsim.node{w}.barrier_wait_ns")))
             .collect();
-        let mut record_waits = |w: usize, ns: u64| {
-            for h in wait_hists.iter().skip(w).step_by(workers) {
-                h.record(ns);
-            }
-        };
-        let stall_probe = probe
-            .is_enabled()
-            .then_some(&mut record_waits as &mut dyn FnMut(usize, u64));
+        let mut record_waits = |w: usize, ns: u64| waits[w].record(ns);
+        let stall_probe =
+            (!waits.is_empty()).then_some(&mut record_waits as &mut dyn FnMut(usize, u64));
         let mut merged = Vec::new();
         let mut path = NetPath {
             cfg,
@@ -570,7 +547,6 @@ impl Machine {
             probe,
             lookahead,
         };
-        let mut popped_total = 0u64;
         for lane in lanes.iter_mut() {
             debug_assert!(
                 lane.inbox.is_empty(),
@@ -578,10 +554,11 @@ impl Machine {
             );
             lane.publish_summary();
         }
-        let stats = piranha_parsim::run_windows(
+        let drain = matches!(until, Until::Drained);
+        *parsim += piranha_parsim::run_windows(
             workers,
             lanes,
-            |lane, horizon| lane.advance(&sh, horizon),
+            |lane, horizon| lane.advance(&sh, horizon, drain),
             |lanes, stats| {
                 // Route the previous window's cross-node traffic,
                 // charging the *source* lane's link-fault hooks.
@@ -603,25 +580,24 @@ impl Machine {
                     retired += s.retired;
                     unfinished += s.unfinished;
                     popped += s.popped;
-                    *clock = (*clock).max(s.now);
                     t_min = t_min.into_iter().chain(s.next).min();
                 }
                 assert!(
                     popped < 2_000_000_000,
                     "event budget exhausted: runaway simulation"
                 );
-                popped_total = popped;
-                if retired >= target || unfinished == 0 {
-                    return None;
-                }
-                let Some(base) = t_min else {
-                    panic!(
-                        "{}",
-                        deadlock_report(
-                            "event queues drained with unfinished CPUs: deadlock",
-                            lanes
+                let base = match until {
+                    Until::Retired(target) if retired >= target || unfinished == 0 => return None,
+                    Until::Retired(_) => t_min.unwrap_or_else(|| {
+                        panic!(
+                            "{}",
+                            deadlock_report(
+                                "event queues drained with unfinished CPUs: deadlock",
+                                lanes
+                            )
                         )
-                    );
+                    }),
+                    Until::Drained => t_min?,
                 };
                 Some(lookahead.horizon(base))
             },
@@ -629,15 +605,12 @@ impl Machine {
         );
         // The last control pass routed the final window's traffic;
         // queue it now, so what runs next (a CPU start, warming, the
-        // next run) finds it where the barrier routed it.
+        // next run) finds it where the barrier routed it. A drain's
+        // set-aside steps go back on the queues too.
         for lane in lanes.iter_mut() {
             lane.flush_inbox();
+            lane.requeue_steps();
         }
-        parsim.rounds += stats.rounds;
-        parsim.windows += stats.windows;
-        parsim.empty_windows += stats.empty_windows;
-        parsim.merged_events += stats.merged_events;
-        parsim.events = popped_total;
     }
 
     /// Stop a CPU through the node's system controller (paper §2.6: the
@@ -657,7 +630,7 @@ impl Machine {
 
     /// Restart a stopped CPU; it resumes its stream where it left off.
     pub fn start_cpu(&mut self, node: usize, cpu: usize) {
-        let t = self.clock;
+        let t = self.now();
         let lane = &mut self.lanes[node];
         let nd = &mut lane.node;
         let was_stopped = !nd.sc.cpu_enabled(CpuId(cpu as u8));
@@ -733,6 +706,26 @@ impl Machine {
     }
 }
 
+/// When [`Machine::run_windows`] stops.
+#[derive(Clone, Copy)]
+pub(crate) enum Until {
+    /// The CPUs have retired this many instructions in total, or every
+    /// CPU is done. Queues that drain first mean a deadlock.
+    Retired(u64),
+    /// Nothing is queued but the CPU steps the lanes set aside: every
+    /// in-flight event is complete (`Machine::drain_inflight`).
+    Drained,
+}
+
+/// How far the furthest lane has advanced.
+fn lanes_now(lanes: &[NodeLane]) -> SimTime {
+    lanes
+        .iter()
+        .map(|l| l.events.now())
+        .max()
+        .unwrap_or_default()
+}
+
 /// `headline`, then the simulated time and, per node, what holds it up:
 /// each protocol engine's TSRF and deferred-input counts and its live
 /// transactions (the home engine's queued requests too), then each line
@@ -740,11 +733,7 @@ impl Machine {
 /// pending entry for the line.
 fn deadlock_report(headline: &str, lanes: &[NodeLane]) -> String {
     use std::fmt::Write;
-    let now = lanes
-        .iter()
-        .map(|l| l.events.now())
-        .max()
-        .unwrap_or_default();
+    let now = lanes_now(lanes);
     let mut out = format!("{headline}\nat {now}");
     for lane in lanes {
         let nd = &lane.node;

@@ -183,8 +183,6 @@ pub(crate) struct LaneSummary {
     pub(crate) unfinished: usize,
     /// Events popped from the lane's queue.
     pub(crate) popped: u64,
-    /// The lane's simulated time.
-    pub(crate) now: SimTime,
     /// The earliest event left on the lane's queue.
     pub(crate) next: Option<SimTime>,
 }
@@ -218,6 +216,9 @@ pub(crate) struct NodeLane {
     /// The lane's state as of its last drained window (see
     /// [`LaneSummary`]).
     pub(crate) summary: LaneSummary,
+    /// The CPU steps an in-flight drain popped and did not run, in pop
+    /// order: `(time, cpu)`.
+    pub(crate) steps_aside: Vec<(SimTime, usize)>,
     /// The lane's fault oracle (node 0 owns the scripted schedule; the
     /// rest draw from node-decorrelated random streams).
     pub(crate) faults: FaultPlane,
@@ -267,6 +268,7 @@ impl NodeLane {
             outbox: Outbox::default(),
             inbox: Vec::new(),
             summary: LaneSummary::default(),
+            steps_aside: Vec::new(),
             faults,
             traffic,
             traffic_hists: Vec::new(),

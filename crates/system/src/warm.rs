@@ -43,8 +43,8 @@ use piranha_protocol::EngineAction;
 use piranha_sample::{SampleConfig, SampleDriver, SampleTarget, WindowSample};
 use piranha_types::{CpuId, FillSource, LineAddr, NodeId, SimTime};
 
-use crate::dispatch::{Ev, LaneShared, NetPath, Next};
-use crate::machine::Machine;
+use crate::dispatch::{LaneShared, Next};
+use crate::machine::{Machine, Until};
 use crate::node::NodeLane;
 use crate::result::RunResult;
 
@@ -322,9 +322,7 @@ impl Machine {
     /// Panics if a full round over all CPUs makes no progress (a warm
     /// resolution bug — a live CPU's miss must complete synchronously).
     pub(crate) fn warm_until_total(&mut self, target: u64) {
-        let Machine {
-            cfg, lanes, clock, ..
-        } = self;
+        let Machine { cfg, lanes, .. } = self;
         let sh = LaneShared::new(cfg, lanes.len());
         assert!(
             lanes.iter().all(|l| l.outstanding.is_empty()),
@@ -358,75 +356,17 @@ impl Machine {
                 "functional warming made no progress over a full round"
             );
         }
-        for lane in lanes.iter() {
-            *clock = (*clock).max(lane.events.now());
-        }
     }
 
     /// Complete every in-flight detailed event (fills, memory reads,
     /// protocol transactions) without retiring further instructions:
-    /// CPU `Step` events are set aside and re-queued afterwards, so the
-    /// calendar ends up holding nothing but runnable-CPU steps — the
-    /// state a functional phase can take over from. Cross-node traffic
-    /// generated while draining is merged and routed exactly as at a
-    /// quantum barrier.
+    /// the windowed loop runs until nothing is queued but the CPU `Step`
+    /// events the lanes set aside, which then go back on the queues —
+    /// the state a functional phase can take over from. Cross-node
+    /// traffic is merged and routed at each window barrier as in any
+    /// run, and the lanes drain on their workers.
     pub(crate) fn drain_inflight(&mut self) {
-        let Machine {
-            cfg,
-            lanes,
-            net,
-            probe,
-            lookahead,
-            clock,
-            ..
-        } = self;
-        let sh = LaneShared::new(cfg, lanes.len());
-        let mut deferred: Vec<Vec<(SimTime, usize)>> = lanes.iter().map(|_| Vec::new()).collect();
-        let mut merged = Vec::new();
-        let mut path = NetPath {
-            cfg,
-            net,
-            probe,
-            lookahead,
-        };
-        // Advance in conservative lookahead windows, exactly like the
-        // parallel engine's barrier loop: a full per-lane drain would
-        // let one lane's clock run past an arrival another lane's
-        // traffic is about to schedule on it. Event-horizon windows
-        // keep this O(events), not O(span / quantum).
-        loop {
-            path.route_departures(lanes, &mut merged);
-            let mut t_min: Option<SimTime> = None;
-            for lane in lanes.iter_mut() {
-                // Queue what was just routed before reading the queue.
-                lane.flush_inbox();
-                if let Some(t) = lane.events.peek_time() {
-                    t_min = Some(match t_min {
-                        Some(m) => m.min(t),
-                        None => t,
-                    });
-                }
-            }
-            let Some(base) = t_min else { break };
-            let horizon = lookahead.horizon(base);
-            for lane in lanes.iter_mut() {
-                while let Some((t, ev)) = lane.events.pop_before(horizon) {
-                    match ev {
-                        Ev::Step { cpu } => deferred[lane.index].push((t, cpu)),
-                        other => lane.dispatch(&sh, t, other),
-                    }
-                }
-            }
-        }
-        for lane in lanes.iter_mut() {
-            // Lane queues refuse scheduling into their local past, and
-            // the drain may have advanced past a step's original time.
-            let now = lane.events.now();
-            for &(t, cpu) in &deferred[lane.index] {
-                lane.events.schedule(t.max(now), Ev::Step { cpu });
-            }
-            *clock = (*clock).max(lane.events.now());
-        }
+        self.run_windows(Until::Drained);
     }
 
     /// Run the workload under SMARTS-style systematic sampling:

@@ -199,7 +199,6 @@ impl Machine {
             parsim: crate::machine::ParsimStats::default(),
             tally: crate::warm::SampleTally::default(),
             workers: 1,
-            clock: SimTime::ZERO,
         }
     }
 
@@ -304,7 +303,7 @@ impl Machine {
             "protocol.mean_occupancy",
             Value(instrs as f64 / msgs.max(1) as f64),
         );
-        let ps = self.parsim;
+        let ps = self.parsim_stats();
         row("parsim.rounds", Count(ps.rounds));
         row("parsim.windows", Count(ps.windows));
         row("parsim.empty_windows", Count(ps.empty_windows));

@@ -15,9 +15,10 @@
 //!   TLBs, duplicate tags, directory, memory versions).
 //!
 //! The rows are a P8 chip, a two-chip P2x2 (which drives the warm
-//! protocol engines and cross-node `Send`s) and the out-of-order OOO
-//! chip (whose fills retire instructions) on bounded OLTP run to
-//! completion, plus a budgeted P8 sampled [`RunRequest`].
+//! protocol engines and cross-node `Send`s, and is checked at one and
+//! two lane workers) and the out-of-order OOO chip (whose fills retire
+//! instructions) on bounded OLTP run to completion, plus a budgeted P8
+//! sampled [`RunRequest`].
 //!
 //! To regenerate after an *intentional* change to warming:
 //!
@@ -89,8 +90,9 @@ fn render(label: &str, r: &RunResult, m: &Machine) -> String {
     )
 }
 
-fn run_row(label: &str, req: &RunRequest) -> String {
+fn run_row(label: &str, req: &RunRequest, workers: usize) -> String {
     let mut m = req.build();
+    m.set_parallel_workers(workers);
     let r = req.drive(&mut m);
     render(label, &r, &m)
 }
@@ -109,17 +111,22 @@ fn golden_sampled_rows_match_checked_in_values() {
          ignored `bless` test to regenerate it"
     );
     for (label, req) in &rows {
-        let got = run_row(label, req);
         let want = golden
             .get(label)
             .unwrap_or_else(|| panic!("tests/golden_sampled.tsv has no row for {label}"));
-        assert_eq!(
-            got.trim_end(),
-            *want,
-            "sampled run {label} drifted (columns: fingerprint, sample digest, \
-             arch-state digest). If intentional, re-bless with:\n  cargo test \
-             --release --test golden_sampled -- --ignored bless"
-        );
+        // A two-chip row runs at two lane workers too, where each
+        // in-flight drain runs on the lane workers: same line.
+        let workers: &[usize] = if req.cfg.nodes > 1 { &[1, 2] } else { &[1] };
+        for &w in workers {
+            assert_eq!(
+                run_row(label, req, w).trim_end(),
+                *want,
+                "sampled run {label} drifted at {w} lane worker(s) (columns: \
+                 fingerprint, sample digest, arch-state digest). If intentional, \
+                 re-bless with:\n  cargo test --release --test golden_sampled -- \
+                 --ignored bless"
+            );
+        }
     }
 }
 
@@ -130,7 +137,7 @@ fn golden_sampled_rows_match_checked_in_values() {
 fn bless() {
     let out: String = rows()
         .iter()
-        .map(|(label, req)| run_row(label, req))
+        .map(|(label, req)| run_row(label, req, 1))
         .collect();
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden_sampled.tsv");

@@ -1,6 +1,6 @@
 //! Integration tests for the adaptive-lookahead parallel engine: the
-//! per-pair lookahead matrix wired from the fabric topology, the train
-//! protocol's round/window accounting, and the parsim metrics surfaced
+//! per-pair lookahead matrix wired from the fabric topology, the
+//! engine's round/window accounting, and the parsim metrics surfaced
 //! through the probe and the machine report.
 //!
 //! Bit-identity across worker counts is separately pinned by the golden
@@ -25,24 +25,24 @@ fn run_tiny(workers: usize) -> (u64, ParsimStats) {
 }
 
 #[test]
-fn train_batching_cuts_rendezvous_at_least_5x_below_windows() {
+fn rounds_are_one_per_train_of_windows() {
     let (_, stats) = run_tiny(1);
     assert!(
         stats.windows > 100,
         "a tiny multichip run should still execute many windows, got {}",
         stats.windows
     );
-    // The fixed-quantum engine paid one rendezvous per window; the train
-    // engine must pay at least 5x fewer (it pays 8x fewer by
-    // construction: TRAIN_WINDOWS = 8).
+    // A round is a train of TRAIN_WINDOWS = 8 windows, after which the
+    // stall probe hears about the gate waits: at least 5x fewer rounds
+    // than windows.
     assert!(
         stats.rounds * 5 <= stats.windows,
-        "{} rounds for {} windows is not a >= 5x rendezvous reduction",
+        "{} rounds for {} windows: stall flushes are not batched >= 5x",
         stats.rounds,
         stats.windows
     );
     // `run` drives two engine segments (warmup, then measure); each
-    // pays at most one extra partial-train rendezvous at its end.
+    // ends with at most one partial train.
     let full_trains = stats.windows.div_ceil(piranha::parsim::TRAIN_WINDOWS);
     assert!(
         stats.rounds >= full_trains && stats.rounds <= full_trains + 1,
@@ -131,7 +131,7 @@ fn parsim_counters_surface_through_probe_and_report() {
         );
     }
 
-    // Per-lane barrier-stall histograms exist for every node when a
+    // Per-worker barrier-stall histograms exist for both workers when a
     // probe is attached and a parallel run happened.
     let snap = m.probe().metrics().expect("probe enabled");
     for n in 0..2 {
@@ -149,6 +149,33 @@ fn parsim_counters_surface_through_probe_and_report() {
         Some(stats.rounds)
     );
     assert!(table.to_string().contains("parsim.windows"));
+}
+
+/// Worker w's gate waits land in `parsim.node{w}.barrier_wait_ns` and
+/// nowhere else, so a sum over the histograms counts each wait once: a
+/// 2-worker P4x4 run records nothing under nodes 2 and 3, and a
+/// 1-worker run, whose lone worker never waits, records nothing at all.
+#[test]
+fn gate_waits_are_recorded_once_per_worker() {
+    let waits = |workers: usize| {
+        let cfg = SystemConfig::piranha_pn(4).scaled_to_chips(4);
+        let mut m = Machine::new(cfg, &Workload::Oltp(OltpConfig::paper_default()));
+        m.set_probe(Probe::new(ProbeConfig::default()));
+        m.set_parallel_workers(workers);
+        m.run(500, 2_000);
+        let snap = m.probe().metrics().expect("probe enabled");
+        (0..4)
+            .map(|n| {
+                snap.get(&format!("parsim.node{n}.barrier_wait_ns.count"))
+                    .and_then(|v| v.as_count())
+                    .unwrap_or(0)
+            })
+            .collect::<Vec<u64>>()
+    };
+    let two = waits(2);
+    assert!(two[0] > 0 && two[1] > 0, "both workers report: {two:?}");
+    assert_eq!(two[2..], [0, 0], "lanes 2 and 3 are no worker's: {two:?}");
+    assert_eq!(waits(1), [0; 4], "a lone worker never waits");
 }
 
 #[test]
