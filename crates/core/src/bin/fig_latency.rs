@@ -7,22 +7,23 @@
 //! Reads `--quick`, `--check` (exit nonzero unless p99 is monotone
 //! non-decreasing across the sweep, within 10% sampling noise, and a
 //! knee was detected — the CI `latency-smoke` step), `--metrics` (the
-//! sweep as JSON), `--topology`/`--queue` (sweep an overridden fabric;
+//! table as JSON), `--topology`/`--queue` (sweep an overridden fabric;
 //! calibration reruns on it, so the load fractions stay anchored to
 //! *its* service rate), `--parallel` and `--store`; see
 //! [`piranha::observe::Flags`].
-use piranha::experiments::{self, LatencyReport};
-use piranha::observe::{self, Flags};
+use piranha::experiments;
+use piranha::observe::{self, Flags, Table};
+use piranha::serve::json::Json;
 
 fn main() {
     let flags = Flags::from_env();
-    let mut cfg = experiments::fig_latency_config();
+    let mut cfg = observe::exemplar_config();
     flags.apply_fabric(&mut cfg);
-    let rep = experiments::fig_latency_on(cfg, flags.quick);
-    print!("{}", experiments::render_latency_report(&rep));
-    flags.write_report("latency report", || observe::json::latency_report(&rep));
+    let table = experiments::fig_latency_on(cfg, flags.quick);
+    print!("{table}");
+    flags.write_report("latency report", &table);
     if flags.check {
-        check(&rep);
+        check(&table);
         println!("latency-smoke checks passed");
     }
     flags.finish();
@@ -31,20 +32,22 @@ fn main() {
 /// The CI assertions: the hockey-stick must be monotone (within a 10%
 /// sampling-noise tolerance between adjacent points) and must reach its
 /// knee inside the swept range.
-fn check(rep: &LatencyReport) {
-    for pair in rep.rows.windows(2) {
+fn check(t: &Table) {
+    let p99 = |row: &[Json]| t.cell(row, "p99_ns").as_u64().expect("p99_ns is a count");
+    let fraction = |row: &[Json]| t.cell(row, "fraction").as_f64().expect("a load fraction");
+    for pair in t.rows().windows(2) {
         let (lo, hi) = (&pair[0], &pair[1]);
         assert!(
-            hi.p99_ns as f64 >= lo.p99_ns as f64 * 0.9,
+            p99(hi) as f64 >= p99(lo) as f64 * 0.9,
             "p99 regressed with load: {} ns @ {:.2}x -> {} ns @ {:.2}x",
-            lo.p99_ns,
-            lo.fraction,
-            hi.p99_ns,
-            hi.fraction
+            p99(lo),
+            fraction(lo),
+            p99(hi),
+            fraction(hi)
         );
     }
     assert!(
-        rep.knee.is_some(),
+        t.fact("knee").is_some_and(|k| !k.is_null()),
         "no saturation knee detected within the swept range"
     );
 }

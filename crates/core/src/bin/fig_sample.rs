@@ -4,16 +4,16 @@
 //! detailed windows, and reports CPI error, 95%-CI coverage, detailed
 //! share, and host wall-clock speedup.
 //!
-//! Reads `--quick`, `--metrics` (the sweep as JSON, which the CI
+//! Reads `--quick`, `--metrics` (the table as JSON, which the CI
 //! `sample-smoke` step validates), `--parallel` and `--store`; see
 //! [`piranha::observe::Flags`].
 use piranha::experiments;
-use piranha::observe::{self, Flags};
+use piranha::observe::Flags;
 
 fn main() {
     let flags = Flags::from_env();
-    let rep = experiments::fig_sample(flags.quick);
-    print!("{}", experiments::render_sample_report(&rep));
-    flags.write_report("sampling report", || observe::json::sample_report(&rep));
+    let table = experiments::fig_sample(flags.quick);
+    print!("{table}");
+    flags.write_report("sampling report", &table);
     flags.finish();
 }

@@ -9,18 +9,19 @@
 //! shows measurable congestion — nonzero drops or pause stalls; the CI
 //! `scale-smoke` step runs this, and every row's packet-ledger
 //! conservation is asserted inside the sweep regardless), `--metrics`
-//! (the sweep as JSON), `--parallel` and `--store`; see
+//! (the table as JSON), `--parallel` and `--store`; see
 //! [`piranha::observe::Flags`].
-use piranha::experiments::{self, ScaleReport};
-use piranha::observe::{self, Flags};
+use piranha::experiments;
+use piranha::observe::{Flags, Table};
+use piranha::serve::json::Json;
 
 fn main() {
     let flags = Flags::from_env();
-    let rep = experiments::fig_scale(flags.quick, flags.topology, flags.queue);
-    print!("{}", experiments::render_scale_report(&rep));
-    flags.write_report("scale report", || observe::json::scale_report(&rep));
+    let table = experiments::fig_scale(flags.quick, flags.topology, flags.queue);
+    print!("{table}");
+    flags.write_report("scale report", &table);
     if flags.check {
-        check(&rep);
+        check(&table);
         println!("scale-smoke checks passed");
     }
     flags.finish();
@@ -30,25 +31,21 @@ fn main() {
 /// in the sweep — at least one row with drops (drop-tail/lossy) and at
 /// least one with pause stalls (PFC). The packet-ledger conservation of
 /// every row is already asserted inside `fig_scale` itself.
-fn check(rep: &ScaleReport) {
-    assert!(!rep.rows.is_empty(), "sweep produced no rows");
+fn check(t: &Table) {
+    let count = |row: &[Json], c| t.cell(row, c).as_u64().expect("a count");
+    assert!(!t.rows().is_empty(), "sweep produced no rows");
     assert!(
-        rep.rows.iter().any(|r| r.fabric.drops > 0),
+        t.rows().iter().any(|r| count(r, "drops") > 0),
         "no swept point dropped a packet — port capacity never bit"
     );
     assert!(
-        rep.rows
+        t.rows()
             .iter()
-            .any(|r| r.fabric.pauses > 0 && r.fabric.drops == 0),
+            .any(|r| count(r, "pauses") > 0 && count(r, "drops") == 0),
         "no PFC point paused without dropping"
     );
-    for r in &rep.rows {
-        assert!(
-            r.fabric.delivered > 0 && r.committed > 0,
-            "{}x{}x{}: degenerate row",
-            r.nodes,
-            r.topology,
-            r.queue
-        );
+    for r in t.rows() {
+        let live = count(r, "delivered") > 0 && count(r, "committed") > 0;
+        assert!(live, "degenerate row: {}", Json::Arr(r.clone()));
     }
 }

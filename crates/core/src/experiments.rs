@@ -20,13 +20,16 @@
 //! deterministic, its output is bit-identical to the serial
 //! [`all_figures_serial`] path.
 
+use piranha_serve::json::Json;
 use piranha_system::{
-    FabricStats, FaultConfig, QueueDiscipline, RunResult, SampleConfig, SampleEstimate,
-    SystemConfig, TopologyKind, TrafficConfig, TrafficLedger,
+    AvailabilityReport, FaultConfig, QueueDiscipline, RunResult, SampleConfig, SampleEstimate,
+    SystemConfig, TopologyKind, TrafficConfig,
 };
 use piranha_workloads::{DssConfig, OltpConfig, Workload};
 
 pub use piranha_harness::{cache_key, default_threads, Harness, RunPlan, RunRequest, RunScale};
+
+use crate::observe::Table;
 
 /// The two paper workloads.
 pub fn oltp() -> Workload {
@@ -383,6 +386,32 @@ pub fn mem_pages(scale: RunScale) -> f64 {
 /// fault-free baseline of each configuration).
 pub const FAULT_RATES: [f64; 4] = [0.0, 1e-5, 1e-4, 1e-3];
 
+/// The facts of the [`fig_faults`] table: the headline run.
+pub const FAULT_FACTS: &[&str] = &[
+    "config",
+    "txns_per_cpu",
+    "committed",
+    "fingerprint",
+    "fingerprint_repeat",
+    "deterministic",
+    "availability",
+];
+
+/// The columns of the [`fig_faults`] table: one row per configuration
+/// and rate.
+pub const FAULT_COLUMNS: &[&str] = &[
+    "config",
+    "rate",
+    "injected",
+    "corrected",
+    "escalated",
+    "retransmits",
+    "mttr_cycles",
+    "committed",
+    "slowdown",
+    "fingerprint",
+];
+
 /// A bounded OLTP workload (`txn_limit` transactions per CPU stream) —
 /// the run-to-completion workload of the fault experiments, so a
 /// faulted run provably commits the same work as its baseline.
@@ -410,24 +439,7 @@ fn faulted(mut cfg: SystemConfig, seed: u64, rate: f64) -> SystemConfig {
     cfg
 }
 
-/// One row of the fault-rate × configuration sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultRow {
-    /// Configuration name.
-    pub config: String,
-    /// Injection rate per consult point (0 = baseline).
-    pub rate: f64,
-    /// The availability ledger of the run.
-    pub availability: piranha_system::AvailabilityReport,
-    /// Transactions committed (must match the baseline row exactly).
-    pub committed: u64,
-    /// Run time relative to the rate-0 baseline (1.0 = no slowdown).
-    pub slowdown: f64,
-    /// The run's deterministic fingerprint.
-    pub fingerprint: u64,
-}
-
-/// The plan of every simulation `fig_faults` needs.
+/// The plan of every simulation the `fig_faults` sweep needs.
 pub fn fig_faults_plan(seed: u64, txns_per_cpu: u64) -> RunPlan {
     let w = oltp_bounded(txns_per_cpu);
     let mut p = RunPlan::new();
@@ -443,90 +455,114 @@ pub fn fig_faults_plan(seed: u64, txns_per_cpu: u64) -> RunPlan {
     p
 }
 
-/// Assemble the fault sweep from `h`'s cache: for each configuration,
-/// the fault-free baseline plus each nonzero rate, with slowdown
-/// measured against the fingerprint-verified baseline.
+/// An availability ledger as a JSON object (`slowdown` is `null` unless
+/// the caller stamped one in).
+fn availability_json(av: &AvailabilityReport) -> Json {
+    let by_kind = av
+        .by_kind
+        .iter()
+        .map(|(k, &n)| (k.token().to_string(), Json::U64(n)));
+    Json::obj(vec![
+        ("injected".into(), Json::U64(av.injected)),
+        ("corrected".into(), Json::U64(av.corrected)),
+        ("escalated".into(), Json::U64(av.escalated)),
+        ("retransmits".into(), Json::U64(av.retransmits)),
+        ("recovery_cycles".into(), Json::U64(av.recovery_cycles)),
+        ("mttr_cycles".into(), Json::U64(av.mttr_cycles())),
+        ("slowdown".into(), av.slowdown.map_or(Json::Null, Json::F64)),
+        ("by_kind".into(), Json::obj(by_kind.collect())),
+    ])
+}
+
+/// The slowdown of faulted run `r` versus its fault-free `base`, after
+/// checking that `r` resolved each fault once and lost no work.
+fn checked_slowdown(what: &str, r: &RunResult, base: &RunResult) -> f64 {
+    assert!(
+        r.availability.is_consistent(),
+        "{what}: corrected + escalated != injected"
+    );
+    assert_eq!(
+        r.committed_txns, base.committed_txns,
+        "{what}: a recoverable fault schedule must not lose work"
+    );
+    r.window.as_ps() as f64 / base.window.as_ps().max(1) as f64
+}
+
+/// **Availability under fault injection** on bounded OLTP run to
+/// completion. The rows sweep fault rate × configuration, seeded by
+/// `headline.seed`, through the memoized parallel harness, each paired
+/// against its fault-free baseline. The facts are the `headline`
+/// schedule on the two-chip exemplar, run twice to prove bit-identical
+/// determinism, with its slowdown over a fault-free run.
 ///
 /// # Panics
 ///
-/// Panics if a faulted run commits different work than its baseline or
-/// its availability ledger is inconsistent — both are structural
-/// guarantees of the recovery machinery.
-pub fn fig_faults_with(h: &mut Harness, seed: u64, txns_per_cpu: u64) -> Vec<FaultRow> {
-    let w = oltp_bounded(txns_per_cpu);
+/// Panics if a faulted run commits different work than its baseline,
+/// its availability ledger is inconsistent, or the headline's repeat
+/// differs: all structural guarantees of the recovery machinery.
+pub fn fig_faults(headline: &FaultConfig, txns_per_cpu: u64) -> Table {
+    let (seed, w) = (headline.seed, oltp_bounded(txns_per_cpu));
+    let mut h = Harness::new();
+    h.execute(&fig_faults_plan(seed, txns_per_cpu));
     let mut rows = Vec::new();
     for cfg in fig_faults_configs() {
         let base = h.get(&faulted(cfg.clone(), seed, 0.0), &w, RunScale::completion());
-        let base_committed = base.committed_txns.expect("bounded workload reports work");
         for rate in FAULT_RATES {
             let r = h.get(
                 &faulted(cfg.clone(), seed, rate),
                 &w,
                 RunScale::completion(),
             );
-            assert!(
-                r.availability.is_consistent(),
-                "{}@{rate}: corrected + escalated != injected",
-                cfg.name
-            );
-            let committed = r.committed_txns.expect("bounded workload reports work");
-            assert_eq!(
-                committed, base_committed,
-                "{}@{rate}: a recoverable fault rate must not lose work",
-                cfg.name
-            );
-            let slowdown = r.window.as_ps() as f64 / base.window.as_ps().max(1) as f64;
-            let mut availability = r.availability.clone();
-            availability.slowdown = Some(slowdown);
-            rows.push(FaultRow {
-                config: cfg.name.clone(),
-                rate,
-                availability,
-                committed,
-                slowdown,
-                fingerprint: r.fingerprint(),
-            });
+            let slowdown = checked_slowdown(&format!("{}@{rate}", cfg.name), &r, &base);
+            let av = &r.availability;
+            rows.push(vec![
+                Json::str(&cfg.name),
+                Json::F64(rate),
+                Json::U64(av.injected),
+                Json::U64(av.corrected),
+                Json::U64(av.escalated),
+                Json::U64(av.retransmits),
+                Json::U64(av.mttr_cycles()),
+                Json::U64(r.committed_txns.expect("bounded workload reports work")),
+                Json::F64(slowdown),
+                Json::U64(r.fingerprint()),
+            ]);
         }
     }
-    rows
-}
 
-/// The fault sweep with a private parallel harness.
-pub fn fig_faults(seed: u64, txns_per_cpu: u64) -> Vec<FaultRow> {
-    let mut h = Harness::new();
-    h.execute(&fig_faults_plan(seed, txns_per_cpu));
-    fig_faults_with(&mut h, seed, txns_per_cpu)
-}
-
-/// Render the fault sweep as a text table.
-pub fn render_fault_rows(title: &str, rows: &[FaultRow]) -> String {
-    let mut out = format!(
-        "{title}\n{:<10} {:>8} {:>8} {:>9} {:>9} {:>8} {:>8} {:>9} {:>9}\n",
-        "Config",
-        "Rate",
-        "Injected",
-        "Corrected",
-        "Escalated",
-        "Retrans",
-        "MTTR",
-        "Committed",
-        "Slowdown"
+    let run = |faults: &FaultConfig| {
+        let mut cfg = crate::observe::exemplar_config();
+        cfg.faults = faults.clone();
+        RunRequest::new(cfg, w.clone(), RunScale::completion()).run()
+    };
+    let (r1, r2) = (run(headline), run(headline));
+    assert_eq!(
+        r1.fingerprint(),
+        r2.fingerprint(),
+        "same seed + same schedule must be bit-identical"
     );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<10} {:>8.0e} {:>8} {:>9} {:>9} {:>8} {:>8} {:>9} {:>8.3}x\n",
-            r.config,
-            r.rate,
-            r.availability.injected,
-            r.availability.corrected,
-            r.availability.escalated,
-            r.availability.retransmits,
-            r.availability.mttr_cycles(),
-            r.committed,
-            r.slowdown,
-        ));
-    }
-    out
+    let base = run(&FaultConfig::default());
+    let mut availability = r1.availability.clone();
+    availability.slowdown = Some(checked_slowdown(&r1.name, &r1, &base));
+    Table::new(
+        format!(
+            "Availability — bounded OLTP run to completion; facts: the headline \
+             schedule on {}, run twice; rows: fault rate x configuration, seed {seed}",
+            r1.name
+        ),
+        FAULT_FACTS,
+        vec![
+            Json::str(&r1.name),
+            Json::U64(txns_per_cpu),
+            Json::U64(r1.committed_txns.unwrap_or(0)),
+            Json::U64(r1.fingerprint()),
+            Json::U64(r2.fingerprint()),
+            Json::Bool(r1.fingerprint() == r2.fingerprint()),
+            availability_json(&availability),
+        ],
+        FAULT_COLUMNS,
+        rows,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -555,42 +591,32 @@ pub fn aggregate_cpi(r: &RunResult) -> f64 {
     cycles / r.total_instrs().max(1) as f64
 }
 
-/// One row of the sampling-period sweep.
-#[derive(Debug, Clone)]
-pub struct SampleRow {
-    /// Sampling period (instructions per CPU between window starts).
-    pub period: u64,
-    /// Detailed-window length (instructions per CPU).
-    pub window: u64,
-    /// The sampled run's estimate.
-    pub estimate: SampleEstimate,
-    /// Relative CPI error versus the detailed reference.
-    pub cpi_error: f64,
-    /// Whether the reference CPI falls inside the estimate's 95% CI.
-    pub within_ci: bool,
-    /// Host wall-clock speedup of the sampled run over full detail.
-    pub speedup: f64,
-    /// Host seconds the sampled run took.
-    pub host_secs: f64,
-}
+/// The facts of the [`fig_sample`] table: the full-detail reference.
+pub const SAMPLE_FACTS: &[&str] = &[
+    "config",
+    "txns_per_cpu",
+    "ref_cpi",
+    "ref_committed",
+    "host_secs_detailed",
+];
 
-/// The `fig_sample` sweep: the detailed reference plus one row per
-/// sampling schedule.
-#[derive(Debug, Clone)]
-pub struct SampleReport {
-    /// Configuration name.
-    pub config: String,
-    /// Transactions per CPU of the bounded OLTP workload.
-    pub txns_per_cpu: u64,
-    /// Aggregate CPI of the full-detail reference run.
-    pub ref_cpi: f64,
-    /// Transactions the reference committed.
-    pub ref_committed: u64,
-    /// Host seconds of the full-detail reference run.
-    pub host_secs_detailed: f64,
-    /// One row per sampling schedule.
-    pub rows: Vec<SampleRow>,
-}
+/// The columns of the [`fig_sample`] table: one row per sampling
+/// schedule.
+pub const SAMPLE_COLUMNS: &[&str] = &[
+    "period",
+    "window",
+    "windows",
+    "cpi_mean",
+    "cpi_ci95",
+    "stall_mean",
+    "detailed_fraction",
+    "detailed_instrs",
+    "warmed_instrs",
+    "cpi_error",
+    "within_ci",
+    "speedup",
+    "host_secs",
+];
 
 /// **Sampling validation**: run a bounded OLTP workload to completion
 /// on P8 in full detail, then once per [`sample_specs`] schedule under
@@ -602,7 +628,7 @@ pub struct SampleReport {
 /// Panics if a sampled run commits different work than the detailed
 /// reference — functional warming executes the same instruction
 /// streams, so completed work must match exactly.
-pub fn fig_sample(quick: bool) -> SampleReport {
+pub fn fig_sample(quick: bool) -> Table {
     let txns = if quick { 200 } else { 2_000 };
     let detailed_req = RunRequest::new(
         SystemConfig::piranha_p8(),
@@ -627,69 +653,44 @@ pub fn fig_sample(quick: bool) -> SampleReport {
             let t = std::time::Instant::now();
             let r = req.run();
             let host_secs = t.elapsed().as_secs_f64();
-            let est = r.sample.clone().expect("sampled run carries an estimate");
+            let est = r.sample.expect("sampled run carries an estimate");
             assert_eq!(
                 r.committed_txns,
                 Some(ref_committed),
                 "functional warming must complete the same work"
             );
-            SampleRow {
-                period,
-                window,
-                cpi_error: (est.cpi_mean - ref_cpi).abs() / ref_cpi,
-                within_ci: est.covers_cpi(ref_cpi),
-                speedup: host_secs_detailed / host_secs.max(1e-9),
-                host_secs,
-                estimate: est,
-            }
+            vec![
+                Json::U64(period),
+                Json::U64(window),
+                Json::U64(est.windows),
+                Json::F64(est.cpi_mean),
+                Json::F64(est.cpi_ci95),
+                Json::F64(est.stall_mean),
+                Json::F64(est.detailed_fraction),
+                Json::U64(est.detailed_instrs),
+                Json::U64(est.warmed_instrs),
+                Json::F64((est.cpi_mean - ref_cpi).abs() / ref_cpi),
+                Json::Bool(est.covers_cpi(ref_cpi)),
+                Json::F64(host_secs_detailed / host_secs.max(1e-9)),
+                Json::F64(host_secs),
+            ]
         })
         .collect();
 
-    SampleReport {
-        config: detailed.name,
-        txns_per_cpu: txns,
-        ref_cpi,
-        ref_committed,
-        host_secs_detailed,
+    Table::new(
+        "Sampling vs full detail — bounded OLTP run to completion; facts: the \
+         full-detail reference; rows: one sampling schedule each",
+        SAMPLE_FACTS,
+        vec![
+            Json::str(detailed.name),
+            Json::U64(txns),
+            Json::F64(ref_cpi),
+            Json::U64(ref_committed),
+            Json::F64(host_secs_detailed),
+        ],
+        SAMPLE_COLUMNS,
         rows,
-    }
-}
-
-/// Render the sampling sweep as a text table.
-pub fn render_sample_report(rep: &SampleReport) -> String {
-    let mut out = format!(
-        "Sampling vs full detail — {} (bounded OLTP, {} txns/CPU, run to completion)\n\
-         reference CPI {:.4} ({} txns committed, {:.2}s host)\n\
-         {:<16} {:>8} {:>12} {:>8} {:>9} {:>9} {:>9} {:>9}\n",
-        rep.config,
-        rep.txns_per_cpu,
-        rep.ref_cpi,
-        rep.ref_committed,
-        rep.host_secs_detailed,
-        "Period/Window",
-        "Windows",
-        "CPI±CI95",
-        "Err%",
-        "InCI",
-        "Detail%",
-        "Speedup",
-        "Host(s)"
-    );
-    for r in &rep.rows {
-        out.push_str(&format!(
-            "{:<16} {:>8} {:>5.3}±{:.3} {:>7.2}% {:>9} {:>8.1}% {:>8.2}x {:>9.2}\n",
-            format!("{}/{}", r.period, r.window),
-            r.estimate.windows,
-            r.estimate.cpi_mean,
-            r.estimate.cpi_ci95,
-            r.cpi_error * 100.0,
-            if r.within_ci { "yes" } else { "NO" },
-            r.estimate.detailed_fraction * 100.0,
-            r.speedup,
-            r.host_secs,
-        ));
-    }
-    out
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -704,61 +705,41 @@ pub fn render_sample_report(rep: &SampleReport) -> String {
 /// ready.
 pub const LOAD_FRACTIONS: [f64; 5] = [0.2, 0.5, 0.8, 1.1, 1.5];
 
-/// The configuration `fig_latency` loads: the two-chip P4 exemplar, so
-/// the sweep exercises arrival admission across the quantum-stepped
-/// multi-chip engine (worker-invariance is guarded by
-/// `tests/traffic_determinism.rs`).
-pub fn fig_latency_config() -> SystemConfig {
-    SystemConfig::piranha_pn(4).scaled_to_chips(2)
-}
+/// The facts of the [`fig_latency_on`] table: the calibration, and
+/// `knee`, the index of the first row past the knee (p99 more than 3×
+/// the lowest-load row, or any drops), `null` if the sweep did not
+/// reach it.
+pub const LATENCY_FACTS: &[&str] = &["config", "txns_per_cpu", "service_tpmc", "knee"];
 
-/// One offered-load point of the latency sweep.
-#[derive(Debug, Clone)]
-pub struct LatencyRow {
-    /// Offered load as a fraction of the calibrated service rate.
-    pub fraction: f64,
-    /// Offered load in transactions per million cycles per core.
-    pub rate_tpmc: f64,
-    /// Median transaction latency (birth → commit), nanoseconds.
-    pub p50_ns: u64,
-    /// 95th-percentile transaction latency, nanoseconds.
-    pub p95_ns: u64,
-    /// 99th-percentile transaction latency, nanoseconds.
-    pub p99_ns: u64,
-    /// Mean transaction latency, nanoseconds.
-    pub mean_ns: f64,
-    /// Fraction of generated transactions shed at the admission gate.
-    pub drop_rate: f64,
-    /// The full generated/accepted/dropped/deferred/completed ledger.
-    pub ledger: TrafficLedger,
-    /// The run's deterministic fingerprint.
-    pub fingerprint: u64,
-}
+/// The columns of the [`fig_latency_on`] table: one row per offered
+/// load, latencies birth to commit in nanoseconds.
+pub const LATENCY_COLUMNS: &[&str] = &[
+    "fraction",
+    "rate_tpmc",
+    "p50_ns",
+    "p95_ns",
+    "p99_ns",
+    "mean_ns",
+    "drop_rate",
+    "generated",
+    "accepted",
+    "dropped",
+    "deferred",
+    "completed",
+    "fingerprint",
+];
 
-/// The `fig_latency` sweep: calibration plus one row per load fraction.
-#[derive(Debug, Clone)]
-pub struct LatencyReport {
-    /// Configuration name.
-    pub config: String,
-    /// Transactions per CPU of the bounded OLTP workload.
-    pub txns_per_cpu: u64,
-    /// Calibrated closed-loop service rate, transactions per million
-    /// cycles per core (the `1.0` point of [`LOAD_FRACTIONS`]).
-    pub service_tpmc: f64,
-    /// One row per offered-load fraction, in sweep order.
-    pub rows: Vec<LatencyRow>,
-    /// Index of the first row past the knee (p99 more than 3× the
-    /// lowest-load row, or any drops), if the sweep reached it.
-    pub knee: Option<usize>,
-}
-
-/// **Tail latency vs offered load**: calibrate the closed-loop service
-/// rate of [`fig_latency_config`] on a bounded OLTP workload, then
-/// sweep open-loop Poisson arrivals across [`LOAD_FRACTIONS`] of that
-/// rate and report p50/p95/p99 transaction latency and drop rate at
-/// each point. `quick` shrinks the workload to CI scale.
+/// **Tail latency vs offered load** on `cfg`: calibrate the closed-loop
+/// service rate on a bounded OLTP workload, then sweep open-loop
+/// Poisson arrivals across [`LOAD_FRACTIONS`] of that rate and report
+/// p50/p95/p99 transaction latency and drop rate at each point. The
+/// `fig_latency` binary passes the two-chip P4
+/// [`exemplar_config`](crate::observe::exemplar_config), with its
+/// `--topology=`/`--queue=` applied, so the sweep exercises arrival
+/// admission across the multi-chip engine. `quick` shrinks the workload
+/// to CI scale.
 ///
-/// Every run is deterministic, so the whole report (fingerprints
+/// Every run is deterministic, so the whole table (fingerprints
 /// included) is reproducible bit-for-bit at any `--parallel` worker
 /// count.
 ///
@@ -767,19 +748,7 @@ pub struct LatencyReport {
 /// Panics if a loaded run's traffic ledger does not conserve
 /// (`accepted + dropped + deferred == generated`) — a structural
 /// guarantee of the admission gate.
-pub fn fig_latency(quick: bool) -> LatencyReport {
-    fig_latency_on(fig_latency_config(), quick)
-}
-
-/// [`fig_latency`] on an explicit configuration — the
-/// `--topology=`/`--queue=` rider of the latency binary sweeps the same
-/// load fractions over an overridden fabric.
-///
-/// # Panics
-///
-/// Panics as [`fig_latency`] does when a traffic ledger fails to
-/// conserve.
-pub fn fig_latency_on(cfg: SystemConfig, quick: bool) -> LatencyReport {
+pub fn fig_latency_on(cfg: SystemConfig, quick: bool) -> Table {
     let txns = if quick { 12 } else { 60 };
     let w = oltp_bounded(txns);
 
@@ -791,7 +760,8 @@ pub fn fig_latency_on(cfg: SystemConfig, quick: bool) -> LatencyReport {
     let cycles = base.clock.cycles(base.window).max(1) as f64;
     let service_tpmc = committed / base.cpus.len() as f64 / cycles * 1e6;
 
-    let rows: Vec<LatencyRow> = LOAD_FRACTIONS
+    let mut tails = Vec::new();
+    let rows = LOAD_FRACTIONS
         .iter()
         .map(|&fraction| {
             let rate_tpmc = fraction * service_tpmc;
@@ -800,77 +770,48 @@ pub fn fig_latency_on(cfg: SystemConfig, quick: bool) -> LatencyReport {
                 ..cfg.clone()
             };
             let r = RunRequest::new(loaded, w.clone(), RunScale::completion()).run();
-            let t = r.traffic.clone().expect("traffic was enabled");
+            let t = r.traffic.as_ref().expect("traffic was enabled");
+            let ledger = &t.ledger;
             assert!(
-                t.ledger.conserved(),
-                "{} @ {fraction}: ledger must conserve, got {:?}",
-                cfg.name,
-                t.ledger
+                ledger.conserved(),
+                "{} @ {fraction}: ledger must conserve, got {ledger:?}",
+                cfg.name
             );
-            LatencyRow {
-                fraction,
-                rate_tpmc,
-                p50_ns: t.p50_ns(),
-                p95_ns: t.p95_ns(),
-                p99_ns: t.p99_ns(),
-                mean_ns: t.latency.mean(),
-                drop_rate: t.ledger.drop_rate(),
-                ledger: t.ledger,
-                fingerprint: r.fingerprint(),
-            }
+            tails.push((t.p99_ns(), ledger.drop_rate()));
+            vec![
+                Json::F64(fraction),
+                Json::F64(rate_tpmc),
+                Json::U64(t.p50_ns()),
+                Json::U64(t.p95_ns()),
+                Json::U64(t.p99_ns()),
+                Json::F64(t.latency.mean()),
+                Json::F64(ledger.drop_rate()),
+                Json::U64(ledger.generated),
+                Json::U64(ledger.accepted),
+                Json::U64(ledger.dropped),
+                Json::U64(ledger.deferred),
+                Json::U64(ledger.completed),
+                Json::U64(r.fingerprint()),
+            ]
         })
         .collect();
 
-    let knee = rows
+    let knee = tails
         .iter()
-        .position(|r| r.drop_rate > 0.0 || r.p99_ns > rows[0].p99_ns.saturating_mul(3));
-
-    LatencyReport {
-        config: cfg.name,
-        txns_per_cpu: txns,
-        service_tpmc,
+        .position(|&(p99, drops)| drops > 0.0 || p99 > tails[0].0.saturating_mul(3));
+    Table::new(
+        "Tail latency vs offered load — bounded OLTP, open-loop Poisson; facts: \
+         the closed-loop calibration; rows: one offered load each",
+        LATENCY_FACTS,
+        vec![
+            Json::str(cfg.name),
+            Json::U64(txns),
+            Json::F64(service_tpmc),
+            knee.map_or(Json::Null, |k| Json::U64(k as u64)),
+        ],
+        LATENCY_COLUMNS,
         rows,
-        knee,
-    }
-}
-
-/// Render the latency sweep as a text table.
-pub fn render_latency_report(rep: &LatencyReport) -> String {
-    let mut out = format!(
-        "Tail latency vs offered load — {} (bounded OLTP, {} txns/CPU, open-loop Poisson)\n\
-         calibrated service rate {:.2} txns per million cycles per core\n\
-         {:<10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8}\n",
-        rep.config,
-        rep.txns_per_cpu,
-        rep.service_tpmc,
-        "Load",
-        "Rate",
-        "p50(ns)",
-        "p95(ns)",
-        "p99(ns)",
-        "mean(ns)",
-        "Drop%",
-        "Offered"
-    );
-    for (i, r) in rep.rows.iter().enumerate() {
-        let marker = if rep.knee == Some(i) { "  <- knee" } else { "" };
-        out.push_str(&format!(
-            "{:<10} {:>10.2} {:>10} {:>10} {:>10} {:>10.0} {:>7.2}% {:>8}{}\n",
-            format!("{:.2}x", r.fraction),
-            r.rate_tpmc,
-            r.p50_ns,
-            r.p95_ns,
-            r.p99_ns,
-            r.mean_ns,
-            r.drop_rate * 100.0,
-            r.ledger.generated,
-            marker
-        ));
-    }
-    if rep.knee.is_none() {
-        out.push_str("(no knee within the swept range)\n");
-    }
-    out
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -904,41 +845,33 @@ pub fn scale_queues() -> [QueueDiscipline; 3] {
     ]
 }
 
-/// One `nodes × topology × queue` point of the scale sweep.
-#[derive(Debug, Clone)]
-pub struct ScaleRow {
-    /// Processing-node count (single-CPU chips).
-    pub nodes: usize,
-    /// Fabric shape label (`mesh`/`torus`/`fattree`).
-    pub topology: &'static str,
-    /// Queue-discipline label (`droptail`/`lossy`/`pfc`).
-    pub queue: &'static str,
-    /// Transactions committed (identical across queue disciplines of
-    /// one size — the fabric delays work, never loses it).
-    pub committed: u64,
-    /// Closed-loop throughput, transactions per million cycles per
-    /// core.
-    pub tpmc: f64,
-    /// Final simulated time, microseconds.
-    pub sim_us: f64,
-    /// The fabric counters of the run (delivery ledger, deflections,
-    /// drops, pauses, link occupancy aggregates).
-    pub fabric: FabricStats,
-    /// Mean link utilization over the run.
-    pub occupancy: f64,
-    /// The run's deterministic fingerprint.
-    pub fingerprint: u64,
-}
+/// The facts of the [`fig_scale`] table.
+pub const SCALE_FACTS: &[&str] = &["txns_per_cpu"];
 
-/// The `fig_scale` sweep.
-#[derive(Debug, Clone)]
-pub struct ScaleReport {
-    /// Transactions per CPU of the bounded OLTP workload.
-    pub txns_per_cpu: u64,
-    /// One row per `nodes × topology × queue` combination, nodes
-    /// outermost.
-    pub rows: Vec<ScaleRow>,
-}
+/// The columns of the [`fig_scale`] table: one row per `nodes ×
+/// topology × queue` point, nodes outermost. `tpmc` is closed-loop
+/// throughput in transactions per million cycles per core, `sim_us`
+/// the final simulated time and `occupancy` the mean link utilization;
+/// the rest are the run's fabric counters.
+pub const SCALE_COLUMNS: &[&str] = &[
+    "nodes",
+    "topology",
+    "queue",
+    "committed",
+    "tpmc",
+    "sim_us",
+    "delivered",
+    "walks",
+    "retransmits",
+    "deflections",
+    "drops",
+    "pauses",
+    "pause_ns",
+    "mean_hops",
+    "links",
+    "occupancy",
+    "fingerprint",
+];
 
 /// **Fabric congestion at scale**: run bounded OLTP to completion on
 /// machines of 16/32/64 single-CPU chips over every
@@ -948,7 +881,7 @@ pub struct ScaleReport {
 /// `--topology=`/`--queue=` riders). `quick` shrinks the workload to CI
 /// scale.
 ///
-/// Every run is deterministic, so the whole report (fingerprints
+/// Every run is deterministic, so the whole table (fingerprints
 /// included) is reproducible bit-for-bit at any `--parallel` worker
 /// count.
 ///
@@ -964,7 +897,7 @@ pub fn fig_scale(
     quick: bool,
     topology: Option<TopologyKind>,
     queue: Option<QueueDiscipline>,
-) -> ScaleReport {
+) -> Table {
     let txns = if quick { 2 } else { 6 };
     let w = oltp_bounded(txns);
     let mut rows = Vec::new();
@@ -1004,61 +937,36 @@ pub fn fig_scale(
                 let committed = r.committed_txns.expect("bounded workload reports work");
                 let cycles = r.clock.cycles(r.window).max(1) as f64;
                 let elapsed = m.now().since(piranha_types::SimTime::ZERO);
-                rows.push(ScaleRow {
-                    nodes,
-                    topology: topo.label(),
-                    queue: q.label(),
-                    committed,
-                    tpmc: committed as f64 / r.cpus.len() as f64 / cycles * 1e6,
-                    sim_us: elapsed.as_ps() as f64 / 1e6,
-                    occupancy: fs.occupancy(elapsed),
-                    fabric: fs,
-                    fingerprint: r.fingerprint(),
-                });
+                rows.push(vec![
+                    Json::U64(nodes as u64),
+                    Json::str(topo.label()),
+                    Json::str(q.label()),
+                    Json::U64(committed),
+                    Json::F64(committed as f64 / r.cpus.len() as f64 / cycles * 1e6),
+                    Json::F64(elapsed.as_ps() as f64 / 1e6),
+                    Json::U64(fs.delivered),
+                    Json::U64(fs.walks),
+                    Json::U64(fs.retransmits),
+                    Json::U64(fs.deflections),
+                    Json::U64(fs.drops),
+                    Json::U64(fs.pauses),
+                    Json::U64(fs.pause_time.as_ns()),
+                    Json::F64(fs.mean_hops),
+                    Json::U64(fs.links as u64),
+                    Json::F64(fs.occupancy(elapsed)),
+                    Json::U64(r.fingerprint()),
+                ]);
             }
         }
     }
-    ScaleReport {
-        txns_per_cpu: txns,
+    Table::new(
+        "Fabric congestion at scale — bounded OLTP run to completion on \
+         single-CPU chips; rows: one nodes x topology x queue point each",
+        SCALE_FACTS,
+        vec![Json::U64(txns)],
+        SCALE_COLUMNS,
         rows,
-    }
-}
-
-/// Render the scale sweep as a text table.
-pub fn render_scale_report(rep: &ScaleReport) -> String {
-    let mut out = format!(
-        "Fabric congestion at scale — bounded OLTP ({} txns/CPU) on single-CPU chips\n\
-         {:<6} {:<8} {:<9} {:>8} {:>7} {:>10} {:>9} {:>7} {:>7} {:>8} {:>6}\n",
-        rep.txns_per_cpu,
-        "Nodes",
-        "Fabric",
-        "Queue",
-        "Txns",
-        "tpmc",
-        "Delivered",
-        "Deflect",
-        "Drops",
-        "Pauses",
-        "MeanHop",
-        "Occ%"
-    );
-    for r in &rep.rows {
-        out.push_str(&format!(
-            "{:<6} {:<8} {:<9} {:>8} {:>7.2} {:>10} {:>9} {:>7} {:>7} {:>8.2} {:>5.1}%\n",
-            r.nodes,
-            r.topology,
-            r.queue,
-            r.committed,
-            r.tpmc,
-            r.fabric.delivered,
-            r.fabric.deflections,
-            r.fabric.drops,
-            r.fabric.pauses,
-            r.fabric.mean_hops,
-            r.occupancy * 100.0
-        ));
-    }
-    out
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -1418,27 +1326,112 @@ mod tests {
 
     #[test]
     fn fault_sweep_is_consistent_and_loses_no_work() {
-        let rows = fig_faults(42, 3);
+        let t = fig_faults(&FaultConfig::seeded(42, 1e-4), 3);
+        let rows = t.rows();
         assert_eq!(rows.len(), fig_faults_configs().len() * FAULT_RATES.len());
+        let u = |row: &[Json], c| t.cell(row, c).as_u64().unwrap();
+        let f = |row: &[Json], c| t.cell(row, c).as_f64().unwrap();
         for cfg in fig_faults_configs() {
-            let per: Vec<&FaultRow> = rows.iter().filter(|r| r.config == cfg.name).collect();
-            let base = per.iter().find(|r| r.rate == 0.0).unwrap();
-            assert_eq!(base.availability.injected, 0);
-            assert!((base.slowdown - 1.0).abs() < 1e-12);
+            let name = Json::str(&cfg.name);
+            let per: Vec<_> = rows
+                .iter()
+                .filter(|r| t.cell(r, "config") == &name)
+                .collect();
+            let base = per.iter().find(|r| f(r, "rate") == 0.0).unwrap();
+            assert_eq!(u(base, "injected"), 0);
+            assert!((f(base, "slowdown") - 1.0).abs() < 1e-12);
             for r in &per {
-                // fig_faults_with already asserts ledger consistency and
-                // committed-work equality; re-check the rendered facts.
-                assert_eq!(r.committed, base.committed);
-                assert!(r.slowdown > 0.0);
+                // fig_faults already asserts ledger consistency and
+                // committed-work equality; re-check the reported facts.
+                assert_eq!(u(r, "committed"), u(base, "committed"));
+                assert_eq!(u(r, "corrected") + u(r, "escalated"), u(r, "injected"));
+                assert!(f(r, "slowdown") > 0.0);
             }
         }
-        let highest = rows
-            .iter()
-            .filter(|r| r.rate == 1e-3)
-            .map(|r| r.availability.injected)
-            .sum::<u64>();
+        let top_rate = rows.iter().filter(|r| f(r, "rate") == 1e-3);
+        let highest: u64 = top_rate.map(|r| u(r, "injected")).sum();
         assert!(highest > 0, "the top rate injects something");
-        let table = render_fault_rows("Availability", &rows);
-        assert!(table.contains("P8") && table.contains("Slowdown"));
+        assert_eq!(t.fact("deterministic"), Some(&Json::Bool(true)));
+        let text = t.to_string();
+        assert!(text.contains("P8") && text.contains("slowdown"));
+    }
+
+    #[test]
+    fn availability_object_shape() {
+        let mut av = AvailabilityReport {
+            injected: 2,
+            corrected: 1,
+            escalated: 1,
+            retransmits: 3,
+            recovery_cycles: 100,
+            slowdown: Some(1.25),
+            ..Default::default()
+        };
+        av.by_kind
+            .insert(piranha_system::FaultKind::PacketCorrupt, 2);
+        let j = availability_json(&av).to_string();
+        assert!(j.starts_with('{') && j.ends_with('}'));
+        assert!(j.contains("\"injected\":2"));
+        assert!(j.contains("\"mttr_cycles\":50"));
+        assert!(j.contains("\"corrupt\":2"));
+        assert!(j.contains("\"slowdown\":1.25"));
+        let unset = availability_json(&AvailabilityReport::default());
+        assert!(unset.get("slowdown").is_some_and(Json::is_null));
+    }
+
+    /// The string keys of every subscript `x["key"]` or `x['key']` in
+    /// `code`; a `[` after a space or `=` opens a list, not a subscript.
+    fn subscripts(code: &str) -> Vec<&str> {
+        let mut keys = Vec::new();
+        for (i, _) in code.match_indices('[') {
+            let before = code[..i].chars().next_back();
+            let subscript = before.is_some_and(|c| c.is_alphanumeric() || "_])".contains(c));
+            let rest = &code[i + 1..];
+            let Some(quote) = rest.chars().next().filter(|c| "\"'".contains(*c)) else {
+                continue;
+            };
+            if let (true, Some(end)) = (subscript, rest[1..].find(quote)) {
+                keys.push(&rest[1..1 + end]);
+            }
+        }
+        keys
+    }
+
+    /// Every field a CI smoke step reads from a sweep's `--metrics` JSON
+    /// is a fact or column name of that sweep's table (or, for the fault
+    /// table, a field of its `availability` object), so renaming one
+    /// fails here, without a simulation, instead of in CI.
+    #[test]
+    fn ci_smoke_steps_read_only_table_fields() {
+        const CI: &str = include_str!("../../../.github/workflows/ci.yml");
+        let availability = availability_json(&AvailabilityReport::default());
+        let ledger: Vec<&str> = availability
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        for (step, facts, columns, nested) in [
+            ("Fault smoke", FAULT_FACTS, FAULT_COLUMNS, &ledger[..]),
+            ("Sample smoke", SAMPLE_FACTS, SAMPLE_COLUMNS, &[]),
+            ("Latency smoke", LATENCY_FACTS, LATENCY_COLUMNS, &[]),
+            ("Scale smoke", SCALE_FACTS, SCALE_COLUMNS, &[]),
+        ] {
+            let code = CI
+                .split("- name: ")
+                .find(|s| s.trim_start_matches('"').starts_with(step));
+            let keys = subscripts(code.unwrap_or_else(|| panic!("CI has no {step} step")));
+            assert!(keys.len() >= 10, "{step}: only found {keys:?}");
+            let written = [facts, columns, nested, &["rows"]].concat();
+            let unknown: Vec<_> = keys.iter().filter(|k| !written.contains(k)).collect();
+            assert!(
+                unknown.is_empty(),
+                "{step} reads {unknown:?}, which its table does not write"
+            );
+        }
+        assert_eq!(
+            subscripts(r#"a = ["x"]; b["y"]['z'] c(d)["w"]"#),
+            ["y", "z", "w"]
+        );
     }
 }

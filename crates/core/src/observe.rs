@@ -14,11 +14,13 @@
 //! probe attached (and would be bit-identical if they were — see
 //! `tests/probe_determinism.rs`).
 
-use std::path::PathBuf;
+use std::fmt;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 use piranha_harness::{RunRequest, RunScale};
-use piranha_probe::{chrome, Probe, ProbeConfig, TraceLevel};
+use piranha_probe::{chrome, MetricValue, MetricsSnapshot, Probe, ProbeConfig, TraceLevel};
+use piranha_serve::json::Json;
 use piranha_system::{
     ArrivalKind, DiurnalCurve, FaultConfig, OverflowPolicy, QueueDiscipline, SampleConfig,
     SystemConfig, TopologyKind, TrafficConfig,
@@ -224,12 +226,12 @@ impl Flags {
         }
     }
 
-    /// Write a sweep binary's JSON report to `--metrics=<path>`, if
+    /// Write a sweep binary's table as JSON to `--metrics=<path>`, if
     /// given, and say where it went. Exits with status 1 if the write
     /// fails.
-    pub fn write_report(&self, what: &str, body: impl FnOnce() -> String) {
+    pub fn write_report(&self, what: &str, table: &Table) {
         if let Some(path) = &self.metrics {
-            if let Err(e) = std::fs::write(path, body()) {
+            if let Err(e) = std::fs::write(path, format!("{}\n", table.to_json())) {
                 eprintln!("writing {} failed: {e}", path.display());
                 std::process::exit(1);
             }
@@ -399,8 +401,8 @@ pub fn export_probed_run(flags: &Flags, w: &Workload, scale: RunScale) -> std::i
         ));
     }
     if let Some(path) = &flags.metrics {
-        let body = if json::is_json(path) {
-            r.metrics.to_json()
+        let body = if is_json(path) {
+            format!("{}\n", metrics_json(&r.metrics))
         } else {
             r.metrics.to_csv()
         };
@@ -416,166 +418,149 @@ pub fn export_probed_run(flags: &Flags, w: &Workload, scale: RunScale) -> std::i
     Ok(out)
 }
 
-/// The one JSON surface the figure binaries share: the workspace's JSON
-/// value type (re-exported from `piranha-serve`, where the persistent
-/// result store's envelope and the experiment service's wire protocol
-/// use it too) plus the report emitters the CI smoke steps parse.
-///
-/// Consolidating the emitters here keeps their field names in one
-/// place; the values come straight from the report structs, so a field
-/// rename is a compile error instead of a silently drifting contract.
-pub mod json {
-    use std::path::Path;
+/// A metric snapshot as one flat JSON object, `{"name": value, ...}`
+/// in name order: counts as integers, values as floats.
+pub fn metrics_json(snap: &MetricsSnapshot) -> Json {
+    let field = |(name, v): &(String, MetricValue)| match *v {
+        MetricValue::Count(c) => (name.clone(), Json::U64(c)),
+        MetricValue::Value(x) => (name.clone(), Json::F64(x)),
+    };
+    Json::obj(snap.entries.iter().map(field).collect())
+}
 
-    pub use piranha_serve::json::{escape, Json};
-    use piranha_system::RunResult;
+/// A sweep report as one value: a text title, run-level facts, column
+/// names and rows of cells. [`Display`](fmt::Display) renders the text
+/// table a sweep binary prints, [`Table::to_json`] the document its
+/// `--metrics=` writes, so each sweep names each column once.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table {
+    /// The text heading; the JSON document leaves it out.
+    title: String,
+    /// Run-level facts, `(name, value)` in output order.
+    facts: Vec<(&'static str, Json)>,
+    /// The column names, in output order.
+    columns: &'static [&'static str],
+    /// One cell per column in each row.
+    rows: Vec<Vec<Json>>,
+}
 
-    use crate::experiments::{LatencyReport, SampleReport, ScaleReport};
-
-    /// Whether an export path selects JSON by extension (`.json`, any
-    /// case) — the `--metrics=` format switch.
-    pub fn is_json(path: &Path) -> bool {
-        path.extension()
-            .is_some_and(|e| e.eq_ignore_ascii_case("json"))
+impl Table {
+    /// A table of `facts` under `fact_names` and `rows` under `columns`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the facts or a row do not have one value per name.
+    pub fn new(
+        title: impl Into<String>,
+        fact_names: &'static [&'static str],
+        facts: Vec<Json>,
+        columns: &'static [&'static str],
+        rows: Vec<Vec<Json>>,
+    ) -> Table {
+        assert_eq!(facts.len(), fact_names.len(), "one value per fact name");
+        let widths_match = rows.iter().all(|row| row.len() == columns.len());
+        assert!(widths_match, "one cell per column");
+        Table {
+            title: title.into(),
+            facts: fact_names.iter().copied().zip(facts).collect(),
+            columns,
+            rows,
+        }
     }
 
-    fn field(name: &str, v: Json) -> (String, Json) {
-        (name.to_string(), v)
+    /// The rows, one cell per column each.
+    pub fn rows(&self) -> &[Vec<Json>] {
+        &self.rows
     }
 
-    /// The JSON report the CI `scale-smoke` step uploads (`fig_scale
-    /// --metrics=`).
-    pub fn scale_report(rep: &ScaleReport) -> String {
-        let rows: Vec<Json> = rep
+    /// The fact called `name`.
+    pub fn fact(&self, name: &str) -> Option<&Json> {
+        self.facts.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
+    }
+
+    /// The cell of `row` under `column`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has no such column.
+    pub fn cell<'a>(&self, row: &'a [Json], column: &str) -> &'a Json {
+        let i = self.columns.iter().position(|c| *c == column);
+        &row[i.unwrap_or_else(|| panic!("no column {column:?}"))]
+    }
+
+    /// The JSON document: the facts, then `rows` as objects keyed by
+    /// column name.
+    pub fn to_json(&self) -> Json {
+        let field = |(n, v): (&&str, &Json)| (n.to_string(), v.clone());
+        let row =
+            |cells: &Vec<Json>| Json::obj(self.columns.iter().zip(cells).map(field).collect());
+        let mut doc: Vec<_> = self.facts.iter().map(|(n, v)| field((n, v))).collect();
+        doc.push((
+            "rows".into(),
+            Json::Arr(self.rows.iter().map(row).collect()),
+        ));
+        Json::obj(doc)
+    }
+}
+
+/// The text of one cell: a string bare, a nonzero finite float to four
+/// significant digits, anything else as its JSON text.
+fn cell_text(v: &Json) -> String {
+    match v {
+        Json::Str(s) => s.clone(),
+        Json::F64(x) if x.is_finite() && *x != 0.0 => {
+            let magnitude = x.abs().log10().floor() as i32;
+            if (-2..6).contains(&magnitude) {
+                format!("{x:.*}", (3 - magnitude).max(0) as usize)
+            } else {
+                format!("{x:.3e}")
+            }
+        }
+        v => v.to_string(),
+    }
+}
+
+/// The title, one `name  value` line per fact, then the rows
+/// right-aligned under the column names.
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "{}", self.title)?;
+        let width = self.facts.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
+        for (name, v) in &self.facts {
+            writeln!(f, "{name:<width$}  {}", cell_text(v))?;
+        }
+        let header = self.columns.iter().map(|c| c.to_string()).collect();
+        let rows = self
             .rows
             .iter()
-            .map(|r| {
-                Json::obj(vec![
-                    field("nodes", Json::U64(r.nodes as u64)),
-                    field("topology", Json::str(r.topology)),
-                    field("queue", Json::str(r.queue)),
-                    field("committed", Json::U64(r.committed)),
-                    field("tpmc", Json::F64(r.tpmc)),
-                    field("sim_us", Json::F64(r.sim_us)),
-                    field("delivered", Json::U64(r.fabric.delivered)),
-                    field("walks", Json::U64(r.fabric.walks)),
-                    field("retransmits", Json::U64(r.fabric.retransmits)),
-                    field("deflections", Json::U64(r.fabric.deflections)),
-                    field("drops", Json::U64(r.fabric.drops)),
-                    field("pauses", Json::U64(r.fabric.pauses)),
-                    field("pause_ns", Json::U64(r.fabric.pause_time.as_ns())),
-                    field("mean_hops", Json::F64(r.fabric.mean_hops)),
-                    field("links", Json::U64(r.fabric.links as u64)),
-                    field("occupancy", Json::F64(r.occupancy)),
-                    field("fingerprint", Json::U64(r.fingerprint)),
-                ])
+            .map(|row| row.iter().map(cell_text).collect());
+        let lines: Vec<Vec<String>> = std::iter::once(header).chain(rows).collect();
+        let widths: Vec<usize> = (0..self.columns.len())
+            .map(|i| {
+                lines
+                    .iter()
+                    .map(|l| l[i].chars().count())
+                    .max()
+                    .unwrap_or(0)
             })
             .collect();
-        let doc = Json::obj(vec![
-            field("txns_per_cpu", Json::U64(rep.txns_per_cpu)),
-            field("rows", Json::Arr(rows)),
-        ]);
-        format!("{doc}\n")
+        for line in &lines {
+            let padded: Vec<_> = line
+                .iter()
+                .zip(&widths)
+                .map(|(t, w)| format!("{t:>w$}"))
+                .collect();
+            writeln!(f, "{}", padded.join("  "))?;
+        }
+        Ok(())
     }
+}
 
-    /// The JSON report the CI `latency-smoke` step uploads
-    /// (`fig_latency --metrics=`).
-    pub fn latency_report(rep: &LatencyReport) -> String {
-        let rows: Vec<Json> = rep
-            .rows
-            .iter()
-            .map(|r| {
-                Json::obj(vec![
-                    field("fraction", Json::F64(r.fraction)),
-                    field("rate_tpmc", Json::F64(r.rate_tpmc)),
-                    field("p50_ns", Json::U64(r.p50_ns)),
-                    field("p95_ns", Json::U64(r.p95_ns)),
-                    field("p99_ns", Json::U64(r.p99_ns)),
-                    field("mean_ns", Json::F64(r.mean_ns)),
-                    field("drop_rate", Json::F64(r.drop_rate)),
-                    field("generated", Json::U64(r.ledger.generated)),
-                    field("accepted", Json::U64(r.ledger.accepted)),
-                    field("dropped", Json::U64(r.ledger.dropped)),
-                    field("deferred", Json::U64(r.ledger.deferred)),
-                    field("completed", Json::U64(r.ledger.completed)),
-                    field("fingerprint", Json::U64(r.fingerprint)),
-                ])
-            })
-            .collect();
-        let doc = Json::obj(vec![
-            field("config", Json::str(&rep.config)),
-            field("txns_per_cpu", Json::U64(rep.txns_per_cpu)),
-            field("service_tpmc", Json::F64(rep.service_tpmc)),
-            field("knee", rep.knee.map_or(Json::Null, |k| Json::U64(k as u64))),
-            field("rows", Json::Arr(rows)),
-        ]);
-        format!("{doc}\n")
-    }
-
-    /// The JSON report the CI `sample-smoke` step validates
-    /// (`fig_sample --metrics=`).
-    pub fn sample_report(rep: &SampleReport) -> String {
-        let rows: Vec<Json> = rep
-            .rows
-            .iter()
-            .map(|r| {
-                Json::obj(vec![
-                    field("period", Json::U64(r.period)),
-                    field("window", Json::U64(r.window)),
-                    field("windows", Json::U64(r.estimate.windows)),
-                    field("cpi_mean", Json::F64(r.estimate.cpi_mean)),
-                    field("cpi_ci95", Json::F64(r.estimate.cpi_ci95)),
-                    field("stall_mean", Json::F64(r.estimate.stall_mean)),
-                    field("detailed_fraction", Json::F64(r.estimate.detailed_fraction)),
-                    field("detailed_instrs", Json::U64(r.estimate.detailed_instrs)),
-                    field("warmed_instrs", Json::U64(r.estimate.warmed_instrs)),
-                    field("cpi_error", Json::F64(r.cpi_error)),
-                    field("within_ci", Json::Bool(r.within_ci)),
-                    field("speedup", Json::F64(r.speedup)),
-                    field("host_secs", Json::F64(r.host_secs)),
-                ])
-            })
-            .collect();
-        let doc = Json::obj(vec![
-            field("config", Json::str(&rep.config)),
-            field("txns_per_cpu", Json::U64(rep.txns_per_cpu)),
-            field("ref_cpi", Json::F64(rep.ref_cpi)),
-            field("ref_committed", Json::U64(rep.ref_committed)),
-            field("host_secs_detailed", Json::F64(rep.host_secs_detailed)),
-            field("rows", Json::Arr(rows)),
-        ]);
-        format!("{doc}\n")
-    }
-
-    /// The JSON report the CI `fault-smoke` step validates
-    /// (`fig_faults --metrics=`): the headline faulted run, its repeat
-    /// (determinism proof), and the availability ledger with the
-    /// slowdown versus the fault-free baseline stamped in.
-    pub fn fault_headline(
-        config: &str,
-        txns_per_cpu: u64,
-        r1: &RunResult,
-        r2: &RunResult,
-        slowdown: f64,
-    ) -> String {
-        let mut av = r1.availability.clone();
-        av.slowdown = Some(slowdown);
-        let availability =
-            Json::parse(&av.to_json()).expect("AvailabilityReport::to_json emits valid JSON");
-        let doc = Json::obj(vec![
-            field("config", Json::str(config)),
-            field("txns_per_cpu", Json::U64(txns_per_cpu)),
-            field("committed", Json::U64(r1.committed_txns.unwrap_or(0))),
-            field("fingerprint", Json::U64(r1.fingerprint())),
-            field("fingerprint_repeat", Json::U64(r2.fingerprint())),
-            field(
-                "deterministic",
-                Json::Bool(r1.fingerprint() == r2.fingerprint()),
-            ),
-            field("availability", availability),
-        ]);
-        format!("{doc}\n")
-    }
+/// Whether an export path selects JSON by extension (`.json`, any
+/// case) — the `--metrics=` format switch.
+pub fn is_json(path: &Path) -> bool {
+    path.extension()
+        .is_some_and(|e| e.eq_ignore_ascii_case("json"))
 }
 
 #[cfg(test)]
@@ -648,10 +633,10 @@ mod tests {
 
     #[test]
     fn metrics_format_follows_extension() {
-        assert!(json::is_json(Path::new("out.json")));
-        assert!(json::is_json(Path::new("out.JSON")));
-        assert!(!json::is_json(Path::new("out.csv")));
-        assert!(!json::is_json(Path::new("out")));
+        assert!(is_json(Path::new("out.json")));
+        assert!(is_json(Path::new("out.JSON")));
+        assert!(!is_json(Path::new("out.csv")));
+        assert!(!is_json(Path::new("out")));
     }
 
     #[test]
@@ -661,28 +646,44 @@ mod tests {
         assert_eq!(f.store.as_deref(), Some(Path::new("/tmp/results")));
     }
 
+    /// A two-row table with a fact of each kind the sweeps write.
+    fn sample_table() -> Table {
+        Table::new(
+            "Demo",
+            &["config", "knee"],
+            vec![Json::str("P4x2"), Json::Null],
+            &["name", "count", "ratio"],
+            vec![
+                vec![Json::str("a"), Json::U64(u64::MAX), Json::F64(0.25)],
+                vec![Json::str("b"), Json::U64(7), Json::F64(f64::NAN)],
+            ],
+        )
+    }
+
+    /// The keys of a JSON object, in order.
+    fn keys(doc: &Json) -> Vec<&str> {
+        doc.as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect()
+    }
+
     #[test]
     fn report_emitters_produce_valid_json() {
-        use crate::experiments::{LatencyReport, LatencyRow};
-        use json::Json;
-        let rep = LatencyReport {
-            config: "P4x2".into(),
-            txns_per_cpu: 20,
-            service_tpmc: 123.5,
-            rows: vec![LatencyRow {
-                fraction: 0.25,
-                rate_tpmc: 30.875,
-                p50_ns: 100,
-                p95_ns: 200,
-                p99_ns: 300,
-                mean_ns: 120.0,
-                drop_rate: 0.0,
-                ledger: piranha_system::TrafficLedger::default(),
-                fingerprint: u64::MAX,
-            }],
-            knee: None,
-        };
-        let doc = Json::parse(&json::latency_report(&rep)).unwrap();
+        use crate::experiments::{LATENCY_COLUMNS, LATENCY_FACTS};
+        let col = |name| LATENCY_COLUMNS.iter().position(|c| *c == name).unwrap();
+        let mut row = vec![Json::U64(0); LATENCY_COLUMNS.len()];
+        row[col("fingerprint")] = Json::U64(u64::MAX);
+        row[col("p99_ns")] = Json::U64(300);
+        let facts = vec![
+            Json::str("P4x2"),
+            Json::U64(20),
+            Json::F64(123.5),
+            Json::Null,
+        ];
+        let rep = Table::new("Latency", LATENCY_FACTS, facts, LATENCY_COLUMNS, vec![row]);
+        let doc = Json::parse(&rep.to_json().to_string()).unwrap();
         assert_eq!(doc.get("config").and_then(Json::as_str), Some("P4x2"));
         assert!(doc.get("knee").is_some_and(Json::is_null));
         let row = &doc.get("rows").and_then(Json::as_arr).unwrap()[0];
@@ -692,6 +693,45 @@ mod tests {
             Some(u64::MAX)
         );
         assert_eq!(row.get("p99_ns").and_then(Json::as_u64), Some(300));
+    }
+
+    #[test]
+    fn table_text_and_json_carry_the_same_columns_in_order() {
+        let t = sample_table();
+        let text = t.to_string();
+        let mut lines = text.lines();
+        assert_eq!(lines.next(), Some("Demo"));
+        assert_eq!(lines.next(), Some("config  P4x2"));
+        assert_eq!(lines.next(), Some("knee    null"));
+        let header: Vec<&str> = lines.next().unwrap().split_whitespace().collect();
+        assert_eq!(header, t.columns);
+        assert_eq!(lines.count(), t.rows.len());
+        let doc = t.to_json();
+        assert_eq!(keys(&doc), ["config", "knee", "rows"]);
+        for row in doc.get("rows").and_then(Json::as_arr).unwrap() {
+            assert_eq!(keys(row), t.columns);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one cell per column")]
+    fn table_rejects_a_row_of_the_wrong_width() {
+        Table::new("Demo", &[], vec![], &["a", "b"], vec![vec![Json::U64(1)]]);
+    }
+
+    #[test]
+    fn table_cells_survive_a_json_round_trip() {
+        let t = sample_table();
+        let doc = Json::parse(&t.to_json().to_string()).unwrap();
+        let rows = doc.get("rows").and_then(Json::as_arr).unwrap();
+        assert_eq!(rows[0].get("count").and_then(Json::as_u64), Some(u64::MAX));
+        assert_eq!(rows[0].get("ratio").and_then(Json::as_f64), Some(0.25));
+        assert!(
+            rows[1].get("ratio").is_some_and(Json::is_null),
+            "NaN is null"
+        );
+        assert_eq!(t.cell(&t.rows[1], "name").as_str(), Some("b"));
+        assert_eq!(t.fact("config").and_then(Json::as_str), Some("P4x2"));
     }
 
     #[test]

@@ -294,7 +294,7 @@ mod tests {
         // fault-free one by construction.
         assert_eq!(p.packet_rng, before);
         assert!(p.report().is_consistent());
-        assert!(!p.report().any());
+        assert_eq!(p.report().injected, 0);
     }
 
     #[test]

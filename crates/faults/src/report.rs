@@ -45,11 +45,6 @@ impl AvailabilityReport {
             && self.by_kind.values().sum::<u64>() == self.injected
     }
 
-    /// Whether any fault was injected.
-    pub fn any(&self) -> bool {
-        self.injected > 0
-    }
-
     /// Fold another ledger into this one (counts add, per-kind maps
     /// union). Used to aggregate per-lane ledgers of a partitioned
     /// machine into one machine-wide report; merging consistent reports
@@ -76,31 +71,6 @@ impl AvailabilityReport {
             self.injected, self.corrected, self.escalated, self.retransmits, self.recovery_cycles
         )
     }
-
-    /// Serialize as a JSON object (hand-rolled; no serde in this
-    /// workspace).
-    pub fn to_json(&self) -> String {
-        let by_kind: Vec<String> = self
-            .by_kind
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{}", k.token(), v))
-            .collect();
-        let slowdown = match self.slowdown {
-            Some(s) => format!("{s:.6}"),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"injected\":{},\"corrected\":{},\"escalated\":{},\"retransmits\":{},\"recovery_cycles\":{},\"mttr_cycles\":{},\"slowdown\":{},\"by_kind\":{{{}}}}}",
-            self.injected,
-            self.corrected,
-            self.escalated,
-            self.retransmits,
-            self.recovery_cycles,
-            self.mttr_cycles(),
-            slowdown,
-            by_kind.join(",")
-        )
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +81,6 @@ mod tests {
     fn empty_report_is_consistent_and_quiet() {
         let r = AvailabilityReport::default();
         assert!(r.is_consistent());
-        assert!(!r.any());
         assert_eq!(r.mttr_cycles(), 0);
         assert_eq!(r.digest(), "inj0cor0esc0ret0rec0");
     }
@@ -161,26 +130,5 @@ mod tests {
             a.is_consistent(),
             "merging consistent reports stays consistent"
         );
-    }
-
-    #[test]
-    fn json_shape() {
-        let mut r = AvailabilityReport {
-            injected: 2,
-            corrected: 1,
-            escalated: 1,
-            retransmits: 3,
-            recovery_cycles: 100,
-            slowdown: Some(1.25),
-            ..Default::default()
-        };
-        r.by_kind.insert(FaultKind::PacketCorrupt, 2);
-        let j = r.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"injected\":2"));
-        assert!(j.contains("\"mttr_cycles\":50"));
-        assert!(j.contains("\"corrupt\":2"));
-        assert!(j.contains("\"slowdown\":1.25"));
-        assert!(AvailabilityReport::default().to_json().contains("null"));
     }
 }

@@ -666,8 +666,9 @@ impl Harness {
     /// Execute every request of `plan` that is not already cached,
     /// fanning the unique runs out over up to `threads` scoped workers.
     ///
-    /// Workers pull tasks from a shared index in plan order, so with one
-    /// worker this degrades to exactly the serial loop. Each task builds
+    /// The calling thread is worker 0 and spawns the other `workers - 1`;
+    /// all pull tasks from one shared index in plan order, so one worker
+    /// is exactly the serial loop and spawns no thread. Each task builds
     /// its own `Machine`, making results independent of scheduling.
     /// Requests whose key lands in the persistent store or is computed
     /// concurrently by another cache sharer are *not* re-simulated.
@@ -693,35 +694,23 @@ impl Harness {
             .max()
             .unwrap_or(1);
         let workers = piranha_parsim::sweep_share(self.threads, per_run).min(todo.len());
-        let executed = AtomicUsize::new(0);
-        let store_hits = AtomicUsize::new(0);
-        let count = |p: Provenance| match p {
-            Provenance::Computed => {
-                executed.fetch_add(1, Ordering::Relaxed);
+        let [next, executed, store_hits] = [0; 3].map(AtomicUsize::new);
+        let pull = || {
+            while let Some(req) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let counter = match self.cache.resolve(self.store.as_deref(), req).1 {
+                    Provenance::Computed => &executed,
+                    Provenance::Store => &store_hits,
+                    Provenance::Memory => continue,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
             }
-            Provenance::Store => {
-                store_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            Provenance::Memory => {}
         };
-        if workers <= 1 {
-            for req in todo {
-                let (_, p) = self.cache.resolve(self.store.as_deref(), req);
-                count(p);
+        std::thread::scope(|s| {
+            for _ in 1..workers {
+                s.spawn(pull);
             }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(req) = todo.get(i) else { break };
-                        let (_, p) = self.cache.resolve(self.store.as_deref(), req);
-                        count(p);
-                    });
-                }
-            });
-        }
+            pull();
+        });
         self.executed += executed.into_inner();
         self.store_hits += store_hits.into_inner();
     }
@@ -845,9 +834,7 @@ mod tests {
             period: 5_000,
             detail_warmup: 100,
             window: 500,
-            min_windows: 3,
             max_windows: 8,
-            target_rel_ci: None,
         }
     }
 

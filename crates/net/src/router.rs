@@ -136,15 +136,6 @@ impl QueueDiscipline {
             | QueueDiscipline::Pfc { capacity } => capacity,
         }
     }
-
-    /// Same discipline with a different port capacity.
-    pub fn with_capacity(self, capacity: Duration) -> Self {
-        match self {
-            QueueDiscipline::DropTail { .. } => QueueDiscipline::DropTail { capacity },
-            QueueDiscipline::LossyNack { .. } => QueueDiscipline::LossyNack { capacity },
-            QueueDiscipline::Pfc { .. } => QueueDiscipline::Pfc { capacity },
-        }
-    }
 }
 
 impl Default for QueueDiscipline {

@@ -197,19 +197,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// Render as a flat JSON object (`{"name": value, ...}`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, v)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n  \"{}\": {}", crate::chrome::escape(name), v));
-        }
-        out.push_str("\n}\n");
-        out
-    }
 }
 
 /// One `name value` line per row, the names padded to one width.
@@ -307,8 +294,6 @@ mod tests {
         let csv = snap.to_csv();
         assert!(csv.starts_with("metric,value\n"));
         assert!(csv.contains("a.first.max,2\n"));
-        let json = snap.to_json();
-        assert!(json.contains("\"z.last.count\": 1"));
     }
 
     #[test]

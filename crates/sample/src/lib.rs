@@ -39,26 +39,17 @@ pub struct SampleConfig {
     pub detail_warmup: u64,
     /// Measured detailed instructions per window.
     pub window: u64,
-    /// Minimum number of measured windows before the adaptive rule may
-    /// stop the measurement.
-    pub min_windows: usize,
-    /// Hard ceiling on measured windows. In fixed mode (no confidence
-    /// target) the driver samples one window every period until this
-    /// ceiling, so windows span the whole stream; in adaptive mode it
-    /// stops here even if the confidence target was not reached.
+    /// Ceiling on measured windows. The driver samples one window every
+    /// period until this ceiling, so windows span the whole stream, and
+    /// warms the rest of the run functionally.
     pub max_windows: usize,
-    /// Optional target relative CI half-width: keep taking windows past
-    /// `min_windows` until `cpi_ci95 / cpi_mean` falls at or below this
-    /// (or `max_windows` is hit).
-    pub target_rel_ci: Option<f64>,
 }
 
 impl SampleConfig {
     /// A plan sampling `window` detailed instructions out of every
     /// `period`, with defaults for the remaining knobs: warming one full
     /// period before the first window, a detailed lead-in of a tenth of
-    /// the window, at least 8 and at most 64 windows, no adaptive
-    /// target.
+    /// the window, at most 64 windows.
     ///
     /// # Panics
     ///
@@ -75,17 +66,8 @@ impl SampleConfig {
             period,
             detail_warmup,
             window,
-            min_windows: 8,
             max_windows: 64,
-            target_rel_ci: None,
         }
-    }
-
-    /// Builder-style adaptive mode: keep sampling until the CPI
-    /// estimate's relative 95% CI half-width is at or below `rel`.
-    pub fn with_target_rel_ci(mut self, rel: f64) -> Self {
-        self.target_rel_ci = Some(rel);
-        self
     }
 
     /// The functional-warming instructions in each period after the
@@ -94,12 +76,6 @@ impl SampleConfig {
         self.period
             .saturating_sub(self.detail_warmup + self.window)
             .max(1)
-    }
-
-    /// The detailed fraction this plan aims for:
-    /// `(detail_warmup + window) / period`.
-    pub fn planned_detailed_fraction(&self) -> f64 {
-        (self.detail_warmup + self.window) as f64 / self.period as f64
     }
 }
 
@@ -202,11 +178,6 @@ impl Estimator {
         self.sum_sq += x * x;
     }
 
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
     /// Sample mean (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.n == 0 {
@@ -242,18 +213,6 @@ impl Estimator {
             0 => 0.0,
             1 => f64::INFINITY,
             _ => t95(self.n - 1) * self.std_error(),
-        }
-    }
-
-    /// `ci95 / |mean|` — the relative half-width the adaptive mode
-    /// targets. Infinite when the mean is zero or only one sample
-    /// exists.
-    pub fn rel_ci95(&self) -> f64 {
-        let m = self.mean().abs();
-        if m == 0.0 {
-            f64::INFINITY
-        } else {
-            self.ci95() / m
         }
     }
 }
@@ -333,34 +292,16 @@ impl<'a> SampleDriver<'a> {
         }
     }
 
-    /// Whether measurement should continue (as opposed to fast-forwarding
-    /// the rest of the run functionally).
-    fn want_more_windows(&self) -> bool {
-        if self.windows >= self.cfg.max_windows as u64 {
-            return false;
-        }
-        if (self.windows as usize) < self.cfg.min_windows {
-            return true;
-        }
-        match self.cfg.target_rel_ci {
-            // Adaptive: past the minimum, keep going only while the CPI
-            // interval is wider than the target.
-            Some(rel) => self.cpi.rel_ci95() > rel,
-            // Fixed: sample every period until `max_windows`, so the
-            // windows span the whole stream. Stopping at `min_windows`
-            // would measure only the run's prologue, which biases the
-            // estimate badly on non-stationary workloads (OLTP CPI
-            // drifts as the caches and working set settle).
-            None => true,
-        }
-    }
-
     /// Run the full alternation until the target reports done, and
     /// package the estimate.
     pub fn run<T: SampleTarget>(mut self, target: &mut T) -> SampleEstimate {
         self.warmed_instrs += target.functional_warm(self.cfg.warmup);
         while !target.done() {
-            if self.want_more_windows() {
+            // Sample every period until `max_windows`, so the windows
+            // span the whole stream: measuring only the run's prologue
+            // biases the estimate badly on non-stationary workloads
+            // (OLTP CPI drifts as the caches and working set settle).
+            if self.windows < self.cfg.max_windows as u64 {
                 let s = target.detailed_window(self.cfg.detail_warmup, self.cfg.window);
                 self.detailed_instrs += s.lead_instrs + s.instrs;
                 if s.instrs > 0 && s.cycles > 0 {
@@ -373,7 +314,7 @@ impl<'a> SampleDriver<'a> {
                 }
                 self.warmed_instrs += target.functional_warm(self.cfg.warm_per_period());
             } else {
-                // Measurement satisfied: fast-forward the remainder in
+                // Windows exhausted: fast-forward the remainder in
                 // period-sized functional chunks.
                 let n = target.functional_warm(self.cfg.period);
                 if n == 0 {
@@ -432,7 +373,6 @@ mod tests {
         assert!((e.mean() - 1.5).abs() < 1e-12);
         assert!(e.variance() < 1e-18);
         assert!(e.ci95() < 1e-9);
-        assert!(e.rel_ci95() < 1e-9);
     }
 
     #[test]
@@ -449,10 +389,7 @@ mod tests {
         let c = SampleConfig::new(100_000, 10_000);
         assert_eq!(c.detail_warmup, 1_000);
         assert_eq!(c.warm_per_period(), 89_000);
-        assert!((c.planned_detailed_fraction() - 0.11).abs() < 1e-12);
-        assert!(c.target_rel_ci.is_none());
-        let a = c.with_target_rel_ci(0.05);
-        assert_eq!(a.target_rel_ci, Some(0.05));
+        assert_eq!((c.warmup, c.max_windows), (100_000, 64));
     }
 
     #[test]
@@ -515,9 +452,7 @@ mod tests {
             period: 10_000,
             detail_warmup: 100,
             window: 1_000,
-            min_windows: 2,
             max_windows: 3,
-            target_rel_ci: None,
         };
         let mut t = Fake::new(200_000, 1_500);
         let est = SampleDriver::new(&cfg).run(&mut t);
@@ -533,15 +468,12 @@ mod tests {
             period: 100_000,
             detail_warmup: 1_000,
             window: 10_000,
-            min_windows: 5,
             max_windows: 64,
-            target_rel_ci: None,
         };
         let mut t = Fake::new(2_000_000, 1_800);
         let est = SampleDriver::new(&cfg).run(&mut t);
         // One window per period over the whole stream: 50k warmup, then
-        // 100k consumed per iteration until the 2M run out — not just
-        // `min_windows` measured up front.
+        // 100k consumed per iteration until the 2M run out.
         assert_eq!(est.windows, 20);
         assert!((est.cpi_mean - 1.8).abs() < 1e-9);
         assert!(est.cpi_ci95 < 1e-6, "constant CPI has no spread");
@@ -557,64 +489,6 @@ mod tests {
             "detailed share stays small: {}",
             est.detailed_fraction
         );
-    }
-
-    #[test]
-    fn driver_adaptive_mode_stops_on_tight_interval() {
-        let cfg = SampleConfig {
-            warmup: 10_000,
-            period: 50_000,
-            detail_warmup: 500,
-            window: 5_000,
-            min_windows: 3,
-            max_windows: 64,
-            target_rel_ci: Some(0.05),
-        };
-        // Constant CPI: the interval collapses immediately, so adaptive
-        // mode stops at min_windows.
-        let mut t = Fake::new(5_000_000, 2_000);
-        let est = SampleDriver::new(&cfg).run(&mut t);
-        assert_eq!(est.windows, 3);
-        assert!(est.cpi_ci95 <= 0.05 * est.cpi_mean);
-    }
-
-    #[test]
-    fn driver_adaptive_mode_respects_max_windows() {
-        let cfg = SampleConfig {
-            warmup: 1_000,
-            period: 10_000,
-            detail_warmup: 100,
-            window: 1_000,
-            min_windows: 2,
-            max_windows: 4,
-            target_rel_ci: Some(0.0), // unreachable target
-        };
-        /// Alternating CPI so the interval never closes.
-        struct Noisy {
-            inner: Fake,
-        }
-        impl SampleTarget for Noisy {
-            fn functional_warm(&mut self, instrs: u64) -> u64 {
-                self.inner.functional_warm(instrs)
-            }
-            fn detailed_window(&mut self, lead: u64, measure: u64) -> WindowSample {
-                let mut s = self.inner.detailed_window(lead, measure);
-                if self.inner.windows.is_multiple_of(2) {
-                    s.cycles *= 2;
-                }
-                s
-            }
-            fn done(&self) -> bool {
-                self.inner.done()
-            }
-        }
-        let mut t = Noisy {
-            inner: Fake::new(500_000, 1_000),
-        };
-        let est = SampleDriver::new(&cfg).run(&mut t);
-        assert_eq!(est.windows, 4, "capped at max_windows");
-        assert!(est.cpi_ci95 > 0.0);
-        assert!(t.done());
     }
 
     #[test]

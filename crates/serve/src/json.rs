@@ -9,9 +9,10 @@
 //!   (JSON has no spelling for them), and anything that must be
 //!   bit-exact is stored as its `to_bits()` integer instead.
 //!
-//! The figure binaries' hand-rolled JSON writers funnel through
-//! [`Json`] too (via `piranha::observe::json`), so there is exactly one
-//! escaping/formatting implementation in the workspace.
+//! The figure binaries' reports and metric exports are [`Json`] values
+//! too (via `piranha::observe`). Two writers format their own text: the
+//! Chrome trace export, which lives in `piranha-probe` below this
+//! crate, and the `parsim_speedup` bench's `BENCH_parsim.json`.
 //!
 //! # Examples
 //!
@@ -232,12 +233,6 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
         }
     }
     f.write_str("\"")
-}
-
-/// Escape `s` into a standalone JSON string literal. Shared helper for
-/// callers assembling JSON text outside the [`Json`] tree.
-pub fn escape(s: &str) -> String {
-    Json::Str(s.to_string()).to_string()
 }
 
 struct Parser<'a> {

@@ -23,9 +23,9 @@
 //!   worker pool budgeted like `Harness::execute`, and streams per-job
 //!   progress with cache-hit provenance.
 //!
-//! The [`json`] module is the one JSON implementation the whole
-//! workspace shares (the envelope, the wire protocol, and — via
-//! `piranha::observe::json` — the figure binaries' report emitters).
+//! The [`json`] module is the JSON value type of the envelope, the wire
+//! protocol and (via `piranha::observe`) the figure binaries' reports;
+//! its module docs name the two writers that format their own text.
 
 pub mod client;
 pub mod envelope;

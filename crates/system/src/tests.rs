@@ -236,9 +236,7 @@ fn sampled_run_single_chip_smoke() {
         period: 10_000,
         detail_warmup: 200,
         window: 1_000,
-        min_windows: 4,
         max_windows: 16,
-        target_rel_ci: None,
     };
     let r = m.run_sampled(&sample, Some(60_000));
     let est = r.sample.as_ref().expect("sampled run carries an estimate");
@@ -274,9 +272,7 @@ fn sampled_run_multichip_smoke() {
         period: 5_000,
         detail_warmup: 100,
         window: 500,
-        min_windows: 3,
         max_windows: 8,
-        target_rel_ci: None,
     };
     let r = m.run_sampled(&sample, Some(25_000));
     let est = r.sample.as_ref().unwrap();
@@ -517,9 +513,7 @@ fn runs_return_with_every_inbox_flushed() {
         period: 5_000,
         detail_warmup: 100,
         window: 500,
-        min_windows: 3,
         max_windows: 8,
-        target_rel_ci: None,
     };
     m.run_sampled(&sample, Some(25_000));
     assert!(inboxes_flushed(&m), "after run_sampled");

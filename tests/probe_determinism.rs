@@ -9,6 +9,7 @@
 use piranha::harness::{RunRequest, RunScale};
 use piranha::observe;
 use piranha::probe::{chrome, Probe, ProbeConfig, TraceLevel};
+use piranha::serve::json::Json;
 use piranha::workloads::{SynthConfig, Workload};
 use piranha::{RunResult, SampleConfig, SystemConfig};
 
@@ -54,9 +55,7 @@ fn probe_never_perturbs_the_simulation() {
             period: 5_000,
             detail_warmup: 100,
             window: 500,
-            min_windows: 3,
             max_windows: 8,
-            target_rel_ci: None,
         }),
         ..tiny_request()
     };
@@ -158,8 +157,10 @@ fn metrics_snapshot_exports() {
     let csv = r.metrics.to_csv();
     assert!(csv.starts_with("metric,value\n"));
     assert_eq!(csv.lines().count(), r.metrics.len() + 1);
-    let json = r.metrics.to_json();
+    let json = observe::metrics_json(&r.metrics).to_string();
     assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
+    let doc = Json::parse(&json).expect("the export parses");
+    assert_eq!(doc.as_obj().map(<[_]>::len), Some(r.metrics.len()));
 }
 
 /// The figure binaries' exemplar runs the same machinery end to end:

@@ -49,9 +49,7 @@ fn all_warm() -> SampleConfig {
         period: 10_000,
         detail_warmup: 0,
         window: 1,
-        min_windows: 0,
         max_windows: 0,
-        target_rel_ci: None,
     }
 }
 
