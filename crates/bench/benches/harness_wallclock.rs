@@ -1,6 +1,7 @@
-//! Wall-clock comparison of the two full-evaluation paths: the old
-//! per-figure serial loop (`all_figures_serial`) versus the parallel,
-//! memoizing harness (`all_figures`). The memoized path runs each
+//! Wall-clock comparison of two ways to regenerate the §4 evaluation:
+//! each figure through its own serial harness, so baselines the figures
+//! share are re-simulated per figure, versus all figures through one
+//! parallel, memoizing harness (`experiments::tables`), which runs each
 //! unique `(config, workload, scale)` tuple once and fans the unique
 //! runs out over worker threads, so the gap widens with core count.
 //! Prints one host wall time per path.
@@ -9,7 +10,7 @@
 
 use std::time::Instant;
 
-use piranha::experiments::{self, RunScale};
+use piranha::experiments::{self, Harness, RunScale};
 
 fn main() {
     // Big enough that simulation dominates the harness bookkeeping.
@@ -18,13 +19,17 @@ fn main() {
         measure: 20_000,
         ..RunScale::tiny()
     };
+    let reports = experiments::all_figures(scale);
     let t0 = Instant::now();
-    let serial = experiments::all_figures_serial(scale);
-    let serial_s = t0.elapsed().as_secs_f64();
+    let per_figure: Vec<_> = reports
+        .iter()
+        .map(|r| r.table(&mut Harness::serial()))
+        .collect();
+    let per_figure_s = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    let parallel = experiments::all_figures(scale);
-    let parallel_s = t0.elapsed().as_secs_f64();
-    assert_eq!(serial, parallel, "the two paths must agree");
-    println!("all_figures/serial: {serial_s:.2} s wall");
-    println!("all_figures/parallel_memoized: {parallel_s:.2} s wall");
+    let shared = experiments::tables(&mut Harness::new(), &reports);
+    let shared_s = t0.elapsed().as_secs_f64();
+    assert_eq!(per_figure, shared, "the two paths must agree");
+    println!("all_figures/serial: {per_figure_s:.2} s wall");
+    println!("all_figures/parallel_memoized: {shared_s:.2} s wall");
 }

@@ -5,38 +5,20 @@
 //! Reads `--quick`, `--fingerprints`, `--sample`, `--parallel`,
 //! `--store` and the exemplar riders (`--trace`, `--metrics`,
 //! `--traffic*`, `--topology`, `--queue`); see [`piranha::observe::Flags`].
-use piranha::experiments;
+use piranha::experiments::{self, Harness};
 use piranha::observe::Flags;
 
 fn main() {
     let flags = Flags::from_env();
     let scale = flags.scale();
-    let workloads = [("OLTP", experiments::oltp()), ("DSS", experiments::dss())];
+    let fig5 = experiments::fig5(scale);
     if flags.fingerprints {
-        print!(
-            "{}",
-            experiments::render_fingerprints(&experiments::fig5_fingerprints(scale))
-        );
+        print!("{}", experiments::fingerprints(&experiments::plan(&[fig5])));
     } else if let Some(sample) = &flags.sample {
-        for (name, w) in &workloads {
-            println!(
-                "{}",
-                experiments::render_sampled_bars(
-                    &format!("Figure 5 — {name}, sampled (estimate ± 95% CI)"),
-                    &experiments::fig5_sampled(w, scale, sample)
-                )
-            );
-        }
+        let sampled = experiments::fig5_sampled(scale, sample);
+        println!("{}", sampled.table(&mut Harness::new()));
     } else {
-        for (name, w) in &workloads {
-            println!(
-                "{}",
-                experiments::render_bars(
-                    &format!("Figure 5 — {name} (normalized execution time, OOO = 100)"),
-                    &experiments::fig5(w, scale)
-                )
-            );
-        }
+        println!("{}", fig5.table(&mut Harness::new()));
         flags.run_riders(&experiments::oltp(), scale);
     }
     flags.finish();

@@ -4,23 +4,17 @@
 //! Reads `--quick`, `--fingerprints`, `--parallel`, `--store` and the
 //! exemplar riders (`--trace`, `--metrics`, `--traffic*`, `--topology`,
 //! `--queue`); see [`piranha::observe::Flags`].
-use piranha::experiments;
+use piranha::experiments::{self, Harness};
 use piranha::observe::Flags;
 
 fn main() {
     let flags = Flags::from_env();
     let scale = flags.scale();
+    let fig7 = experiments::fig7(scale);
     if flags.fingerprints {
-        print!(
-            "{}",
-            experiments::render_fingerprints(&experiments::fig7_fingerprints(scale))
-        );
+        print!("{}", experiments::fingerprints(&experiments::plan(&[fig7])));
     } else {
-        println!("Figure 7 — multi-chip OLTP speedup (vs each design's single chip)");
-        println!("  {:<6} {:>10} {:>10}", "Chips", "Piranha", "OOO");
-        for (chips, p, o) in experiments::fig7(scale) {
-            println!("  {chips:<6} {p:>10.2} {o:>10.2}");
-        }
+        println!("{}", fig7.table(&mut Harness::new()));
         flags.run_riders(&experiments::oltp(), scale);
     }
     flags.finish();

@@ -6,27 +6,18 @@
 //! `--parallel`, `--store` and the exemplar riders (`--trace`,
 //! `--metrics`, `--traffic*`, `--topology`, `--queue`); see
 //! [`piranha::observe::Flags`].
-use piranha::experiments;
+use piranha::experiments::{self, Harness};
 use piranha::observe::Flags;
 
 fn main() {
     let flags = Flags::from_env();
     let scale = flags.scale();
+    let fig8 = experiments::fig8(scale);
     if flags.fingerprints {
-        print!(
-            "{}",
-            experiments::render_fingerprints(&experiments::fig8_fingerprints(scale))
-        );
+        let plan = experiments::plan(&[fig8, experiments::fig7(scale)]);
+        print!("{}", experiments::fingerprints(&plan));
     } else {
-        for (name, w) in [("OLTP", experiments::oltp()), ("DSS", experiments::dss())] {
-            println!(
-                "{}",
-                experiments::render_bars(
-                    &format!("Figure 8 — {name} (OOO = 100)"),
-                    &experiments::fig8(&w, scale)
-                )
-            );
-        }
+        println!("{}", fig8.table(&mut Harness::new()));
         flags.run_riders(&experiments::dss(), scale);
     }
     flags.finish();

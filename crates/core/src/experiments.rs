@@ -1,7 +1,7 @@
 //! Regenerators for every table and figure in the paper's evaluation
-//! (§4). Each function runs the relevant configurations and returns the
-//! same rows/series the paper reports; the `fig*`/`table*` binaries
-//! print them.
+//! (§4). Each report is one declaration, a [`Report`]: the runs it
+//! needs, named once and in plan order, and how their results become a
+//! [`Table`], whose `Display` the `fig*`/`table*` binaries print.
 //!
 //! Absolute numbers will not match the paper (our substrate is a
 //! from-scratch simulator with synthetic workloads), but the *shape* —
@@ -10,26 +10,27 @@
 //!
 //! ## The harness
 //!
-//! All figures are produced through the parallel, memoizing
-//! [`Harness`]: each figure declares the
-//! `(SystemConfig, Workload, RunScale)` tuples it needs as a
-//! [`RunPlan`], unique runs execute across scoped worker threads, and
-//! shared baselines (OOO, P1, P8 appear in four or more figures each)
-//! are simulated exactly once. [`all_figures`] regenerates the entire
-//! evaluation through one shared cache; because every simulation is
-//! deterministic, its output is bit-identical to the serial
-//! [`all_figures_serial`] path.
+//! Reports run through the parallel, memoizing [`Harness`]: a report's
+//! runs form its [`RunPlan`], and unique runs execute across scoped
+//! worker threads. [`tables`] runs several reports' union [`plan`]
+//! first, so runs they share (OOO, P1, P8 appear in four or more
+//! figures each) are simulated exactly once; [`all_figures`] declares
+//! the whole §4 evaluation. Because every simulation is deterministic,
+//! a report's table is bit-identical whether it ran through its own
+//! harness or a shared one.
+
+use std::sync::Arc;
 
 use piranha_serve::json::Json;
 use piranha_system::{
-    AvailabilityReport, FaultConfig, QueueDiscipline, RunResult, SampleConfig, SampleEstimate,
-    SystemConfig, TopologyKind, TrafficConfig,
+    AvailabilityReport, FaultConfig, QueueDiscipline, RunResult, SampleConfig, SystemConfig,
+    TopologyKind, TrafficConfig,
 };
-use piranha_workloads::{DssConfig, OltpConfig, Workload};
+use piranha_workloads::{DssConfig, OltpConfig, WebConfig, Workload};
 
 pub use piranha_harness::{cache_key, default_threads, Harness, RunPlan, RunRequest, RunScale};
 
-use crate::observe::Table;
+use crate::observe::{exemplar_config, Table};
 
 /// The two paper workloads.
 pub fn oltp() -> Workload {
@@ -46,336 +47,356 @@ fn tpcc() -> Workload {
     Workload::Oltp(OltpConfig::tpcc_like())
 }
 
-/// One bar of Figure 5/8: a configuration's normalized execution time
-/// and its breakdown.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Bar {
-    /// Configuration name.
-    pub name: String,
-    /// Execution time normalized to OOO = 100.
-    pub norm_time: f64,
-    /// CPU-busy component (same normalization).
-    pub busy: f64,
-    /// L2-hit stall component.
-    pub l2_hit: f64,
-    /// L2-miss stall component.
-    pub l2_miss: f64,
+/// How a report turns its runs' results, in plan order, into its table.
+type Assemble = dyn Fn(&[Arc<RunResult>]) -> Table;
+
+/// One report of the evaluation: the runs it needs, each named once and
+/// in plan order, and the function that turns their results, in the
+/// same order, into the report's table.
+pub struct Report {
+    runs: Vec<RunRequest>,
+    table: Box<Assemble>,
 }
 
-impl Bar {
-    fn from(r: &RunResult, base: &RunResult) -> Bar {
-        let t = r.normalized_time_vs(base) * 100.0;
-        let b = r.breakdown();
-        Bar {
-            name: r.name.clone(),
-            norm_time: t,
-            busy: t * b.busy,
-            l2_hit: t * b.l2_hit,
-            l2_miss: t * b.l2_miss,
+impl Report {
+    fn new(runs: Vec<RunRequest>, table: impl Fn(&[Arc<RunResult>]) -> Table + 'static) -> Report {
+        Report {
+            runs,
+            table: Box::new(table),
         }
     }
+
+    /// The runs, in plan order.
+    pub fn runs(&self) -> &[RunRequest] {
+        &self.runs
+    }
+
+    /// The table, from `h`'s results; runs `h` does not hold yet are
+    /// simulated first, in parallel.
+    pub fn table(&self, h: &mut Harness) -> Table {
+        h.execute(&plan(std::slice::from_ref(self)));
+        let results: Vec<_> = self.runs.iter().map(|req| h.fetch(req)).collect();
+        (self.table)(&results)
+    }
+}
+
+/// The union of `reports`' runs, each once, in report order.
+pub fn plan(reports: &[Report]) -> RunPlan {
+    let mut plan = RunPlan::new();
+    for req in reports.iter().flat_map(Report::runs) {
+        plan.push(req.clone());
+    }
+    plan
+}
+
+/// The tables of `reports` through one harness: their union [`plan`]
+/// runs first, so the runs they share are simulated once and every
+/// unique run fans out across `h`'s workers together.
+pub fn tables(h: &mut Harness, reports: &[Report]) -> Vec<Table> {
+    h.execute(&plan(reports));
+    reports.iter().map(|r| r.table(h)).collect()
 }
 
 /// **Table 1**: the configuration parameters of P8, OOO/INO, and P8F.
-pub fn table1() -> String {
-    let configs = [
+/// It needs no simulation.
+pub fn table1() -> Table {
+    let designs = [
         SystemConfig::piranha_p8(),
         SystemConfig::ooo(),
         SystemConfig::piranha_p8f(),
-    ];
-    let mut out = format!(
-        "{:<28} {:>14} {:>14} {:>14}\n",
-        "Parameter", "Piranha (P8)", "OOO/INO", "P8F (custom)"
-    );
-    let rows: Vec<_> = configs.iter().map(|c| c.table1_row()).collect();
-    for (i, (label, p8)) in rows[0].iter().enumerate() {
-        out.push_str(&format!(
-            "{:<28} {:>14} {:>14} {:>14}\n",
-            label, p8, rows[1][i].1, rows[2][i].1
-        ));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Per-figure plans: the simulations each figure needs. `all_figures`
-// merges these into one deduplicated batch.
-// ---------------------------------------------------------------------
-
-fn fig5_plan(w: &Workload, scale: RunScale) -> RunPlan {
-    let mut p = RunPlan::new();
-    for cfg in [
-        SystemConfig::piranha_p1(),
-        SystemConfig::ooo(),
-        SystemConfig::ino(),
-        SystemConfig::piranha_p8(),
-    ] {
-        p.add(cfg, w.clone(), scale);
-    }
-    p
-}
-
-fn fig6_plan(scale: RunScale) -> RunPlan {
-    let mut p = RunPlan::new();
-    for n in [1usize, 2, 4, 8] {
-        p.add(SystemConfig::piranha_pn(n), oltp(), scale);
-    }
-    p.add(SystemConfig::ooo(), oltp(), scale);
-    p
-}
-
-fn fig7_plan(scale: RunScale) -> RunPlan {
-    let mut p = RunPlan::new();
-    p.add(SystemConfig::piranha_pn(4), oltp(), scale);
-    p.add(SystemConfig::ooo(), oltp(), scale);
-    for chips in [2usize, 4] {
-        p.add(
-            SystemConfig::piranha_pn(4).scaled_to_chips(chips),
-            oltp(),
-            scale,
-        );
-        p.add(SystemConfig::ooo().scaled_to_chips(chips), oltp(), scale);
-    }
-    p
-}
-
-fn fig8_plan(w: &Workload, scale: RunScale) -> RunPlan {
-    let mut p = RunPlan::new();
-    for cfg in [
-        SystemConfig::ooo(),
-        SystemConfig::piranha_p8(),
-        SystemConfig::piranha_p8f(),
-    ] {
-        p.add(cfg, w.clone(), scale);
-    }
-    p
-}
-
-fn sensitivity_plan(scale: RunScale) -> RunPlan {
-    let mut p = RunPlan::new();
-    p.add(SystemConfig::ooo(), oltp(), scale);
-    p.add(SystemConfig::piranha_p8(), oltp(), scale);
-    p.add(SystemConfig::piranha_p8_pessimistic(), oltp(), scale);
-    p.add(SystemConfig::ooo(), tpcc(), scale);
-    p.add(SystemConfig::piranha_p8(), tpcc(), scale);
-    p
-}
-
-fn mem_pages_plan(scale: RunScale) -> RunPlan {
-    let mut p = RunPlan::new();
-    p.add(SystemConfig::piranha_p8(), oltp(), scale);
-    p
-}
-
-// ---------------------------------------------------------------------
-// Figure assemblers: pull memoized results out of a harness. The
-// public `figN(...)` wrappers execute the figure's own plan first, so
-// standalone calls parallelize across the figure's configurations.
-// ---------------------------------------------------------------------
-
-/// **Figure 5**: single-chip normalized execution time (OOO = 100) with
-/// CPU-busy / L2-hit / L2-miss breakdown, for P1, OOO, INO, P8, on the
-/// given workload, assembled from `h`'s cache.
-pub fn fig5_with(h: &mut Harness, w: &Workload, scale: RunScale) -> Vec<Bar> {
-    let base = h.get(&SystemConfig::ooo(), w, scale);
-    vec![
-        Bar::from(&h.get(&SystemConfig::piranha_p1(), w, scale), &base),
-        Bar::from(&base, &base),
-        Bar::from(&h.get(&SystemConfig::ino(), w, scale), &base),
-        Bar::from(&h.get(&SystemConfig::piranha_p8(), w, scale), &base),
     ]
+    .map(|c| c.table1_row());
+    let rows = (0..designs[0].len())
+        .map(|i| {
+            let values = designs.iter().map(|d| Json::str(&d[i].1));
+            std::iter::once(Json::str(designs[0][i].0))
+                .chain(values)
+                .collect()
+        })
+        .collect();
+    Table::new(
+        "Table 1 — parameters of the processor designs (P8F: full custom)",
+        &[],
+        vec![],
+        &["parameter", "P8", "OOO/INO", "P8F"],
+        rows,
+    )
 }
 
-/// **Figure 5** with a private parallel harness.
-pub fn fig5(w: &Workload, scale: RunScale) -> Vec<Bar> {
-    let mut h = Harness::new();
-    h.execute(&fig5_plan(w, scale));
-    fig5_with(&mut h, w, scale)
+/// Execution time per workload and configuration, normalized to the
+/// workload's OOO run = 100 and split into CPU busy, L2-hit stall and
+/// L2-miss stall: the shape of Figures 5 and 8 and of the §6
+/// comparison.
+fn normalized(
+    title: &'static str,
+    workloads: &[Workload],
+    configs: &[SystemConfig],
+    scale: RunScale,
+) -> Report {
+    let runs = workloads
+        .iter()
+        .flat_map(|w| {
+            configs
+                .iter()
+                .map(|c| RunRequest::new(c.clone(), w.clone(), scale))
+        })
+        .collect();
+    let tags: Vec<String> = workloads.iter().map(workload_tag).collect();
+    let per_workload = configs.len();
+    Report::new(runs, move |rs| {
+        let mut rows = Vec::new();
+        for (tag, runs) in tags.iter().zip(rs.chunks(per_workload)) {
+            let base = runs.iter().find(|r| r.name == "OOO");
+            let base = base.expect("every workload runs OOO");
+            for r in runs {
+                let t = r.normalized_time_vs(base) * 100.0;
+                let b = r.breakdown();
+                let mut row = vec![Json::str(tag), Json::str(&r.name)];
+                row.extend([t, t * b.busy, t * b.l2_hit, t * b.l2_miss].map(Json::F64));
+                rows.push(row);
+            }
+        }
+        let columns = &[
+            "workload",
+            "config",
+            "norm_time",
+            "busy",
+            "l2_hit",
+            "l2_miss",
+        ];
+        Table::new(title, &[], vec![], columns, rows)
+    })
+}
+
+/// **Figure 5**: single-chip execution time of P1, OOO, INO and P8 on
+/// OLTP and DSS, normalized to OOO = 100, with its CPU-busy / L2-hit /
+/// L2-miss breakdown.
+pub fn fig5(scale: RunScale) -> Report {
+    normalized(
+        "Figure 5 — single-chip normalized execution time (OOO = 100)",
+        &[oltp(), dss()],
+        &[
+            SystemConfig::piranha_p1(),
+            SystemConfig::ooo(),
+            SystemConfig::ino(),
+            SystemConfig::piranha_p8(),
+        ],
+        scale,
+    )
 }
 
 /// **Figure 5 under sampling** (the `--sample=<period>/<window>` flag):
-/// each configuration runs once under SMARTS-style sampling instead of
-/// full detail, through a memoizing, store-backed harness, so rows
-/// carry a CPI / stall-fraction estimate with 95% confidence intervals
-/// rather than exact normalized figure numbers (golden fingerprints only
-/// apply with the flag absent).
-pub fn fig5_sampled(
-    w: &Workload,
-    scale: RunScale,
-    sample: &SampleConfig,
-) -> Vec<(String, SampleEstimate)> {
-    let mut plan = RunPlan::new();
-    for req in fig5_plan(w, scale).requests() {
-        plan.push(RunRequest {
+/// Figure 5's runs, each under SMARTS-style sampling instead of full
+/// detail, reported as CPI and stall-fraction estimates with 95%
+/// confidence intervals rather than exact normalized figure numbers
+/// (golden fingerprints only apply with the flag absent).
+pub fn fig5_sampled(scale: RunScale, sample: &SampleConfig) -> Report {
+    let runs: Vec<RunRequest> = fig5(scale)
+        .runs
+        .into_iter()
+        .map(|req| RunRequest {
             sample: Some(sample.clone()),
-            ..req.clone()
-        });
-    }
-    let mut h = Harness::new();
-    h.execute(&plan);
-    plan.requests()
-        .iter()
-        .map(|req| {
-            let r = h.fetch(req);
-            let est = r.sample.clone().expect("sampled run carries an estimate");
-            (req.cfg.name.clone(), est)
+            ..req
         })
-        .collect()
+        .collect();
+    let tags: Vec<String> = runs.iter().map(|r| workload_tag(&r.workload)).collect();
+    Report::new(runs, move |rs| {
+        let rows = rs
+            .iter()
+            .zip(&tags)
+            .map(|(r, tag)| {
+                let e = r.sample.as_ref().expect("sampled run carries an estimate");
+                vec![
+                    Json::str(tag),
+                    Json::str(&r.name),
+                    Json::U64(e.windows),
+                    Json::F64(e.cpi_mean),
+                    Json::F64(e.cpi_ci95),
+                    Json::F64(e.stall_mean),
+                    Json::F64(e.stall_ci),
+                    Json::F64(e.detailed_fraction),
+                ]
+            })
+            .collect();
+        Table::new(
+            "Figure 5, sampled — estimates with 95% confidence intervals",
+            &[],
+            vec![],
+            &[
+                "workload",
+                "config",
+                "windows",
+                "cpi_mean",
+                "cpi_ci95",
+                "stall_mean",
+                "stall_ci",
+                "detailed_fraction",
+            ],
+            rows,
+        )
+    })
 }
 
-/// Render sampled-run rows ([`fig5_sampled`]) as a text table.
-pub fn render_sampled_bars(title: &str, rows: &[(String, SampleEstimate)]) -> String {
-    let mut out = format!(
-        "{title}\n{:<8} {:>8} {:>14} {:>14} {:>8}\n",
-        "Config", "Windows", "CPI±CI95", "Stall±CI95", "Detail%"
-    );
-    for (name, e) in rows {
-        out.push_str(&format!(
-            "{:<8} {:>8} {:>8.3}±{:.3} {:>8.3}±{:.3} {:>7.1}%\n",
-            name,
-            e.windows,
-            e.cpi_mean,
-            e.cpi_ci95,
-            e.stall_mean,
-            e.stall_ci,
-            e.detailed_fraction * 100.0,
-        ));
-    }
-    out
+/// **Figure 6**: OLTP on Piranha chips of 1, 2, 4 and 8 CPUs and on
+/// OOO: (a) each one's speedup over P1, and (b) the breakdown of its L1
+/// misses into L2 hits, L2 forwards (from another CPU's L1) and L2
+/// misses, fractions summing to 1.
+pub fn fig6(scale: RunScale) -> Report {
+    let configs = [1, 2, 4, 8].map(SystemConfig::piranha_pn);
+    let runs = configs
+        .into_iter()
+        .chain([SystemConfig::ooo()])
+        .map(|cfg| RunRequest::new(cfg, oltp(), scale))
+        .collect();
+    Report::new(runs, |rs| {
+        let rows = rs
+            .iter()
+            .map(|r| {
+                let (hit, fwd, miss) = r.l1_miss_breakdown();
+                let values = [r.speedup_over(&rs[0]), hit, fwd, miss].map(Json::F64);
+                std::iter::once(Json::str(&r.name)).chain(values).collect()
+            })
+            .collect();
+        Table::new(
+            "Figure 6 — OLTP speedup over P1 (a) and L1-miss breakdown (b)",
+            &[],
+            vec![],
+            &["config", "speedup", "l2_hit", "l2_fwd", "l2_miss"],
+            rows,
+        )
+    })
 }
 
-/// **Figure 6(a)**: OLTP speedup of an n-CPU Piranha chip over P1, for
-/// n in {1, 2, 4, 8}, plus the OOO point for reference, assembled from
-/// `h`'s cache. Returns `(name, speedup_vs_p1)` pairs.
-pub fn fig6a_with(h: &mut Harness, scale: RunScale) -> Vec<(String, f64)> {
-    let w = oltp();
-    let p1 = h.get(&SystemConfig::piranha_p1(), &w, scale);
-    let mut out = vec![("P1".to_string(), 1.0)];
-    for n in [2usize, 4, 8] {
-        let r = h.get(&SystemConfig::piranha_pn(n), &w, scale);
-        out.push((format!("P{n}"), r.speedup_over(&p1)));
-    }
-    let ooo = h.get(&SystemConfig::ooo(), &w, scale);
-    out.push(("OOO".to_string(), ooo.speedup_over(&p1)));
-    out
-}
-
-/// **Figure 6(a)** with a private parallel harness.
-pub fn fig6a(scale: RunScale) -> Vec<(String, f64)> {
-    let mut h = Harness::new();
-    h.execute(&fig6_plan(scale));
-    fig6a_with(&mut h, scale)
-}
-
-/// **Figure 6(b)**: breakdown of L1 misses (L2 hit / L2 fwd / L2 miss)
-/// for P1, P2, P4, P8 on OLTP, assembled from `h`'s cache. Returns
-/// `(name, hit, fwd, miss)` rows, fractions summing to 1.
-pub fn fig6b_with(h: &mut Harness, scale: RunScale) -> Vec<(String, f64, f64, f64)> {
-    let w = oltp();
-    [1usize, 2, 4, 8]
+/// **Figure 7**: OLTP speedup of 1-, 2- and 4-chip systems of 4-CPU
+/// Piranha chips and of OOO chips, each over its own single chip.
+pub fn fig7(scale: RunScale) -> Report {
+    let chips = [1, 2, 4];
+    let runs = chips
         .iter()
-        .map(|&n| {
-            let r = h.get(&SystemConfig::piranha_pn(n), &w, scale);
-            let (hit, f, m) = r.l1_miss_breakdown();
-            (format!("P{n}"), hit, f, m)
+        .flat_map(|&n| {
+            [SystemConfig::piranha_pn(4), SystemConfig::ooo()].map(|cfg| {
+                if n == 1 {
+                    cfg
+                } else {
+                    cfg.scaled_to_chips(n)
+                }
+            })
         })
-        .collect()
+        .map(|cfg| RunRequest::new(cfg, oltp(), scale))
+        .collect();
+    Report::new(runs, move |rs| {
+        let rows = rs
+            .chunks(2)
+            .zip(chips)
+            .map(|(pair, n)| {
+                let speedups = [0, 1].map(|i| Json::F64(pair[i].speedup_over(&rs[i])));
+                std::iter::once(Json::U64(n as u64))
+                    .chain(speedups)
+                    .collect()
+            })
+            .collect();
+        Table::new(
+            "Figure 7 — multi-chip OLTP speedup (each design over its own single chip)",
+            &[],
+            vec![],
+            &["chips", "piranha", "ooo"],
+            rows,
+        )
+    })
 }
 
-/// **Figure 6(b)** with a private parallel harness.
-pub fn fig6b(scale: RunScale) -> Vec<(String, f64, f64, f64)> {
-    let mut h = Harness::new();
-    h.execute(&fig6_plan(scale));
-    fig6b_with(&mut h, scale)
-}
-
-/// **Figure 7**: OLTP speedup of multi-chip systems (1, 2, 4 chips),
-/// Piranha with 4 CPUs/chip versus OOO chips, each normalized to its own
-/// single-chip result, assembled from `h`'s cache. Returns
-/// `(chips, piranha_speedup, ooo_speedup)`.
-pub fn fig7_with(h: &mut Harness, scale: RunScale) -> Vec<(usize, f64, f64)> {
-    let w = oltp();
-    let p_base = h.get(&SystemConfig::piranha_pn(4), &w, scale);
-    let o_base = h.get(&SystemConfig::ooo(), &w, scale);
-    let mut out = vec![(1, 1.0, 1.0)];
-    for chips in [2usize, 4] {
-        let p = h.get(
-            &SystemConfig::piranha_pn(4).scaled_to_chips(chips),
-            &w,
-            scale,
-        );
-        let o = h.get(&SystemConfig::ooo().scaled_to_chips(chips), &w, scale);
-        out.push((chips, p.speedup_over(&p_base), o.speedup_over(&o_base)));
-    }
-    out
-}
-
-/// **Figure 7** with a private parallel harness.
-pub fn fig7(scale: RunScale) -> Vec<(usize, f64, f64)> {
-    let mut h = Harness::new();
-    h.execute(&fig7_plan(scale));
-    fig7_with(&mut h, scale)
-}
-
-/// **Figure 8**: the full-custom chip (P8F) against OOO and P8, on the
-/// given workload (OOO = 100), assembled from `h`'s cache.
-pub fn fig8_with(h: &mut Harness, w: &Workload, scale: RunScale) -> Vec<Bar> {
-    let base = h.get(&SystemConfig::ooo(), w, scale);
-    vec![
-        Bar::from(&base, &base),
-        Bar::from(&h.get(&SystemConfig::piranha_p8(), w, scale), &base),
-        Bar::from(&h.get(&SystemConfig::piranha_p8f(), w, scale), &base),
-    ]
-}
-
-/// **Figure 8** with a private parallel harness.
-pub fn fig8(w: &Workload, scale: RunScale) -> Vec<Bar> {
-    let mut h = Harness::new();
-    h.execute(&fig8_plan(w, scale));
-    fig8_with(&mut h, w, scale)
+/// **Figure 8**: the full-custom chip (P8F) against OOO and P8 on OLTP
+/// and DSS (OOO = 100).
+pub fn fig8(scale: RunScale) -> Report {
+    normalized(
+        "Figure 8 — full-custom P8F (normalized execution time, OOO = 100)",
+        &[oltp(), dss()],
+        &[
+            SystemConfig::ooo(),
+            SystemConfig::piranha_p8(),
+            SystemConfig::piranha_p8f(),
+        ],
+        scale,
+    )
 }
 
 /// **§4 sensitivity**: the pessimistic P8 (400 MHz, 32 KB 1-way L1s,
-/// 22/32 ns L2) and the TPC-C-like workload, assembled from `h`'s
-/// cache. Returns `(label, speedup_over_ooo)` rows.
-pub fn sensitivity_with(h: &mut Harness, scale: RunScale) -> Vec<(String, f64)> {
-    let w = oltp();
-    let ooo = h.get(&SystemConfig::ooo(), &w, scale);
-    let p8 = h.get(&SystemConfig::piranha_p8(), &w, scale);
-    let pess = h.get(&SystemConfig::piranha_p8_pessimistic(), &w, scale);
-    let tpcc_w = tpcc();
-    let ooo_c = h.get(&SystemConfig::ooo(), &tpcc_w, scale);
-    let p8_c = h.get(&SystemConfig::piranha_p8(), &tpcc_w, scale);
+/// 22/32 ns L2) and the TPC-C-like workload, as speedups.
+pub fn sensitivity(scale: RunScale) -> Report {
+    let runs = vec![
+        RunRequest::new(SystemConfig::ooo(), oltp(), scale),
+        RunRequest::new(SystemConfig::piranha_p8(), oltp(), scale),
+        RunRequest::new(SystemConfig::piranha_p8_pessimistic(), oltp(), scale),
+        RunRequest::new(SystemConfig::ooo(), tpcc(), scale),
+        RunRequest::new(SystemConfig::piranha_p8(), tpcc(), scale),
+    ];
+    Report::new(runs, |rs| {
+        let [ooo, p8, pess, ooo_c, p8_c] = rs else {
+            unreachable!("the report declares five runs")
+        };
+        let rows = [
+            ("P8 vs OOO (TPC-B)", p8, ooo),
+            ("P8-pessimistic vs OOO (TPC-B)", pess, ooo),
+            ("P8-pessimistic vs P8", pess, p8),
+            ("P8 vs OOO (TPC-C-like)", p8_c, ooo_c),
+        ]
+        .map(|(label, r, base)| vec![Json::str(label), Json::F64(r.speedup_over(base))]);
+        Table::new(
+            "§4 sensitivity — speedups",
+            &[],
+            vec![],
+            &["comparison", "speedup"],
+            rows.into(),
+        )
+    })
+}
+
+/// **§2.4 claim**: RDRAM open-page hit rate of P8 on OLTP (the paper
+/// reports >50% with pages held open about 1 µs).
+pub fn mem_pages(scale: RunScale) -> Report {
+    let runs = vec![RunRequest::new(SystemConfig::piranha_p8(), oltp(), scale)];
+    Report::new(runs, |rs| {
+        let rows = rs
+            .iter()
+            .map(|r| vec![Json::str(&r.name), Json::F64(r.mem_page_hit_rate)])
+            .collect();
+        Table::new(
+            "§2.4 — RDRAM open-page hit rate on OLTP (1 µs hold)",
+            &[],
+            vec![],
+            &["config", "page_hit_rate"],
+            rows,
+        )
+    })
+}
+
+/// **§6 conjecture**: web-search workloads like AltaVista "exhibit
+/// behavior similar to decision support (DSS) workloads", so P1, OOO
+/// and P8 should compare alike on both (OOO = 100).
+pub fn web_search(scale: RunScale) -> Report {
+    normalized(
+        "§6 — AltaVista-like web search vs DSS (normalized execution time, OOO = 100)",
+        &[Workload::Web(WebConfig::paper_default()), dss()],
+        &[
+            SystemConfig::piranha_p1(),
+            SystemConfig::ooo(),
+            SystemConfig::piranha_p8(),
+        ],
+        scale,
+    )
+}
+
+/// The §4 evaluation: Figures 5–8, the sensitivity rows and the §2.4
+/// open-page claim. Run them through one harness with [`tables`].
+pub fn all_figures(scale: RunScale) -> Vec<Report> {
     vec![
-        ("P8 vs OOO (TPC-B)".into(), p8.speedup_over(&ooo)),
-        (
-            "P8-pessimistic vs OOO (TPC-B)".into(),
-            pess.speedup_over(&ooo),
-        ),
-        ("P8-pessimistic vs P8".into(), pess.speedup_over(&p8)),
-        ("P8 vs OOO (TPC-C-like)".into(), p8_c.speedup_over(&ooo_c)),
+        fig5(scale),
+        fig6(scale),
+        fig7(scale),
+        fig8(scale),
+        sensitivity(scale),
+        mem_pages(scale),
     ]
-}
-
-/// **§4 sensitivity** with a private parallel harness.
-pub fn sensitivity(scale: RunScale) -> Vec<(String, f64)> {
-    let mut h = Harness::new();
-    h.execute(&sensitivity_plan(scale));
-    sensitivity_with(&mut h, scale)
-}
-
-/// **§2.4 claim**: RDRAM open-page hit rate on OLTP (the paper reports
-/// >50% with ~1 µs page-open time), assembled from `h`'s cache.
-pub fn mem_pages_with(h: &mut Harness, scale: RunScale) -> f64 {
-    h.get(&SystemConfig::piranha_p8(), &oltp(), scale)
-        .mem_page_hit_rate
-}
-
-/// **§2.4 claim** with a private harness.
-pub fn mem_pages(scale: RunScale) -> f64 {
-    let mut h = Harness::new();
-    h.execute(&mem_pages_plan(scale));
-    mem_pages_with(&mut h, scale)
 }
 
 // ---------------------------------------------------------------------
@@ -432,32 +453,25 @@ fn fig_faults_configs() -> Vec<SystemConfig> {
     ]
 }
 
-fn faulted(mut cfg: SystemConfig, seed: u64, rate: f64) -> SystemConfig {
-    if rate > 0.0 {
-        cfg.faults = FaultConfig::seeded(seed, rate);
-    }
-    cfg
-}
-
-/// The plan of every simulation the `fig_faults` sweep needs.
+/// The plan of every simulation the `fig_faults` sweep needs: each
+/// configuration at each of [`FAULT_RATES`], seeded by `seed`.
 pub fn fig_faults_plan(seed: u64, txns_per_cpu: u64) -> RunPlan {
-    let w = oltp_bounded(txns_per_cpu);
     let mut p = RunPlan::new();
     for cfg in fig_faults_configs() {
         for rate in FAULT_RATES {
-            p.add(
-                faulted(cfg.clone(), seed, rate),
-                w.clone(),
-                RunScale::completion(),
-            );
+            let mut cfg = cfg.clone();
+            if rate > 0.0 {
+                cfg.faults = FaultConfig::seeded(seed, rate);
+            }
+            p.add(cfg, oltp_bounded(txns_per_cpu), RunScale::completion());
         }
     }
     p
 }
 
-/// An availability ledger as a JSON object (`slowdown` is `null` unless
-/// the caller stamped one in).
-fn availability_json(av: &AvailabilityReport) -> Json {
+/// An availability ledger as a JSON object, with the run's `slowdown`
+/// over its fault-free baseline.
+fn availability_json(av: &AvailabilityReport, slowdown: f64) -> Json {
     let by_kind = av
         .by_kind
         .iter()
@@ -469,7 +483,7 @@ fn availability_json(av: &AvailabilityReport) -> Json {
         ("retransmits".into(), Json::U64(av.retransmits)),
         ("recovery_cycles".into(), Json::U64(av.recovery_cycles)),
         ("mttr_cycles".into(), Json::U64(av.mttr_cycles())),
-        ("slowdown".into(), av.slowdown.map_or(Json::Null, Json::F64)),
+        ("slowdown".into(), Json::F64(slowdown)),
         ("by_kind".into(), Json::obj(by_kind.collect())),
     ])
 }
@@ -492,8 +506,10 @@ fn checked_slowdown(what: &str, r: &RunResult, base: &RunResult) -> f64 {
 /// completion. The rows sweep fault rate × configuration, seeded by
 /// `headline.seed`, through the memoized parallel harness, each paired
 /// against its fault-free baseline. The facts are the `headline`
-/// schedule on the two-chip exemplar, run twice to prove bit-identical
-/// determinism, with its slowdown over a fault-free run.
+/// schedule on the two-chip exemplar, with its slowdown over a
+/// fault-free run, both through the sweep's harness (a seeded headline
+/// is one of the sweep's points), and the headline once more, simulated
+/// afresh, to prove bit-identical determinism.
 ///
 /// # Panics
 ///
@@ -501,22 +517,20 @@ fn checked_slowdown(what: &str, r: &RunResult, base: &RunResult) -> f64 {
 /// its availability ledger is inconsistent, or the headline's repeat
 /// differs: all structural guarantees of the recovery machinery.
 pub fn fig_faults(headline: &FaultConfig, txns_per_cpu: u64) -> Table {
-    let (seed, w) = (headline.seed, oltp_bounded(txns_per_cpu));
+    let seed = headline.seed;
+    let plan = fig_faults_plan(seed, txns_per_cpu);
     let mut h = Harness::new();
-    h.execute(&fig_faults_plan(seed, txns_per_cpu));
+    h.execute(&plan);
     let mut rows = Vec::new();
-    for cfg in fig_faults_configs() {
-        let base = h.get(&faulted(cfg.clone(), seed, 0.0), &w, RunScale::completion());
-        for rate in FAULT_RATES {
-            let r = h.get(
-                &faulted(cfg.clone(), seed, rate),
-                &w,
-                RunScale::completion(),
-            );
-            let slowdown = checked_slowdown(&format!("{}@{rate}", cfg.name), &r, &base);
+    // The plan holds each configuration's rates in a row, rate 0 first.
+    for runs in plan.requests().chunks(FAULT_RATES.len()) {
+        let base = h.fetch(&runs[0]);
+        for req in runs {
+            let (r, rate) = (h.fetch(req), req.cfg.faults.rate);
+            let slowdown = checked_slowdown(&format!("{}@{rate}", r.name), &r, &base);
             let av = &r.availability;
             rows.push(vec![
-                Json::str(&cfg.name),
+                Json::str(&r.name),
                 Json::F64(rate),
                 Json::U64(av.injected),
                 Json::U64(av.corrected),
@@ -530,20 +544,24 @@ pub fn fig_faults(headline: &FaultConfig, txns_per_cpu: u64) -> Table {
         }
     }
 
-    let run = |faults: &FaultConfig| {
-        let mut cfg = crate::observe::exemplar_config();
+    let request = |faults: &FaultConfig| {
+        let mut cfg = exemplar_config();
         cfg.faults = faults.clone();
-        RunRequest::new(cfg, w.clone(), RunScale::completion()).run()
+        RunRequest::new(cfg, oltp_bounded(txns_per_cpu), RunScale::completion())
     };
-    let (r1, r2) = (run(headline), run(headline));
+    // A seeded headline and its fault-free baseline are sweep points,
+    // so the sweep's harness holds them; the repeat is simulated
+    // afresh, so equal fingerprints prove determinism.
+    let headline_req = request(headline);
+    let r1 = h.fetch(&headline_req);
+    let base = h.fetch(&request(&FaultConfig::default()));
+    let r2 = headline_req.run();
     assert_eq!(
         r1.fingerprint(),
         r2.fingerprint(),
         "same seed + same schedule must be bit-identical"
     );
-    let base = run(&FaultConfig::default());
-    let mut availability = r1.availability.clone();
-    availability.slowdown = Some(checked_slowdown(&r1.name, &r1, &base));
+    let slowdown = checked_slowdown(&r1.name, &r1, &base);
     Table::new(
         format!(
             "Availability — bounded OLTP run to completion; facts: the headline \
@@ -558,7 +576,7 @@ pub fn fig_faults(headline: &FaultConfig, txns_per_cpu: u64) -> Table {
             Json::U64(r1.fingerprint()),
             Json::U64(r2.fingerprint()),
             Json::Bool(r1.fingerprint() == r2.fingerprint()),
-            availability_json(&availability),
+            availability_json(&r1.availability, slowdown),
         ],
         FAULT_COLUMNS,
         rows,
@@ -733,11 +751,10 @@ pub const LATENCY_COLUMNS: &[&str] = &[
 /// service rate on a bounded OLTP workload, then sweep open-loop
 /// Poisson arrivals across [`LOAD_FRACTIONS`] of that rate and report
 /// p50/p95/p99 transaction latency and drop rate at each point. The
-/// `fig_latency` binary passes the two-chip P4
-/// [`exemplar_config`](crate::observe::exemplar_config), with its
-/// `--topology=`/`--queue=` applied, so the sweep exercises arrival
-/// admission across the multi-chip engine. `quick` shrinks the workload
-/// to CI scale.
+/// `fig_latency` binary passes the two-chip P4 [`exemplar_config`],
+/// with its `--topology=`/`--queue=` applied, so the sweep exercises
+/// arrival admission across the multi-chip engine. `quick` shrinks the
+/// workload to CI scale.
 ///
 /// Every run is deterministic, so the whole table (fingerprints
 /// included) is reproducible bit-for-bit at any `--parallel` worker
@@ -1025,298 +1042,89 @@ pub fn golden_label(req: &RunRequest) -> String {
 /// fig_faults headline schedule (seed [`GOLDEN_FAULT_SEED`],
 /// [`GOLDEN_FAULT_TXNS`] transactions per CPU, run to completion).
 pub fn golden_plan(scale: RunScale) -> RunPlan {
-    let mut p = RunPlan::new();
-    p.merge(fig5_plan(&oltp(), scale));
-    p.merge(fig5_plan(&dss(), scale));
-    p.merge(fig6_plan(scale));
-    p.merge(fig7_plan(scale));
-    p.merge(fig8_plan(&oltp(), scale));
-    p.merge(fig8_plan(&dss(), scale));
+    let mut p = plan(&[fig5(scale), fig6(scale), fig7(scale), fig8(scale)]);
     p.merge(fig_faults_plan(GOLDEN_FAULT_SEED, GOLDEN_FAULT_TXNS));
     p
 }
 
-fn plan_fingerprints(plan: &RunPlan) -> Vec<(String, u64)> {
+/// The fingerprint of each of `plan`'s runs in the golden-file format:
+/// one `label\tfingerprint-hex` line per run, in plan order. A figure
+/// binary's `--fingerprints` prints it for its reports' [`plan`].
+pub fn fingerprints(plan: &RunPlan) -> String {
     let mut h = Harness::new();
     h.execute(plan);
-    plan.requests()
-        .iter()
-        .map(|req| {
-            let r = h.get(&req.cfg, &req.workload, req.scale);
-            (golden_label(req), r.fingerprint())
-        })
-        .collect()
-}
-
-/// Labeled deterministic fingerprints of the whole golden set, in plan
-/// order.
-pub fn golden_fingerprints(scale: RunScale) -> Vec<(String, u64)> {
-    plan_fingerprints(&golden_plan(scale))
-}
-
-/// Labeled fingerprints of just the Figure 5 runs (OLTP + DSS) — the
-/// cheap subset the CI smoke job diffs via `fig5 --fingerprints`.
-pub fn fig5_fingerprints(scale: RunScale) -> Vec<(String, u64)> {
-    let mut plan = fig5_plan(&oltp(), scale);
-    plan.merge(fig5_plan(&dss(), scale));
-    plan_fingerprints(&plan)
-}
-
-/// Labeled fingerprints of the Figure 7 multi-chip scaling runs — the
-/// rows that exercise the conservative parallel engine (every other
-/// figure's configs are single-chip except fig7's 2- and 4-chip
-/// points).
-pub fn fig7_fingerprints(scale: RunScale) -> Vec<(String, u64)> {
-    plan_fingerprints(&fig7_plan(scale))
-}
-
-/// Labeled fingerprints of the Figure 8 runs (OLTP + DSS) plus the
-/// Figure 7 multi-chip scaling runs — the subset the CI parsim smoke
-/// diffs via `fig8 --quick --parallel=2 --fingerprints`. The fig7 rows
-/// ride along because fig8's own configurations are single-chip; with
-/// them the smoke provably drives multi-chip machines through the
-/// quantum-stepped engine and still matches the serially-blessed
-/// golden file.
-pub fn fig8_fingerprints(scale: RunScale) -> Vec<(String, u64)> {
-    let mut plan = fig8_plan(&oltp(), scale);
-    plan.merge(fig8_plan(&dss(), scale));
-    plan.merge(fig7_plan(scale));
-    plan_fingerprints(&plan)
-}
-
-/// Render labeled fingerprints in the golden-file format: one
-/// `label\tfingerprint-hex` line per run.
-pub fn render_fingerprints(rows: &[(String, u64)]) -> String {
-    let mut out = String::new();
-    for (label, fp) in rows {
-        out.push_str(&format!("{label}\t{fp:016x}\n"));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// The whole evaluation in one batch.
-// ---------------------------------------------------------------------
-
-/// Every figure of the paper's §4 evaluation, regenerated together.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Figures {
-    /// Figure 5 on OLTP.
-    pub fig5_oltp: Vec<Bar>,
-    /// Figure 5 on DSS.
-    pub fig5_dss: Vec<Bar>,
-    /// Figure 6(a): chip-level speedup over P1.
-    pub fig6a: Vec<(String, f64)>,
-    /// Figure 6(b): L1-miss breakdown.
-    pub fig6b: Vec<(String, f64, f64, f64)>,
-    /// Figure 7: multi-chip scaling.
-    pub fig7: Vec<(usize, f64, f64)>,
-    /// Figure 8 on OLTP.
-    pub fig8_oltp: Vec<Bar>,
-    /// Figure 8 on DSS.
-    pub fig8_dss: Vec<Bar>,
-    /// §4 sensitivity rows.
-    pub sensitivity: Vec<(String, f64)>,
-    /// §2.4 RDRAM open-page hit rate.
-    pub mem_page_hit_rate: f64,
-}
-
-/// The union plan of every figure at one scale.
-pub fn all_figures_plan(scale: RunScale) -> RunPlan {
-    let mut plan = RunPlan::new();
-    plan.merge(fig5_plan(&oltp(), scale));
-    plan.merge(fig5_plan(&dss(), scale));
-    plan.merge(fig6_plan(scale));
-    plan.merge(fig7_plan(scale));
-    plan.merge(fig8_plan(&oltp(), scale));
-    plan.merge(fig8_plan(&dss(), scale));
-    plan.merge(sensitivity_plan(scale));
-    plan.merge(mem_pages_plan(scale));
-    plan
-}
-
-/// Assemble every figure from `h`'s cache (executing the union plan
-/// first so the assembly itself is all cache hits).
-pub fn all_figures_with(h: &mut Harness, scale: RunScale) -> Figures {
-    h.execute(&all_figures_plan(scale));
-    Figures {
-        fig5_oltp: fig5_with(h, &oltp(), scale),
-        fig5_dss: fig5_with(h, &dss(), scale),
-        fig6a: fig6a_with(h, scale),
-        fig6b: fig6b_with(h, scale),
-        fig7: fig7_with(h, scale),
-        fig8_oltp: fig8_with(h, &oltp(), scale),
-        fig8_dss: fig8_with(h, &dss(), scale),
-        sensitivity: sensitivity_with(h, scale),
-        mem_page_hit_rate: mem_pages_with(h, scale),
-    }
-}
-
-/// Regenerate the entire §4 evaluation through one parallel, memoizing
-/// harness: every shared baseline (OOO, P1, P8, …) is simulated exactly
-/// once per workload, and the unique runs fan out across worker threads
-/// (`PIRANHA_THREADS` overrides the count). Bit-identical to
-/// [`all_figures_serial`].
-pub fn all_figures(scale: RunScale) -> Figures {
-    let mut h = Harness::new();
-    all_figures_with(&mut h, scale)
-}
-
-/// The pre-harness behavior, kept as the performance and correctness
-/// baseline: each figure runs serially with its own private cache, so
-/// cross-figure baselines are re-simulated from scratch (35 runs at
-/// paper shape versus the ~19 unique ones `all_figures` executes).
-pub fn all_figures_serial(scale: RunScale) -> Figures {
-    let serial_fig = |plan: RunPlan| {
-        let mut h = Harness::serial();
-        h.execute(&plan);
-        h
+    let line = |req| {
+        format!(
+            "{}\t{:016x}\n",
+            golden_label(req),
+            h.fetch(req).fingerprint()
+        )
     };
-    let fig5_oltp = fig5_with(&mut serial_fig(fig5_plan(&oltp(), scale)), &oltp(), scale);
-    let fig5_dss = fig5_with(&mut serial_fig(fig5_plan(&dss(), scale)), &dss(), scale);
-    let fig6a = fig6a_with(&mut serial_fig(fig6_plan(scale)), scale);
-    let fig6b = fig6b_with(&mut serial_fig(fig6_plan(scale)), scale);
-    let fig7 = fig7_with(&mut serial_fig(fig7_plan(scale)), scale);
-    let fig8_oltp = fig8_with(&mut serial_fig(fig8_plan(&oltp(), scale)), &oltp(), scale);
-    let fig8_dss = fig8_with(&mut serial_fig(fig8_plan(&dss(), scale)), &dss(), scale);
-    let sensitivity = sensitivity_with(&mut serial_fig(sensitivity_plan(scale)), scale);
-    let mem_page_hit_rate = mem_pages_with(&mut serial_fig(mem_pages_plan(scale)), scale);
-    Figures {
-        fig5_oltp,
-        fig5_dss,
-        fig6a,
-        fig6b,
-        fig7,
-        fig8_oltp,
-        fig8_dss,
-        sensitivity,
-        mem_page_hit_rate,
-    }
-}
-
-impl Figures {
-    /// Render every figure as one text report.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&render_bars(
-            "Figure 5 — OLTP (normalized execution time, OOO = 100)",
-            &self.fig5_oltp,
-        ));
-        out.push('\n');
-        out.push_str(&render_bars(
-            "Figure 5 — DSS (normalized execution time, OOO = 100)",
-            &self.fig5_dss,
-        ));
-        out.push_str("\nFigure 6(a) — OLTP speedup over P1\n");
-        for (name, s) in &self.fig6a {
-            out.push_str(&format!("{name:<10} {s:>8.2}x\n"));
-        }
-        out.push_str("\nFigure 6(b) — L1 miss breakdown (hit/fwd/miss)\n");
-        for (name, h, f, m) in &self.fig6b {
-            out.push_str(&format!("{name:<10} {h:>6.2} {f:>6.2} {m:>6.2}\n"));
-        }
-        out.push_str("\nFigure 7 — multi-chip speedup (Piranha P4 vs OOO)\n");
-        for (chips, p, o) in &self.fig7 {
-            out.push_str(&format!("{chips} chip(s)  P4 {p:>6.2}x  OOO {o:>6.2}x\n"));
-        }
-        out.push('\n');
-        out.push_str(&render_bars(
-            "Figure 8 — OLTP (P8F, OOO = 100)",
-            &self.fig8_oltp,
-        ));
-        out.push('\n');
-        out.push_str(&render_bars(
-            "Figure 8 — DSS (P8F, OOO = 100)",
-            &self.fig8_dss,
-        ));
-        out.push_str("\nSensitivity (§4)\n");
-        for (label, s) in &self.sensitivity {
-            out.push_str(&format!("{label:<32} {s:>6.2}x\n"));
-        }
-        out.push_str(&format!(
-            "\nRDRAM open-page hit rate on OLTP: {:.0}%\n",
-            self.mem_page_hit_rate * 100.0
-        ));
-        out
-    }
-}
-
-/// Render a set of Figure-5-style bars as a text table.
-pub fn render_bars(title: &str, bars: &[Bar]) -> String {
-    let mut out = format!(
-        "{title}\n{:<10} {:>10} {:>10} {:>10} {:>10}\n",
-        "Config", "NormTime", "Busy", "L2HitStall", "L2MissStall"
-    );
-    for b in bars {
-        out.push_str(&format!(
-            "{:<10} {:>10.1} {:>10.1} {:>10.1} {:>10.1}\n",
-            b.name, b.norm_time, b.busy, b.l2_hit, b.l2_miss
-        ));
-    }
-    out
+    plan.requests().iter().map(line).collect()
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
 
     #[test]
     fn table1_renders_all_configs() {
-        let t = table1();
+        let t = table1().to_string();
         assert!(t.contains("500 MHz"));
         assert!(t.contains("1000 MHz"));
         assert!(t.contains("1250 MHz"));
         assert!(t.contains("Issue Width"));
     }
 
-    #[test]
-    fn bar_normalization() {
+    /// A normalized-time table over two synthetic results: OOO, and X
+    /// at half OOO's clock taking twice as long.
+    fn synthetic_bars() -> Table {
         use piranha_types::time::Clock;
         use piranha_types::Duration;
-        let base = RunResult::new(
-            "OOO".into(),
-            Duration::from_ns(1000),
-            Clock::from_mhz(1000),
-            vec![piranha_cpu::CoreStats {
+        let run = |name: &str, ns, mhz| {
+            let cpu = piranha_cpu::CoreStats {
                 instrs: 1000,
                 ..Default::default()
-            }],
-        );
-        let twice = RunResult::new(
-            "X".into(),
-            Duration::from_ns(2000),
-            Clock::from_mhz(500),
-            vec![piranha_cpu::CoreStats {
-                instrs: 1000,
-                ..Default::default()
-            }],
-        );
-        let b = Bar::from(&twice, &base);
-        assert!((b.norm_time - 200.0).abs() < 1e-9);
+            };
+            let r = RunResult::new(
+                name.into(),
+                Duration::from_ns(ns),
+                Clock::from_mhz(mhz),
+                vec![cpu],
+            );
+            Arc::new(r)
+        };
+        let configs = [SystemConfig::ooo(), SystemConfig::piranha_p8()];
+        let report = normalized("Bars", &[oltp()], &configs, RunScale::tiny());
+        (report.table)(&[run("OOO", 1000, 1000), run("X", 2000, 500)])
+    }
+
+    #[test]
+    fn bar_normalization() {
+        let t = synthetic_bars();
+        let x = &t.rows()[1];
+        assert_eq!(t.cell(x, "config"), &Json::str("X"));
+        let cell = |c| t.cell(x, c).as_f64().unwrap();
+        assert!((cell("norm_time") - 200.0).abs() < 1e-9);
         assert!(
-            (b.busy - 200.0).abs() < 1e-6,
+            (cell("busy") - 200.0).abs() < 1e-6,
             "no stalls recorded: all busy"
         );
     }
 
     #[test]
     fn render_is_readable() {
-        let bars = vec![Bar {
-            name: "P8".into(),
-            norm_time: 34.0,
-            busy: 20.0,
-            l2_hit: 9.0,
-            l2_miss: 5.0,
-        }];
-        let s = render_bars("Figure 5 (OLTP)", &bars);
-        assert!(s.contains("P8"));
-        assert!(s.contains("34.0"));
+        let s = synthetic_bars().to_string();
+        assert!(s.contains("oltp") && s.contains("X"));
+        assert!(s.contains("200.0"));
     }
 
     #[test]
     fn union_plan_dedups_shared_baselines() {
-        let plan = all_figures_plan(RunScale::quick());
-        // 35 figure slots collapse to the unique configurations: the
+        let plan = plan(&all_figures(RunScale::quick()));
+        // 31 figure slots collapse to the unique configurations: the
         // OOO/P1/P8 baselines appear in several figures but only once
         // in the plan.
         assert!(plan.len() < 25, "plan must deduplicate: got {}", plan.len());
@@ -1324,9 +1132,16 @@ mod tests {
         assert_eq!(keys.len(), plan.len(), "all keys unique");
     }
 
+    /// The fault table at golden size, computed once for the tests that
+    /// read it.
+    fn fault_table() -> &'static Table {
+        static TABLE: OnceLock<Table> = OnceLock::new();
+        TABLE.get_or_init(|| fig_faults(&FaultConfig::seeded(42, 1e-4), 3))
+    }
+
     #[test]
     fn fault_sweep_is_consistent_and_loses_no_work() {
-        let t = fig_faults(&FaultConfig::seeded(42, 1e-4), 3);
+        let t = fault_table();
         let rows = t.rows();
         assert_eq!(rows.len(), fig_faults_configs().len() * FAULT_RATES.len());
         let u = |row: &[Json], c| t.cell(row, c).as_u64().unwrap();
@@ -1356,6 +1171,24 @@ mod tests {
         assert!(text.contains("P8") && text.contains("slowdown"));
     }
 
+    /// The headline schedule is the sweep's point at its configuration
+    /// and rate, fetched from the sweep's harness: the same run.
+    #[test]
+    fn fault_headline_is_the_matching_sweep_row() {
+        let t = fault_table();
+        let row = t
+            .rows()
+            .iter()
+            .find(|r| {
+                Some(t.cell(r, "config")) == t.fact("config")
+                    && t.cell(r, "rate").as_f64() == Some(1e-4)
+            })
+            .expect("the sweep covers the headline's configuration and rate");
+        for fact in ["fingerprint", "committed"] {
+            assert_eq!(t.fact(fact), Some(t.cell(row, fact)), "{fact}");
+        }
+    }
+
     #[test]
     fn availability_object_shape() {
         let mut av = AvailabilityReport {
@@ -1364,19 +1197,16 @@ mod tests {
             escalated: 1,
             retransmits: 3,
             recovery_cycles: 100,
-            slowdown: Some(1.25),
             ..Default::default()
         };
         av.by_kind
             .insert(piranha_system::FaultKind::PacketCorrupt, 2);
-        let j = availability_json(&av).to_string();
+        let j = availability_json(&av, 1.25).to_string();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"injected\":2"));
         assert!(j.contains("\"mttr_cycles\":50"));
         assert!(j.contains("\"corrupt\":2"));
         assert!(j.contains("\"slowdown\":1.25"));
-        let unset = availability_json(&AvailabilityReport::default());
-        assert!(unset.get("slowdown").is_some_and(Json::is_null));
     }
 
     /// The string keys of every subscript `x["key"]` or `x['key']` in
@@ -1404,7 +1234,7 @@ mod tests {
     #[test]
     fn ci_smoke_steps_read_only_table_fields() {
         const CI: &str = include_str!("../../../.github/workflows/ci.yml");
-        let availability = availability_json(&AvailabilityReport::default());
+        let availability = availability_json(&AvailabilityReport::default(), 1.0);
         let ledger: Vec<&str> = availability
             .as_obj()
             .unwrap()

@@ -428,10 +428,10 @@ pub fn metrics_json(snap: &MetricsSnapshot) -> Json {
     Json::obj(snap.entries.iter().map(field).collect())
 }
 
-/// A sweep report as one value: a text title, run-level facts, column
-/// names and rows of cells. [`Display`](fmt::Display) renders the text
-/// table a sweep binary prints, [`Table::to_json`] the document its
-/// `--metrics=` writes, so each sweep names each column once.
+/// A report as one value: a text title, run-level facts, column names
+/// and rows of cells. [`Display`](fmt::Display) renders the text table a
+/// figure or sweep binary prints, [`Table::to_json`] the document a
+/// sweep's `--metrics=` writes, so each report names each column once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// The text heading; the JSON document leaves it out.

@@ -25,10 +25,6 @@ pub struct AvailabilityReport {
     pub recovery_cycles: u64,
     /// Injections per fault kind.
     pub by_kind: BTreeMap<FaultKind, u64>,
-    /// Measured-window slowdown versus the fault-free baseline of the
-    /// same configuration (1.0 = no slowdown); filled in by experiment
-    /// drivers that run the paired baseline.
-    pub slowdown: Option<f64>,
 }
 
 impl AvailabilityReport {
@@ -48,9 +44,7 @@ impl AvailabilityReport {
     /// Fold another ledger into this one (counts add, per-kind maps
     /// union). Used to aggregate per-lane ledgers of a partitioned
     /// machine into one machine-wide report; merging consistent reports
-    /// yields a consistent report. `slowdown` is a run-level ratio, not
-    /// a count — it stays whatever the caller set (lane ledgers never
-    /// carry one).
+    /// yields a consistent report.
     pub fn merge(&mut self, other: &AvailabilityReport) {
         self.injected += other.injected;
         self.corrected += other.corrected;

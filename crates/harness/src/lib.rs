@@ -12,7 +12,7 @@
 //! 3. executes the unique runs across `std::thread::scope` workers
 //!    (bounded by `available_parallelism`, overridable with the
 //!    `PIRANHA_THREADS` environment variable), and
-//! 4. hands the memoized [`RunResult`]s back through [`Harness::get`].
+//! 4. hands the memoized [`RunResult`]s back through [`Harness::fetch`].
 //!
 //! Because each simulation is deterministic and runs on its own thread
 //! with its own `Machine`, the parallel path is *bit-identical* to the
@@ -21,7 +21,7 @@
 //! # Examples
 //!
 //! ```no_run
-//! use piranha_harness::{Harness, RunPlan, RunScale};
+//! use piranha_harness::{Harness, RunPlan, RunRequest, RunScale};
 //! use piranha_system::SystemConfig;
 //! use piranha_workloads::{OltpConfig, Workload};
 //!
@@ -33,7 +33,7 @@
 //! }
 //! let mut h = Harness::new();
 //! h.execute(&plan);
-//! let ooo = h.get(&SystemConfig::ooo(), &w, scale); // memoized
+//! let ooo = h.fetch(&plan.requests()[0]); // memoized
 //! println!("OOO: {:.2} instrs/ns", ooo.throughput_ipns());
 //! ```
 
@@ -555,7 +555,7 @@ pub fn default_threads() -> usize {
 ///
 /// Results are cached by [`cache_key`] in a [`SharedCache`];
 /// [`Harness::execute`] runs every uncached request of a [`RunPlan`]
-/// across scoped worker threads, and [`Harness::get`] returns cached
+/// across scoped worker threads, and [`Harness::fetch`] returns cached
 /// results (simulating inline, serially, on a miss so figures never see
 /// a gap).
 ///
@@ -652,7 +652,7 @@ impl Harness {
         self.executed
     }
 
-    /// How many [`Harness::get`] calls were answered from the cache.
+    /// How many [`Harness::fetch`] calls were answered from the cache.
     pub fn cache_hits(&self) -> usize {
         self.hits
     }
@@ -728,12 +728,6 @@ impl Harness {
         }
         r
     }
-
-    /// [`Harness::fetch`] of a full-detail `(config, workload, scale)`
-    /// request.
-    pub fn get(&mut self, cfg: &SystemConfig, w: &Workload, scale: RunScale) -> Arc<RunResult> {
-        self.fetch(&RunRequest::new(cfg.clone(), w.clone(), scale))
-    }
 }
 
 #[cfg(test)]
@@ -786,9 +780,9 @@ mod tests {
         assert_eq!(h.unique_runs(), 2);
         h.execute(&plan);
         assert_eq!(h.unique_runs(), 2, "re-executing a cached plan is free");
-        let _ = h.get(&tiny_cfg("A", 1), &synth(), RunScale::tiny());
+        let _ = h.fetch(&plan.requests()[0]);
         assert_eq!(h.cache_hits(), 1);
-        assert_eq!(h.unique_runs(), 2, "get() was served from cache");
+        assert_eq!(h.unique_runs(), 2, "fetch() was served from cache");
     }
 
     #[test]
@@ -802,8 +796,7 @@ mod tests {
         let mut parallel = Harness::with_threads(4);
         parallel.execute(&plan);
         for req in plan.requests() {
-            let a = serial.get(&req.cfg, &req.workload, req.scale);
-            let b = parallel.get(&req.cfg, &req.workload, req.scale);
+            let (a, b) = (serial.fetch(req), parallel.fetch(req));
             assert_eq!(a.name, b.name);
             assert_eq!(a.window, b.window);
             assert_eq!(a.total_instrs(), b.total_instrs());
@@ -821,7 +814,11 @@ mod tests {
     #[test]
     fn get_runs_inline_on_miss() {
         let mut h = Harness::new();
-        let r = h.get(&tiny_cfg("A", 1), &synth(), RunScale::tiny());
+        let r = h.fetch(&RunRequest::new(
+            tiny_cfg("A", 1),
+            synth(),
+            RunScale::tiny(),
+        ));
         assert!(r.total_instrs() >= 10_000);
         assert_eq!(h.unique_runs(), 1);
         assert_eq!(h.cache_hits(), 0);

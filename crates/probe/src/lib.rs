@@ -5,8 +5,7 @@
 //! 1. a central [`MetricRegistry`] of hierarchically-named histograms
 //!    with cheaply cloned handles ([`HistogramHandle`]);
 //! 2. a cycle-stamped structured trace ring buffer ([`TraceBuffer`])
-//!    recording subsystem spans, zero-cost when disabled (runtime
-//!    [`TraceLevel`] gate plus the compile-time `trace` feature);
+//!    recording subsystem spans, gated at run time by [`TraceLevel`];
 //! 3. exporters: Chrome `trace_event` JSON ([`chrome::chrome_trace_json`],
 //!    viewable in Perfetto), flat CSV/JSON metric dumps
 //!    ([`MetricsSnapshot`]), and the per-core stall-attribution table
@@ -30,9 +29,7 @@
 //! let metrics = probe.metrics().unwrap();
 //! let count = metrics.get("parsim.node0.barrier_wait_ns.count").unwrap();
 //! assert_eq!(count.as_count(), Some(1));
-//! // One span recorded — when the `trace` feature is compiled in.
-//! let expected = if cfg!(feature = "trace") { 1 } else { 0 };
-//! assert_eq!(probe.trace_snapshot().unwrap().len(), expected);
+//! assert_eq!(probe.trace_snapshot().unwrap().len(), 1);
 //! ```
 
 use std::sync::Arc;
@@ -123,12 +120,9 @@ impl Probe {
     }
 
     /// Whether trace records at `level` would currently be kept. Always
-    /// `false` when disabled or when the `trace` feature is compiled out.
+    /// `false` when disabled.
     #[inline]
     pub fn trace_on(&self, level: TraceLevel) -> bool {
-        if cfg!(not(feature = "trace")) {
-            return false;
-        }
         match &self.0 {
             Some(i) => i.trace.enabled(level),
             None => false,
@@ -144,17 +138,13 @@ impl Probe {
 
     /// Name a track (Chrome-trace thread) for the exporters.
     pub fn name_track(&self, track: u32, label: impl Into<String>) {
-        #[cfg(feature = "trace")]
         if let Some(i) = &self.0 {
             i.trace.name_track(track, label);
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (track, label.into());
     }
 
     /// Record a span of simulated time (`ts_ps`..`ts_ps + dur_ps`) on
-    /// `track`. Compiled out without the `trace` feature; otherwise one
-    /// atomic load when the runtime level is below `level`.
+    /// `track`: one atomic load when the runtime level is below `level`.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn span(
@@ -167,7 +157,6 @@ impl Probe {
         dur_ps: u64,
         arg: u64,
     ) {
-        #[cfg(feature = "trace")]
         if let Some(i) = &self.0 {
             if i.trace.enabled(level) {
                 i.trace.record(TraceEvent {
@@ -180,8 +169,6 @@ impl Probe {
                 });
             }
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = (level, cat, name, track, ts_ps, dur_ps, arg);
     }
 
     /// Record an instant (zero-duration) event.
@@ -220,7 +207,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn clones_share_state() {
         let p = Probe::new(ProbeConfig::with_level(TraceLevel::Spans));
         let q = p.clone();
@@ -235,7 +221,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn runtime_level_gates_spans() {
         let p = Probe::new(ProbeConfig::with_level(TraceLevel::Spans));
         p.span(TraceLevel::Verbose, "cpu", "fine", 0, 0, 0, 0);

@@ -166,16 +166,6 @@ impl MetricsSnapshot {
             .map(|i| &self.entries[i].1)
     }
 
-    /// All rows whose name starts with `prefix`.
-    pub fn with_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = &'a (String, MetricValue)> {
-        self.entries
-            .iter()
-            .filter(move |(n, _)| n.starts_with(prefix))
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -307,15 +297,5 @@ mod tests {
             "machine.instrs  42\nnet.mean_hops   1.5\n"
         );
         assert_eq!(MetricsSnapshot::default().to_string(), "");
-    }
-
-    #[test]
-    fn prefix_query() {
-        let snap = MetricsSnapshot::from_entries(vec![
-            ("cpu.node0.core0.instrs".into(), MetricValue::Count(5)),
-            ("cpu.node0.core1.instrs".into(), MetricValue::Count(6)),
-            ("net.delivered".into(), MetricValue::Count(7)),
-        ]);
-        assert_eq!(snap.with_prefix("cpu.").count(), 2);
     }
 }

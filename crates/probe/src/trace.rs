@@ -3,12 +3,9 @@
 //! Every record is a cycle-stamped (picosecond-stamped — the simulator's
 //! global clock) span or instant with a static category and name, an
 //! integer track (rendered as a Chrome-trace "thread"), and one numeric
-//! argument. Recording is gated twice:
-//!
-//! * **compile time**: without the crate's `trace` feature every
-//!   recording call compiles to nothing;
-//! * **run time**: a [`TraceLevel`] stored in the buffer; recording at a
-//!   level above the configured one is a single relaxed atomic load.
+//! argument. Recording is gated at run time by a [`TraceLevel`] stored
+//! in the buffer: recording at a level above the configured one is a
+//! single relaxed atomic load.
 //!
 //! The buffer is bounded: once `capacity` events are held, further
 //! records are counted in `dropped` instead of growing memory, so a

@@ -19,9 +19,9 @@
 //! - `result` — the fields themselves.
 //!
 //! Every `f64` that participates in the fingerprint (the page-hit rate,
-//! the availability slowdown, the sample-estimate statistics) travels as
-//! its `to_bits()` integer, so the round trip is bit-exact by
-//! construction rather than by printing heroics.
+//! the sample-estimate statistics) travels as its `to_bits()` integer,
+//! so the round trip is bit-exact by construction rather than by
+//! printing heroics.
 
 use std::collections::BTreeMap;
 
@@ -39,7 +39,7 @@ use piranha_types::Duration;
 use crate::json::Json;
 
 /// Envelope schema version; bump when the field layout changes.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// The golden tables this build was blessed against: the detailed
 /// fingerprints and the sampled runs (`fig5 --sample` replays sampled
@@ -276,10 +276,6 @@ fn availability_to_json(a: &AvailabilityReport) -> Json {
                     .collect(),
             ),
         ),
-        (
-            "slowdown_bits".into(),
-            a.slowdown.map_or(Json::Null, |x| Json::U64(x.to_bits())),
-        ),
     ])
 }
 
@@ -304,7 +300,6 @@ fn availability_from_json(v: &Json) -> Result<AvailabilityReport, String> {
         retransmits: field_u64(v, "retransmits")?,
         recovery_cycles: field_u64(v, "recovery_cycles")?,
         by_kind,
-        slowdown: opt_u64(v, "slowdown_bits")?.map(f64::from_bits),
     })
 }
 
@@ -456,7 +451,6 @@ mod tests {
         r.availability.escalated = 1;
         r.availability.by_kind.insert(FaultKind::LinkFlap, 2);
         r.availability.by_kind.insert(FaultKind::MemFlipDouble, 1);
-        r.availability.slowdown = Some(1.0625);
         r.sample = Some(SampleEstimate {
             cpi_mean: 1.5,
             cpi_ci95: 0.1,

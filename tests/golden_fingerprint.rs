@@ -19,9 +19,7 @@
 //! and commit the updated `.tsv` files with an explanation of why the
 //! ordering legitimately changed.
 
-use piranha::experiments::{
-    fig5_fingerprints, golden_fingerprints, golden_plan, render_fingerprints, RunScale,
-};
+use piranha::experiments::{fig5, fingerprints, golden_plan, plan, RunScale};
 
 const GOLDEN: &str = include_str!("golden_fingerprints.tsv");
 const GOLDEN_FIG5: &str = include_str!("golden_fig5_quick.tsv");
@@ -49,7 +47,7 @@ fn golden_labels_are_unique() {
 
 #[test]
 fn golden_fingerprints_match_checked_in_values() {
-    let got = render_fingerprints(&golden_fingerprints(RunScale::quick()));
+    let got = fingerprints(&golden_plan(RunScale::quick()));
     assert!(
         !GOLDEN.trim().is_empty(),
         "golden file missing — run the ignored `bless` test to create it"
@@ -74,7 +72,7 @@ fn golden_fingerprints_match_checked_in_values() {
 
 #[test]
 fn fig5_subset_matches_checked_in_values() {
-    let got = render_fingerprints(&fig5_fingerprints(RunScale::quick()));
+    let got = fingerprints(&plan(&[fig5(RunScale::quick())]));
     assert_eq!(
         got, GOLDEN_FIG5,
         "fig5 fingerprint subset drifted from tests/golden_fig5_quick.tsv \
@@ -192,9 +190,9 @@ mod parallel_props {
 #[ignore = "regenerates the golden files; run explicitly to bless"]
 fn bless() {
     let dir = golden_dir();
-    let all = render_fingerprints(&golden_fingerprints(RunScale::quick()));
+    let all = fingerprints(&golden_plan(RunScale::quick()));
     std::fs::write(dir.join("golden_fingerprints.tsv"), &all).unwrap();
-    let fig5 = render_fingerprints(&fig5_fingerprints(RunScale::quick()));
+    let fig5 = fingerprints(&plan(&[fig5(RunScale::quick())]));
     std::fs::write(dir.join("golden_fig5_quick.tsv"), &fig5).unwrap();
     println!("blessed {} golden fingerprints", all.lines().count());
 }

@@ -1,9 +1,10 @@
 //! Acceptance tests for the parallel, memoizing experiment harness:
 //! determinism of repeated runs, bit-identical figure outputs between
-//! the serial and parallel paths, and (on multi-core hosts) the
-//! wall-clock win.
+//! per-figure private harnesses and one shared harness, and (on
+//! multi-core hosts) the wall-clock win.
 
 use piranha::experiments::{self, Harness, RunPlan, RunRequest, RunScale};
+use piranha::observe::Table;
 use piranha::workloads::{OltpConfig, Workload};
 use piranha::SystemConfig;
 
@@ -27,13 +28,23 @@ fn assert_results_identical(a: &piranha::RunResult, b: &piranha::RunResult) {
     }
 }
 
+/// Every §4 figure through its own serial harness, so runs the figures
+/// share are simulated once per figure.
+fn per_figure(scale: RunScale) -> Vec<Table> {
+    experiments::all_figures(scale)
+        .iter()
+        .map(|r| r.table(&mut Harness::serial()))
+        .collect()
+}
+
 #[test]
 fn repeated_runs_are_deterministic() {
     let w = Workload::Oltp(OltpConfig::paper_default());
     let cfg = SystemConfig::piranha_pn(2);
     // Twice directly, on the calling thread.
-    let a = RunRequest::new(cfg.clone(), w.clone(), small()).run();
-    let b = RunRequest::new(cfg.clone(), w.clone(), small()).run();
+    let req = RunRequest::new(cfg.clone(), w.clone(), small());
+    let a = req.run();
+    let b = req.run();
     assert_results_identical(&a, &b);
     // Once more through the parallel harness (worker thread + cache).
     let mut plan = RunPlan::new();
@@ -41,23 +52,23 @@ fn repeated_runs_are_deterministic() {
     plan.add(SystemConfig::ooo(), w.clone(), small());
     let mut h = Harness::with_threads(4);
     h.execute(&plan);
-    let c = h.get(&cfg, &w, small());
+    let c = h.fetch(&req);
     assert_results_identical(&a, &c);
 }
 
 #[test]
 fn all_figures_bit_identical_to_serial_and_dedups() {
-    let serial = experiments::all_figures_serial(small());
+    let serial = per_figure(small());
     let mut h = Harness::new();
-    let parallel = experiments::all_figures_with(&mut h, small());
+    let reports = experiments::all_figures(small());
+    let shared = experiments::tables(&mut h, &reports);
     assert_eq!(
-        serial, parallel,
-        "parallel memoized figures must be bit-identical"
+        serial, shared,
+        "figures through one shared harness must be bit-identical"
     );
-    // The shared cache must collapse the ~35 per-figure runs into the
+    // The shared cache must collapse the 31 per-figure runs into the
     // unique configurations.
-    let plan = experiments::all_figures_plan(small());
-    assert_eq!(h.unique_runs(), plan.len());
+    assert_eq!(h.unique_runs(), experiments::plan(&reports).len());
     assert!(
         h.unique_runs() < 25,
         "cross-figure dedup: {} unique runs",
@@ -74,15 +85,15 @@ fn all_figures_bit_identical_to_serial_and_dedups() {
 fn all_figures_quick_parallel_speedup() {
     let scale = RunScale::quick();
     let t0 = std::time::Instant::now();
-    let serial = experiments::all_figures_serial(scale);
+    let serial = per_figure(scale);
     let t_serial = t0.elapsed();
     let t1 = std::time::Instant::now();
-    let parallel = experiments::all_figures(scale);
-    let t_parallel = t1.elapsed();
-    assert_eq!(serial, parallel, "quick-scale figures bit-identical");
-    let speedup = t_serial.as_secs_f64() / t_parallel.as_secs_f64().max(1e-9);
+    let shared = experiments::tables(&mut Harness::new(), &experiments::all_figures(scale));
+    let t_shared = t1.elapsed();
+    assert_eq!(serial, shared, "quick-scale figures bit-identical");
+    let speedup = t_serial.as_secs_f64() / t_shared.as_secs_f64().max(1e-9);
     eprintln!(
-        "all_figures quick: serial {t_serial:?}, parallel+memoized {t_parallel:?} ({speedup:.2}x)"
+        "all_figures quick: per-figure serial {t_serial:?}, shared parallel {t_shared:?} ({speedup:.2}x)"
     );
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())

@@ -103,7 +103,6 @@ fn probe_never_perturbs_the_simulation() {
 /// and interconnect subsystems (memory shows up too), and the Chrome
 /// exporter produces a JSON document holding them.
 #[test]
-#[cfg_attr(not(feature = "trace"), ignore = "needs the trace feature")]
 fn two_chip_trace_covers_four_subsystems() {
     let (_, probe) = probed(&tiny_request(), TraceLevel::Spans);
     let snap = probe.trace_snapshot().expect("probe attached");
@@ -167,7 +166,6 @@ fn metrics_snapshot_exports() {
 /// files land on disk, the trace parses as JSON-ish, and the summary
 /// names the stall table.
 #[test]
-#[cfg_attr(not(feature = "trace"), ignore = "needs the trace feature")]
 fn export_probed_run_writes_files() {
     let dir = std::env::temp_dir().join("piranha-probe-test");
     std::fs::create_dir_all(&dir).unwrap();

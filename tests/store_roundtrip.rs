@@ -75,10 +75,11 @@ fn corrupted_entries_recompute_and_repair() {
     let w = synth();
     let scale = RunScale::tiny();
     let key = cache_key(&cfg, &w, scale);
+    let req = RunRequest::new(cfg, w, scale);
 
     let mut h = Harness::serial();
     h.set_store(Some(store.clone()));
-    let original = h.get(&cfg, &w, scale);
+    let original = h.fetch(&req);
     assert_eq!((h.unique_runs(), h.store_hits()), (1, 0));
 
     // Vandalize the entry three ways; every shape must load as a miss.
@@ -97,7 +98,7 @@ fn corrupted_entries_recompute_and_repair() {
         // A fresh harness (cold memory cache) recomputes and re-saves.
         let mut h2 = Harness::serial();
         h2.set_store(Some(store.clone()));
-        let r = h2.get(&cfg, &w, scale);
+        let r = h2.fetch(&req);
         assert_eq!(r.fingerprint(), original.fingerprint());
         assert_eq!((h2.unique_runs(), h2.store_hits()), (1, 0));
         assert_eq!(
@@ -179,9 +180,9 @@ fn two_processes_can_share_a_store_directory() {
             plan.push(RunRequest::new(cfg.clone(), w.clone(), scale));
         }
         h.execute(&plan);
-        configs
+        plan.requests()
             .iter()
-            .map(|cfg| h.get(cfg, &w, scale).fingerprint())
+            .map(|req| h.fetch(req).fingerprint())
             .collect::<Vec<u64>>()
     };
     let (a, b) = std::thread::scope(|s| {
