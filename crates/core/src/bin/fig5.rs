@@ -13,7 +13,8 @@ fn main() {
     let scale = flags.scale();
     let fig5 = experiments::fig5(scale);
     if flags.fingerprints {
-        print!("{}", experiments::fingerprints(&experiments::plan(&[fig5])));
+        let plan = experiments::plan(&[fig5]);
+        print!("{}", experiments::fingerprints(&mut Harness::new(), &plan));
     } else if let Some(sample) = &flags.sample {
         let sampled = experiments::fig5_sampled(scale, sample);
         println!("{}", sampled.table(&mut Harness::new()));

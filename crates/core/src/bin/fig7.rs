@@ -12,7 +12,8 @@ fn main() {
     let scale = flags.scale();
     let fig7 = experiments::fig7(scale);
     if flags.fingerprints {
-        print!("{}", experiments::fingerprints(&experiments::plan(&[fig7])));
+        let plan = experiments::plan(&[fig7]);
+        print!("{}", experiments::fingerprints(&mut Harness::new(), &plan));
     } else {
         println!("{}", fig7.table(&mut Harness::new()));
         flags.run_riders(&experiments::oltp(), scale);

@@ -15,7 +15,7 @@ fn main() {
     let fig8 = experiments::fig8(scale);
     if flags.fingerprints {
         let plan = experiments::plan(&[fig8, experiments::fig7(scale)]);
-        print!("{}", experiments::fingerprints(&plan));
+        print!("{}", experiments::fingerprints(&mut Harness::new(), &plan));
     } else {
         println!("{}", fig8.table(&mut Harness::new()));
         flags.run_riders(&experiments::dss(), scale);

@@ -9,7 +9,7 @@
 //! knee was detected — the CI `latency-smoke` step), `--metrics` (the
 //! table as JSON), `--topology`/`--queue` (sweep an overridden fabric;
 //! calibration reruns on it, so the load fractions stay anchored to
-//! *its* service rate), `--parallel` and `--store`; see
+//! *its* service rate) and `--parallel`; see
 //! [`piranha::observe::Flags`].
 use piranha::experiments;
 use piranha::observe::{self, Flags, Table};

@@ -4,9 +4,8 @@
 //! detailed windows, and reports CPI error, 95%-CI coverage, detailed
 //! share, and host wall-clock speedup.
 //!
-//! Reads `--quick`, `--metrics` (the table as JSON, which the CI
-//! `sample-smoke` step validates), `--parallel` and `--store`; see
-//! [`piranha::observe::Flags`].
+//! Reads `--quick` and `--metrics` (the table as JSON, which the CI
+//! `sample-smoke` step validates); see [`piranha::observe::Flags`].
 use piranha::experiments;
 use piranha::observe::Flags;
 

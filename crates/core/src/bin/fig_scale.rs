@@ -5,18 +5,27 @@
 //! deflection/drop/pause rates, and link occupancy.
 //!
 //! Reads `--quick`, `--topology`/`--queue` (narrow the sweep to one
-//! shape or discipline), `--check` (exit nonzero unless some swept point
-//! shows measurable congestion — nonzero drops or pause stalls; the CI
+//! shape or discipline; a topology the sweep does not cover exits with
+//! status 2), `--check` (exit nonzero unless some swept point shows
+//! measurable congestion — nonzero drops or pause stalls; the CI
 //! `scale-smoke` step runs this, and every row's packet-ledger
 //! conservation is asserted inside the sweep regardless), `--metrics`
-//! (the table as JSON), `--parallel` and `--store`; see
-//! [`piranha::observe::Flags`].
-use piranha::experiments;
+//! (the table as JSON) and `--parallel`; see [`piranha::observe::Flags`].
+use piranha::experiments::{self, SCALE_TOPOLOGIES};
 use piranha::observe::{Flags, Table};
 use piranha::serve::json::Json;
 
 fn main() {
     let flags = Flags::from_env();
+    if let Some(t) = flags.topology.filter(|t| !SCALE_TOPOLOGIES.contains(t)) {
+        let swept: Vec<_> = SCALE_TOPOLOGIES.iter().map(|t| t.label()).collect();
+        eprintln!(
+            "error: --topology={}: fig_scale sweeps only {}",
+            t.label(),
+            swept.join("|")
+        );
+        std::process::exit(2);
+    }
     let table = experiments::fig_scale(flags.quick, flags.topology, flags.queue);
     print!("{table}");
     flags.write_report("scale report", &table);

@@ -1047,11 +1047,11 @@ pub fn golden_plan(scale: RunScale) -> RunPlan {
     p
 }
 
-/// The fingerprint of each of `plan`'s runs in the golden-file format:
-/// one `label\tfingerprint-hex` line per run, in plan order. A figure
-/// binary's `--fingerprints` prints it for its reports' [`plan`].
-pub fn fingerprints(plan: &RunPlan) -> String {
-    let mut h = Harness::new();
+/// The fingerprint of each of `plan`'s runs, run through `h`, in the
+/// golden-file format: one `label\tfingerprint-hex` line per run, in
+/// plan order. A figure binary's `--fingerprints` prints it for its
+/// reports' [`plan`].
+pub fn fingerprints(h: &mut Harness, plan: &RunPlan) -> String {
     h.execute(plan);
     let line = |req| {
         format!(

@@ -45,8 +45,8 @@
 pub use piranha_system::{
     ArrivalKind, AvailabilityReport, CoreKind, CpuBreakdown, DiurnalCurve, FabricStats,
     FaultConfig, FaultKind, Machine, OverflowPolicy, ParsimStats, PathLatencies, Probe,
-    ProbeConfig, QueueDiscipline, RoutePolicy, RunResult, SampleConfig, SampleEstimate,
-    SystemConfig, TopologyKind, TraceLevel, TrafficConfig, TrafficLedger, TrafficSummary,
+    ProbeConfig, QueueDiscipline, RunResult, SampleConfig, SampleEstimate, SystemConfig,
+    TopologyKind, TraceLevel, TrafficConfig, TrafficLedger, TrafficSummary,
 };
 
 /// Shared architectural types (re-export of `piranha-types`).

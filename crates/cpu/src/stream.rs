@@ -120,9 +120,8 @@ pub trait InstrStream: Send {
         None
     }
 
-    /// Admit the next transaction on a parked stream, charging
-    /// `_extra_idle_cycles` of service-time pad before its first op.
-    fn admit(&mut self, _extra_idle_cycles: u32) {}
+    /// Admit the next transaction on a parked stream.
+    fn admit(&mut self) {}
 }
 
 impl<F: FnMut() -> Option<StreamOp> + Send> InstrStream for F {

@@ -29,4 +29,8 @@ pub mod schedule;
 
 pub use plane::{EngineHiccup, FaultPlane, MemFault, PacketFault};
 pub use report::AvailabilityReport;
-pub use schedule::{FaultConfig, FaultKind, FaultSchedule, ScriptedFault};
+pub use schedule::{
+    retransmit_delay_cycles, FaultConfig, FaultKind, FaultSchedule, ScriptedFault, BACKOFF_CYCLES,
+    FAILOVER_CYCLES, MIRROR_LINES, NACK_CYCLES, REPLAY_TIMEOUT_CYCLES, RETRY_BUDGET, SCRUB_CYCLES,
+    STALL_CYCLES,
+};

@@ -10,7 +10,7 @@
 use piranha_kernel::Prng;
 
 use crate::report::AvailabilityReport;
-use crate::schedule::{FaultConfig, FaultKind, FaultSchedule};
+use crate::schedule::{FaultConfig, FaultKind, FaultSchedule, RETRY_BUDGET, STALL_CYCLES};
 
 /// Independent-stream tags (arbitrary distinct constants).
 const TAG_PACKET: u64 = 0xFA17_0001;
@@ -114,11 +114,6 @@ impl FaultPlane {
         plane
     }
 
-    /// The configuration this plane was built from.
-    pub fn cfg(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// Whether anything can ever be injected. When false, every consult
     /// returns `None`/`false` without touching a PRNG.
     pub fn enabled(&self) -> bool {
@@ -164,7 +159,7 @@ impl FaultPlane {
         // How many attempts fail: usually one, occasionally a burst that
         // blows the retry budget and escalates.
         let burst = 1 + self.packet_rng.geometric(0.5) as u32;
-        let failed_attempts = burst.min(self.cfg.retry_budget + 1);
+        let failed_attempts = burst.min(RETRY_BUDGET + 1);
         let flip_bit = self.packet_rng.below(1 << 16) as u32;
         Some(PacketFault {
             kind,
@@ -183,7 +178,7 @@ impl FaultPlane {
         if !scripted && (self.cfg.rate <= 0.0 || !self.stall_rng.chance(self.cfg.rate)) {
             return None;
         }
-        Some(self.cfg.stall_cycles)
+        Some(STALL_CYCLES)
     }
 
     /// Consult at a memory line read. Returns the bit flips to apply to
@@ -359,7 +354,7 @@ mod tests {
         for c in 0..5_000 {
             if let Some(f) = p.packet_fault(c) {
                 fired += 1;
-                let corrected = f.failed_attempts <= p.cfg().retry_budget;
+                let corrected = f.failed_attempts <= RETRY_BUDGET;
                 p.note_recovery(f.kind, corrected, 10, f.failed_attempts as u64);
             }
             if let Some(m) = p.mem_fault(c) {

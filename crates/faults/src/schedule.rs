@@ -70,7 +70,36 @@ pub struct ScriptedFault {
     pub at_cycle: u64,
 }
 
-/// The fault-injection knobs, carried in `SystemConfig`.
+/// Retransmit attempts allowed before a packet fault escalates.
+pub const RETRY_BUDGET: u32 = 4;
+/// Cycles for the NACK to reach the sender (per retransmit).
+pub const NACK_CYCLES: u64 = 20;
+/// Base cycles of exponential backoff (doubles per attempt).
+pub const BACKOFF_CYCLES: u64 = 16;
+/// Cycles for the ECC scrub that corrects a single-bit flip.
+pub const SCRUB_CYCLES: u64 = 40;
+/// Cycles to restore a line from its mirror after an uncorrectable
+/// (double-bit) error.
+pub const FAILOVER_CYCLES: u64 = 200;
+/// Cycles a transient router stall delays one hop.
+pub const STALL_CYCLES: u64 = 60;
+/// Cycles of the protocol-engine watchdog timeout before a TSRF replay.
+pub const REPLAY_TIMEOUT_CYCLES: u64 = 50;
+/// While faults are enabled, lines `[0, MIRROR_LINES)` on every node are
+/// registered as mirrored through `RasPolicy`, so double-bit
+/// escalations have a mirror to fail over to.
+pub const MIRROR_LINES: u64 = 64;
+
+/// Exponential-backoff delay (cycles) before retransmit `attempt`
+/// (1-based): `NACK_CYCLES + BACKOFF_CYCLES * 2^(attempt-1)`,
+/// saturating.
+pub fn retransmit_delay_cycles(attempt: u32) -> u64 {
+    let factor = 1u64 << (attempt.saturating_sub(1)).min(16);
+    NACK_CYCLES.saturating_add(BACKOFF_CYCLES.saturating_mul(factor))
+}
+
+/// The fault-injection knobs, carried in `SystemConfig`. The recovery
+/// costs are the named constants above.
 ///
 /// `Default` is fully disabled: zero rate, empty script, so existing
 /// configurations are bit-for-bit unaffected.
@@ -84,7 +113,7 @@ pub struct ScriptedFault {
 /// let f = FaultConfig::scripted("corrupt@1000, flip1@5000; hiccup@9000").unwrap();
 /// assert_eq!(f.script.len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultConfig {
     /// Seed for the fault PRNG streams (XORed with the machine seed so
     /// the same fault seed explores different interleavings per config).
@@ -95,44 +124,6 @@ pub struct FaultConfig {
     pub rate: f64,
     /// Explicitly scheduled faults, fired on top of the random rate.
     pub script: Vec<ScriptedFault>,
-    /// Retransmit attempts allowed before a packet fault escalates.
-    pub retry_budget: u32,
-    /// Cycles for the NACK to reach the sender (per retransmit).
-    pub nack_cycles: u64,
-    /// Base cycles of exponential backoff (doubles per attempt).
-    pub backoff_cycles: u64,
-    /// Cycles for the ECC scrub that corrects a single-bit flip.
-    pub scrub_cycles: u64,
-    /// Cycles to restore a line from its mirror after an uncorrectable
-    /// (double-bit) error.
-    pub failover_cycles: u64,
-    /// Cycles a transient router stall delays one hop.
-    pub stall_cycles: u64,
-    /// Cycles of the protocol-engine watchdog timeout before a TSRF
-    /// replay.
-    pub replay_timeout_cycles: u64,
-    /// When nonzero, lines `[0, mirror_lines)` on every node are
-    /// auto-registered as mirrored through `RasPolicy`, so double-bit
-    /// escalations have a mirror to fail over to.
-    pub mirror_lines: u64,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            seed: 0,
-            rate: 0.0,
-            script: Vec::new(),
-            retry_budget: 4,
-            nack_cycles: 20,
-            backoff_cycles: 16,
-            scrub_cycles: 40,
-            failover_cycles: 200,
-            stall_cycles: 60,
-            replay_timeout_cycles: 50,
-            mirror_lines: 0,
-        }
-    }
 }
 
 impl FaultConfig {
@@ -142,7 +133,6 @@ impl FaultConfig {
         FaultConfig {
             seed,
             rate,
-            mirror_lines: 64,
             ..Self::default()
         }
     }
@@ -175,7 +165,6 @@ impl FaultConfig {
         events.sort_by_key(|e| e.at_cycle);
         Ok(FaultConfig {
             script: events,
-            mirror_lines: 64,
             ..Self::default()
         })
     }
@@ -184,14 +173,6 @@ impl FaultConfig {
     /// config costs zero PRNG draws and zero latency at every consult.
     pub fn enabled(&self) -> bool {
         self.rate > 0.0 || !self.script.is_empty()
-    }
-
-    /// Exponential-backoff delay (cycles) before retransmit `attempt`
-    /// (1-based): `nack + backoff * 2^(attempt-1)`, saturating.
-    pub fn retransmit_delay_cycles(&self, attempt: u32) -> u64 {
-        let factor = 1u64 << (attempt.saturating_sub(1)).min(16);
-        self.nack_cycles
-            .saturating_add(self.backoff_cycles.saturating_mul(factor))
     }
 }
 
@@ -286,11 +267,10 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_saturating() {
-        let f = FaultConfig::default();
-        assert_eq!(f.retransmit_delay_cycles(1), 20 + 16);
-        assert_eq!(f.retransmit_delay_cycles(2), 20 + 32);
-        assert_eq!(f.retransmit_delay_cycles(3), 20 + 64);
+        assert_eq!(retransmit_delay_cycles(1), 20 + 16);
+        assert_eq!(retransmit_delay_cycles(2), 20 + 32);
+        assert_eq!(retransmit_delay_cycles(3), 20 + 64);
         // Large attempts cap the shift instead of overflowing.
-        assert!(f.retransmit_delay_cycles(200) > f.retransmit_delay_cycles(3));
+        assert!(retransmit_delay_cycles(200) > retransmit_delay_cycles(3));
     }
 }

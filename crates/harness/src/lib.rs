@@ -238,7 +238,6 @@ impl SharedCache {
                 if let Some(s) = store {
                     s.save(&key, &r);
                 }
-                PROCESS_COMPUTED.fetch_add(1, Ordering::Relaxed);
                 (guard.fulfill(r), Provenance::Computed)
             }
         }
@@ -343,18 +342,21 @@ pub fn node_workers() -> usize {
     NODE_WORKERS.load(Ordering::Relaxed).max(1)
 }
 
-/// Process-wide provenance tally, summed over every
-/// [`SharedCache::resolve`] in the process. The figure binaries build many short-lived harnesses
-/// internally; these counters let `--store=` report one summary line
-/// (and let CI assert a warm store recomputes nothing) without
-/// threading each harness's per-instance counters out.
+/// Process-wide provenance tally: every [`RunRequest::drive`] and
+/// every store hit of a [`SharedCache::resolve`] in the process. The
+/// figure binaries build many short-lived harnesses internally, and
+/// some sweeps drive machines without one; these counters let
+/// `--store=` report one summary line (and let CI assert a warm store
+/// recomputes nothing) without threading each harness's per-instance
+/// counters out.
 static PROCESS_COMPUTED: AtomicUsize = AtomicUsize::new(0);
 static PROCESS_STORE_HITS: AtomicUsize = AtomicUsize::new(0);
 
-/// `(computed, store_hits)` summed across every resolution in this
-/// process (harnesses and the serve worker pool): simulations actually executed versus results served
-/// from the persistent [`ResultStore`]. In-memory cache hits are not
-/// counted (they cost nothing and would dwarf the interesting numbers).
+/// `(computed, store_hits)` summed across this process: simulations
+/// actually driven, inside a harness or the serve worker pool or not,
+/// versus results served from the persistent [`ResultStore`]. In-memory
+/// cache hits are not counted (they cost nothing and would dwarf the
+/// interesting numbers).
 pub fn process_counters() -> (usize, usize) {
     (
         PROCESS_COMPUTED.load(Ordering::Relaxed),
@@ -455,7 +457,9 @@ impl RunRequest {
 
     /// Drive a built machine through this request's run: a warmup +
     /// measure window, a run to stream completion, or a sampled run.
+    /// Counted as computed in [`process_counters`].
     pub fn drive(&self, m: &mut Machine) -> RunResult {
+        PROCESS_COMPUTED.fetch_add(1, Ordering::Relaxed);
         let s = self.scale;
         match &self.sample {
             Some(sample) => {

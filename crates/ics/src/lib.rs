@@ -10,10 +10,11 @@
 //! priority) break protocol deadlocks.
 //!
 //! The timing model reflects that structure: a transfer acquires one of
-//! the eight datapath servers for its serialization time (header word +
-//! optional 8-word cache line) after a fixed arbitration/grant delay, and
-//! per-lane statistics are kept. Because capacity is plentiful, queueing
-//! only appears under heavy bursts, exactly as in the real design.
+//! the [`DATAPATHS`] datapath servers for its serialization time (header
+//! word + optional 8-word cache line) after a fixed [`GRANT_CYCLES`]
+//! arbitration/grant delay at the chip clock, and per-lane statistics
+//! are kept. Because capacity is plentiful, queueing only appears under
+//! heavy bursts, exactly as in the real design.
 
 #![warn(missing_docs)]
 
@@ -21,35 +22,11 @@ use piranha_kernel::{Counter, MultiServer};
 use piranha_types::time::Clock;
 use piranha_types::{Duration, Lane, SimTime};
 
-/// Configuration of the intra-chip switch.
-#[derive(Debug, Clone, Copy)]
-pub struct IcsConfig {
-    /// The chip clock (transfers move one 64-bit word per cycle).
-    pub clock: Clock,
-    /// Number of internal datapaths (8 in the paper).
-    pub datapaths: usize,
-    /// Arbitration + grant pipeline depth in cycles before data moves.
-    pub grant_cycles: u64,
-}
+/// Number of internal datapaths (8 in the paper).
+pub const DATAPATHS: usize = 8;
 
-impl IcsConfig {
-    /// The prototype's switch: 500 MHz, 8 datapaths, 2-cycle grant.
-    pub fn paper_default() -> Self {
-        IcsConfig {
-            clock: Clock::from_mhz(500),
-            datapaths: 8,
-            grant_cycles: 2,
-        }
-    }
-
-    /// A switch clocked differently (e.g. the 1.25 GHz full-custom chip).
-    pub fn with_clock(clock: Clock) -> Self {
-        IcsConfig {
-            clock,
-            ..Self::paper_default()
-        }
-    }
-}
+/// Arbitration + grant pipeline depth in cycles before data moves.
+pub const GRANT_CYCLES: u64 = 2;
 
 /// The size of an ICS transaction, in 64-bit data words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,32 +52,30 @@ impl TransferSize {
 /// # Examples
 ///
 /// ```
-/// use piranha_ics::{Ics, IcsConfig, TransferSize};
+/// use piranha_ics::{Ics, TransferSize};
+/// use piranha_types::time::Clock;
 /// use piranha_types::{Lane, SimTime};
 ///
-/// let mut ics = Ics::new(IcsConfig::paper_default());
+/// let mut ics = Ics::new(Clock::from_mhz(500));
 /// let t = ics.transfer(SimTime::ZERO, TransferSize::Header, Lane::Low);
 /// // 2-cycle grant + 1 word at 500 MHz = 6 ns.
 /// assert_eq!(t.as_ns(), 6);
 /// ```
 #[derive(Debug)]
 pub struct Ics {
-    cfg: IcsConfig,
+    /// The chip clock (transfers move one 64-bit word per cycle).
+    clock: Clock,
     datapaths: MultiServer,
     transfers: [Counter; 2],
     words: Counter,
 }
 
 impl Ics {
-    /// A new, idle switch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `datapaths` is zero.
-    pub fn new(cfg: IcsConfig) -> Self {
+    /// A new, idle switch clocked with the chip.
+    pub fn new(clock: Clock) -> Self {
         Ics {
-            cfg,
-            datapaths: MultiServer::new(cfg.datapaths),
+            clock,
+            datapaths: MultiServer::new(DATAPATHS),
             transfers: [Counter::new(); 2],
             words: Counter::new(),
         }
@@ -118,8 +93,8 @@ impl Ics {
         let idx = usize::from(lane == Lane::High);
         self.transfers[idx].inc();
         self.words.add(size.words());
-        let service = self.cfg.clock.cycles_dur(size.words());
-        let granted = now + self.cfg.clock.cycles_dur(self.cfg.grant_cycles);
+        let service = self.clock.cycles_dur(size.words());
+        let granted = now + self.clock.cycles_dur(GRANT_CYCLES);
         self.datapaths.acquire(granted, service)
     }
 
@@ -143,19 +118,18 @@ impl Ics {
         if horizon.as_ps() == 0 {
             return 0.0;
         }
-        let cap = Duration::from_ps(horizon.as_ps() * self.cfg.datapaths as u64);
+        let cap = Duration::from_ps(horizon.as_ps() * DATAPATHS as u64);
         self.datapaths.busy_time().as_ps() as f64 / cap.as_ps() as f64
-    }
-
-    /// The switch configuration.
-    pub fn config(&self) -> IcsConfig {
-        self.cfg
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn paper_ics() -> Ics {
+        Ics::new(Clock::from_mhz(500))
+    }
 
     #[test]
     fn header_and_line_sizes() {
@@ -165,7 +139,7 @@ mod tests {
 
     #[test]
     fn uncontended_latency() {
-        let mut ics = Ics::new(IcsConfig::paper_default());
+        let mut ics = paper_ics();
         // 2 grant cycles + 9 words at 2ns/cycle = 22ns for a line.
         let t = ics.transfer(SimTime::ZERO, TransferSize::Line, Lane::High);
         assert_eq!(t.as_ns(), 22);
@@ -173,7 +147,7 @@ mod tests {
 
     #[test]
     fn eight_transfers_proceed_in_parallel() {
-        let mut ics = Ics::new(IcsConfig::paper_default());
+        let mut ics = paper_ics();
         let times: Vec<u64> = (0..8)
             .map(|_| {
                 ics.transfer(SimTime::ZERO, TransferSize::Line, Lane::Low)
@@ -191,7 +165,7 @@ mod tests {
 
     #[test]
     fn lane_statistics_are_separate() {
-        let mut ics = Ics::new(IcsConfig::paper_default());
+        let mut ics = paper_ics();
         ics.transfer(SimTime::ZERO, TransferSize::Header, Lane::Low);
         ics.transfer(SimTime::ZERO, TransferSize::Header, Lane::Io);
         ics.transfer(SimTime::ZERO, TransferSize::Line, Lane::High);
@@ -202,7 +176,7 @@ mod tests {
 
     #[test]
     fn utilization_accounts_for_all_datapaths() {
-        let mut ics = Ics::new(IcsConfig::paper_default());
+        let mut ics = paper_ics();
         ics.transfer(SimTime::ZERO, TransferSize::Line, Lane::Low);
         let u = ics.utilization(SimTime::from_ns(180));
         assert!(u > 0.0 && u < 0.05, "u = {u}");
@@ -212,8 +186,7 @@ mod tests {
     #[test]
     fn paper_bandwidth_matches_32_gb_per_s() {
         // 8 datapaths x 8 bytes/cycle x 500 MHz = 32 GB/s.
-        let cfg = IcsConfig::paper_default();
-        let bytes_per_s = cfg.datapaths as u64 * 8 * cfg.clock.mhz() * 1_000_000;
+        let bytes_per_s = DATAPATHS as u64 * 8 * paper_ics().clock.mhz() * 1_000_000;
         assert_eq!(bytes_per_s, 32_000_000_000);
     }
 }

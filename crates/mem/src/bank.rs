@@ -25,13 +25,6 @@ use piranha_types::{FastMap, LineAddr, SimTime};
 use crate::directory::{DirEntry, DIR_BITS};
 use crate::rdram::{MemAccess, Rdram, RdramConfig};
 
-/// Configuration of a memory bank.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MemBankConfig {
-    /// The RDRAM channel parameters.
-    pub rdram: RdramConfig,
-}
-
 /// A memory bank: timing channel + version store + directory store.
 ///
 /// Line "data" is modelled as a monotonically increasing version stamped
@@ -41,10 +34,10 @@ pub struct MemBankConfig {
 /// # Examples
 ///
 /// ```
-/// use piranha_mem::{MemBank, MemBankConfig};
+/// use piranha_mem::{MemBank, RdramConfig};
 /// use piranha_types::{LineAddr, SimTime};
 ///
-/// let mut bank = MemBank::new(MemBankConfig::default());
+/// let mut bank = MemBank::new(RdramConfig::default());
 /// let acc = bank.access(SimTime::ZERO, LineAddr(4));
 /// assert_eq!(acc.critical.as_ns(), 60);
 /// assert_eq!(bank.version(LineAddr(4)), 0);
@@ -73,10 +66,11 @@ const _: () = assert!(
 );
 
 impl MemBank {
-    /// A new bank with all lines at version 0 and uncached directories.
-    pub fn new(cfg: MemBankConfig) -> Self {
+    /// A new bank on an RDRAM channel with parameters `rdram`, all
+    /// lines at version 0 and uncached directories.
+    pub fn new(rdram: RdramConfig) -> Self {
         MemBank {
-            rdram: Rdram::new(cfg.rdram),
+            rdram: Rdram::new(rdram),
             versions: FastMap::default(),
             directory: FastMap::default(),
             spilled: FastMap::default(),
@@ -195,7 +189,7 @@ mod tests {
 
     #[test]
     fn versions_persist_across_read_write() {
-        let mut b = MemBank::new(MemBankConfig::default());
+        let mut b = MemBank::new(RdramConfig::default());
         b.access(SimTime::ZERO, LineAddr(1));
         assert_eq!(b.version(LineAddr(1)), 0, "unwritten memory reads 0");
         b.write(SimTime::from_ns(200), LineAddr(1), 42);
@@ -205,7 +199,7 @@ mod tests {
 
     #[test]
     fn directory_travels_with_data() {
-        let mut b = MemBank::new(MemBankConfig::default());
+        let mut b = MemBank::new(RdramConfig::default());
         let sharers: NodeSet = [NodeId(3)].into_iter().collect();
         b.set_directory(LineAddr(7), DirEntry::Shared(sharers.clone()));
         b.access(SimTime::ZERO, LineAddr(7));
@@ -219,7 +213,7 @@ mod tests {
     fn combined_write_sets_both() {
         // A write-back and a directory update of one line: each lands
         // without disturbing the other.
-        let mut b = MemBank::new(MemBankConfig::default());
+        let mut b = MemBank::new(RdramConfig::default());
         b.set_directory(LineAddr(9), DirEntry::Exclusive(NodeId(2)));
         b.write(SimTime::ZERO, LineAddr(9), 11);
         assert_eq!(b.version(LineAddr(9)), 11);
@@ -233,7 +227,7 @@ mod tests {
 
     #[test]
     fn entries_the_word_cannot_hold_read_back_exactly() {
-        let mut b = MemBank::new(MemBankConfig::default());
+        let mut b = MemBank::new(RdramConfig::default());
         let coarse: NodeSet = (1..=6).map(NodeId).collect();
         let wide: NodeSet = [NodeId(2), NodeId(4000)].into_iter().collect();
         for (line, e) in [
@@ -261,14 +255,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn rows_of_an_id_past_the_encoding_panic_like_encode() {
-        let mut b = MemBank::new(MemBankConfig::default());
+        let mut b = MemBank::new(RdramConfig::default());
         b.set_directory(LineAddr(1), DirEntry::Exclusive(NodeId(1024)));
         b.directory_lines();
     }
 
     #[test]
     fn inject_and_scrub_round_trips() {
-        let mut b = MemBank::new(MemBankConfig::default());
+        let mut b = MemBank::new(RdramConfig::default());
         b.set_version(LineAddr(3), 77);
         // Single-bit flip: corrected, data intact.
         assert_eq!(
@@ -292,7 +286,7 @@ mod tests {
 
     #[test]
     fn timing_flows_through_rdram() {
-        let mut b = MemBank::new(MemBankConfig::default());
+        let mut b = MemBank::new(RdramConfig::default());
         let a1 = b.access(SimTime::ZERO, LineAddr(0));
         assert!(!a1.page_hit);
         let a2 = b.write(a1.full, LineAddr(1), 3);

@@ -28,7 +28,7 @@ pub mod directory;
 pub mod ecc;
 pub mod rdram;
 
-pub use bank::{MemBank, MemBankConfig};
+pub use bank::MemBank;
 pub use directory::{DirEntry, NodeSet, DIR_BITS, POINTER_LIMIT};
 pub use ecc::Scrub;
 pub use rdram::{MemAccess, Rdram, RdramConfig};

@@ -42,7 +42,6 @@ pub use packet::{Packet, PacketKind, PRIORITIES};
 pub use queues::{InQueue, OutQueue};
 pub use recovery::{crc32, flip_bit};
 pub use router::{
-    FabricStats, Network, NetworkConfig, QueueDiscipline, RoutePolicy, CONGESTED_CAPACITY_NS,
-    MAX_CHANNELS,
+    FabricStats, Network, NetworkConfig, QueueDiscipline, CONGESTED_CAPACITY_NS, MAX_CHANNELS,
 };
 pub use topology::{Topology, TopologyKind};

@@ -8,27 +8,23 @@
 //!
 //! [`Network`] holds the topology, per-link bandwidth pipes, and
 //! shortest-path next-hop tables, and walks a packet hop by hop at
-//! injection time. Two orthogonal policies govern the walk:
-//!
-//! * [`RoutePolicy`] picks the output port: the default adaptive
-//!   hot-potato scheme uses the preferred (shortest-path) output unless
-//!   its queue is backed up beyond a patience threshold, in which case
-//!   the packet deflects to the least-loaded alternative link and its
-//!   age/priority rise — old packets stop deflecting, which guarantees
-//!   delivery. The deterministic dimension-order alternative never
-//!   deflects.
-//! * [`QueueDiscipline`] decides what happens when the chosen output
-//!   port's backlog exceeds its buffer capacity: drop-tail (drop, the
-//!   sender times out and re-walks), lossy-NACK (drop, an explicit NACK
-//!   returns to the sender, which re-walks after exponential backoff —
-//!   the link-level CRC/retransmit machinery of [`crate::recovery`]),
-//!   or PFC-style credit pause (never drop; the packet stalls until the
-//!   port drains below capacity). The default drop-tail capacity is
-//!   effectively unbounded, reproducing the paper's lossless fabric
-//!   bit-for-bit.
+//! injection time. At each hop the adaptive hot-potato router takes the
+//! preferred (shortest-path) output unless its queue is backed up
+//! beyond a patience threshold, in which case the packet deflects to
+//! the least-loaded alternative link and its age/priority rise — old
+//! packets stop deflecting, which guarantees delivery. A
+//! [`QueueDiscipline`] then decides what happens when the chosen output
+//! port's backlog exceeds its buffer capacity: drop-tail (drop, the
+//! sender times out and re-walks), lossy-NACK (drop, an explicit NACK
+//! returns to the sender, which re-walks after exponential backoff —
+//! the link-level CRC/retransmit machinery of [`crate::recovery`]), or
+//! PFC-style credit pause (never drop; the packet stalls until the port
+//! drains below capacity). The default drop-tail capacity is
+//! effectively unbounded, reproducing the paper's lossless fabric
+//! bit-for-bit.
 //!
 //! Every discipline only ever *adds* latency over the ideal walk, and
-//! every policy takes at least the BFS hop count, so the conservative
+//! no walk takes fewer hops than the BFS distance, so the conservative
 //! per-pair bounds of [`Network::pair_bounds`] hold under all of them.
 
 use piranha_kernel::{Counter, Histogram, Pipe};
@@ -40,28 +36,15 @@ use crate::topology::Topology;
 /// Maximum links per processing node (paper §2.6.1).
 pub const MAX_CHANNELS: usize = 4;
 
-/// How the router picks an output port at each hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutePolicy {
-    /// The paper's S-Connect adaptive scheme: shortest path unless the
-    /// preferred port is backed up past `deflect_patience`, then
-    /// deflect to the least-loaded alternative (age caps deflection).
-    AdaptiveHotPotato,
-    /// Deterministic dimension-order (X then Y) routing on grid
-    /// topologies, falling back to the BFS next-hop table elsewhere;
-    /// never deflects. Path length always equals the BFS distance.
-    DimensionOrder,
-}
-
-impl RoutePolicy {
-    /// The flag spelling (stable, lowercase; used in report rows).
-    pub fn label(self) -> &'static str {
-        match self {
-            RoutePolicy::AdaptiveHotPotato => "hotpotato",
-            RoutePolicy::DimensionOrder => "dimorder",
-        }
-    }
-}
+/// Per-direction data bandwidth of one channel (4 GB/s in the paper).
+const LINK_GB_S: u64 = 4;
+/// Fixed per-hop latency: router fall-through + wire flight.
+const HOP_LATENCY: Duration = Duration::from_ns(16);
+/// How long a packet waits for its preferred link before deflecting.
+const DEFLECT_PATIENCE: Duration = Duration::from_ns(30);
+/// Age at which a packet stops deflecting and insists on the shortest
+/// path (guarantees delivery).
+const MAX_DEFLECT_AGE: u32 = 8;
 
 /// What a switch does when the chosen output port's backlog exceeds its
 /// buffer capacity. Capacity is expressed as backlog *time* on the
@@ -144,34 +127,20 @@ impl Default for QueueDiscipline {
     }
 }
 
-/// Interconnect timing parameters.
+/// Interconnect parameters. The link and router timing are the
+/// paper's fixed values; only the switch ports' overflow behaviour is
+/// configurable.
 #[derive(Debug, Clone, Copy)]
 pub struct NetworkConfig {
-    /// Per-direction data bandwidth of one channel (4 GB/s in the paper).
-    pub link_gb_s: u64,
-    /// Fixed per-hop latency: router fall-through + wire flight.
-    pub hop_latency: Duration,
-    /// How long a packet waits for its preferred link before deflecting.
-    pub deflect_patience: Duration,
-    /// Age at which a packet stops deflecting and insists on the
-    /// shortest path (guarantees delivery).
-    pub max_deflect_age: u32,
-    /// Output-port selection policy.
-    pub route: RoutePolicy,
     /// Output-port overflow behaviour.
     pub queue: QueueDiscipline,
 }
 
 impl NetworkConfig {
-    /// Paper-derived defaults: 4 GB/s links, ~16 ns per hop, adaptive
+    /// The paper's fabric: 4 GB/s links, ~16 ns per hop, adaptive
     /// hot-potato routing over lossless (unbounded drop-tail) ports.
     pub fn paper_default() -> Self {
         NetworkConfig {
-            link_gb_s: 4,
-            hop_latency: Duration::from_ns(16),
-            deflect_patience: Duration::from_ns(30),
-            max_deflect_age: 8,
-            route: RoutePolicy::AdaptiveHotPotato,
             queue: QueueDiscipline::unbounded(),
         }
     }
@@ -185,8 +154,7 @@ impl NetworkConfig {
     /// another node before `t + min_delivery_latency()`. 20 ns with the
     /// paper defaults (16 B at 4 GB/s = 4 ns, + 16 ns hop).
     pub fn min_delivery_latency(&self) -> Duration {
-        Pipe::from_gb_per_s(self.link_gb_s).transfer_time(crate::PacketKind::Short.bytes())
-            + self.hop_latency
+        Pipe::from_gb_per_s(LINK_GB_S).transfer_time(crate::PacketKind::Short.bytes()) + HOP_LATENCY
     }
 }
 
@@ -293,7 +261,7 @@ impl<P> Network<P> {
             .iter()
             .map(|nbrs| {
                 nbrs.iter()
-                    .map(|_| Pipe::from_gb_per_s(cfg.link_gb_s))
+                    .map(|_| Pipe::from_gb_per_s(LINK_GB_S))
                     .collect()
             })
             .collect();
@@ -325,13 +293,7 @@ impl<P> Network<P> {
         let bytes = pkt.kind.bytes();
         let mut hops_taken = 0u32;
         while at != pkt.dst {
-            let preferred = match self.cfg.route {
-                RoutePolicy::AdaptiveHotPotato => self.next_hop[at.index()][pkt.dst.index()],
-                RoutePolicy::DimensionOrder => self
-                    .topo
-                    .dimension_next(at, pkt.dst)
-                    .unwrap_or(self.next_hop[at.index()][pkt.dst.index()]),
-            };
+            let preferred = self.next_hop[at.index()][pkt.dst.index()];
             let pref_k = self
                 .topo
                 .neighbours(at)
@@ -341,10 +303,7 @@ impl<P> Network<P> {
             let pref_free = self.links[at.index()][pref_k].busy_until();
             let mut chosen = pref_k;
             let mut deflected = false;
-            if self.cfg.route == RoutePolicy::AdaptiveHotPotato
-                && pref_free > t + self.cfg.deflect_patience
-                && pkt.age < self.cfg.max_deflect_age
-            {
+            if pref_free > t + DEFLECT_PATIENCE && pkt.age < MAX_DEFLECT_AGE {
                 // Hot potato: take the least-loaded other link if one is
                 // meaningfully freer.
                 if let Some((k, _)) = self.links[at.index()]
@@ -353,9 +312,7 @@ impl<P> Network<P> {
                     .filter(|(k, _)| *k != pref_k)
                     .min_by_key(|(_, p)| p.busy_until())
                 {
-                    if self.links[at.index()][k].busy_until() + self.cfg.deflect_patience
-                        < pref_free
-                    {
+                    if self.links[at.index()][k].busy_until() + DEFLECT_PATIENCE < pref_free {
                         chosen = k;
                         deflected = true;
                         self.deflections.inc();
@@ -385,7 +342,7 @@ impl<P> Network<P> {
             }
             let next = self.topo.neighbours(at)[chosen];
             let sent = self.links[at.index()][chosen].acquire(t, bytes);
-            t = sent + self.cfg.hop_latency;
+            t = sent + HOP_LATENCY;
             pkt.hop(deflected);
             hops_taken += 1;
             at = next;
@@ -409,11 +366,10 @@ impl<P> Network<P> {
             // Explicit NACK: wire time for the NACK to walk back from
             // the refusing switch, plus exponential backoff.
             QueueDiscipline::LossyNack { .. } => {
-                self.cfg.hop_latency.times(hops_taken.max(1) as u64)
-                    + self.cfg.deflect_patience.times(backoff)
+                HOP_LATENCY.times(hops_taken.max(1) as u64) + DEFLECT_PATIENCE.times(backoff)
             }
             // PFC never refuses an attempt.
-            QueueDiscipline::Pfc { .. } => self.cfg.hop_latency,
+            QueueDiscipline::Pfc { .. } => HOP_LATENCY,
         }
     }
 
@@ -571,12 +527,11 @@ impl<P> Network<P> {
     /// per hop taken, longer packets serialize slower, hot-potato
     /// deflection only ever *lengthens* the path (a deflected packet
     /// still pays every hop it takes, and it can never take fewer hops
-    /// than the BFS distance), dimension-order paths are exactly the
-    /// BFS distance, and every queue discipline only *adds* waiting
-    /// (pause stalls) or whole extra walks (drop recovery). On a fully
-    /// connected topology (the paper's glueless 4-chip configuration)
-    /// every off-diagonal entry degenerates to the global quantum
-    /// [`NetworkConfig::min_delivery_latency`].
+    /// than the BFS distance), and every queue discipline only *adds*
+    /// waiting (pause stalls) or whole extra walks (drop recovery). On a
+    /// fully connected topology (the paper's glueless 4-chip
+    /// configuration) every off-diagonal entry degenerates to the global
+    /// quantum [`NetworkConfig::min_delivery_latency`].
     pub fn pair_bounds(&self) -> Vec<Vec<Duration>> {
         let per_hop = self.cfg.min_delivery_latency();
         self.topo
@@ -808,23 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn dimension_order_is_deterministic_and_never_deflects() {
-        let mut cfg = NetworkConfig::paper_default();
-        cfg.route = RoutePolicy::DimensionOrder;
-        let mut net: Network<u32> = Network::new(Topology::torus(4, 4), cfg);
-        let bounds = net.pair_bounds();
-        for _ in 0..200 {
-            let long = Packet::new(NodeId(0), NodeId(10), Lane::High, PacketKind::Long, 0);
-            let (arrive, p) = net.send(SimTime::ZERO, long);
-            // X then Y on a torus: exactly the BFS distance (node 10 is
-            // (2,2) from (0,0): 2 X steps + 2 Y steps), every time.
-            assert_eq!(p.age, 4);
-            assert!(arrive.since(SimTime::ZERO) >= bounds[0][10]);
-        }
-        assert_eq!(net.deflections(), 0, "dimension-order never deflects");
-    }
-
-    #[test]
     fn droptail_congestion_drops_then_delivers() {
         let mut cfg = NetworkConfig::paper_default();
         cfg.queue = QueueDiscipline::DropTail {
@@ -1029,8 +967,8 @@ mod tests {
             /// Every delivery the network performs — including under
             /// heavy contention, where hot-potato deflection reroutes
             /// packets along longer paths, and under every queue
-            /// discipline and route policy, where drops/pauses delay
-            /// them further — takes at least the pair's computed bound.
+            /// discipline, where drops/pauses delay them further —
+            /// takes at least the pair's computed bound.
             /// This is the property the parallel engine's per-pair
             /// `debug_assert` relies on, on every topology.
             #[test]
@@ -1039,18 +977,15 @@ mod tests {
                 a in 2usize..6,
                 b in 2usize..5,
                 queue_sel in 0usize..4,
-                dimorder in proptest::bool::ANY,
                 sends in proptest::collection::vec(
                     (0usize..64, 0usize..64, 0u64..500, proptest::bool::ANY),
                     1..120,
                 ),
             ) {
                 let topo = arb_topology(shape, a, b);
-                let mut cfg = NetworkConfig::paper_default();
-                cfg.queue = arb_queue(queue_sel);
-                if dimorder {
-                    cfg.route = RoutePolicy::DimensionOrder;
-                }
+                let cfg = NetworkConfig {
+                    queue: arb_queue(queue_sel),
+                };
                 let mut net: Network<u32> = Network::new(topo, cfg);
                 let bounds = net.pair_bounds();
                 let n = bounds.len();

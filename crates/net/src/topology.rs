@@ -22,9 +22,9 @@
 //!
 //! Every builder produces a connected, symmetric graph, and
 //! [`Topology::distances`] (all-pairs BFS) stays the single source of
-//! the conservative per-pair lookahead bounds: any routing policy
-//! charges at least one minimum hop per link traversed and can never
-//! use fewer links than the BFS distance.
+//! the conservative per-pair lookahead bounds: the router charges at
+//! least one minimum hop per link traversed and can never use fewer
+//! links than the BFS distance.
 
 use piranha_types::NodeId;
 
@@ -76,24 +76,11 @@ impl TopologyKind {
     }
 }
 
-/// Regular 2-D grid geometry, kept by the mesh/torus builders so the
-/// deterministic dimension-order route policy can compute next hops
-/// arithmetically instead of from the BFS table.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Grid {
-    pub(crate) w: usize,
-    pub(crate) h: usize,
-    pub(crate) wrap: bool,
-}
-
 /// A system topology: which nodes connect to which.
 #[derive(Debug, Clone)]
 pub struct Topology {
     /// adjacency[i] = neighbours of node i.
     pub(crate) adj: Vec<Vec<NodeId>>,
-    /// Regular grid geometry, when the graph is a full `w × h`
-    /// mesh/torus (enables dimension-order routing).
-    pub(crate) grid: Option<Grid>,
     /// The first `hosts` nodes source and sink traffic (the machine's
     /// lanes); any nodes beyond are phantom switches that only route
     /// (fat-tree interior). Every builder except [`Topology::fat_tree`]
@@ -102,9 +89,9 @@ pub struct Topology {
 }
 
 impl Topology {
-    fn from_adj(adj: Vec<Vec<NodeId>>, grid: Option<Grid>) -> Self {
+    fn from_adj(adj: Vec<Vec<NodeId>>) -> Self {
         let hosts = adj.len();
-        Topology { adj, grid, hosts }
+        Topology { adj, hosts }
     }
 
     /// A topology from an explicit neighbour list.
@@ -125,7 +112,7 @@ impl Topology {
                 );
             }
         }
-        let t = Topology::from_adj(adj, None);
+        let t = Topology::from_adj(adj);
         assert!(t.is_connected(), "topology must be connected");
         t
     }
@@ -148,7 +135,7 @@ impl Topology {
                 }
             })
             .collect();
-        Topology::from_adj(adj, None)
+        Topology::from_adj(adj)
     }
 
     /// A fully-connected topology (possible gluelessly up to 5 processing
@@ -171,7 +158,7 @@ impl Topology {
                     .collect()
             })
             .collect();
-        Topology::from_adj(adj, None)
+        Topology::from_adj(adj)
     }
 
     /// A 2-D mesh of `w x h` nodes (≤ 4 channels per node, the paper's
@@ -202,7 +189,7 @@ impl Topology {
                 nbrs
             })
             .collect();
-        Topology::from_adj(adj, Some(Grid { w, h, wrap: false }))
+        Topology::from_adj(adj)
     }
 
     /// An **exact-count** 2-D mesh over `n` nodes: rows of width
@@ -210,8 +197,7 @@ impl Topology {
     /// `n` up to a full `w × h` rectangle, this never instantiates
     /// topology nodes the machine doesn't have — every node is a lane.
     /// When `n` happens to fill the rectangle exactly the result is
-    /// identical to [`Topology::mesh`] (including its dimension-order
-    /// geometry).
+    /// identical to [`Topology::mesh`].
     ///
     /// # Panics
     ///
@@ -242,7 +228,7 @@ impl Topology {
                 nbrs
             })
             .collect();
-        let t = Topology::from_adj(adj, None);
+        let t = Topology::from_adj(adj);
         debug_assert!(t.is_connected(), "partial-row mesh stays connected");
         t
     }
@@ -274,7 +260,7 @@ impl Topology {
                 nbrs
             })
             .collect();
-        Topology::from_adj(adj, Some(Grid { w, h, wrap: true }))
+        Topology::from_adj(adj)
     }
 
     /// A two-level folded-Clos fat tree over `leaves` machine nodes:
@@ -311,7 +297,7 @@ impl Topology {
                 adj[root].push(NodeId(edge as u16));
             }
         }
-        let mut t = Topology::from_adj(adj, None);
+        let mut t = Topology::from_adj(adj);
         t.hosts = leaves;
         debug_assert!(t.is_connected(), "fat tree is connected by construction");
         t
@@ -410,39 +396,5 @@ impl Topology {
             }
         }
         table
-    }
-
-    /// The dimension-order (X then Y) next hop from `at` toward `dst`,
-    /// when the topology is a full grid. On a torus each dimension
-    /// steps the shorter way around (ties break toward +1). Returns
-    /// `None` on non-grid topologies, where the deterministic policy
-    /// falls back to the (equally deterministic) BFS next-hop table.
-    /// The step count equals the BFS distance on both mesh and torus,
-    /// so dimension-order routing never undercuts the pair bounds.
-    pub(crate) fn dimension_next(&self, at: NodeId, dst: NodeId) -> Option<NodeId> {
-        let g = self.grid?;
-        let (ax, ay) = (at.index() % g.w, at.index() / g.w);
-        let (dx, dy) = (dst.index() % g.w, dst.index() / g.w);
-        let step = |from: usize, to: usize, len: usize| -> usize {
-            if from == to {
-                return from;
-            }
-            if !g.wrap {
-                return if to > from { from + 1 } else { from - 1 };
-            }
-            let fwd = (to + len - from) % len;
-            let back = (from + len - to) % len;
-            if fwd <= back {
-                (from + 1) % len
-            } else {
-                (from + len - 1) % len
-            }
-        };
-        let (nx, ny) = if ax != dx {
-            (step(ax, dx, g.w), ay)
-        } else {
-            (ax, step(ay, dy, g.h))
-        };
-        Some(NodeId((ny * g.w + nx) as u16))
     }
 }

@@ -3,8 +3,6 @@
 use piranha_cache::{L1Config, L2BankConfig};
 use piranha_cpu::{InOrderConfig, OooConfig};
 use piranha_faults::FaultConfig;
-use piranha_ics::IcsConfig;
-use piranha_mem::MemBankConfig;
 use piranha_net::{NetworkConfig, TopologyKind};
 use piranha_traffic::TrafficConfig;
 use piranha_types::time::Clock;
@@ -100,18 +98,16 @@ pub struct SystemConfig {
     pub cpus_per_node: usize,
     /// Core model and parameters.
     pub core: CoreKind,
-    /// CPU (and protocol-engine) clock.
+    /// CPU clock; the protocol engines and the intra-chip switch run
+    /// at it too.
     pub cpu_clock: Clock,
     /// L1 geometry.
     pub l1: L1Config,
-    /// Number of L2 banks (= memory controllers) per chip.
+    /// Number of L2 banks (= memory controllers, each with one RDRAM
+    /// channel interleaved over the banks) per chip.
     pub l2_banks: usize,
     /// Geometry of each bank.
     pub l2_bank: L2BankConfig,
-    /// Intra-chip switch parameters.
-    pub ics: IcsConfig,
-    /// Memory bank (RDRAM channel) parameters.
-    pub mem: MemBankConfig,
     /// Inter-node network parameters.
     pub net: NetworkConfig,
     /// Which fabric topology the wiring builds over the nodes
@@ -155,10 +151,6 @@ impl SystemConfig {
             l1: L1Config::paper_default(),
             l2_banks: 8,
             l2_bank: L2BankConfig::paper_default(),
-            ics: IcsConfig::paper_default(),
-            mem: MemBankConfig {
-                rdram: piranha_mem::RdramConfig::with_banks(8),
-            },
             net: NetworkConfig::paper_default(),
             topology: TopologyKind::Auto,
             lat: PathLatencies::piranha_asic(),
@@ -199,7 +191,6 @@ impl SystemConfig {
         SystemConfig {
             name: "P8F".into(),
             cpu_clock: Clock::from_mhz(1250),
-            ics: IcsConfig::with_clock(Clock::from_mhz(1250)),
             lat: PathLatencies::piranha_custom(),
             ..Self::piranha_p8()
         }
@@ -219,10 +210,6 @@ impl SystemConfig {
             l2_bank: L2BankConfig {
                 size_bytes: 768 * 1024,
                 ways: 6,
-            },
-            ics: IcsConfig::with_clock(Clock::from_mhz(1000)),
-            mem: MemBankConfig {
-                rdram: piranha_mem::RdramConfig::with_banks(2),
             },
             net: NetworkConfig::paper_default(),
             topology: TopologyKind::Auto,
@@ -253,7 +240,6 @@ impl SystemConfig {
             name: "P8-pess".into(),
             cpu_clock: Clock::from_mhz(400),
             l1: L1Config::pessimistic(),
-            ics: IcsConfig::with_clock(Clock::from_mhz(400)),
             lat: PathLatencies::piranha_pessimistic(),
             ..Self::piranha_p8()
         }

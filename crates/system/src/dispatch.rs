@@ -33,7 +33,7 @@
 
 use piranha_cache::{BankAction, BankEvent, Mesi, Slot};
 use piranha_cpu::{CoreStatus, MemReq};
-use piranha_faults::{FaultKind, FaultPlane};
+use piranha_faults::{retransmit_delay_cycles, FaultKind, FaultPlane, RETRY_BUDGET};
 use piranha_ics::TransferSize;
 use piranha_mem::Scrub;
 use piranha_net::{crc32, flip_bit, Network, Packet, PacketKind};
@@ -392,13 +392,13 @@ impl NodeLane {
                 if stream.exhausted() {
                     // Let the core observe end-of-stream and finish; no
                     // plane poll for a dead stream.
-                    self.node.cpus.stream_mut(cpu).admit(0);
+                    self.node.cpus.stream_mut(cpu).admit();
                     self.events.schedule(next, Ev::Step { cpu });
                 } else {
                     let now_cyc = sh.time_to_cycle(next);
                     match self.traffic.poll(cpu, now_cyc) {
-                        piranha_traffic::Admission::Admit { extra_idle } => {
-                            self.node.cpus.stream_mut(cpu).admit(extra_idle);
+                        piranha_traffic::Admission::Admit => {
+                            self.node.cpus.stream_mut(cpu).admit();
                             // The parked core's local clock froze at the
                             // last commit; pull it forward so the new
                             // transaction is costed from its admission
@@ -677,7 +677,7 @@ impl NodeLane {
         };
         let outcome = self.node.mem[bank].inject_and_scrub(line, bits);
         let (corrected, penalty) = match outcome {
-            Scrub::Clean(_) | Scrub::Corrected(_) => (true, self.faults.cfg().scrub_cycles),
+            Scrub::Clean(_) | Scrub::Corrected(_) => (true, piranha_faults::SCRUB_CYCLES),
             Scrub::Uncorrectable => {
                 // SEC-DED gives up; restore from the mirror when one
                 // exists. Either way the fault escalated past the
@@ -686,7 +686,7 @@ impl NodeLane {
                 if let Some(v) = nd.ras.mirror_copy(line) {
                     nd.mem[bank].set_version(line, v);
                 }
-                (false, self.faults.cfg().failover_cycles)
+                (false, piranha_faults::FAILOVER_CYCLES)
             }
         };
         self.faults.note_recovery(f.kind, corrected, penalty, 0);
@@ -826,7 +826,7 @@ impl NetPath<'_> {
         arrive: &mut SimTime,
     ) -> ProtoMsg {
         let first_cycle = time_to_cycle(self.cfg, t);
-        let attempts = f.failed_attempts.min(faults.cfg().retry_budget + 1);
+        let attempts = f.failed_attempts.min(RETRY_BUDGET + 1);
         if f.kind == FaultKind::PacketCorrupt {
             // Genuine detection, not assumption: corrupt the encoded
             // payload and check the link CRC actually flags it.
@@ -843,7 +843,7 @@ impl NetPath<'_> {
             }
         }
         for attempt in 1..=attempts {
-            let delay = faults.cfg().retransmit_delay_cycles(attempt);
+            let delay = retransmit_delay_cycles(attempt);
             let at = *arrive + self.cfg.cpu_clock.cycles_dur(delay);
             let (t2, p2) = self
                 .net
@@ -851,7 +851,7 @@ impl NetPath<'_> {
             *arrive = t2.max(at);
             payload = p2.payload;
         }
-        let corrected = f.failed_attempts <= faults.cfg().retry_budget;
+        let corrected = f.failed_attempts <= RETRY_BUDGET;
         let mttr = time_to_cycle(self.cfg, *arrive).saturating_sub(first_cycle);
         faults.note_recovery(f.kind, corrected, mttr, attempts as u64);
         self.probe.instant(

@@ -36,7 +36,7 @@ mod tests;
 pub use config::{CoreKind, PathLatencies, SystemConfig};
 pub use machine::{Machine, ParsimStats};
 pub use piranha_faults::{AvailabilityReport, FaultConfig, FaultKind};
-pub use piranha_net::{FabricStats, NetworkConfig, QueueDiscipline, RoutePolicy, TopologyKind};
+pub use piranha_net::{FabricStats, NetworkConfig, QueueDiscipline, TopologyKind};
 pub use piranha_probe::{Probe, ProbeConfig, TraceLevel};
 pub use piranha_sample::{Estimator, SampleConfig, SampleEstimate};
 pub use piranha_traffic::{

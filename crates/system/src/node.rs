@@ -22,7 +22,7 @@ use piranha_cpu::{
 use piranha_faults::FaultPlane;
 use piranha_ics::Ics;
 use piranha_kernel::{EventQueue, Server};
-use piranha_mem::MemBank;
+use piranha_mem::{MemBank, RdramConfig};
 use piranha_net::Packet;
 use piranha_parsim::Outbox;
 use piranha_probe::Probe;
@@ -100,13 +100,13 @@ impl Node {
             .collect();
         sc.interconnect_boot(&peers, 1024);
         let mut ras = RasPolicy::new(NodeId(n as u16));
-        if cfg.faults.enabled() && cfg.faults.mirror_lines > 0 {
+        if cfg.faults.enabled() {
             // Mirror the low lines on every node; `on_home_write` only
             // fires at a line's home, so each node's mirror log covers
             // exactly its own homed slice of the range.
             ras.register_mirrored(LineRange {
                 start: LineAddr(0),
-                end: LineAddr(cfg.faults.mirror_lines),
+                end: LineAddr(piranha_faults::MIRROR_LINES),
             });
         }
         let mut home = HomeEngine::new(NodeId(n as u16), total_nodes);
@@ -118,13 +118,15 @@ impl Node {
                 .map(|b| L2Bank::new(cfg.l2_bank, b as u64, n_banks as u64))
                 .collect(),
             bank_srv: (0..n_banks).map(|_| Server::new()).collect(),
-            mem: (0..n_banks).map(|_| MemBank::new(cfg.mem)).collect(),
+            mem: (0..n_banks)
+                .map(|_| MemBank::new(RdramConfig::with_banks(cfg.l2_banks as u64)))
+                .collect(),
             home,
             remote: RemoteEngine::new(NodeId(n as u16)),
             home_srv: Server::new(),
             remote_srv: Server::new(),
-            recovery: EngineRecovery::new(cfg.faults.replay_timeout_cycles),
-            ics: Ics::new(cfg.ics),
+            recovery: EngineRecovery::new(piranha_faults::REPLAY_TIMEOUT_CYCLES),
+            ics: Ics::new(cfg.cpu_clock),
             sc,
             ras,
         }

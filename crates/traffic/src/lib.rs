@@ -22,7 +22,9 @@
 //! * [`OpenLoopStream`] — wraps a closed-loop [`InstrStream`] and parks
 //!   it at every transaction boundary; the plane decides when the next
 //!   transaction is admitted, stamping birth and commit cycles so the
-//!   machine can populate `traffic.txn_latency_ns` histograms.
+//!   machine can populate `traffic.txn_latency_ns` histograms. An
+//!   admitted transaction starts at once; the plane adds no service
+//!   time of its own.
 //!
 //! Determinism: all plane state is per-node and consulted only at
 //! node-local dispatch points, so runs are bit-identical at any
@@ -67,12 +69,6 @@ pub struct TrafficConfig {
     pub process: ArrivalKind,
     /// Optional diurnal (sinusoidal) modulation of the offered rate.
     pub curve: Option<DiurnalCurve>,
-    /// Optional log-normal service-time pad: extra think/IO cycles
-    /// charged at admission, log-normally distributed with this mean.
-    /// `0.0` disables the pad.
-    pub service_pad_cycles: f64,
-    /// Sigma of the log-normal service pad (ignored when the pad is 0).
-    pub service_pad_sigma: f64,
     /// Bounded run-queue depth per core.
     pub queue_depth: usize,
     /// What happens to arrivals past the depth limit.
@@ -87,8 +83,6 @@ impl Default for TrafficConfig {
             rate_tpmc: 0.0,
             process: ArrivalKind::Poisson,
             curve: None,
-            service_pad_cycles: 0.0,
-            service_pad_sigma: 1.0,
             queue_depth: 16,
             overflow: OverflowPolicy::Drop,
             seed: 0x007A_FF1C,

@@ -12,12 +12,8 @@ use crate::{OverflowPolicy, TrafficConfig};
 /// What the plane tells the dispatcher when a parked core asks for work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
-    /// A transaction is admitted now; charge this many extra idle cycles
-    /// of service pad before its first instruction.
-    Admit {
-        /// Log-normal service-time pad, in cycles (0 when unconfigured).
-        extra_idle: u32,
-    },
+    /// A transaction is admitted now.
+    Admit,
     /// Nothing is runnable; re-poll at this cycle (the next arrival).
     WaitUntil(u64),
 }
@@ -103,7 +99,6 @@ impl TrafficSummary {
 /// Per-core open-loop state.
 struct CoreLane {
     arrival_rng: Prng,
-    service_rng: Prng,
     process: Box<dyn ArrivalProcess + Send>,
     /// Cycle of the next not-yet-classified arrival.
     next_arrival: u64,
@@ -167,7 +162,6 @@ impl TrafficPlane {
         let cores = (0..n_cpus)
             .map(|c| CoreLane {
                 arrival_rng: root.derive(0x0A00 + c as u64),
-                service_rng: root.derive(0x5E00 + c as u64),
                 process: cfg.process.build(),
                 next_arrival: 0,
                 queue: VecDeque::new(),
@@ -244,8 +238,6 @@ impl TrafficPlane {
     pub fn poll(&mut self, core: usize, now_cycle: u64) -> Admission {
         debug_assert!(self.enabled, "poll on a disabled traffic plane");
         self.ingest(core, now_cycle);
-        let pad_mean = self.cfg.service_pad_cycles;
-        let pad_sigma = self.cfg.service_pad_sigma;
         let lane = &mut self.cores[core];
         debug_assert!(
             lane.in_service.is_none(),
@@ -253,14 +245,7 @@ impl TrafficPlane {
         );
         if let Some(birth) = lane.queue.pop_front() {
             lane.in_service = Some(birth);
-            let extra_idle = if pad_mean > 0.0 {
-                let mut pad = crate::process::LogNormalArrivals::new(pad_sigma);
-                pad.next_gap(pad_mean, &mut lane.service_rng)
-                    .min(u32::MAX as u64) as u32
-            } else {
-                0
-            };
-            Admission::Admit { extra_idle }
+            Admission::Admit
         } else {
             Admission::WaitUntil(lane.next_arrival)
         }
@@ -325,8 +310,8 @@ mod tests {
         let mut now = 0;
         while now < cycles {
             match p.poll(0, now) {
-                Admission::Admit { extra_idle } => {
-                    now += service + extra_idle as u64;
+                Admission::Admit => {
+                    now += service;
                     p.complete(0, now);
                 }
                 Admission::WaitUntil(c) => {
@@ -423,29 +408,6 @@ mod tests {
             "nodes are decorrelated (same count would be a coincidence \
              at ~200 arrivals; the schedules differ)"
         );
-    }
-
-    #[test]
-    fn service_pad_charges_extra_idle() {
-        let cfg = TrafficConfig {
-            service_pad_cycles: 500.0,
-            service_pad_sigma: 0.5,
-            ..TrafficConfig::poisson(50.0)
-        };
-        let mut p = plane(cfg);
-        let mut pads = Vec::new();
-        let mut now = 0u64;
-        for _ in 0..50 {
-            match p.poll(0, now) {
-                Admission::Admit { extra_idle } => {
-                    pads.push(extra_idle);
-                    now += 100;
-                    p.complete(0, now);
-                }
-                Admission::WaitUntil(c) => now = c,
-            }
-        }
-        assert!(pads.iter().any(|&x| x > 0), "pad draws nonzero idle");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! at every transaction boundary so the traffic plane controls when the
 //! next transaction begins.
 
-use piranha_cpu::{InstrStream, OpKind, StreamOp};
+use piranha_cpu::{InstrStream, StreamOp};
 
 /// Wraps a closed-loop [`InstrStream`] (OLTP, web) and gates it on
 /// open-loop admission.
@@ -20,8 +20,7 @@ use piranha_cpu::{InstrStream, OpKind, StreamOp};
 /// 1. starts **parked**; the core's park check sees
 ///    [`parked`](InstrStream::parked) and yields instead of fetching,
 /// 2. the dispatcher polls the plane, which eventually
-///    [`admit`](InstrStream::admit)s (optionally with a service-time
-///    pad, delivered as a leading [`OpKind::Idle`] op),
+///    [`admit`](InstrStream::admit)s it,
 /// 3. ops flow until the lookahead detects the next boundary and the
 ///    stream re-parks with the boundary *armed*,
 /// 4. the core quiesces and calls
@@ -40,8 +39,6 @@ pub struct OpenLoopStream {
     armed: bool,
     /// Stamped commit cycle awaiting collection by the dispatcher.
     completion: Option<u64>,
-    /// Service-time pad to emit before the next transaction's first op.
-    pending_idle: Option<u32>,
     /// Last observed `units_completed` of the inner stream.
     last_units: u64,
     /// The inner stream returned `None`.
@@ -59,7 +56,6 @@ impl OpenLoopStream {
             parked: true,
             armed: false,
             completion: None,
-            pending_idle: None,
             last_units,
             inner_done: false,
         }
@@ -106,20 +102,6 @@ impl OpenLoopStream {
 impl InstrStream for OpenLoopStream {
     fn next_op(&mut self) -> Option<StreamOp> {
         debug_assert!(!self.parked, "next_op on a parked open-loop stream");
-        if self.pending_idle.is_some() {
-            if self.buf.is_none() && !self.inner_done {
-                self.prime();
-            }
-            let pad = self.pending_idle.take().unwrap_or(0);
-            if pad > 0 {
-                if let Some(op) = &self.buf {
-                    return Some(StreamOp {
-                        pc: op.pc,
-                        kind: OpKind::Idle { cycles: pad },
-                    });
-                }
-            }
-        }
         if self.buf.is_none() {
             if self.inner_done {
                 return None;
@@ -164,18 +146,16 @@ impl InstrStream for OpenLoopStream {
         self.completion.take()
     }
 
-    fn admit(&mut self, extra_idle_cycles: u32) {
+    fn admit(&mut self) {
         debug_assert!(!self.boundary_pending(), "admit with an unclaimed boundary");
         self.parked = false;
-        if extra_idle_cycles > 0 {
-            self.pending_idle = Some(extra_idle_cycles);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use piranha_cpu::OpKind;
     use piranha_types::Addr;
 
     /// A closed-loop fake: `per_txn` ALU ops per transaction, `txns`
@@ -232,7 +212,7 @@ mod tests {
     #[test]
     fn txn_flows_then_reparks_at_boundary() {
         let mut s = wrap(3, 2);
-        s.admit(0);
+        s.admit();
         assert!(!s.parked());
         for _ in 0..3 {
             assert!(s.next_op().is_some());
@@ -250,21 +230,21 @@ mod tests {
     #[test]
     fn final_txn_arms_on_exhaustion() {
         let mut s = wrap(2, 1);
-        s.admit(0);
+        s.admit();
         assert!(s.next_op().is_some());
         assert!(s.next_op().is_some());
         assert!(s.parked() && s.boundary_pending());
         s.mark_quiescent(50);
         assert_eq!(s.take_completion(), Some(50));
         assert!(s.exhausted());
-        s.admit(0);
+        s.admit();
         assert_eq!(s.next_op(), None, "exhausted stream ends cleanly");
     }
 
     #[test]
     fn mark_quiescent_is_idempotent_per_boundary() {
         let mut s = wrap(1, 2);
-        s.admit(0);
+        s.admit();
         assert!(s.next_op().is_some());
         s.mark_quiescent(10);
         s.mark_quiescent(99);
@@ -273,20 +253,11 @@ mod tests {
     }
 
     #[test]
-    fn service_pad_emits_leading_idle() {
-        let mut s = wrap(2, 1);
-        s.admit(40);
-        let pad = s.next_op().unwrap();
-        assert!(matches!(pad.kind, OpKind::Idle { cycles: 40 }));
-        assert!(matches!(s.next_op().unwrap().kind, OpKind::Alu { .. }));
-    }
-
-    #[test]
     fn all_ops_delivered_across_admissions() {
         let mut s = wrap(4, 3);
         let mut total = 0;
         for txn in 0..3 {
-            s.admit(0);
+            s.admit();
             while !s.parked() {
                 if s.next_op().is_some() {
                     total += 1;

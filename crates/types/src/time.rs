@@ -50,7 +50,7 @@ impl Duration {
     pub const ZERO: Duration = Duration(0);
 
     /// Construct from nanoseconds.
-    pub fn from_ns(ns: u64) -> Self {
+    pub const fn from_ns(ns: u64) -> Self {
         Duration(ns * 1000)
     }
 

@@ -3,7 +3,8 @@
 //! - bounded queue disciplines conserve work under a real OLTP
 //!   workload: every run commits exactly the baseline's transactions,
 //!   the packet ledger closes (`delivered + retransmits == walks`,
-//!   `drops == retransmits` without link faults), and PFC never drops;
+//!   `drops == retransmits` without link faults), PFC never drops, and
+//!   each run reproduces its pinned fingerprint and fabric counters;
 //! - fabric runs are worker-invariant: the same `nodes × topology ×
 //!   queue` point fingerprints identically (and reports identical
 //!   fabric counters) at 1, 2, and 4 lane workers;
@@ -17,6 +18,41 @@ use piranha::harness::{RunRequest, RunScale};
 use piranha::types::Duration;
 use piranha::workloads::Workload;
 use piranha::{Machine, QueueDiscipline, RunResult, SystemConfig, TopologyKind};
+
+/// The pinned outcome of every `topology/queue` run of
+/// [`bounded_disciplines_conserve_work`] (`unbounded` is its lossless
+/// baseline): the run's fingerprint and the fabric's `[walks,
+/// deflections, drops, pauses]`. A change to the router's port choice,
+/// to a queue discipline or to anything the packets carry moves them.
+const PINS: [(&str, u64, [u64; 4]); 12] = [
+    ("mesh/unbounded", 0x95fb29163c818462, [3325, 436, 0, 0]),
+    ("mesh/droptail", 0x95fb29163c818462, [3325, 436, 0, 0]),
+    ("mesh/lossy", 0x95fb29163c818462, [3325, 436, 0, 0]),
+    ("mesh/pfc", 0x95fb29163c818462, [3325, 436, 0, 0]),
+    ("torus/unbounded", 0x17423f26e10e86c4, [3334, 259, 0, 0]),
+    ("torus/droptail", 0x17423f26e10e86c4, [3334, 259, 0, 0]),
+    ("torus/lossy", 0x17423f26e10e86c4, [3334, 259, 0, 0]),
+    ("torus/pfc", 0x17423f26e10e86c4, [3334, 259, 0, 0]),
+    ("fattree/unbounded", 0x447c2e385343f4de, [3321, 734, 0, 0]),
+    ("fattree/droptail", 0x447c2e385343f4de, [3325, 734, 4, 0]),
+    ("fattree/lossy", 0x447c2e385343f4de, [3325, 734, 4, 0]),
+    ("fattree/pfc", 0x447c2e385343f4de, [3321, 734, 0, 4]),
+];
+
+/// Assert that the run labelled `label` reproduced its [`PINS`] row.
+fn assert_pinned(label: &str, r: &RunResult, m: &Machine) {
+    let fs = m.fabric_stats();
+    let got = (
+        r.fingerprint(),
+        [fs.walks, fs.deflections, fs.drops, fs.pauses],
+    );
+    let want = PINS.iter().find(|p| p.0 == label).map(|p| (p.1, p.2));
+    assert_eq!(
+        Some(got),
+        want,
+        "{label}: fingerprint or fabric counters moved from the pin"
+    );
+}
 
 /// A 16-node machine of single-CPU chips on an explicit fabric.
 fn fabric_cfg(topology: TopologyKind, queue: QueueDiscipline) -> SystemConfig {
@@ -40,8 +76,9 @@ fn congested() -> Duration {
 }
 
 /// Every bounded discipline commits exactly the work of the lossless
-/// baseline — congestion delays packets, it never loses them — and the
-/// fabric's packet ledger closes on every combination.
+/// baseline — congestion delays packets, it never loses them — the
+/// fabric's packet ledger closes on every combination, and every run
+/// matches its [`PINS`] row.
 #[test]
 fn bounded_disciplines_conserve_work() {
     let w = experiments::oltp_bounded(2);
@@ -50,7 +87,8 @@ fn bounded_disciplines_conserve_work() {
         TopologyKind::Torus,
         TopologyKind::FatTree,
     ] {
-        let (base, _) = run(fabric_cfg(topology, QueueDiscipline::unbounded()), &w, 1);
+        let (base, bm) = run(fabric_cfg(topology, QueueDiscipline::unbounded()), &w, 1);
+        assert_pinned(&format!("{}/unbounded", topology.label()), &base, &bm);
         let base_committed = base.committed_txns.expect("bounded workload reports work");
         assert!(base_committed > 0, "baseline must commit work");
         for queue in [
@@ -67,6 +105,7 @@ fn bounded_disciplines_conserve_work() {
             let (r, m) = run(fabric_cfg(topology, queue), &w, 1);
             let fs = m.fabric_stats();
             let label = format!("{}/{}", topology.label(), queue.label());
+            assert_pinned(&label, &r, &m);
             assert_eq!(
                 r.committed_txns,
                 Some(base_committed),

@@ -10,6 +10,10 @@
 //! path (like the component/port decomposition) are provably
 //! behavior-preserving.
 //!
+//! The two golden-file tests and `bless` run through one harness over a
+//! process-wide cache, so the fig5 runs the golden set shares are
+//! simulated once per test process.
+//!
 //! To regenerate after an *intentional* semantic change:
 //!
 //! ```text
@@ -19,10 +23,21 @@
 //! and commit the updated `.tsv` files with an explanation of why the
 //! ordering legitimately changed.
 
+use std::sync::LazyLock;
+
 use piranha::experiments::{fig5, fingerprints, golden_plan, plan, RunScale};
+use piranha::harness::{Harness, SharedCache};
 
 const GOLDEN: &str = include_str!("golden_fingerprints.tsv");
 const GOLDEN_FIG5: &str = include_str!("golden_fig5_quick.tsv");
+
+/// The cache every golden-file harness of this process shares.
+static CACHE: LazyLock<SharedCache> = LazyLock::new(SharedCache::new);
+
+/// A harness over [`CACHE`].
+fn harness() -> Harness {
+    Harness::new().with_cache(CACHE.clone())
+}
 
 fn golden_dir() -> std::path::PathBuf {
     // Compiled as a `[[test]]` of crates/core, so the manifest dir is
@@ -47,7 +62,7 @@ fn golden_labels_are_unique() {
 
 #[test]
 fn golden_fingerprints_match_checked_in_values() {
-    let got = fingerprints(&golden_plan(RunScale::quick()));
+    let got = fingerprints(&mut harness(), &golden_plan(RunScale::quick()));
     assert!(
         !GOLDEN.trim().is_empty(),
         "golden file missing — run the ignored `bless` test to create it"
@@ -72,7 +87,7 @@ fn golden_fingerprints_match_checked_in_values() {
 
 #[test]
 fn fig5_subset_matches_checked_in_values() {
-    let got = fingerprints(&plan(&[fig5(RunScale::quick())]));
+    let got = fingerprints(&mut harness(), &plan(&[fig5(RunScale::quick())]));
     assert_eq!(
         got, GOLDEN_FIG5,
         "fig5 fingerprint subset drifted from tests/golden_fig5_quick.tsv \
@@ -190,9 +205,10 @@ mod parallel_props {
 #[ignore = "regenerates the golden files; run explicitly to bless"]
 fn bless() {
     let dir = golden_dir();
-    let all = fingerprints(&golden_plan(RunScale::quick()));
+    let mut h = harness();
+    let all = fingerprints(&mut h, &golden_plan(RunScale::quick()));
     std::fs::write(dir.join("golden_fingerprints.tsv"), &all).unwrap();
-    let fig5 = fingerprints(&plan(&[fig5(RunScale::quick())]));
+    let fig5 = fingerprints(&mut h, &plan(&[fig5(RunScale::quick())]));
     std::fs::write(dir.join("golden_fig5_quick.tsv"), &fig5).unwrap();
     println!("blessed {} golden fingerprints", all.lines().count());
 }

@@ -67,11 +67,11 @@ proptest! {
             1..200,
         ),
     ) {
-        use piranha::mem::{MemBank, MemBankConfig};
+        use piranha::mem::{MemBank, RdramConfig};
         use piranha::protocol::coherence::DirStore;
         use std::collections::HashMap;
 
-        let mut banks: Vec<MemBank> = (0..2).map(|_| MemBank::new(MemBankConfig::default())).collect();
+        let mut banks: Vec<MemBank> = (0..2).map(|_| MemBank::new(RdramConfig::default())).collect();
         let mut reference: HashMap<LineAddr, DirEntry> = HashMap::new();
         for (op, line, node, sharers, wide) in ops {
             let line = LineAddr(line);

@@ -3,7 +3,7 @@
 //!
 //! - same seed + same `TrafficConfig` ⇒ bit-identical
 //!   `RunResult::fingerprint()` and identical latency estimates at any
-//!   `--parallel` lane-worker count (1, 2, 4);
+//!   `--parallel` lane-worker count (1, 2, 4), equal to pinned values;
 //! - the admission ledger conserves structurally under arbitrary rates,
 //!   queue depths, and overflow policies:
 //!   `accepted + dropped + deferred == generated`;
@@ -16,7 +16,21 @@ use proptest::prelude::*;
 
 use piranha::experiments;
 use piranha::harness::{RunRequest, RunScale};
-use piranha::{OverflowPolicy, SystemConfig, TrafficConfig};
+use piranha::{OverflowPolicy, SystemConfig, TrafficConfig, TrafficLedger};
+
+/// The pinned outcome of the loaded run of
+/// [`traffic_runs_are_worker_invariant`]: its fingerprint, admission
+/// ledger and `(p50, p95, p99)` latency in ns. A change to the arrival
+/// schedule, to admission or to the machine under the load moves them.
+const PINNED_FINGERPRINT: u64 = 0xa18fa070a4128b81;
+const PINNED_LEDGER: TrafficLedger = TrafficLedger {
+    generated: 45,
+    accepted: 45,
+    dropped: 0,
+    deferred: 0,
+    completed: 32,
+};
+const PINNED_LATENCY_NS: (u64, u64, u64) = (13_863, 32_768, 34_298);
 
 fn two_chip_cfg() -> SystemConfig {
     let mut cfg = SystemConfig::piranha_pn(2).scaled_to_chips(2);
@@ -32,7 +46,8 @@ fn loaded_cfg(traffic: TrafficConfig) -> SystemConfig {
 
 /// The whole loaded run — event order, arrival schedule, latency
 /// histogram — is invariant under the lane-worker count: the quantum
-/// engine only changes wall-clock, never results.
+/// engine only changes wall-clock, never results. The serial run
+/// matches the pinned values.
 #[test]
 fn traffic_runs_are_worker_invariant() {
     let w = experiments::oltp_bounded(8);
@@ -48,6 +63,16 @@ fn traffic_runs_are_worker_invariant() {
         .collect();
     let t0 = runs[0].traffic.as_ref().expect("traffic summary present");
     assert!(t0.ledger.completed > 0, "the load actually ran");
+    assert_eq!(
+        (runs[0].fingerprint(), t0.ledger),
+        (PINNED_FINGERPRINT, PINNED_LEDGER),
+        "the loaded run moved from its pinned fingerprint or ledger"
+    );
+    assert_eq!(
+        (t0.p50_ns(), t0.p95_ns(), t0.p99_ns()),
+        PINNED_LATENCY_NS,
+        "the loaded run's latency estimate moved from its pin"
+    );
     for r in &runs[1..] {
         assert_eq!(
             runs[0].fingerprint(),
